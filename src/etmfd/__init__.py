@@ -6,14 +6,13 @@ differencing, its dispersion-optimal (m-adapted) member, and the symbol /
 convergence toolkit used to verify the accuracy claims.
 """
 
-from .mesh import RectMesh, build_mesh, interpolate_edge_field, interpolate_face_field
-from .operators import (CourantSpec, MfdParams, SingularLocalWError,
-                        assemble_M, assemble_W, assemble_curl,
-                        assemble_curl_curl, courant_spec, local_M, local_W,
-                        local_curl, optimal_local_W, optimal_params,
-                        params_for_scheme, yee_params)
+from .mesh import RectMesh, build_mesh, interpolate_edge_field
+from .operators import (MfdParams, SingularLocalWError, assemble_M,
+                        assemble_W, assemble_curl, assemble_curl_curl,
+                        local_M, local_W, local_curl, optimal_local_W,
+                        optimal_params, params_for_scheme, yee_params)
 from .plasma import (ExpOperators, Medium, RegimeError, coupling_matrix,
-                     exp_operators, series_exp_oracle)
+                     exp_operators)
 from .stepper import (RunResult, SimConfig, SimState, Snapshot,
                       UnstableSimulationError, initialize, load_snapshot,
                       run, save_snapshot, step)
@@ -23,9 +22,10 @@ from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
                          oscillatory_root, relative_dispersion_error,
                          s_matrix, spatial_symbol, spatial_symbol_bloch,
                          symbol_error_slope, temporal_symbol)
-from .analysis import (DegenerateFitError, ExactSolution, FitResult,
-                       convergence_study, dispersion_error_metric, exact_E,
-                       exact_J, fit_damped_cosine, l2_relative_error,
+from .analysis import (DegenerateFitError, ExactSolution,
+                       FitNotConvergedError, FitResult, convergence_study,
+                       dispersion_error_metric, exact_E, exact_J,
+                       fit_damped_cosine, l2_relative_error,
                        make_exact_solution, pick_probe_edge, spatial_mode)
 
 __version__ = "0.1.0"

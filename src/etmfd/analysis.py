@@ -19,13 +19,17 @@ import scipy.sparse as sp
 
 from .dispersion import oscillatory_root
 from .mesh import build_mesh, interpolate_edge_field
-from .operators import MfdParams, assemble_M, params_for_scheme
+from .operators import assemble_M, params_for_scheme
 from .plasma import Medium
 from .stepper import SimConfig, run
 
 
 class DegenerateFitError(ValueError):
     """Fit cannot start: zero amplitude or singular normal matrix."""
+
+
+class FitNotConvergedError(ArithmeticError):
+    """A probe fit of a convergence study stopped before converging."""
 
 
 # ---- exact solution ---------------------------------------------------------
@@ -61,15 +65,12 @@ def spatial_mode(sol: ExactSolution, x, y):
     return vx, vy
 
 
-def e_time_factor(sol: ExactSolution, t, a=None, b=None):
-    a = sol.a if a is None else a
-    b = sol.b if b is None else b
-    return np.exp(a * t) * np.cos(b * t)
+def e_time_factor(sol: ExactSolution, t):
+    return np.exp(sol.a * t) * np.cos(sol.b * t)
 
 
-def j_time_factor(sol: ExactSolution, t, a=None, b=None):
-    a = sol.a if a is None else a
-    b = sol.b if b is None else b
+def j_time_factor(sol: ExactSolution, t):
+    a, b = sol.a, sol.b
     med = sol.medium
     den = b * b + (a + med.omega_i) ** 2
     num = (a + med.omega_i) * np.cos(b * t) + b * np.sin(b * t)
@@ -139,14 +140,15 @@ def _model_and_jacobian(model: str, t: np.ndarray, a: float, b: float,
 
 def fit_damped_cosine(trace: np.ndarray, dt: float, model: str = "E",
                       medium: Medium | None = None, amplitude: float = 1.0,
-                      initial_guess: tuple[float, float] = (0.0, 1.0),
-                      max_iter: int = 200) -> FitResult:
+                      initial_guess: tuple[float, float] = (0.0, 1.0)
+                      ) -> FitResult:
     """Levenberg-damped Gauss-Newton fit of (a_h, b_h) to a probe trace.
 
     The amplitude is fixed (the known spatial DoF factor at the probe);
     only the decay and frequency are free.  Accepts a step only when it
     lowers the residual; converges when the parameter update norm drops
-    below 1e-12.  A non-converged fit is returned flagged, not raised.
+    below 1e-12 within 200 iterations.  A non-converged fit is returned
+    flagged, not raised.
     """
     trace = np.asarray(trace, dtype=float)
     if trace.size < 8:
@@ -162,7 +164,7 @@ def fit_damped_cosine(trace: np.ndarray, dt: float, model: str = "E",
     cost = float(r @ r)
     lam = 1e-3
     its = 0
-    for its in range(1, max_iter + 1):
+    for its in range(1, 201):
         f, df_da, df_db = _model_and_jacobian(model, t, a, b, medium)
         J = amplitude * np.column_stack([df_da, df_db])
         JtJ = J.T @ J
@@ -218,13 +220,15 @@ def pick_probe_edge(mesh, sol: ExactSolution) -> int:
 
 def convergence_study(h_list, scheme: str, medium: Medium,
                       sol: ExactSolution, nu: float, T: float,
-                      e_error_rule="midpoint", j_error_rule=4,
                       max_workers: int = 1) -> list[dict]:
     """Run the standing-mode experiment over a mesh-size sweep.
 
     Returns one row per (h, field) with the relative L2 error at the
     final time and the relative dispersion error from the probe fit;
-    rate columns hold log2 ratios between successive mesh sizes.
+    rate columns hold log2 ratios between successive mesh sizes.  The
+    reference E is midpoint-sampled, the reference J 4-point Gauss
+    edge-averaged, as in the initial data.  Raises FitNotConvergedError
+    when a probe fit does not converge.
     """
     h_list = list(h_list)
     if not h_list:
@@ -246,9 +250,9 @@ def convergence_study(h_list, scheme: str, medium: Medium,
         tf = result.t_final
         M = assemble_M(mesh, params)
         E_ref = interpolate_edge_field(
-            mesh, lambda x, y: exact_E(sol, x, y, tf), e_error_rule)
+            mesh, lambda x, y: exact_E(sol, x, y, tf), "midpoint")
         J_ref = interpolate_edge_field(
-            mesh, lambda x, y: exact_J(sol, x, y, tf), j_error_rule)
+            mesh, lambda x, y: exact_J(sol, x, y, tf), 4)
         err_E = l2_relative_error(result.state.E_curr, E_ref, M)
         err_J = l2_relative_error(result.state.J_curr, J_ref, M)
 
@@ -263,6 +267,11 @@ def convergence_study(h_list, scheme: str, medium: Medium,
         fit_J = fit_damped_cosine(result.probe_J[probe], config.dt, "J",
                                   medium, amplitude=mode_dof_avg[probe],
                                   initial_guess=guess)
+        for field, fit in (("E", fit_E), ("J", fit_J)):
+            if not fit.converged:
+                raise FitNotConvergedError(
+                    f"{field} probe fit did not converge for {scheme} at "
+                    f"h={h:g} ({fit.iterations} iterations)")
         disp_E = dispersion_error_metric(fit_E, sol.a, sol.b)
         disp_J = dispersion_error_metric(fit_J, sol.a, sol.b)
         return {"E": (err_E, disp_E), "J": (err_J, disp_J)}

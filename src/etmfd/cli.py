@@ -10,7 +10,7 @@ Subcommands
 
 Configuration is a single JSON document (--config); unknown keys are
 rejected.  Physical constants default to eps0 = c0 = omega_i = omega_p = 1.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ COMMAND_KEYS = {
     "simulate": {"nx", "ny", "Lx", "Ly", "scheme", "params", "nu", "T",
                  "kx_pi", "ky_pi", "medium", "probes", "snapshot_stride",
                  "out"},
-    "roots": {"k", "medium", "form"},
+    "roots": {"k", "medium"},
     "params": {"nu", "gamma"},
 }
 
@@ -60,7 +60,7 @@ DEFAULTS = {
                  "scheme": "etmfd", "nu": 0.5, "T": 4.0, "kx_pi": 1,
                  "ky_pi": 1, "probes": "auto", "snapshot_stride": 0,
                  "out": "sim_out"},
-    "roots": {"k": 4.0, "form": "physical"},
+    "roots": {"k": 4.0},
     "params": {"nu": 0.5, "gamma": 1.0},
 }
 
@@ -211,6 +211,8 @@ def cmd_simulate(args) -> int:
     probes = cfg["probes"]
     if probes == "auto":
         probes = [analysis.pick_probe_edge(mesh, sol)]
+    elif not isinstance(probes, list):
+        raise CliError(f'probes must be "auto" or a list, got {probes!r}')
     config = SimConfig(mesh=mesh, medium=medium, params=params,
                        nu=cfg["nu"], T=cfg["T"], probes=tuple(probes),
                        snapshot_stride=int(cfg["snapshot_stride"]))
@@ -244,15 +246,13 @@ def cmd_roots(args) -> int:
     cfg = load_config(args.config, "roots")
     k = args.k if args.k is not None else cfg["k"]
     medium = medium_from_config(cfg)
-    form = cfg["form"]
-    roots = dispersion.continuous_roots(k, medium, form=form)
-    print(f"k = {_fmt6(k)}, form = {form}")
+    roots = dispersion.continuous_roots(k, medium)
+    print(f"k = {_fmt6(k)}")
     for w in sorted(roots, key=lambda z: (-abs(z.real), z.imag)):
         print(f"  omega = {w.real:+.9g} {w.imag:+.9g}i")
-    if form == "physical":
-        w = dispersion.oscillatory_root(k, medium)
-        print(f"propagating mode: decay a = {_fmt6(w.imag)}, "
-              f"frequency b = {_fmt6(w.real)}")
+    w = dispersion.oscillatory_root(k, medium)
+    print(f"propagating mode: decay a = {_fmt6(w.imag)}, "
+          f"frequency b = {_fmt6(w.real)}")
     return EXIT_OK
 
 
@@ -301,6 +301,15 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception -> exit code, first match wins.  LinAlgError subclasses
+# ValueError, so the numerical row must come first.
+EXIT_CODES = (
+    ((UnstableSimulationError, np.linalg.LinAlgError, ArithmeticError),
+     EXIT_NUMERICAL, "numerical failure"),
+    ((CliError, RegimeError, ValueError), EXIT_VALIDATION, "error"),
+)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -308,13 +317,12 @@ def main(argv=None) -> int:
         if args.config is not None and not os.path.exists(args.config):
             raise CliError(f"config file not found: {args.config}")
         return args.func(args)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (UnstableSimulationError, RegimeError, ArithmeticError,
-            ZeroDivisionError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except Exception as exc:
+        for types, code, label in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

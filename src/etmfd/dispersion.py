@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import MfdParams, local_W, local_curl
-from .plasma import Medium, coupling_matrix, exp_operators
+from .plasma import Medium, exp_operators
 
 P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 
@@ -115,32 +115,22 @@ def temporal_symbol(omega: complex, medium: Medium, dt: float) -> np.ndarray:
     return Yinv @ bracket / dt
 
 
-def continuous_cubic_coeffs(k: float, medium: Medium,
-                            form: str = "physical") -> np.ndarray:
+def continuous_cubic_coeffs(k: float, medium: Medium) -> np.ndarray:
     """Descending coefficients of the continuous dispersion cubic in omega.
 
-    form="physical": from det(-w^2 I + i w X + c0^2 k^2 P1) = 0, the cubic
+    From det(-w^2 I + i w X + c0^2 k^2 P1) = 0, the cubic
     w^3 + i*wi*w^2 - (wp^2 + c0^2 k^2) w - i*wi*c0^2 k^2 = 0, whose
     oscillatory roots are +-b + i*a with a <= 0 (decay on the imaginary
     axis, oscillation on the real axis).
-
-    form="printed": the variant with the linear term's sign flipped,
-    w^3 + i*wi*w^2 + (wp^2 + c0^2 k^2) w - i*wi*c0^2 k^2 = 0, kept for
-    reference; its roots are purely imaginary for real k.
     """
     wi, wp, c0 = medium.omega_i, medium.omega_p, medium.c0
     ck2 = (c0 * k) ** 2
-    if form == "physical":
-        return np.array([1.0, 1j * wi, -(wp * wp + ck2), -1j * wi * ck2])
-    if form == "printed":
-        return np.array([1.0, 1j * wi, +(wp * wp + ck2), -1j * wi * ck2])
-    raise ValueError(f"form must be 'physical' or 'printed', got {form!r}")
+    return np.array([1.0, 1j * wi, -(wp * wp + ck2), -1j * wi * ck2])
 
 
-def continuous_roots(k: float, medium: Medium,
-                     form: str = "physical") -> np.ndarray:
+def continuous_roots(k: float, medium: Medium) -> np.ndarray:
     """Three complex roots of the continuous dispersion cubic."""
-    coeffs = continuous_cubic_coeffs(k, medium, form)
+    coeffs = continuous_cubic_coeffs(k, medium)
     roots = np.roots(coeffs)
     scale = max(np.abs(roots).max(), 1.0)
     for w in roots:
@@ -152,7 +142,7 @@ def continuous_roots(k: float, medium: Medium,
 
 def oscillatory_root(k: float, medium: Medium) -> complex:
     """The propagating-mode root: maximal oscillatory part, positive sign."""
-    roots = continuous_roots(k, medium, form="physical")
+    roots = continuous_roots(k, medium)
     return roots[np.argmax(roots.real)]
 
 

@@ -50,7 +50,7 @@ class RectMesh:
         self.n_faces = self.nx * self.ny
 
         self._face_edges = self._build_face_edges()
-        self._midpoints, self._tangents, self._lengths = self._build_geometry()
+        self._midpoints = self._build_midpoints()
         self._boundary_mask = self._build_boundary_mask()
 
     # ---- indexing ---------------------------------------------------------
@@ -70,9 +70,6 @@ class RectMesh:
 
     def face_index(self, i: int, j: int) -> int:
         return j * self.nx + i
-
-    def is_horizontal(self, e: int) -> bool:
-        return e < self.n_hedges
 
     def face_edges(self, f: int) -> np.ndarray:
         """The four edges of face f in [bottom, right, top, left] order."""
@@ -96,41 +93,23 @@ class RectMesh:
 
     # ---- geometry ---------------------------------------------------------
 
-    def _build_geometry(self):
+    def _build_midpoints(self):
         mids = np.empty((self.n_edges, 2))
-        tangents = np.zeros((self.n_edges, 2))
-        lengths = np.empty(self.n_edges)
         njh = self.ny + 1 if self.boundary == "pec" else self.ny
         for j in range(njh):
             for i in range(self.nx):
                 e = self.hedge_index(i, j)
                 mids[e] = ((i + 0.5) * self.dx, j * self.dy)
-                tangents[e] = (1.0, 0.0)
-                lengths[e] = self.dx
         niv = self.nx + 1 if self.boundary == "pec" else self.nx
         for j in range(self.ny):
             for i in range(niv):
                 e = self.vedge_index(i, j)
                 mids[e] = (i * self.dx, (j + 0.5) * self.dy)
-                tangents[e] = (0.0, 1.0)
-                lengths[e] = self.dy
-        return mids, tangents, lengths
+        return mids
 
     @property
     def edge_midpoints(self) -> np.ndarray:
         return self._midpoints
-
-    @property
-    def edge_tangents(self) -> np.ndarray:
-        return self._tangents
-
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        return self._lengths
-
-    def face_center(self, f: int) -> tuple[float, float]:
-        i, j = f % self.nx, f // self.nx
-        return ((i + 0.5) * self.dx, (j + 0.5) * self.dy)
 
     # ---- boundary ---------------------------------------------------------
 
@@ -166,12 +145,6 @@ def build_mesh(nx: int, ny: int, Lx: float, Ly: float,
     return RectMesh(nx, ny, Lx, Ly, boundary)
 
 
-def _gauss_nodes_weights(n: int):
-    # nodes on [-1, 1], weights normalized to sum to 1 (averaging rule)
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w / 2.0
-
-
 def interpolate_edge_field(mesh: RectMesh, F, rule="midpoint") -> np.ndarray:
     """Edge DoF of a vector field F: average tangential component per edge.
 
@@ -188,8 +161,9 @@ def interpolate_edge_field(mesh: RectMesh, F, rule="midpoint") -> np.ndarray:
         out[:nh] = fx
         out[nh:] = fy
         return out
-    n = int(rule)
-    nodes, weights = _gauss_nodes_weights(n)
+    # nodes on [-1, 1], weights normalized to sum to 1 (averaging rule)
+    nodes, weights = np.polynomial.legendre.leggauss(int(rule))
+    weights = weights / 2.0
     out[:] = 0.0
     for xi, wi in zip(nodes, weights):
         fx, _ = F(mids[:nh, 0] + 0.5 * mesh.dx * xi, mids[:nh, 1])
@@ -198,21 +172,3 @@ def interpolate_edge_field(mesh: RectMesh, F, rule="midpoint") -> np.ndarray:
         out[nh:] += wi * fy
     return out
 
-
-def interpolate_face_field(mesh: RectMesh, g, rule=2) -> np.ndarray:
-    """Face DoF of a scalar field g: cell average per face.
-
-    rule="midpoint" samples the cell center; an integer n uses a tensor
-    n x n Gauss-Legendre average.
-    """
-    centers = np.array([mesh.face_center(f) for f in range(mesh.n_faces)])
-    if rule == "midpoint":
-        return np.asarray(g(centers[:, 0], centers[:, 1]), dtype=float)
-    n = int(rule)
-    nodes, weights = _gauss_nodes_weights(n)
-    out = np.zeros(mesh.n_faces)
-    for xi, wi in zip(nodes, weights):
-        for yi, wj in zip(nodes, weights):
-            out += wi * wj * g(centers[:, 0] + 0.5 * mesh.dx * xi,
-                               centers[:, 1] + 0.5 * mesh.dy * yi)
-    return out

@@ -29,22 +29,6 @@ class MfdParams:
     w3: float
 
 
-@dataclass(frozen=True)
-class CourantSpec:
-    """Courant numbers per axis: nu = c0*dt/dx, nu_y = nu/gamma."""
-    nu: float
-    nu_x: float
-    nu_y: float
-
-
-def courant_spec(nu: float, gamma: float) -> CourantSpec:
-    if nu < 0:
-        raise ValueError(f"Courant number must be >= 0, got {nu}")
-    if gamma <= 0:
-        raise ValueError(f"aspect ratio must be > 0, got {gamma}")
-    return CourantSpec(nu=nu, nu_x=nu, nu_y=nu / gamma)
-
-
 def yee_params() -> MfdParams:
     """Weights reproducing the Yee staggered-grid stencil."""
     return MfdParams(0.25, 0.0, 0.25)
@@ -161,22 +145,12 @@ def assemble_W(mesh: RectMesh, params: MfdParams) -> sp.csr_matrix:
     return _apply_pec(_assemble_local_blocks(mesh, block), mesh)
 
 
-def assemble_M(mesh: RectMesh, params: MfdParams, lumped: bool = False) -> sp.csr_matrix:
+def assemble_M(mesh: RectMesh, params: MfdParams) -> sp.csr_matrix:
     """Global mass matrix for norms, assembled from local_M blocks.
 
-    Not PEC-constrained: it is a norm, not an evolution operator.  With
-    lumped=True the row-sum diagonal is returned instead.
+    Not PEC-constrained: it is a norm, not an evolution operator.
     """
-    block = local_M(params, mesh.dx, mesh.dy)
-    M = _assemble_local_blocks(mesh, block)
-    if lumped:
-        return sp.diags(np.asarray(M.sum(axis=1)).ravel()).tocsr()
-    return M
-
-
-def apply(op: sp.spmatrix, field: np.ndarray) -> np.ndarray:
-    """Matrix-vector product of an assembled operator with a DoF vector."""
-    return op @ field
+    return _assemble_local_blocks(mesh, local_M(params, mesh.dx, mesh.dy))
 
 
 def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:

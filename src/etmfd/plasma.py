@@ -107,24 +107,3 @@ def exp_operators(medium: Medium, dt: float) -> ExpOperators:
     return ExpOperators(alpha1, alpha2, beta1, beta2,
                         alpha3, alpha4, beta3, beta4, dt)
 
-
-def series_exp_oracle(X: np.ndarray, dt: float) -> np.ndarray:
-    """Matrix exponential by scaled Taylor series with repeated squaring.
-
-    Test oracle, independent of the closed forms; accurate to ~1e-13 for
-    ||X||*dt <= 10.
-    """
-    A = np.asarray(X, dtype=float) * dt
-    norm = np.abs(A).sum(axis=1).max()
-    n_sq = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
-    A = A / (2 ** n_sq)
-    out = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
-    for k in range(1, 40):
-        term = term @ A / k
-        out = out + term
-        if np.abs(term).max() < 1e-18:
-            break
-    for _ in range(n_sq):
-        out = out @ out
-    return out

@@ -1,16 +1,16 @@
 """Fully explicit exponential time stepping of the semi-discrete system.
 
-The production formulation is hybrid: a two-step update for the electric
-field followed by a one-step update for the polarization current that
-reuses the freshly computed E (so the scheme stays explicit).  A pure
-two-step update for both fields is kept for equivalence checks only.
-Boundary DoF are held at zero in PEC mode throughout.
+The update is hybrid: a two-step update for the electric field followed
+by a one-step update for the polarization current that reuses the freshly
+computed E (so the scheme stays explicit).  Boundary DoF are held at zero
+in PEC mode throughout.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +42,8 @@ class SimConfig:
             raise ValueError(f"final time must be > 0, got {self.T}")
         boundary = self.mesh.boundary_edge_mask
         for e in self.probes:
+            if not isinstance(e, (int, np.integer)):
+                raise ValueError(f"probe edge {e!r} is not an integer index")
             if not (0 <= e < self.mesh.n_edges):
                 raise ValueError(f"probe edge {e} out of range")
             if boundary[e]:
@@ -76,8 +78,7 @@ def _zero_boundary(mesh: RectMesh, v: np.ndarray) -> np.ndarray:
 
 
 def initialize(config: SimConfig, E_at_0, E_at_dt, J_at_0,
-               expops: ExpOperators | None = None,
-               j_init_rule="gauss4") -> SimState:
+               expops: ExpOperators | None = None) -> SimState:
     """Interpolate the three initial fields and bootstrap J at step 1.
 
     E at t=0 and t=dt use the midpoint rule; J at t=0 uses 4-point Gauss
@@ -88,10 +89,9 @@ def initialize(config: SimConfig, E_at_0, E_at_dt, J_at_0,
     mesh = config.mesh
     if expops is None:
         expops = exp_operators(config.medium, config.dt)
-    rule_j = 4 if j_init_rule == "gauss4" else j_init_rule
     E0 = _zero_boundary(mesh, interpolate_edge_field(mesh, E_at_0, "midpoint"))
     E1 = _zero_boundary(mesh, interpolate_edge_field(mesh, E_at_dt, "midpoint"))
-    J0 = _zero_boundary(mesh, interpolate_edge_field(mesh, J_at_0, rule_j))
+    J0 = _zero_boundary(mesh, interpolate_edge_field(mesh, J_at_0, 4))
     J1 = (expops.beta1 * J0 + expops.beta2 * E0
           + (expops.beta3 / expops.alpha3)
           * (E1 - expops.alpha1 * E0 - expops.alpha2 * J0))
@@ -99,28 +99,19 @@ def initialize(config: SimConfig, E_at_0, E_at_dt, J_at_0,
 
 
 def step(state: SimState, W_op: sp.spmatrix, A_op: sp.spmatrix,
-         expops: ExpOperators, config: SimConfig,
-         formulation: str = "hybrid") -> SimState:
+         expops: ExpOperators, config: SimConfig) -> SimState:
     """Advance one step; E is updated before J so the scheme is explicit."""
     if abs(expops.alpha3) < 1e-300:
         raise ZeroDivisionError("alpha3 vanished; dt outside usable range")
     a1, a2 = expops.alpha1, expops.alpha2
     b1, b2, b3 = expops.beta1, expops.beta2, expops.beta3
     c2dt = config.medium.c0 ** 2 * config.dt
-    curl_term = W_op @ (A_op @ state.E_curr)
     E_next = ((1.0 + a1) * state.E_curr + a2 * state.J_curr
               - a1 * state.E_prev - a2 * state.J_prev
-              - c2dt * expops.alpha3 * curl_term)
-    if formulation == "hybrid":
-        J_next = (b1 * state.J_curr + b2 * state.E_curr
-                  + (b3 / expops.alpha3)
-                  * (E_next - a1 * state.E_curr - a2 * state.J_curr))
-    elif formulation == "second-order":
-        J_next = (b2 * state.E_curr + (1.0 + b1) * state.J_curr
-                  - b2 * state.E_prev - b1 * state.J_prev
-                  - c2dt * expops.beta3 * curl_term)
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
+              - c2dt * expops.alpha3 * (W_op @ (A_op @ state.E_curr)))
+    J_next = (b1 * state.J_curr + b2 * state.E_curr
+              + (b3 / expops.alpha3)
+              * (E_next - a1 * state.E_curr - a2 * state.J_curr))
     return SimState(E_curr=E_next, E_prev=state.E_curr,
                     J_curr=J_next, J_prev=state.J_curr, n=state.n + 1)
 
@@ -146,8 +137,7 @@ class RunResult:
         return float(self.times[-1])
 
 
-def run(config: SimConfig, E_at_0, E_at_dt, J_at_0,
-        formulation: str = "hybrid", j_init_rule="gauss4") -> RunResult:
+def run(config: SimConfig, E_at_0, E_at_dt, J_at_0) -> RunResult:
     """Run to the first step at or past T, recording probes every step.
 
     Probe traces include the two initialization samples (t = 0 and dt).
@@ -158,7 +148,7 @@ def run(config: SimConfig, E_at_0, E_at_dt, J_at_0,
     expops = exp_operators(config.medium, dt)
     W_op = assemble_W(mesh, config.params)
     A_op = assemble_curl_curl(mesh)
-    state = initialize(config, E_at_0, E_at_dt, J_at_0, expops, j_init_rule)
+    state = initialize(config, E_at_0, E_at_dt, J_at_0, expops)
 
     n_final = config.n_steps
     probes = list(config.probes)
@@ -177,7 +167,7 @@ def run(config: SimConfig, E_at_0, E_at_dt, J_at_0,
     blowup_ref = 1.0 + max(np.abs(state.E_curr).max(),
                            np.abs(state.J_curr).max())
     while state.n < n_final:
-        state = step(state, W_op, A_op, expops, config, formulation)
+        state = step(state, W_op, A_op, expops, config)
         m = max(np.abs(state.E_curr).max(), np.abs(state.J_curr).max())
         if not np.isfinite(m) or m > 1e12 * blowup_ref:
             raise UnstableSimulationError(
@@ -200,15 +190,17 @@ def run(config: SimConfig, E_at_0, E_at_dt, J_at_0,
 #
 # A snapshot is two flat little-endian float64 binaries (one per field) in
 # global edge index order, alongside a JSON sidecar with the mesh shape,
-# step index and time.
+# step index and time.  The sidecar names the binaries relative to its own
+# directory, so a snapshot loads from any working directory.
 
 def save_snapshot(prefix: str, mesh: RectMesh, snap: Snapshot) -> None:
+    base = os.path.basename(prefix)
     meta = {
         "nx": mesh.nx, "ny": mesh.ny, "Lx": mesh.Lx, "Ly": mesh.Ly,
         "boundary": mesh.boundary, "step": snap.step, "time": snap.t,
         "n_edges": mesh.n_edges, "dtype": "<f8",
         "order": "global edge index (horizontal edges first)",
-        "fields": {"E": prefix + ".E.bin", "J": prefix + ".J.bin"},
+        "fields": {"E": base + ".E.bin", "J": base + ".J.bin"},
     }
     snap.E.astype("<f8").tofile(prefix + ".E.bin")
     snap.J.astype("<f8").tofile(prefix + ".J.bin")
@@ -220,8 +212,10 @@ def save_snapshot(prefix: str, mesh: RectMesh, snap: Snapshot) -> None:
 def load_snapshot(prefix: str) -> tuple[dict, np.ndarray, np.ndarray]:
     with open(prefix + ".json") as fh:
         meta = json.load(fh)
-    E = np.fromfile(meta["fields"]["E"], dtype="<f8")
-    J = np.fromfile(meta["fields"]["J"], dtype="<f8")
+    # absolute paths, as older sidecars store them, are kept by join
+    folder = os.path.dirname(prefix)
+    E = np.fromfile(os.path.join(folder, meta["fields"]["E"]), dtype="<f8")
+    J = np.fromfile(os.path.join(folder, meta["fields"]["J"]), dtype="<f8")
     if len(E) != meta["n_edges"] or len(J) != meta["n_edges"]:
         raise ValueError("snapshot size does not match sidecar n_edges")
     return meta, E, J

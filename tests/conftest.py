@@ -1,48 +1,37 @@
 """Shared independent oracles for the test suite.
 
-These deliberately recompute quantities through routes the production
-code does not take: plain-loop dense assembly, quadrature of the matrix
-exponential, and analytic antiderivatives for edge integrals.
+The oracles the acceptance suite and `etmfd selftest` share (dense
+assembly, series and quadrature exponentials) live in `etmfd.selftest`.
+These recompute the rest through routes the production code does not
+take: Bloch phase fields, analytic antiderivatives for edge integrals, and
+face averages for the commuting-diagram tests.
 """
 
 import numpy as np
 import pytest
 
-from etmfd.operators import local_W, local_curl
-from etmfd.plasma import series_exp_oracle
+
+def face_centers(mesh):
+    """(n_faces,) x and y of the face centers, face index j*nx + i."""
+    j, i = np.divmod(np.arange(mesh.n_faces), mesh.nx)
+    return (i + 0.5) * mesh.dx, (j + 0.5) * mesh.dy
 
 
-def dense_operators(mesh, params):
-    """Dense W and curl-curl assembled by explicit local-to-global loops."""
-    n = mesh.n_edges
-    Wd = np.zeros((n, n))
-    Ad = np.zeros((n, n))
-    Wl = local_W(params, mesh.dx, mesh.dy)
-    c = local_curl(mesh.dx, mesh.dy)
-    Al = np.outer(c, c) * mesh.dx * mesh.dy
-    for f in range(mesh.n_faces):
-        ed = mesh.face_edges(f)
-        for i in range(4):
-            for j in range(4):
-                Wd[ed[i], ed[j]] += Wl[i, j]
-                Ad[ed[i], ed[j]] += Al[i, j]
-    if mesh.boundary == "pec":
-        b = mesh.boundary_edge_mask
-        for M in (Wd, Ad):
-            M[b, :] = 0.0
-            M[:, b] = 0.0
-    return Wd, Ad
+def interpolate_face_field(mesh, g, rule=2):
+    """Face DoF of a scalar field g: cell average per face.
 
-
-def quad_integral_exp(X, dt, panels=40, order=10):
-    """int_0^dt exp(X s) ds by composite Gauss-Legendre quadrature."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    out = np.zeros_like(np.asarray(X, dtype=float))
-    width = dt / panels
-    for p in range(panels):
-        mid = (p + 0.5) * width
-        for xi, wi in zip(nodes, weights):
-            out += 0.5 * width * wi * series_exp_oracle(X, mid + 0.5 * width * xi)
+    rule="midpoint" samples the cell center; an integer n uses a tensor
+    n x n Gauss-Legendre average.
+    """
+    cx, cy = face_centers(mesh)
+    if rule == "midpoint":
+        return np.asarray(g(cx, cy), dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(int(rule))
+    out = np.zeros(mesh.n_faces)
+    for xi, wi in zip(nodes, weights):
+        for yi, wj in zip(nodes, weights):
+            out += 0.25 * wi * wj * g(cx + 0.5 * mesh.dx * xi,
+                                      cy + 0.5 * mesh.dy * yi)
     return out
 
 

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from etmfd.analysis import (DegenerateFitError, FitResult, convergence_study,
-                            dispersion_error_metric, e_time_factor, exact_E,
-                            exact_J, fit_damped_cosine, j_time_factor,
+from etmfd import analysis
+from etmfd.analysis import (DegenerateFitError, FitNotConvergedError,
+                            FitResult, convergence_study,
+                            dispersion_error_metric, exact_E, exact_J,
+                            fit_damped_cosine, j_time_factor,
                             l2_relative_error, make_exact_solution,
                             pick_probe_edge, spatial_mode)
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import assemble_M, optimal_params
 from etmfd.plasma import Medium
-
-from conftest import dense_operators
 
 MEDIUM = Medium()
 
@@ -242,8 +242,11 @@ def test_convergence_study_rows_and_threads():
                 assert va == vb
 
 
-def test_e_time_factor_overrides():
+def test_convergence_study_rejects_nonconverged_fit(monkeypatch):
+    def stalled(trace, dt, model, *args, **kwargs):
+        return FitResult(0.0, 1.0, 1.0, 200, False)
+
+    monkeypatch.setattr(analysis, "fit_damped_cosine", stalled)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    t = np.array([0.0, 0.5])
-    assert np.allclose(e_time_factor(sol, t, a=0.0, b=np.pi),
-                       [1.0, np.cos(np.pi / 2)])
+    with pytest.raises(FitNotConvergedError, match=r"E probe.*etmfd.*h=0\.125"):
+        convergence_study([2 ** -3], "etmfd", MEDIUM, sol, 0.5, 1.0)

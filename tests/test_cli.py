@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from etmfd import selftest
-from etmfd.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from etmfd import cli, selftest
+from etmfd.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, CliError, main
 from etmfd.operators import MfdParams, optimal_params
-from etmfd.stepper import load_snapshot
+from etmfd.plasma import RegimeError
+from etmfd.stepper import UnstableSimulationError, load_snapshot
 
 
 def write_config(tmp_path, name, payload):
@@ -154,7 +155,37 @@ def test_selftest_mutation_detected():
         p = optimal_params(nu, gamma)
         return MfdParams(p.w1, -p.w2, p.w3)
 
-    ok, _ = selftest.check_fourth_order_symbol(params_fn=flipped)
-    assert not ok
-    ok, _ = selftest.check_fourth_order_symbol()
-    assert ok
+    assert not selftest.passes("fourth-order-symbol",
+                               selftest.fourth_order_slope(flipped))
+    assert selftest.passes("fourth-order-symbol",
+                           selftest.fourth_order_slope())
+
+
+# one case per row of the exit-code table in cli.EXIT_CODES and the README
+@pytest.mark.parametrize("exc_type, code", [
+    (CliError, EXIT_VALIDATION),
+    (RegimeError, EXIT_VALIDATION),
+    (ValueError, EXIT_VALIDATION),
+    (UnstableSimulationError, EXIT_NUMERICAL),
+    (np.linalg.LinAlgError, EXIT_NUMERICAL),
+    (ArithmeticError, EXIT_NUMERICAL),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_exit_code_table(exc_type, code, monkeypatch, capsys):
+    def fail(args):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "cmd_params", fail)
+    assert main(["params"]) == code
+    assert "boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probes, message", [([3.5], "not an integer"),
+                                             (5, "must be")])
+def test_malformed_probes_are_invalid_input(probes, message, tmp_path,
+                                            capsys):
+    cfg = write_config(tmp_path, "s.json", {"nx": 8, "ny": 8, "T": 0.5,
+                                            "probes": probes})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "simulate"]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+

@@ -13,9 +13,10 @@ from etmfd.dispersion import (P1, WaveVec, anisotropy_sweep,
 from etmfd.mesh import build_mesh
 from etmfd.operators import (MfdParams, assemble_W, assemble_curl_curl,
                              local_W, local_curl, optimal_params, yee_params)
-from etmfd.plasma import Medium, coupling_matrix, series_exp_oracle
+from etmfd.plasma import Medium, coupling_matrix
+from etmfd.selftest import quad_integral_exp, series_exp_oracle
 
-from conftest import bloch_edge_field, quad_integral_exp
+from conftest import bloch_edge_field
 
 MEDIUM = Medium()
 
@@ -164,13 +165,6 @@ def test_temporal_symbol_oracle_recomposition():
 
 # ---- continuous roots -----------------------------------------------------------
 
-def test_printed_cubic_roots_at_zero_wave():
-    roots = continuous_roots(0.0, MEDIUM, form="printed")
-    expected = [0.0, 1j * (-1 + np.sqrt(5)) / 2, 1j * (-1 - np.sqrt(5)) / 2]
-    for e in expected:
-        assert min(abs(r - e) for r in roots) < 1e-12
-
-
 def test_physical_roots_at_zero_wave():
     # k = 0 reduces to the damped oscillator: omega = i*alpha -+ ... i.e.
     # +-beta + i*alpha and 0
@@ -189,15 +183,14 @@ def test_experiment_root_magnitudes():
     assert w.real > 0 and w.imag < 0
 
 
-@pytest.mark.parametrize("form", ["physical", "printed"])
-def test_vieta_sum(form, rng):
+def test_vieta_sum(rng):
     for _ in range(10):
         wp = rng.uniform(0.2, 3.0)
         med = Medium(omega_i=rng.uniform(0.0, 1.9) * wp, omega_p=wp,
                      c0=rng.uniform(0.5, 2.0))
         k = rng.uniform(0.0, 8.0)
-        coeffs = continuous_cubic_coeffs(k, med, form)
-        roots = continuous_roots(k, med, form)
+        coeffs = continuous_cubic_coeffs(k, med)
+        roots = continuous_roots(k, med)
         assert abs(roots.sum() - (-coeffs[1] / coeffs[0])) < 1e-12 * max(
             1.0, abs(roots).max())
 

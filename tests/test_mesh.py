@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from etmfd.mesh import build_mesh, interpolate_edge_field, interpolate_face_field
+from etmfd.mesh import build_mesh, interpolate_edge_field
 
-from conftest import edge_average_oracle
+from conftest import edge_average_oracle, interpolate_face_field
 
 
 def test_smallest_mesh():
@@ -47,8 +47,8 @@ def test_face_edge_shift_vectors():
         assert np.allclose(mids[top] - mids[bottom], [0.0, m.dy])
         assert np.allclose(mids[left] - mids[right], [-m.dx, 0.0])
         # orientation of the four slots
-        assert m.is_horizontal(bottom) and m.is_horizontal(top)
-        assert not m.is_horizontal(right) and not m.is_horizontal(left)
+        assert bottom < m.n_hedges and top < m.n_hedges
+        assert right >= m.n_hedges and left >= m.n_hedges
 
 
 def test_gamma_and_sizes():

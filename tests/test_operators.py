@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from etmfd.mesh import build_mesh, interpolate_edge_field, interpolate_face_field
-from etmfd.operators import (MfdParams, SingularLocalWError, apply,
-                             assemble_M, assemble_W, assemble_curl,
-                             assemble_curl_curl, courant_spec, local_M,
-                             local_W, local_curl, optimal_local_W,
+from etmfd.mesh import build_mesh, interpolate_edge_field
+from etmfd.operators import (MfdParams, SingularLocalWError, assemble_M,
+                             assemble_W, assemble_curl, assemble_curl_curl,
+                             local_M, local_W, local_curl, optimal_local_W,
                              optimal_params, params_for_scheme, yee_params)
+from etmfd.selftest import dense_operators
 
-from conftest import dense_operators
+from conftest import interpolate_face_field
 
 
 def test_local_curl_unit_cell():
@@ -98,16 +97,6 @@ def test_optimal_W_equals_composed_path(nu, gamma):
     direct = optimal_local_W(nu, nu / gamma, dx, dy)
     composed = local_W(optimal_params(nu, gamma), dx, dy)
     assert np.abs(direct - composed).max() < 1e-14
-
-
-def test_courant_spec():
-    c = courant_spec(0.5, 2.0)
-    assert c.nu_x == c.nu == 0.5
-    assert c.nu_y == 0.25
-    with pytest.raises(ValueError):
-        courant_spec(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        courant_spec(0.5, 0.0)
 
 
 def test_local_M_inverse_contract():
@@ -202,28 +191,11 @@ def test_pec_rows_and_columns_zeroed():
         assert np.abs(dense[:, b]).max() == 0.0
 
 
-def test_apply():
-    m = build_mesh(3, 3, 1.0, 1.0, "periodic")
-    p = optimal_params(0.5, 1.0)
-    op = assemble_W(m, p)
-    assert np.abs(apply(op, np.zeros(m.n_edges))).max() == 0.0
-    ident = sp.eye(m.n_edges).tocsr()
-    x = np.arange(m.n_edges, dtype=float)
-    assert np.array_equal(apply(ident, x), x)
-    Wd, _ = dense_operators(m, p)
-    r = np.sin(np.arange(m.n_edges))
-    assert np.abs(apply(op, r) - Wd @ r).max() < 1e-14
-
-
-def test_assemble_M_spd_and_lumped():
+def test_assemble_M_spd():
     m = build_mesh(4, 4, 1.0, 1.0, "pec")
-    p = optimal_params(0.5, 1.0)
-    M = assemble_M(m, p).toarray()
+    M = assemble_M(m, optimal_params(0.5, 1.0)).toarray()
     assert np.abs(M - M.T).max() < 1e-14
     assert np.linalg.eigvalsh(M).min() > 0.0
-    Ml = assemble_M(m, p, lumped=True).toarray()
-    assert np.abs(Ml - np.diag(np.diag(Ml))).max() == 0.0
-    assert np.allclose(Ml.sum(), M.sum())
 
 
 def test_params_for_scheme():

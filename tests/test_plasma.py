@@ -3,17 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from etmfd.plasma import (Medium, RegimeError, coupling_matrix,
-                          exp_operators, series_exp_oracle)
-
-from conftest import quad_integral_exp
-
-MEDIA_GRID = [Medium(eps0=1.0, omega_i=0.0, omega_p=1.0),
-              Medium(eps0=1.0, omega_i=0.5, omega_p=1.0),
-              Medium(eps0=1.0, omega_i=1.0, omega_p=1.0),
-              Medium(eps0=0.5, omega_i=1.0, omega_p=2.0),
-              Medium(eps0=2.0, omega_i=2.0, omega_p=3.0)]
-DT_GRID = [0.01, 0.05, 0.1, 0.5, 1.0]
+from etmfd.plasma import Medium, RegimeError, coupling_matrix, exp_operators
+from etmfd.selftest import DTS, MEDIA, quad_integral_exp, series_exp_oracle
 
 
 def test_medium_validation():
@@ -64,8 +55,8 @@ def test_small_dt_limits():
     assert np.abs(ops.integral_matrix).max() < 1e-7
 
 
-@pytest.mark.parametrize("medium", MEDIA_GRID)
-@pytest.mark.parametrize("dt", DT_GRID)
+@pytest.mark.parametrize("medium", MEDIA)
+@pytest.mark.parametrize("dt", DTS)
 def test_exp_operators_match_oracles(medium, dt):
     X = coupling_matrix(medium)
     ops = exp_operators(medium, dt)
@@ -73,16 +64,16 @@ def test_exp_operators_match_oracles(medium, dt):
     assert np.abs(ops.integral_matrix - quad_integral_exp(X, dt)).max() < 1e-12
 
 
-@pytest.mark.parametrize("medium", MEDIA_GRID)
-@pytest.mark.parametrize("dt", DT_GRID)
+@pytest.mark.parametrize("medium", MEDIA)
+@pytest.mark.parametrize("dt", DTS)
 def test_determinant_identity(medium, dt):
     ops = exp_operators(medium, dt)
     det = np.linalg.det(ops.exp_matrix)
     assert abs(det - math.exp(-medium.omega_i * dt)) < 1e-12
 
 
-@pytest.mark.parametrize("medium", MEDIA_GRID)
-@pytest.mark.parametrize("dt", DT_GRID)
+@pytest.mark.parametrize("medium", MEDIA)
+@pytest.mark.parametrize("dt", DTS)
 def test_integral_defining_identity(medium, dt):
     X = coupling_matrix(medium)
     ops = exp_operators(medium, dt)
@@ -91,7 +82,7 @@ def test_integral_defining_identity(medium, dt):
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-@pytest.mark.parametrize("medium", MEDIA_GRID)
+@pytest.mark.parametrize("medium", MEDIA)
 def test_semigroup(medium):
     dt = 0.2
     e1 = exp_operators(medium, dt).exp_matrix

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from etmfd.analysis import exact_E, exact_J, make_exact_solution
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import assemble_W, assemble_curl_curl, optimal_params, yee_params
-from etmfd.plasma import Medium, coupling_matrix, exp_operators, series_exp_oracle
-from etmfd.stepper import (SimConfig, SimState, UnstableSimulationError,
-                           initialize, load_snapshot, run, save_snapshot, step)
-
-from conftest import dense_operators
+from etmfd.plasma import Medium, coupling_matrix, exp_operators
+from etmfd.selftest import dense_step, series_exp_oracle
+from etmfd.stepper import (SimConfig, SimState, Snapshot,
+                           UnstableSimulationError, initialize, load_snapshot,
+                           run, save_snapshot, step)
 
 MEDIUM = Medium()
 
@@ -35,6 +36,8 @@ def test_config_validation():
         make_config(mesh, probes=(boundary_edge,))
     with pytest.raises(ValueError):
         make_config(mesh, probes=(10 ** 6,))
+    with pytest.raises(ValueError, match="not an integer"):
+        make_config(mesh, probes=(3.5,))
 
 
 def test_initialize_zero_functions():
@@ -108,14 +111,7 @@ def test_step_matches_dense_oracle(rng):
                   rng.standard_normal(mesh.n_edges), 1)
     new = step(st, assemble_W(mesh, config.params),
                assemble_curl_curl(mesh), ops, config)
-    Wd, Ad = dense_operators(mesh, config.params)
-    c2dt = MEDIUM.c0 ** 2 * config.dt
-    E_ref = ((1 + ops.alpha1) * st.E_curr + ops.alpha2 * st.J_curr
-             - ops.alpha1 * st.E_prev - ops.alpha2 * st.J_prev
-             - c2dt * ops.alpha3 * (Wd @ (Ad @ st.E_curr)))
-    J_ref = (ops.beta1 * st.J_curr + ops.beta2 * st.E_curr
-             + ops.beta3 / ops.alpha3
-             * (E_ref - ops.alpha1 * st.E_curr - ops.alpha2 * st.J_curr))
+    E_ref, J_ref = dense_step(st, config, ops)
     assert np.abs(new.E_curr - E_ref).max() < 1e-13
     assert np.abs(new.J_curr - J_ref).max() < 1e-13
 
@@ -192,6 +188,19 @@ def test_ode_limit_exactness(dt):
     assert abs(res.state.J_curr[0] - ref[1]) < 1e-12
 
 
+def second_order_step(state, W_op, A_op, ops, config):
+    """Pure two-step update of both fields: the equivalence oracle."""
+    c2dt = config.medium.c0 ** 2 * config.dt
+    curl_term = W_op @ (A_op @ state.E_curr)
+    E = ((1.0 + ops.alpha1) * state.E_curr + ops.alpha2 * state.J_curr
+         - ops.alpha1 * state.E_prev - ops.alpha2 * state.J_prev
+         - c2dt * ops.alpha3 * curl_term)
+    J = (ops.beta2 * state.E_curr + (1.0 + ops.beta1) * state.J_curr
+         - ops.beta2 * state.E_prev - ops.beta1 * state.J_prev
+         - c2dt * ops.beta3 * curl_term)
+    return SimState(E, state.E_curr, J, state.J_curr, state.n + 1)
+
+
 def test_hybrid_equivalent_to_second_order_form():
     # identical E trajectories from identical (E0, E1, J0, J1) when J1
     # comes from one hybrid J update
@@ -218,19 +227,9 @@ def test_hybrid_equivalent_to_second_order_form():
                     st_h.J_curr.copy(), st_h.J_prev.copy(), st_h.n)
     scale = np.abs(st_h.E_curr).max()
     for _ in range(60):
-        st_h = step(st_h, W_op, A_op, ops, config, formulation="hybrid")
-        st_s = step(st_s, W_op, A_op, ops, config, formulation="second-order")
+        st_h = step(st_h, W_op, A_op, ops, config)
+        st_s = second_order_step(st_s, W_op, A_op, ops, config)
         assert np.abs(st_h.E_curr - st_s.E_curr).max() < 1e-12 * scale
-
-
-def test_step_rejects_unknown_formulation():
-    mesh = build_mesh(2, 2, 1.0, 1.0, "periodic")
-    config = make_config(mesh)
-    ops = exp_operators(MEDIUM, config.dt)
-    z = np.zeros(mesh.n_edges)
-    with pytest.raises(ValueError):
-        step(SimState(z, z, z, z, 1), assemble_W(mesh, config.params),
-             assemble_curl_curl(mesh), ops, config, formulation="leapfrog")
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -247,3 +246,30 @@ def test_snapshot_roundtrip(tmp_path):
     assert meta["nx"] == mesh.nx and meta["ny"] == mesh.ny
     assert np.array_equal(E, snap.E)
     assert np.array_equal(J, snap.J)
+
+
+def test_snapshot_loads_from_another_cwd(tmp_path, monkeypatch):
+    mesh = build_mesh(3, 2, 1.0, 1.0, "pec")
+    snap = Snapshot(4, 0.25, np.arange(mesh.n_edges, dtype=float),
+                    -np.arange(mesh.n_edges, dtype=float))
+    (tmp_path / "run" / "out").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path / "run")
+    save_snapshot("out/snap", mesh, snap)  # relative prefix
+    monkeypatch.chdir(tmp_path)
+    meta, E, J = load_snapshot(str(tmp_path / "run" / "out" / "snap"))
+    assert meta["fields"] == {"E": "snap.E.bin", "J": "snap.J.bin"}
+    assert np.array_equal(E, snap.E) and np.array_equal(J, snap.J)
+
+
+def test_snapshot_old_sidecar_with_absolute_paths(tmp_path):
+    mesh = build_mesh(2, 2, 1.0, 1.0, "pec")
+    snap = Snapshot(0, 0.0, np.ones(mesh.n_edges), np.zeros(mesh.n_edges))
+    prefix = str(tmp_path / "snap")
+    save_snapshot(prefix, mesh, snap)
+    # an older sidecar, moved away from its binaries, names them absolutely
+    meta = json.loads((tmp_path / "snap.json").read_text())
+    meta["fields"] = {f: prefix + f".{f}.bin" for f in ("E", "J")}
+    (tmp_path / "moved").mkdir()
+    (tmp_path / "moved" / "snap.json").write_text(json.dumps(meta))
+    _, E, J = load_snapshot(str(tmp_path / "moved" / "snap"))
+    assert np.array_equal(E, snap.E) and np.array_equal(J, snap.J)
