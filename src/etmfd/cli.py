@@ -72,8 +72,6 @@ class CliError(ValueError):
 def load_config(path: str | None, command: str) -> dict:
     cfg = dict(DEFAULTS.get(command, {}))
     if path is not None:
-        if not os.path.exists(path):
-            raise CliError(f"config file not found: {path}")
         with open(path) as fh:
             try:
                 user = json.load(fh)
@@ -87,6 +85,11 @@ def load_config(path: str | None, command: str) -> dict:
                 f"(allowed: {sorted(allowed)})")
         cfg.update(user)
     return cfg
+
+
+def output_path(args, cfg: dict) -> str:
+    """The config's "out" path, under the --out directory when one is given."""
+    return os.path.join(args.out or "", cfg["out"])
 
 
 def medium_from_config(cfg: dict) -> Medium:
@@ -149,7 +152,7 @@ def cmd_converge(args) -> int:
                                           nu=cfg["nu"], T=cfg["T"],
                                           max_workers=args.threads)
         all_rows.extend(rows)
-    out = os.path.join(args.out, cfg["out"]) if args.out else cfg["out"]
+    out = output_path(args, cfg)
     header = ["log2_h", "scheme", "field", "err_l2", "rate_l2",
               "err_disp", "rate_disp"]
     write_csv(out, header, [[r[k] for k in header] for r in all_rows])
@@ -171,7 +174,7 @@ def cmd_anisotropy(args) -> int:
     theta = np.linspace(0.0, 2.0 * np.pi, int(cfg["n_theta"]),
                         endpoint=False)
     header = ["theta", "k", "ppw", "scheme", "abs_err", "re_err", "im_err"]
-    base = os.path.join(args.out, cfg["out"]) if args.out else cfg["out"]
+    base = output_path(args, cfg)
     k = float(cfg["k"])
     for gamma in cfg["gammas"]:
         if cfg["nu_rule"] == "gamma_cubed":
@@ -215,13 +218,13 @@ def cmd_simulate(args) -> int:
         raise CliError(f'probes must be "auto" or a list, got {probes!r}')
     config = SimConfig(mesh=mesh, medium=medium, params=params,
                        nu=cfg["nu"], T=cfg["T"], probes=tuple(probes),
-                       snapshot_stride=int(cfg["snapshot_stride"]))
+                       snapshot_stride=cfg["snapshot_stride"])
     result = run(config,
                  lambda x, y: analysis.exact_E(sol, x, y, 0.0),
                  lambda x, y: analysis.exact_E(sol, x, y, config.dt),
                  lambda x, y: analysis.exact_J(sol, x, y, 0.0))
 
-    outdir = os.path.join(args.out, cfg["out"]) if args.out else cfg["out"]
+    outdir = output_path(args, cfg)
     os.makedirs(outdir, exist_ok=True)
     for e in probes:
         rows = zip(result.times, result.probe_E[e], result.probe_J[e])
@@ -275,7 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps")
+                        help="worker threads (converge only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="optimal MFD weights for (nu, gamma)")
@@ -306,7 +309,8 @@ def make_parser() -> argparse.ArgumentParser:
 EXIT_CODES = (
     ((UnstableSimulationError, np.linalg.LinAlgError, ArithmeticError),
      EXIT_NUMERICAL, "numerical failure"),
-    ((CliError, RegimeError, ValueError), EXIT_VALIDATION, "error"),
+    ((CliError, RegimeError, ValueError, TypeError), EXIT_VALIDATION,
+     "error"),
 )
 
 

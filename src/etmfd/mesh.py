@@ -54,26 +54,20 @@ class RectMesh:
         self._boundary_mask = self._build_boundary_mask()
 
     # ---- indexing ---------------------------------------------------------
+    # the only encoding of the edge numbering; ints or integer arrays alike
 
-    def hedge_index(self, i: int, j: int) -> int:
+    def hedge_index(self, i, j):
         """Horizontal edge on y = j*dy spanning cell column i."""
         if self.boundary == "periodic":
             i, j = i % self.nx, j % self.ny
         return j * self.nx + i
 
-    def vedge_index(self, i: int, j: int) -> int:
+    def vedge_index(self, i, j):
         """Vertical edge on x = i*dx spanning cell row j."""
         if self.boundary == "periodic":
             i, j = i % self.nx, j % self.ny
             return self.n_hedges + j * self.nx + i
         return self.n_hedges + j * (self.nx + 1) + i
-
-    def face_index(self, i: int, j: int) -> int:
-        return j * self.nx + i
-
-    def face_edges(self, f: int) -> np.ndarray:
-        """The four edges of face f in [bottom, right, top, left] order."""
-        return self._face_edges[f]
 
     @property
     def face_edge_table(self) -> np.ndarray:
@@ -81,30 +75,23 @@ class RectMesh:
         return self._face_edges
 
     def _build_face_edges(self) -> np.ndarray:
-        table = np.empty((self.n_faces, 4), dtype=np.int64)
-        for j in range(self.ny):
-            for i in range(self.nx):
-                f = self.face_index(i, j)
-                table[f, 0] = self.hedge_index(i, j)
-                table[f, 1] = self.vedge_index(i + 1, j)
-                table[f, 2] = self.hedge_index(i, j + 1)
-                table[f, 3] = self.vedge_index(i, j)
-        return table
+        # face f = j*nx + i is cell (i, j)
+        j, i = np.divmod(np.arange(self.n_faces), self.nx)
+        return np.stack([self.hedge_index(i, j), self.vedge_index(i + 1, j),
+                         self.hedge_index(i, j + 1), self.vedge_index(i, j)],
+                        axis=1)
 
     # ---- geometry ---------------------------------------------------------
 
-    def _build_midpoints(self):
+    def _build_midpoints(self) -> np.ndarray:
         mids = np.empty((self.n_edges, 2))
-        njh = self.ny + 1 if self.boundary == "pec" else self.ny
-        for j in range(njh):
-            for i in range(self.nx):
-                e = self.hedge_index(i, j)
-                mids[e] = ((i + 0.5) * self.dx, j * self.dy)
-        niv = self.nx + 1 if self.boundary == "pec" else self.nx
-        for j in range(self.ny):
-            for i in range(niv):
-                e = self.vedge_index(i, j)
-                mids[e] = (i * self.dx, (j + 0.5) * self.dy)
+        # enumerate each edge's (i, j) and place it with the index maps
+        j, i = np.divmod(np.arange(self.n_hedges), self.nx)
+        mids[self.hedge_index(i, j)] = np.stack(
+            [(i + 0.5) * self.dx, j * self.dy], axis=1)
+        j, i = np.divmod(np.arange(self.n_vedges), self.n_vedges // self.ny)
+        mids[self.vedge_index(i, j)] = np.stack(
+            [i * self.dx, (j + 0.5) * self.dy], axis=1)
         return mids
 
     @property
@@ -115,12 +102,10 @@ class RectMesh:
 
     def _build_boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_edges, dtype=bool)
-        if self.boundary == "periodic":
-            return mask
-        for i in range(self.nx):
+        if self.boundary == "pec":
+            i, j = np.arange(self.nx), np.arange(self.ny)
             mask[self.hedge_index(i, 0)] = True
             mask[self.hedge_index(i, self.ny)] = True
-        for j in range(self.ny):
             mask[self.vedge_index(0, j)] = True
             mask[self.vedge_index(self.nx, j)] = True
         return mask
@@ -129,10 +114,6 @@ class RectMesh:
     def boundary_edge_mask(self) -> np.ndarray:
         """True for edges lying on the domain boundary (empty if periodic)."""
         return self._boundary_mask
-
-    @property
-    def interior_edge_mask(self) -> np.ndarray:
-        return ~self._boundary_mask
 
     def __repr__(self):
         return (f"RectMesh(nx={self.nx}, ny={self.ny}, Lx={self.Lx}, "
@@ -154,21 +135,15 @@ def interpolate_edge_field(mesh: RectMesh, F, rule="midpoint") -> np.ndarray:
     """
     mids = mesh.edge_midpoints
     nh = mesh.n_hedges
-    out = np.empty(mesh.n_edges)
-    if rule == "midpoint":
-        fx, _ = F(mids[:nh, 0], mids[:nh, 1])
-        _, fy = F(mids[nh:, 0], mids[nh:, 1])
-        out[:nh] = fx
-        out[nh:] = fy
-        return out
-    # nodes on [-1, 1], weights normalized to sum to 1 (averaging rule)
-    nodes, weights = np.polynomial.legendre.leggauss(int(rule))
+    out = np.zeros(mesh.n_edges)
+    # the midpoint rule is the one-point Gauss rule; nodes on [-1, 1],
+    # weights normalized to sum to 1 (averaging rule)
+    n = 1 if rule == "midpoint" else int(rule)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
     weights = weights / 2.0
-    out[:] = 0.0
     for xi, wi in zip(nodes, weights):
         fx, _ = F(mids[:nh, 0] + 0.5 * mesh.dx * xi, mids[:nh, 1])
         _, fy = F(mids[nh:, 0], mids[nh:, 1] + 0.5 * mesh.dy * xi)
         out[:nh] += wi * fx
         out[nh:] += wi * fy
     return out
-

@@ -112,10 +112,13 @@ def _assemble_local_blocks(mesh: RectMesh, block: np.ndarray) -> sp.csr_matrix:
 
 
 def _apply_pec(op: sp.csr_matrix, mesh: RectMesh) -> sp.csr_matrix:
-    if mesh.boundary != "pec":
-        return op
-    d = sp.diags(mesh.interior_edge_mask.astype(float))
-    return (d @ op @ d).tocsr()
+    # zero the stored entries of boundary-edge rows and columns, then drop
+    # every stored zero; the copies release the unpruned buffers
+    b = mesh.boundary_edge_mask
+    op.data[b[op.indices] | np.repeat(b, np.diff(op.indptr))] = 0.0
+    op.eliminate_zeros()
+    return sp.csr_matrix((op.data.copy(), op.indices.copy(), op.indptr),
+                         shape=op.shape)
 
 
 def assemble_curl(mesh: RectMesh) -> sp.csr_matrix:

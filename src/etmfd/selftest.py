@@ -89,7 +89,7 @@ def dense_operators(mesh, params):
     c = operators.local_curl(mesh.dx, mesh.dy)
     Al = np.outer(c, c) * mesh.dx * mesh.dy
     for f in range(mesh.n_faces):
-        ed = mesh.face_edges(f)
+        ed = mesh.face_edge_table[f]
         for i in range(4):
             for j in range(4):
                 Wd[ed[i], ed[j]] += Wl[i, j]

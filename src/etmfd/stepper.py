@@ -40,6 +40,9 @@ class SimConfig:
             raise ValueError(f"Courant number must be > 0, got {self.nu}")
         if self.T <= 0:
             raise ValueError(f"final time must be > 0, got {self.T}")
+        stride = self.snapshot_stride
+        if not isinstance(stride, (int, np.integer)) or stride < 0:
+            raise ValueError(f"snapshot_stride {stride!r} is not an int >= 0")
         boundary = self.mesh.boundary_edge_mask
         for e in self.probes:
             if not isinstance(e, (int, np.integer)):
@@ -70,11 +73,12 @@ class SimState:
     n: int
 
 
-def _zero_boundary(mesh: RectMesh, v: np.ndarray) -> np.ndarray:
-    if mesh.boundary == "pec":
-        v = v.copy()
-        v[mesh.boundary_edge_mask] = 0.0
-    return v
+def _j_update(expops: ExpOperators, E: np.ndarray, J: np.ndarray,
+              E_next: np.ndarray) -> np.ndarray:
+    """The hybrid one-step J update from (E, J), given the new E."""
+    return (expops.beta1 * J + expops.beta2 * E
+            + (expops.beta3 / expops.alpha3)
+            * (E_next - expops.alpha1 * E - expops.alpha2 * J))
 
 
 def initialize(config: SimConfig, E_at_0, E_at_dt, J_at_0,
@@ -89,12 +93,12 @@ def initialize(config: SimConfig, E_at_0, E_at_dt, J_at_0,
     mesh = config.mesh
     if expops is None:
         expops = exp_operators(config.medium, config.dt)
-    E0 = _zero_boundary(mesh, interpolate_edge_field(mesh, E_at_0, "midpoint"))
-    E1 = _zero_boundary(mesh, interpolate_edge_field(mesh, E_at_dt, "midpoint"))
-    J0 = _zero_boundary(mesh, interpolate_edge_field(mesh, J_at_0, 4))
-    J1 = (expops.beta1 * J0 + expops.beta2 * E0
-          + (expops.beta3 / expops.alpha3)
-          * (E1 - expops.alpha1 * E0 - expops.alpha2 * J0))
+    E0 = interpolate_edge_field(mesh, E_at_0, "midpoint")
+    E1 = interpolate_edge_field(mesh, E_at_dt, "midpoint")
+    J0 = interpolate_edge_field(mesh, J_at_0, 4)
+    for v in (E0, E1, J0):
+        v[mesh.boundary_edge_mask] = 0.0
+    J1 = _j_update(expops, E0, J0, E1)
     return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
 
 
@@ -104,14 +108,11 @@ def step(state: SimState, W_op: sp.spmatrix, A_op: sp.spmatrix,
     if abs(expops.alpha3) < 1e-300:
         raise ZeroDivisionError("alpha3 vanished; dt outside usable range")
     a1, a2 = expops.alpha1, expops.alpha2
-    b1, b2, b3 = expops.beta1, expops.beta2, expops.beta3
     c2dt = config.medium.c0 ** 2 * config.dt
     E_next = ((1.0 + a1) * state.E_curr + a2 * state.J_curr
               - a1 * state.E_prev - a2 * state.J_prev
               - c2dt * expops.alpha3 * (W_op @ (A_op @ state.E_curr)))
-    J_next = (b1 * state.J_curr + b2 * state.E_curr
-              + (b3 / expops.alpha3)
-              * (E_next - a1 * state.E_curr - a2 * state.J_curr))
+    J_next = _j_update(expops, state.E_curr, state.J_curr, E_next)
     return SimState(E_curr=E_next, E_prev=state.E_curr,
                     J_curr=J_next, J_prev=state.J_curr, n=state.n + 1)
 

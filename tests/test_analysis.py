@@ -206,7 +206,7 @@ def test_pick_probe_edge_interior_max():
     mesh = build_mesh(16, 16, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     probe = pick_probe_edge(mesh, sol)
-    assert mesh.interior_edge_mask[probe]
+    assert not mesh.boundary_edge_mask[probe]
     dof = interpolate_edge_field(mesh, lambda x, y: spatial_mode(sol, x, y),
                                  "midpoint")
     assert abs(dof[probe]) == pytest.approx(np.abs(dof).max())

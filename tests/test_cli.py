@@ -166,6 +166,7 @@ def test_selftest_mutation_detected():
     (CliError, EXIT_VALIDATION),
     (RegimeError, EXIT_VALIDATION),
     (ValueError, EXIT_VALIDATION),
+    (TypeError, EXIT_VALIDATION),
     (UnstableSimulationError, EXIT_NUMERICAL),
     (np.linalg.LinAlgError, EXIT_NUMERICAL),
     (ArithmeticError, EXIT_NUMERICAL),
@@ -179,13 +180,22 @@ def test_exit_code_table(exc_type, code, monkeypatch, capsys):
     assert "boom" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("probes, message", [([3.5], "not an integer"),
-                                             (5, "must be")])
-def test_malformed_probes_are_invalid_input(probes, message, tmp_path,
-                                            capsys):
-    cfg = write_config(tmp_path, "s.json", {"nx": 8, "ny": 8, "T": 0.5,
-                                            "probes": probes})
+@pytest.mark.parametrize("entries, message", [
+    pytest.param({"probes": [3.5]}, "not an integer", id="probe-float"),
+    pytest.param({"probes": 5}, "must be", id="probes-scalar"),
+    pytest.param({"snapshot_stride": -3}, "snapshot_stride",
+                 id="stride-negative"),
+    pytest.param({"snapshot_stride": 2.5}, "snapshot_stride",
+                 id="stride-float"),
+    pytest.param({"nx": "16"}, "not supported", id="nx-string"),
+])
+def test_malformed_simulate_config_is_invalid_input(entries, message,
+                                                    tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.json",
+                       {"nx": 8, "ny": 8, "T": 0.5, **entries})
     assert main(["--config", cfg, "--out", str(tmp_path / "o"),
                  "simulate"]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 

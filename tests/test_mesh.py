@@ -24,7 +24,7 @@ def test_counting_2x3():
 def test_boundary_count_2x2():
     m = build_mesh(2, 2, 1.0, 1.0, "pec")
     assert m.boundary_edge_mask.sum() == 8
-    assert m.interior_edge_mask.sum() == 4
+    assert (~m.boundary_edge_mask).sum() == 4
 
 
 @pytest.mark.parametrize("nx", range(1, 17))
@@ -39,16 +39,33 @@ def test_counting_formulas_exhaustive(nx, ny):
     assert not p.boundary_edge_mask.any()
 
 
-def test_face_edge_shift_vectors():
-    m = build_mesh(3, 4, 1.5, 2.0, "pec")
+@pytest.mark.parametrize("boundary", ["pec", "periodic"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (3, 4), (16, 16)])
+def test_face_edge_shift_vectors(nx, ny, boundary):
+    m = build_mesh(nx, ny, 1.5, 2.0, boundary)
     mids = m.edge_midpoints
-    for f in range(m.n_faces):
-        bottom, right, top, left = m.face_edges(f)
-        assert np.allclose(mids[top] - mids[bottom], [0.0, m.dy])
-        assert np.allclose(mids[left] - mids[right], [-m.dx, 0.0])
-        # orientation of the four slots
-        assert bottom < m.n_hedges and top < m.n_hedges
-        assert right >= m.n_hedges and left >= m.n_hedges
+    period = np.array([m.Lx, m.Ly])
+
+    def wrapped(d):  # periodic meshes: shifts are taken modulo Lx, Ly
+        if boundary == "periodic":
+            d = (d + period / 2) % period - period / 2
+        return d
+
+    bottom, right, top, left = m.face_edge_table.T
+    assert np.allclose(wrapped(mids[top] - mids[bottom] - [0.0, m.dy]), 0.0)
+    assert np.allclose(wrapped(mids[left] - mids[right] + [m.dx, 0.0]), 0.0)
+    # orientation of the four slots
+    assert (bottom < m.n_hedges).all() and (top < m.n_hedges).all()
+    assert (right >= m.n_hedges).all() and (left >= m.n_hedges).all()
+    # a PEC edge is a boundary edge exactly when its midpoint is on the
+    # domain boundary; no periodic edge is
+    x, y = mids.T
+    on_boundary = (np.isclose(x, 0.0) | np.isclose(x, m.Lx)
+                   | np.isclose(y, 0.0) | np.isclose(y, m.Ly))
+    assert (m.boundary_edge_mask == (on_boundary & (boundary == "pec"))).all()
+    # every edge borders two faces, a PEC boundary edge only one
+    uses = np.bincount(m.face_edge_table.ravel(), minlength=m.n_edges)
+    assert (uses == np.where(m.boundary_edge_mask, 1, 2)).all()
 
 
 def test_gamma_and_sizes():

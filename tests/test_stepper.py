@@ -124,7 +124,7 @@ def _exact_initializers(sol, dt):
 
 def test_run_shorter_than_one_step():
     mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
-    probe = int(np.flatnonzero(mesh.interior_edge_mask)[0])
+    probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[0])
     config = make_config(mesh, T=1e-4, probes=(probe,))
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     res = run(config, *_exact_initializers(sol, config.dt))
@@ -136,7 +136,7 @@ def test_run_shorter_than_one_step():
 def test_run_probe_traces_start_with_initial_data():
     mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    probe = int(np.flatnonzero(mesh.interior_edge_mask)[7])
+    probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[7])
     config = make_config(mesh, T=0.5, probes=(probe,))
     res = run(config, *_exact_initializers(sol, config.dt))
     st0 = initialize(config, *_exact_initializers(sol, config.dt))
