@@ -9,13 +9,14 @@ convergence toolkit used to verify the accuracy claims.
 from .mesh import RectMesh, build_mesh, interpolate_edge_field
 from .operators import (MfdParams, SingularLocalWError, assemble_M,
                         assemble_W, assemble_curl, assemble_curl_curl,
-                        local_M, local_W, local_curl, optimal_local_W,
-                        optimal_params, params_for_scheme, yee_params)
+                        assemble_step_operators, local_M, local_W, local_curl,
+                        optimal_local_W, optimal_params, params_for_scheme,
+                        yee_params)
 from .plasma import (ExpOperators, Medium, RegimeError, coupling_matrix,
                      exp_operators)
-from .stepper import (RunResult, SimConfig, SimState, Snapshot,
+from .stepper import (RunResult, SimConfig, SimState, Snapshot, StepOperators,
                       UnstableSimulationError, initialize, load_snapshot,
-                      run, save_snapshot, step)
+                      run, save_snapshot, step, step_operators)
 from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
                          conductive_leapfrog_residual, continuous_roots,
                          discrete_root_polish, leapfrog_zeroing_w2,

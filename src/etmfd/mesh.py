@@ -25,8 +25,8 @@ class RectMesh:
 
     def __init__(self, nx: int, ny: int, Lx: float, Ly: float,
                  boundary: str = "pec"):
-        if nx < 1 or ny < 1:
-            raise ValueError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
+        if nx < 1 or ny < 1 or nx % 1 or ny % 1:
+            raise ValueError(f"cell counts must be integers >= 1, got nx={nx}, ny={ny}")
         if Lx <= 0 or Ly <= 0:
             raise ValueError(f"domain extents must be > 0, got Lx={Lx}, Ly={Ly}")
         if boundary not in BOUNDARY_MODES:

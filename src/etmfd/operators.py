@@ -111,11 +111,14 @@ def _assemble_local_blocks(mesh: RectMesh, block: np.ndarray) -> sp.csr_matrix:
     return op.tocsr()
 
 
-def _apply_pec(op: sp.csr_matrix, mesh: RectMesh) -> sp.csr_matrix:
-    # zero the stored entries of boundary-edge rows and columns, then drop
-    # every stored zero; the copies release the unpruned buffers
+def _apply_pec(op: sp.csr_matrix, mesh: RectMesh, rows=True) -> sp.csr_matrix:
+    # zero the stored entries of boundary-edge columns (and rows), then
+    # drop every stored zero; the copies release the unpruned buffers
     b = mesh.boundary_edge_mask
-    op.data[b[op.indices] | np.repeat(b, np.diff(op.indptr))] = 0.0
+    drop = b[op.indices]
+    if rows:
+        drop |= np.repeat(b, np.diff(op.indptr))
+    op.data[drop] = 0.0
     op.eliminate_zeros()
     return sp.csr_matrix((op.data.copy(), op.indices.copy(), op.indptr),
                          shape=op.shape)
@@ -146,6 +149,16 @@ def assemble_W(mesh: RectMesh, params: MfdParams) -> sp.csr_matrix:
     """Global W assembled from local blocks; PEC rows/columns zeroed."""
     block = local_W(params, mesh.dx, mesh.dy)
     return _apply_pec(_assemble_local_blocks(mesh, block), mesh)
+
+
+def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
+    """(C, G) with G @ C == W @ A: C is the curl with PEC columns zeroed,
+    G = W C^T diag(|f|); the PEC W is dropped once G exists."""
+    C = _apply_pec(assemble_curl(mesh), mesh, rows=False)
+    G = assemble_W(mesh, params) @ C.T
+    G.data *= mesh.dx * mesh.dy  # diag(|f|) of the uniform mesh
+    G.sort_indices()
+    return C, G
 
 
 def assemble_M(mesh: RectMesh, params: MfdParams) -> sp.csr_matrix:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import RectMesh, interpolate_edge_field
-from .operators import MfdParams, assemble_W, assemble_curl_curl
+from .operators import MfdParams, assemble_step_operators
 from .plasma import ExpOperators, Medium, exp_operators
 
 
@@ -64,8 +64,8 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Fields at steps n and n-1 (J one step behind is needed by the
-    E update)."""
+    """Fields at steps n and n-1 (the E update needs J one step behind);
+    `step` overwrites the n-1 buffers, so copy a field kept for later."""
     E_curr: np.ndarray
     E_prev: np.ndarray
     J_curr: np.ndarray
@@ -73,12 +73,34 @@ class SimState:
     n: int
 
 
-def _j_update(expops: ExpOperators, E: np.ndarray, J: np.ndarray,
-              E_next: np.ndarray) -> np.ndarray:
-    """The hybrid one-step J update from (E, J), given the new E."""
-    return (expops.beta1 * J + expops.beta2 * E
-            + (expops.beta3 / expops.alpha3)
-            * (E_next - expops.alpha1 * E - expops.alpha2 * J))
+# the factored curl-curl pair with -(c0^2 dt alpha3) folded into G, then
+# (alpha1, alpha2) of the E update and (cJ, cE, cN) of the J update
+StepOperators = namedtuple("StepOperators", "C G alphas j_coeffs")
+
+
+def _j_coefficients(e: ExpOperators) -> tuple:
+    """(cJ, cE, cN) of the hybrid J update J' = cJ J + cE E + cN E'."""
+    if abs(e.alpha3) < 1e-300:
+        raise ZeroDivisionError("alpha3 vanished; dt outside usable range")
+    cN = e.beta3 / e.alpha3
+    return e.beta1 - cN * e.alpha2, e.beta2 - cN * e.alpha1, cN
+
+
+def _j_update(j_coeffs: tuple, E, J, E_next, out, scratch) -> np.ndarray:
+    """J' from (E, J) and the new E into out (which may be J)."""
+    cJ, cE, cN = j_coeffs
+    np.multiply(J, cJ, out=out)
+    out += np.multiply(E, cE, out=scratch)
+    out += np.multiply(E_next, cN, out=scratch)
+    return out
+
+
+def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
+    """Set-up of the step: the alpha3 guard, then the assembly."""
+    j_coeffs = _j_coefficients(expops)
+    C, G = assemble_step_operators(config.mesh, config.params)
+    G.data *= -(config.medium.c0 ** 2 * config.dt * expops.alpha3)
+    return StepOperators(C, G, (expops.alpha1, expops.alpha2), j_coeffs)
 
 
 def initialize(config: SimConfig, E_at_0, E_at_dt, J_at_0,
@@ -98,23 +120,27 @@ def initialize(config: SimConfig, E_at_0, E_at_dt, J_at_0,
     J0 = interpolate_edge_field(mesh, J_at_0, 4)
     for v in (E0, E1, J0):
         v[mesh.boundary_edge_mask] = 0.0
-    J1 = _j_update(expops, E0, J0, E1)
+    J1 = _j_update(_j_coefficients(expops), E0, J0, E1,
+                   out=np.empty_like(J0), scratch=np.empty_like(J0))
     return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
 
 
-def step(state: SimState, W_op: sp.spmatrix, A_op: sp.spmatrix,
-         expops: ExpOperators, config: SimConfig) -> SimState:
-    """Advance one step; E is updated before J so the scheme is explicit."""
-    if abs(expops.alpha3) < 1e-300:
-        raise ZeroDivisionError("alpha3 vanished; dt outside usable range")
-    a1, a2 = expops.alpha1, expops.alpha2
-    c2dt = config.medium.c0 ** 2 * config.dt
-    E_next = ((1.0 + a1) * state.E_curr + a2 * state.J_curr
-              - a1 * state.E_prev - a2 * state.J_prev
-              - c2dt * expops.alpha3 * (W_op @ (A_op @ state.E_curr)))
-    J_next = _j_update(expops, state.E_curr, state.J_curr, E_next)
-    return SimState(E_curr=E_next, E_prev=state.E_curr,
-                    J_curr=J_next, J_prev=state.J_curr, n=state.n + 1)
+def step(state: SimState, ops: StepOperators) -> float:
+    """Advance one step in place, E before J so the scheme is explicit.
+    Returns max |field| over the new E and J, NaN if either holds one."""
+    z = ops.G @ (ops.C @ state.E_curr)  # the only new edge-sized array
+    (a1, a2), E, J = ops.alphas, state.E_prev, state.J_prev
+    # E' = (1 + a1) E - a1 E_prev + a2 (J - J_prev) + z into E_prev, then
+    # J' into J_prev with z as scratch
+    z += np.multiply(np.subtract(state.J_curr, J, out=J), a2, out=J)
+    z += np.multiply(E, -a1, out=E)
+    np.add(np.multiply(state.E_curr, 1.0 + a1, out=E), z, out=E)
+    _j_update(ops.j_coeffs, state.E_curr, state.J_curr, E, out=J, scratch=z)
+    state.E_curr, state.E_prev = E, state.E_curr
+    state.J_curr, state.J_prev = J, state.J_curr
+    state.n += 1
+    # no |x| temporary; np.max keeps a NaN that Python's max can drop
+    return float(np.max([E.max(), -E.min(), J.max(), -J.min()]))
 
 
 @dataclass
@@ -144,11 +170,9 @@ def run(config: SimConfig, E_at_0, E_at_dt, J_at_0) -> RunResult:
     Probe traces include the two initialization samples (t = 0 and dt).
     Raises UnstableSimulationError on NaN or blow-up.
     """
-    mesh = config.mesh
     dt = config.dt
     expops = exp_operators(config.medium, dt)
-    W_op = assemble_W(mesh, config.params)
-    A_op = assemble_curl_curl(mesh)
+    ops = step_operators(config, expops)
     state = initialize(config, E_at_0, E_at_dt, J_at_0, expops)
 
     n_final = config.n_steps
@@ -168,8 +192,7 @@ def run(config: SimConfig, E_at_0, E_at_dt, J_at_0) -> RunResult:
     blowup_ref = 1.0 + max(np.abs(state.E_curr).max(),
                            np.abs(state.J_curr).max())
     while state.n < n_final:
-        state = step(state, W_op, A_op, expops, config)
-        m = max(np.abs(state.E_curr).max(), np.abs(state.J_curr).max())
+        m = step(state, ops)
         if not np.isfinite(m) or m > 1e12 * blowup_ref:
             raise UnstableSimulationError(
                 f"instability at step {state.n} (t={state.n * dt:.6g}): "

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from etmfd import cli, selftest
+from etmfd import cli, selftest, stepper
 from etmfd.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, CliError, main
 from etmfd.operators import MfdParams, optimal_params
 from etmfd.plasma import RegimeError
@@ -135,6 +136,16 @@ def test_simulate_instability_exit_code(tmp_path):
                  "simulate"]) == EXIT_NUMERICAL
 
 
+def test_simulate_vanishing_alpha3_exit_code(tmp_path, monkeypatch):
+    real = stepper.exp_operators
+    monkeypatch.setattr(stepper, "exp_operators", lambda medium, dt:
+                        dataclasses.replace(real(medium, dt), alpha3=0.0))
+    cfg = write_config(tmp_path, "s.json", {"nx": 8, "ny": 8, "T": 0.5})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "simulate"]) == EXIT_NUMERICAL
+    assert not (tmp_path / "o").exists()
+
+
 def test_selftest_command():
     assert main(["selftest"]) == EXIT_OK
 
@@ -188,6 +199,7 @@ def test_exit_code_table(exc_type, code, monkeypatch, capsys):
     pytest.param({"snapshot_stride": 2.5}, "snapshot_stride",
                  id="stride-float"),
     pytest.param({"nx": "16"}, "not supported", id="nx-string"),
+    pytest.param({"nx": 8.7}, "must be integers", id="nx-float"),
 ])
 def test_malformed_simulate_config_is_invalid_input(entries, message,
                                                     tmp_path, capsys):

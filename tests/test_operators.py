@@ -4,6 +4,7 @@ import pytest
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import (MfdParams, SingularLocalWError, assemble_M,
                              assemble_W, assemble_curl, assemble_curl_curl,
+                             assemble_step_operators,
                              local_M, local_W, local_curl, optimal_local_W,
                              optimal_params, params_for_scheme, yee_params)
 from etmfd.selftest import dense_operators
@@ -241,3 +242,17 @@ def test_commuting_diagram_midpoint_second_order():
     d3 = _commuting_defect(32, "midpoint")
     assert 3.0 < d1 / d2 < 5.0
     assert 3.0 < d2 / d3 < 5.0
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 1.0, 2.0, "pec"),
+                                   (3, 3, 1.0, 1.0, "periodic"),
+                                   (1, 1, 1.0, 1.0, "periodic")])
+def test_step_operators_factor_W_times_curl_curl(shape):
+    m = build_mesh(*shape)
+    p = optimal_params(0.5, m.gamma)
+    C, G = assemble_step_operators(m, p)
+    ref = (assemble_W(m, p) @ assemble_curl_curl(m)).toarray()
+    assert np.abs((G @ C).toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert G.has_sorted_indices
+    if m.boundary == "pec":  # PEC columns of C are zeroed
+        assert np.abs(C.toarray()[:, m.boundary_edge_mask]).max() == 0.0

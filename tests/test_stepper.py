@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from etmfd import stepper
 from etmfd.analysis import exact_E, exact_J, make_exact_solution
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import assemble_W, assemble_curl_curl, optimal_params, yee_params
@@ -11,7 +13,7 @@ from etmfd.plasma import Medium, coupling_matrix, exp_operators
 from etmfd.selftest import dense_step, series_exp_oracle
 from etmfd.stepper import (SimConfig, SimState, Snapshot,
                            UnstableSimulationError, initialize, load_snapshot,
-                           run, save_snapshot, step)
+                           run, save_snapshot, step, step_operators)
 
 MEDIUM = Medium()
 
@@ -73,11 +75,10 @@ def test_initialize_standing_setup():
 def test_step_zero_state():
     mesh = build_mesh(3, 3, 1.0, 1.0, "periodic")
     config = make_config(mesh)
-    ops = exp_operators(MEDIUM, config.dt)
-    W_op = assemble_W(mesh, config.params)
-    A_op = assemble_curl_curl(mesh)
+    ops = step_operators(config, exp_operators(MEDIUM, config.dt))
     z = np.zeros(mesh.n_edges)
-    st = step(SimState(z, z, z, z, 1), W_op, A_op, ops, config)
+    st = SimState(z, z, z, z, 1)
+    step(st, ops)
     assert np.abs(st.E_curr).max() == 0.0 and np.abs(st.J_curr).max() == 0.0
     assert st.n == 2
 
@@ -88,12 +89,10 @@ def test_step_uniform_mode_matches_scalar_recurrence():
     mesh = build_mesh(4, 4, 1.0, 1.0, "periodic")
     config = make_config(mesh)
     ops = exp_operators(MEDIUM, config.dt)
-    W_op = assemble_W(mesh, config.params)
-    A_op = assemble_curl_curl(mesh)
     e_c, e_p, j_c, j_p = 0.8, 0.75, -0.2, -0.25
     ones = np.ones(mesh.n_edges)
-    st = SimState(e_c * ones, e_p * ones, j_c * ones, j_p * ones, 1)
-    new = step(st, W_op, A_op, ops, config)
+    new = SimState(e_c * ones, e_p * ones, j_c * ones, j_p * ones, 1)
+    step(new, step_operators(config, ops))
     e_next = (1 + ops.alpha1) * e_c + ops.alpha2 * j_c - ops.alpha1 * e_p - ops.alpha2 * j_p
     j_next = ops.beta1 * j_c + ops.beta2 * e_c + ops.beta3 / ops.alpha3 * (
         e_next - ops.alpha1 * e_c - ops.alpha2 * j_c)
@@ -109,11 +108,10 @@ def test_step_matches_dense_oracle(rng):
                   rng.standard_normal(mesh.n_edges),
                   rng.standard_normal(mesh.n_edges),
                   rng.standard_normal(mesh.n_edges), 1)
-    new = step(st, assemble_W(mesh, config.params),
-               assemble_curl_curl(mesh), ops, config)
-    E_ref, J_ref = dense_step(st, config, ops)
-    assert np.abs(new.E_curr - E_ref).max() < 1e-13
-    assert np.abs(new.J_curr - J_ref).max() < 1e-13
+    E_ref, J_ref = dense_step(st, config, ops)  # before step overwrites st
+    step(st, step_operators(config, ops))
+    assert np.abs(st.E_curr - E_ref).max() < 1e-13
+    assert np.abs(st.J_curr - J_ref).max() < 1e-13
 
 
 def _exact_initializers(sol, dt):
@@ -188,6 +186,124 @@ def test_ode_limit_exactness(dt):
     assert abs(res.state.J_curr[0] - ref[1]) < 1e-12
 
 
+def test_step_matches_the_unfactored_pair(rng):
+    # G @ (C @ E) and the in-place update against W @ (A @ E) written out
+    mesh = build_mesh(64, 64, 1.0, 1.0, "pec")
+    config = make_config(mesh)
+    ops = exp_operators(MEDIUM, config.dt)
+    st = SimState(*rng.standard_normal((4, mesh.n_edges)), 1)
+    c2dt = MEDIUM.c0 ** 2 * config.dt
+    E_ref = ((1.0 + ops.alpha1) * st.E_curr + ops.alpha2 * st.J_curr
+             - ops.alpha1 * st.E_prev - ops.alpha2 * st.J_prev
+             - c2dt * ops.alpha3 * (assemble_W(mesh, config.params)
+                                    @ (assemble_curl_curl(mesh) @ st.E_curr)))
+    J_ref = (ops.beta1 * st.J_curr + ops.beta2 * st.E_curr
+             + ops.beta3 / ops.alpha3
+             * (E_ref - ops.alpha1 * st.E_curr - ops.alpha2 * st.J_curr))
+    step(st, step_operators(config, ops))
+    assert np.abs(st.E_curr - E_ref).max() <= 1e-15 * np.abs(E_ref).max()
+    assert np.abs(st.J_curr - J_ref).max() <= 1e-15 * np.abs(J_ref).max()
+
+
+def test_run_keeps_no_view_of_a_reused_buffer():
+    # step overwrites the step n-1 buffers: snapshots, probe samples and
+    # the final state must hold the values of their own step
+    mesh = build_mesh(6, 5, 1.0, 1.0, "pec")
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[9])
+    dt = 0.5 * mesh.dx / MEDIUM.c0
+    config = make_config(mesh, T=11.5 * dt, probes=(probe,),
+                         snapshot_stride=3)
+    inits = _exact_initializers(sol, config.dt)
+    ops = exp_operators(MEDIUM, config.dt)
+    st = initialize(config, *inits, ops)
+    ref = [(st.E_prev, st.J_prev), (st.E_curr, st.J_curr)]
+    for n in range(2, 13):
+        E, J = dense_step(st, config, ops)
+        st = SimState(E, st.E_curr, J, st.J_curr, n)
+        ref.append((E, J))
+
+    res = run(config, *inits)
+    assert config.n_steps == res.state.n == 12
+    assert [s.step for s in res.snapshots] == [0, 3, 6, 9, 12]
+    for s in res.snapshots:
+        assert np.abs(s.E - ref[s.step][0]).max() < 1e-13
+        assert np.abs(s.J - ref[s.step][1]).max() < 1e-13
+    for n, (E, J) in enumerate(ref):
+        assert abs(res.probe_E[probe][n] - E[probe]) < 1e-13
+        assert abs(res.probe_J[probe][n] - J[probe]) < 1e-13
+    final = res.state
+    for got, want in ((final.E_curr, ref[12][0]), (final.J_curr, ref[12][1]),
+                      (final.E_prev, ref[11][0]), (final.J_prev, ref[11][1])):
+        assert np.abs(got - want).max() < 1e-13
+
+
+def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
+    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    config = make_config(mesh, T=1.0)
+    edge = int(np.flatnonzero(~mesh.boundary_edge_mask)[5])
+    real = stepper._j_update
+    made = []
+
+    def poisoned(*args, **kwargs):
+        J = real(*args, **kwargs)
+        made.append(J)
+        if len(made) == 5:  # initialize makes J^1, step n makes J^n
+            J[edge] = np.nan
+        return J
+
+    monkeypatch.setattr(stepper, "_j_update", poisoned)
+    with pytest.raises(UnstableSimulationError, match="at step 5 "):
+        run(config, *_exact_initializers(sol, config.dt))
+
+
+# ETMFD at 32^2 PEC, kx = ky = pi: the unstable mode grows from rounding
+# noise, so the step past the bound moves with the order of the update's
+# floating-point operations
+@pytest.mark.parametrize("nu, n_fail", [(1.0, 63), (0.75, 125), (0.7, None)])
+def test_blowup_caught_at_first_step_past_the_bound(nu, n_fail, monkeypatch):
+    mesh = build_mesh(32, 32, 1.0, 1.0, "pec")
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    config = make_config(mesh, nu=nu, T=8.0)
+    inits = _exact_initializers(sol, config.dt)
+    st0 = initialize(config, *inits)
+    bound = 1e12 * (1.0 + max(np.abs(st0.E_curr).max(),
+                              np.abs(st0.J_curr).max()))
+    real = stepper.step
+    seen = []
+
+    def checked(state, ops):
+        m = real(state, ops)
+        seen.append(max(np.abs(state.E_curr).max(), np.abs(state.J_curr).max()))
+        assert m == seen[-1]
+        return m
+
+    monkeypatch.setattr(stepper, "step", checked)
+    if n_fail is None:
+        assert run(config, *inits).state.n == config.n_steps == 366
+        assert max(seen) <= bound
+    else:
+        with pytest.raises(UnstableSimulationError, match=f"at step {n_fail} "):
+            run(config, *inits)
+        assert len(seen) == n_fail - 1  # steps 2 .. n_fail
+        assert max(seen[:-1]) <= bound < seen[-1]
+
+
+def test_alpha3_guard_fires_before_the_first_step(monkeypatch):
+    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    config = make_config(mesh)
+    real = stepper.exp_operators
+    monkeypatch.setattr(stepper, "exp_operators", lambda medium, dt:
+                        dataclasses.replace(real(medium, dt), alpha3=0.0))
+    calls = []
+    monkeypatch.setattr(stepper, "step", lambda *args: calls.append(args))
+    with pytest.raises(ZeroDivisionError, match="alpha3 vanished"):
+        run(config, *_exact_initializers(sol, config.dt))
+    assert calls == []
+
+
 def second_order_step(state, W_op, A_op, ops, config):
     """Pure two-step update of both fields: the equivalence oracle."""
     c2dt = config.medium.c0 ** 2 * config.dt
@@ -209,6 +325,7 @@ def test_hybrid_equivalent_to_second_order_form():
     ops = exp_operators(MEDIUM, config.dt)
     W_op = assemble_W(mesh, config.params)
     A_op = assemble_curl_curl(mesh)
+    step_ops = step_operators(config, ops)
 
     kx = ky = 2 * np.pi  # periodic-compatible standing data
 
@@ -227,7 +344,7 @@ def test_hybrid_equivalent_to_second_order_form():
                     st_h.J_curr.copy(), st_h.J_prev.copy(), st_h.n)
     scale = np.abs(st_h.E_curr).max()
     for _ in range(60):
-        st_h = step(st_h, W_op, A_op, ops, config)
+        step(st_h, step_ops)
         st_s = second_order_step(st_s, W_op, A_op, ops, config)
         assert np.abs(st_h.E_curr - st_s.E_curr).max() < 1e-12 * scale
 
