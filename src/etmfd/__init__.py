@@ -26,7 +26,8 @@ from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
 from .analysis import (DegenerateFitError, ExactSolution,
                        FitNotConvergedError, FitResult, convergence_study,
                        dispersion_error_metric, exact_E, exact_J,
-                       fit_damped_cosine, l2_relative_error,
-                       make_exact_solution, pick_probe_edge, spatial_mode)
+                       fit_damped_cosine, initial_fields, l2_relative_error,
+                       make_exact_solution, mode_dofs, pick_probe_edge,
+                       spatial_mode)
 
 __version__ = "0.1.0"

@@ -77,6 +77,23 @@ def j_time_factor(sol: ExactSolution, t):
     return med.eps0 * med.omega_p ** 2 * np.exp(a * t) * num / den
 
 
+def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, avg): the spatial mode's edge DoFs under the E rule (midpoint
+    samples) and the J rule (4-point Gauss edge averages).  The exact
+    fields' DoFs at t are these times e_time_factor and j_time_factor."""
+    def mode(x, y):
+        return spatial_mode(sol, x, y)
+    return (interpolate_edge_field(mesh, mode, "midpoint"),
+            interpolate_edge_field(mesh, mode, 4))
+
+
+def initial_fields(sol: ExactSolution, mid, avg, dt: float) -> tuple:
+    """(E0, E1, J0) for `stepper.run`: the exact E at t = 0 and dt and the
+    exact J at t = 0, from the `mode_dofs` pair."""
+    return (e_time_factor(sol, 0.0) * mid, e_time_factor(sol, dt) * mid,
+            j_time_factor(sol, 0.0) * avg)
+
+
 def exact_E(sol: ExactSolution, x, y, t):
     vx, vy = spatial_mode(sol, x, y)
     f = e_time_factor(sol, t)
@@ -206,14 +223,13 @@ def dispersion_error_metric(fit: FitResult, a_true: float,
 
 # ---- convergence study -------------------------------------------------------
 
-def pick_probe_edge(mesh, sol: ExactSolution) -> int:
-    """Interior edge with the largest |spatial DoF|, ties toward the center."""
-    dof = interpolate_edge_field(mesh, lambda x, y: spatial_mode(sol, x, y),
-                                 "midpoint")
+def pick_probe_edge(mesh, mode: np.ndarray) -> int:
+    """Interior edge with the largest |mode|, ties toward the center;
+    mode is the midpoint DoF vector of `mode_dofs`."""
     mids = mesh.edge_midpoints
     center = np.array([mesh.Lx / 2.0, mesh.Ly / 2.0])
     dist = np.hypot(mids[:, 0] - center[0], mids[:, 1] - center[1])
-    score = np.abs(dof) - 1e-9 * dist / max(mesh.Lx, mesh.Ly)
+    score = np.abs(mode) - 1e-9 * dist / max(mesh.Lx, mesh.Ly)
     score[mesh.boundary_edge_mask] = -np.inf
     return int(np.argmax(score))
 
@@ -226,9 +242,9 @@ def convergence_study(h_list, scheme: str, medium: Medium,
     Returns one row per (h, field) with the relative L2 error at the
     final time and the relative dispersion error from the probe fit;
     rate columns hold log2 ratios between successive mesh sizes.  The
-    reference E is midpoint-sampled, the reference J 4-point Gauss
-    edge-averaged, as in the initial data.  Raises FitNotConvergedError
-    when a probe fit does not converge.
+    references, like the initial data and the fit amplitudes, are the
+    `mode_dofs` pair scaled by the exact time factors.  Raises
+    FitNotConvergedError when a probe fit does not converge.
     """
     h_list = list(h_list)
     if not h_list:
@@ -240,32 +256,24 @@ def convergence_study(h_list, scheme: str, medium: Medium,
             raise ValueError(f"1/h must be an integer, got h={h}")
         mesh = build_mesh(n, n, 1.0, 1.0, "pec")
         params = params_for_scheme(scheme, nu, mesh.gamma)
-        probe = pick_probe_edge(mesh, sol)
+        mid, avg = mode_dofs(mesh, sol)
+        probe = pick_probe_edge(mesh, mid)
         config = SimConfig(mesh=mesh, medium=medium, params=params,
                            nu=nu, T=T, probes=(probe,))
-        result = run(config,
-                     lambda x, y: exact_E(sol, x, y, 0.0),
-                     lambda x, y: exact_E(sol, x, y, config.dt),
-                     lambda x, y: exact_J(sol, x, y, 0.0))
+        result = run(config, *initial_fields(sol, mid, avg, config.dt))
         tf = result.t_final
         M = assemble_M(mesh, params)
-        E_ref = interpolate_edge_field(
-            mesh, lambda x, y: exact_E(sol, x, y, tf), "midpoint")
-        J_ref = interpolate_edge_field(
-            mesh, lambda x, y: exact_J(sol, x, y, tf), 4)
-        err_E = l2_relative_error(result.state.E_curr, E_ref, M)
-        err_J = l2_relative_error(result.state.J_curr, J_ref, M)
+        err_E = l2_relative_error(result.state.E_curr,
+                                  e_time_factor(sol, tf) * mid, M)
+        err_J = l2_relative_error(result.state.J_curr,
+                                  j_time_factor(sol, tf) * avg, M)
 
-        mode_dof_mid = interpolate_edge_field(
-            mesh, lambda x, y: spatial_mode(sol, x, y), "midpoint")
-        mode_dof_avg = interpolate_edge_field(
-            mesh, lambda x, y: spatial_mode(sol, x, y), 4)
         guess = (sol.a, sol.b)
         fit_E = fit_damped_cosine(result.probe_E[probe], config.dt, "E",
-                                  medium, amplitude=mode_dof_mid[probe],
+                                  medium, amplitude=mid[probe],
                                   initial_guess=guess)
         fit_J = fit_damped_cosine(result.probe_J[probe], config.dt, "J",
-                                  medium, amplitude=mode_dof_avg[probe],
+                                  medium, amplitude=avg[probe],
                                   initial_guess=guess)
         for field, fit in (("E", fit_E), ("J", fit_J)):
             if not fit.converged:

@@ -36,18 +36,6 @@ EXIT_NUMERICAL = 2
 
 MEDIUM_KEYS = {"eps0", "c0", "omega_i", "omega_p"}
 
-COMMAND_KEYS = {
-    "converge": {"log2_h", "schemes", "nu", "T", "kx_pi", "ky_pi",
-                 "medium", "out"},
-    "anisotropy": {"k", "ppw", "n_theta", "nu", "gammas", "nu_rule",
-                   "schemes", "medium", "out", "fixed_cell_area"},
-    "simulate": {"nx", "ny", "Lx", "Ly", "scheme", "params", "nu", "T",
-                 "kx_pi", "ky_pi", "medium", "probes", "snapshot_stride",
-                 "out"},
-    "roots": {"k", "medium"},
-    "params": {"nu", "gamma"},
-}
-
 DEFAULTS = {
     "converge": {"log2_h": [-4, -5, -6], "schemes": ["etmfd", "et-yee"],
                  "nu": 0.5, "T": 4.0, "kx_pi": 1, "ky_pi": 1,
@@ -63,6 +51,12 @@ DEFAULTS = {
     "roots": {"k": 4.0},
     "params": {"nu": 0.5, "gamma": 1.0},
 }
+
+# keys a config may hold: its command's defaults plus the optional keys,
+# "medium" unless this table says otherwise
+OPTIONAL_KEYS = {"simulate": {"medium", "params"}, "params": set()}
+COMMAND_KEYS = {cmd: set(keys) | OPTIONAL_KEYS.get(cmd, {"medium"})
+                for cmd, keys in DEFAULTS.items()}
 
 
 class CliError(ValueError):
@@ -211,18 +205,16 @@ def cmd_simulate(args) -> int:
         params = params_for_scheme(cfg["scheme"], cfg["nu"], mesh.gamma)
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)
+    mid, avg = analysis.mode_dofs(mesh, sol)
     probes = cfg["probes"]
     if probes == "auto":
-        probes = [analysis.pick_probe_edge(mesh, sol)]
+        probes = [analysis.pick_probe_edge(mesh, mid)]
     elif not isinstance(probes, list):
         raise CliError(f'probes must be "auto" or a list, got {probes!r}')
     config = SimConfig(mesh=mesh, medium=medium, params=params,
                        nu=cfg["nu"], T=cfg["T"], probes=tuple(probes),
                        snapshot_stride=cfg["snapshot_stride"])
-    result = run(config,
-                 lambda x, y: analysis.exact_E(sol, x, y, 0.0),
-                 lambda x, y: analysis.exact_E(sol, x, y, config.dt),
-                 lambda x, y: analysis.exact_J(sol, x, y, 0.0))
+    result = run(config, *analysis.initial_fields(sol, mid, avg, config.dt))
 
     outdir = output_path(args, cfg)
     os.makedirs(outdir, exist_ok=True)

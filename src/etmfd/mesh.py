@@ -75,8 +75,9 @@ class RectMesh:
         return self._face_edges
 
     def _build_face_edges(self) -> np.ndarray:
-        # face f = j*nx + i is cell (i, j)
-        j, i = np.divmod(np.arange(self.n_faces), self.nx)
+        # face f = j*nx + i is cell (i, j); int32 is scipy's CSR index type,
+        # so the operators' COO indices need no int64 copies
+        j, i = np.divmod(np.arange(self.n_faces, dtype=np.int32), self.nx)
         return np.stack([self.hedge_index(i, j), self.vedge_index(i + 1, j),
                          self.hedge_index(i, j + 1), self.vedge_index(i, j)],
                         axis=1)

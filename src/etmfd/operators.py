@@ -128,7 +128,7 @@ def assemble_curl(mesh: RectMesh) -> sp.csr_matrix:
     """Global discrete curl: edge DoF -> face DoF (cell-average curl)."""
     c = local_curl(mesh.dx, mesh.dy)
     fe = mesh.face_edge_table
-    rows = np.repeat(np.arange(mesh.n_faces), 4)
+    rows = np.repeat(np.arange(mesh.n_faces, dtype=fe.dtype), 4)
     cols = fe.ravel()
     vals = np.tile(c, mesh.n_faces)
     return sp.coo_matrix((vals, (rows, cols)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import RectMesh, interpolate_edge_field
+from .mesh import RectMesh
 from .operators import MfdParams, assemble_step_operators
 from .plasma import ExpOperators, Medium, exp_operators
 
@@ -103,23 +103,25 @@ def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
     return StepOperators(C, G, (expops.alpha1, expops.alpha2), j_coeffs)
 
 
-def initialize(config: SimConfig, E_at_0, E_at_dt, J_at_0,
+def initialize(config: SimConfig, E0, E1, J0,
                expops: ExpOperators | None = None) -> SimState:
-    """Interpolate the three initial fields and bootstrap J at step 1.
+    """Start from the edge DoFs of E at t = 0 and dt and of J at t = 0.
 
-    E at t=0 and t=dt use the midpoint rule; J at t=0 uses 4-point Gauss
-    edge averages (exact to rounding for trigonometric data).  J^1 comes
-    from one hybrid J update, which is exact whenever (E^0, E^1, J^0) lie
-    on an exponential-step trajectory.
+    Each array is copied, so `step` never overwrites a caller's array,
+    and its PEC boundary entries are zeroed.  J^1 comes from one hybrid J
+    update, which is exact whenever (E^0, E^1, J^0) lie on an
+    exponential-step trajectory.
     """
     mesh = config.mesh
     if expops is None:
         expops = exp_operators(config.medium, config.dt)
-    E0 = interpolate_edge_field(mesh, E_at_0, "midpoint")
-    E1 = interpolate_edge_field(mesh, E_at_dt, "midpoint")
-    J0 = interpolate_edge_field(mesh, J_at_0, 4)
-    for v in (E0, E1, J0):
-        v[mesh.boundary_edge_mask] = 0.0
+    shapes = [np.shape(v) for v in (E0, E1, J0)]
+    if shapes != [(mesh.n_edges,)] * 3:
+        raise ValueError(f"E0, E1, J0 have shapes {shapes}, want "
+                         f"({mesh.n_edges},) each")
+    fields = np.array([E0, E1, J0], dtype=float)
+    fields[:, mesh.boundary_edge_mask] = 0.0
+    E0, E1, J0 = fields
     J1 = _j_update(_j_coefficients(expops), E0, J0, E1,
                    out=np.empty_like(J0), scratch=np.empty_like(J0))
     return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
@@ -164,30 +166,33 @@ class RunResult:
         return float(self.times[-1])
 
 
-def run(config: SimConfig, E_at_0, E_at_dt, J_at_0) -> RunResult:
-    """Run to the first step at or past T, recording probes every step.
+def run(config: SimConfig, E0, E1, J0) -> RunResult:
+    """Run from the initial edge DoFs (see `initialize`) to the first step
+    at or past T, recording probes every step.
 
-    Probe traces include the two initialization samples (t = 0 and dt).
+    Probe traces include the two initialization samples (t = 0 and dt);
+    snapshots are taken at every step the stride divides, 0 and 1 too.
     Raises UnstableSimulationError on NaN or blow-up.
     """
     dt = config.dt
     expops = exp_operators(config.medium, dt)
     ops = step_operators(config, expops)
-    state = initialize(config, E_at_0, E_at_dt, J_at_0, expops)
+    state = initialize(config, E0, E1, J0, expops)
 
     n_final = config.n_steps
-    probes = list(config.probes)
-    trace_E = {e: np.empty(n_final + 1) for e in probes}
-    trace_J = {e: np.empty(n_final + 1) for e in probes}
-    for e in probes:
-        trace_E[e][0], trace_E[e][1] = state.E_prev[e], state.E_curr[e]
-        trace_J[e][0], trace_J[e][1] = state.J_prev[e], state.J_curr[e]
-
+    trace_E = {e: np.empty(n_final + 1) for e in config.probes}
+    trace_J = {e: np.empty(n_final + 1) for e in config.probes}
     snapshots = []
     stride = config.snapshot_stride
-    if stride > 0:
-        snapshots.append(Snapshot(0, 0.0, state.E_prev.copy(),
-                                  state.J_prev.copy()))
+
+    def record(n, E, J):
+        for e in config.probes:
+            trace_E[e][n], trace_J[e][n] = E[e], J[e]
+        if stride > 0 and n % stride == 0:
+            snapshots.append(Snapshot(n, n * dt, E.copy(), J.copy()))
+
+    record(0, state.E_prev, state.J_prev)
+    record(1, state.E_curr, state.J_curr)
 
     blowup_ref = 1.0 + max(np.abs(state.E_curr).max(),
                            np.abs(state.J_curr).max())
@@ -197,13 +202,7 @@ def run(config: SimConfig, E_at_0, E_at_dt, J_at_0) -> RunResult:
             raise UnstableSimulationError(
                 f"instability at step {state.n} (t={state.n * dt:.6g}): "
                 f"max |field| = {m:.3e}")
-        for e in probes:
-            trace_E[e][state.n] = state.E_curr[e]
-            trace_J[e][state.n] = state.J_curr[e]
-        if stride > 0 and state.n % stride == 0:
-            snapshots.append(Snapshot(state.n, state.n * dt,
-                                      state.E_curr.copy(),
-                                      state.J_curr.copy()))
+        record(state.n, state.E_curr, state.J_curr)
 
     times = dt * np.arange(n_final + 1)
     return RunResult(state=state, times=times, probe_E=trace_E,

@@ -1,15 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from conftest import edge_average_oracle
 
-from etmfd import analysis
+from etmfd import analysis, cli, mesh as mesh_module
 from etmfd.analysis import (DegenerateFitError, FitNotConvergedError,
                             FitResult, convergence_study,
-                            dispersion_error_metric, exact_E, exact_J,
-                            fit_damped_cosine, j_time_factor,
-                            l2_relative_error, make_exact_solution,
-                            pick_probe_edge, spatial_mode)
+                            dispersion_error_metric, e_time_factor, exact_E,
+                            exact_J, fit_damped_cosine, initial_fields,
+                            j_time_factor, l2_relative_error,
+                            make_exact_solution, mode_dofs, pick_probe_edge,
+                            spatial_mode)
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import assemble_M, optimal_params
 from etmfd.plasma import Medium
@@ -205,11 +208,63 @@ def test_metric_sign_flip_invariance():
 def test_pick_probe_edge_interior_max():
     mesh = build_mesh(16, 16, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    probe = pick_probe_edge(mesh, sol)
-    assert not mesh.boundary_edge_mask[probe]
     dof = interpolate_edge_field(mesh, lambda x, y: spatial_mode(sol, x, y),
                                  "midpoint")
+    probe = pick_probe_edge(mesh, dof)
+    assert not mesh.boundary_edge_mask[probe]
     assert abs(dof[probe]) == pytest.approx(np.abs(dof).max())
+
+
+@pytest.mark.parametrize("kx_pi, ky_pi", [(1, 1), (1, 2), (2, 3)])
+def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
+    mesh = build_mesh(16, 12, 1.0, 0.75, "pec")
+    sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
+    mid, avg = mode_dofs(mesh, sol)
+    # E: the exact field sampled at edge midpoints, to the last bit
+    t = 0.3
+    want = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, t),
+                                  "midpoint")
+    assert np.array_equal(e_time_factor(sol, t) * mid, want)
+    # J: edge averages, against the antiderivative oracle (the midpoint
+    # rule would miss them by O((kh)^2), about 1e-2 here)
+    exact = edge_average_oracle(mesh, sol.kx, sol.ky)
+    assert np.abs(avg - exact).max() < 1e-10 * np.abs(exact).max()
+    E0, E1, J0 = initial_fields(sol, mid, avg, 0.01)
+    assert np.array_equal(E0, mid)
+    assert np.array_equal(E1, e_time_factor(sol, 0.01) * mid)
+    assert np.array_equal(J0, j_time_factor(sol, 0.0) * avg)
+
+
+def _count_interpolations(monkeypatch):
+    """Record the rule of every interpolate_edge_field call in etmfd."""
+    rules = []
+    real = mesh_module.interpolate_edge_field
+
+    def counted(mesh, F, rule="midpoint"):
+        rules.append(rule)
+        return real(mesh, F, rule)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "etmfd"
+                and getattr(module, "interpolate_edge_field", None) is real):
+            monkeypatch.setattr(module, "interpolate_edge_field", counted)
+    return rules
+
+
+def test_two_interpolations_per_convergence_level(monkeypatch):
+    rules = _count_interpolations(monkeypatch)
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    convergence_study([2 ** -3, 2 ** -4], "etmfd", MEDIUM, sol, 0.5, 1.0)
+    assert rules == ["midpoint", 4] * 2
+
+
+def test_two_interpolations_per_simulate(monkeypatch, tmp_path):
+    rules = _count_interpolations(monkeypatch)
+    cfg = tmp_path / "s.json"
+    cfg.write_text('{"nx": 8, "ny": 8, "T": 0.25}')
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path),
+                     "simulate"]) == cli.EXIT_OK
+    assert rules == ["midpoint", 4]
 
 
 def test_convergence_study_validation():

@@ -51,6 +51,9 @@ def test_face_edge_shift_vectors(nx, ny, boundary):
             d = (d + period / 2) % period - period / 2
         return d
 
+    # int32, scipy's CSR index type: the operators' COO indices need no
+    # int64 copies
+    assert m.face_edge_table.dtype == np.int32
     bottom, right, top, left = m.face_edge_table.T
     assert np.allclose(wrapped(mids[top] - mids[bottom] - [0.0, m.dy]), 0.0)
     assert np.allclose(wrapped(mids[left] - mids[right] + [m.dx, 0.0]), 0.0)

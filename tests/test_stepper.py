@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from etmfd import stepper
-from etmfd.analysis import exact_E, exact_J, make_exact_solution
+from etmfd.analysis import (exact_E, initial_fields, make_exact_solution,
+                            mode_dofs)
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import assemble_W, assemble_curl_curl, optimal_params, yee_params
 from etmfd.plasma import Medium, coupling_matrix, exp_operators
@@ -16,10 +17,6 @@ from etmfd.stepper import (SimConfig, SimState, Snapshot,
                            run, save_snapshot, step, step_operators)
 
 MEDIUM = Medium()
-
-
-def _zero(x, y):
-    return 0.0 * x, 0.0 * y
 
 
 def make_config(mesh, nu=0.5, T=1.0, **kw):
@@ -42,9 +39,10 @@ def test_config_validation():
         make_config(mesh, probes=(3.5,))
 
 
-def test_initialize_zero_functions():
+def test_initialize_zero_fields():
     mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
-    st = initialize(make_config(mesh), _zero, _zero, _zero)
+    z = np.zeros(mesh.n_edges)
+    st = initialize(make_config(mesh), z, z, z)
     assert st.n == 1
     for v in (st.E_curr, st.E_prev, st.J_curr, st.J_prev):
         assert np.abs(v).max() == 0.0
@@ -63,13 +61,50 @@ def test_exact_solution_boundary_dof_vanish_unclamped():
 def test_initialize_standing_setup():
     mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-
-    def E0(x, y):
-        return exact_E(sol, x, y, 0.0)
-
-    st = initialize(make_config(mesh), E0, E0, _zero)
+    E0, _ = mode_dofs(mesh, sol)
+    st = initialize(make_config(mesh), E0, E0, np.zeros(mesh.n_edges))
     assert st.n == 1
     assert np.array_equal(st.E_curr, st.E_prev)
+    assert st.E_curr is not st.E_prev
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_initialize_rejects_a_wrong_length(which):
+    mesh = build_mesh(4, 3, 1.0, 1.0, "pec")
+    fields = [np.zeros(mesh.n_edges) for _ in range(3)]
+    fields[which] = np.zeros(mesh.n_edges - 1)
+    with pytest.raises(ValueError, match=f"want \\({mesh.n_edges},\\) each"):
+        initialize(make_config(mesh), *fields)
+
+
+def test_run_leaves_the_callers_arrays_unchanged():
+    # one array as both E0 and E1: without the copy, step would overwrite
+    # it and the two initial buffers would alias
+    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    E0, J0 = mode_dofs(mesh, sol)
+    kept = E0.copy(), J0.copy()
+    run(make_config(mesh, T=0.5), E0, E0, J0)
+    assert np.array_equal(E0, kept[0]) and np.array_equal(J0, kept[1])
+
+
+@pytest.mark.parametrize("n_steps, stride, want", [
+    (5, 1, [0, 1, 2, 3, 4, 5]), (1, 1, [0, 1]), (5, 2, [0, 2, 4]),
+    (4, 3, [0, 3])])
+def test_snapshots_at_every_multiple_of_the_stride(n_steps, stride, want):
+    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    dt = 0.5 * mesh.dx / MEDIUM.c0
+    config = make_config(mesh, T=(n_steps - 0.5) * dt, snapshot_stride=stride)
+    assert config.n_steps == n_steps
+    inits = _exact_initial(mesh, sol, dt)
+    res = run(config, *inits)
+    assert [s.step for s in res.snapshots] == want
+    assert [s.t for s in res.snapshots] == [n * dt for n in want]
+    if stride == 1:  # step 1 holds the initial E^1 and the bootstrapped J^1
+        st = initialize(config, *inits)
+        assert np.array_equal(res.snapshots[1].E, st.E_curr)
+        assert np.array_equal(res.snapshots[1].J, st.J_curr)
 
 
 def test_step_zero_state():
@@ -114,10 +149,8 @@ def test_step_matches_dense_oracle(rng):
     assert np.abs(st.J_curr - J_ref).max() < 1e-13
 
 
-def _exact_initializers(sol, dt):
-    return (lambda x, y: exact_E(sol, x, y, 0.0),
-            lambda x, y: exact_E(sol, x, y, dt),
-            lambda x, y: exact_J(sol, x, y, 0.0))
+def _exact_initial(mesh, sol, dt):
+    return initial_fields(sol, *mode_dofs(mesh, sol), dt)
 
 
 def test_run_shorter_than_one_step():
@@ -125,7 +158,7 @@ def test_run_shorter_than_one_step():
     probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[0])
     config = make_config(mesh, T=1e-4, probes=(probe,))
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    res = run(config, *_exact_initializers(sol, config.dt))
+    res = run(config, *_exact_initial(mesh, sol, config.dt))
     assert res.state.n == 1
     assert len(res.times) == 2
     assert res.probe_E[probe].shape == (2,)
@@ -136,8 +169,8 @@ def test_run_probe_traces_start_with_initial_data():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[7])
     config = make_config(mesh, T=0.5, probes=(probe,))
-    res = run(config, *_exact_initializers(sol, config.dt))
-    st0 = initialize(config, *_exact_initializers(sol, config.dt))
+    res = run(config, *_exact_initial(mesh, sol, config.dt))
+    st0 = initialize(config, *_exact_initial(mesh, sol, config.dt))
     assert res.probe_E[probe][0] == st0.E_prev[probe]
     assert res.probe_E[probe][1] == st0.E_curr[probe]
     assert res.probe_J[probe][0] == st0.J_prev[probe]
@@ -151,7 +184,7 @@ def test_pec_boundary_invariance_long_run():
     nu = 0.5
     T = 10_000 * nu * mesh.dx / MEDIUM.c0  # 10^4 steps
     config = make_config(mesh, nu=nu, T=T)
-    res = run(config, *_exact_initializers(sol, config.dt))
+    res = run(config, *_exact_initial(mesh, sol, config.dt))
     assert res.state.n == 10_000
     b = mesh.boundary_edge_mask
     assert np.abs(res.state.E_curr[b]).max() == 0.0
@@ -165,7 +198,7 @@ def test_instability_detected():
     config = SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(),
                        nu=5.0, T=100.0)
     with pytest.raises(UnstableSimulationError):
-        run(config, *_exact_initializers(sol, config.dt))
+        run(config, *_exact_initial(mesh, sol, config.dt))
 
 
 @pytest.mark.parametrize("dt", [0.1, 0.01])
@@ -177,10 +210,8 @@ def test_ode_limit_exactness(dt):
     u1 = series_exp_oracle(X, dt) @ u0
     config = SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(),
                        nu=dt * MEDIUM.c0 / mesh.dx, T=1.0)
-    res = run(config,
-              lambda x, y: (u0[0] + 0 * x, 0 * y),
-              lambda x, y: (u1[0] + 0 * x, 0 * y),
-              lambda x, y: (u0[1] + 0 * x, 0 * y))
+    # one horizontal and one vertical edge
+    res = run(config, (u0[0], 0.0), (u1[0], 0.0), (u0[1], 0.0))
     ref = series_exp_oracle(X, res.t_final) @ u0
     assert abs(res.state.E_curr[0] - ref[0]) < 1e-12
     assert abs(res.state.J_curr[0] - ref[1]) < 1e-12
@@ -214,7 +245,7 @@ def test_run_keeps_no_view_of_a_reused_buffer():
     dt = 0.5 * mesh.dx / MEDIUM.c0
     config = make_config(mesh, T=11.5 * dt, probes=(probe,),
                          snapshot_stride=3)
-    inits = _exact_initializers(sol, config.dt)
+    inits = _exact_initial(mesh, sol, config.dt)
     ops = exp_operators(MEDIUM, config.dt)
     st = initialize(config, *inits, ops)
     ref = [(st.E_prev, st.J_prev), (st.E_curr, st.J_curr)]
@@ -255,7 +286,7 @@ def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
 
     monkeypatch.setattr(stepper, "_j_update", poisoned)
     with pytest.raises(UnstableSimulationError, match="at step 5 "):
-        run(config, *_exact_initializers(sol, config.dt))
+        run(config, *_exact_initial(mesh, sol, config.dt))
 
 
 # ETMFD at 32^2 PEC, kx = ky = pi: the unstable mode grows from rounding
@@ -266,7 +297,7 @@ def test_blowup_caught_at_first_step_past_the_bound(nu, n_fail, monkeypatch):
     mesh = build_mesh(32, 32, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, nu=nu, T=8.0)
-    inits = _exact_initializers(sol, config.dt)
+    inits = _exact_initial(mesh, sol, config.dt)
     st0 = initialize(config, *inits)
     bound = 1e12 * (1.0 + max(np.abs(st0.E_curr).max(),
                               np.abs(st0.J_curr).max()))
@@ -300,7 +331,7 @@ def test_alpha3_guard_fires_before_the_first_step(monkeypatch):
     calls = []
     monkeypatch.setattr(stepper, "step", lambda *args: calls.append(args))
     with pytest.raises(ZeroDivisionError, match="alpha3 vanished"):
-        run(config, *_exact_initializers(sol, config.dt))
+        run(config, *_exact_initial(mesh, sol, config.dt))
     assert calls == []
 
 
@@ -329,17 +360,11 @@ def test_hybrid_equivalent_to_second_order_form():
 
     kx = ky = 2 * np.pi  # periodic-compatible standing data
 
-    def E_at(t):
-        def f(x, y):
-            return (np.cos(kx * x) * np.sin(ky * y) * math.cos(2.0 * t),
-                    np.sin(kx * x) * np.cos(ky * y) * math.cos(2.0 * t))
-        return f
-
-    def J0(x, y):
-        return (0.3 * np.cos(kx * x) * np.sin(ky * y),
-                0.3 * np.sin(kx * x) * np.cos(ky * y))
-
-    st_h = initialize(config, E_at(0.0), E_at(config.dt), J0, ops)
+    mode = interpolate_edge_field(
+        mesh, lambda x, y: (np.cos(kx * x) * np.sin(ky * y),
+                            np.sin(kx * x) * np.cos(ky * y)))
+    st_h = initialize(config, mode, math.cos(2.0 * config.dt) * mode,
+                      0.3 * mode, ops)
     st_s = SimState(st_h.E_curr.copy(), st_h.E_prev.copy(),
                     st_h.J_curr.copy(), st_h.J_prev.copy(), st_h.n)
     scale = np.abs(st_h.E_curr).max()
@@ -353,7 +378,7 @@ def test_snapshot_roundtrip(tmp_path):
     mesh = build_mesh(6, 5, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.5, snapshot_stride=2)
-    res = run(config, *_exact_initializers(sol, config.dt))
+    res = run(config, *_exact_initial(mesh, sol, config.dt))
     assert len(res.snapshots) >= 2
     snap = res.snapshots[-1]
     prefix = str(tmp_path / "snap")
