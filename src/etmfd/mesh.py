@@ -15,6 +15,8 @@ with i = 0), so both orientations count nx*ny edges.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 BOUNDARY_MODES = ("pec", "periodic")
@@ -27,8 +29,8 @@ class RectMesh:
                  boundary: str = "pec"):
         if nx < 1 or ny < 1 or nx % 1 or ny % 1:
             raise ValueError(f"cell counts must be integers >= 1, got nx={nx}, ny={ny}")
-        if Lx <= 0 or Ly <= 0:
-            raise ValueError(f"domain extents must be > 0, got Lx={Lx}, Ly={Ly}")
+        if not (0 < Lx < np.inf and 0 < Ly < np.inf):  # NaN fails too
+            raise ValueError(f"domain extents must be finite and > 0, got Lx={Lx}, Ly={Ly}")
         if boundary not in BOUNDARY_MODES:
             raise ValueError(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
         self.nx = int(nx)
@@ -50,7 +52,6 @@ class RectMesh:
         self.n_faces = self.nx * self.ny
 
         self._face_edges = self._build_face_edges()
-        self._midpoints = self._build_midpoints()
         self._boundary_mask = self._build_boundary_mask()
 
     # ---- indexing ---------------------------------------------------------
@@ -84,7 +85,9 @@ class RectMesh:
 
     # ---- geometry ---------------------------------------------------------
 
-    def _build_midpoints(self) -> np.ndarray:
+    @functools.cached_property
+    def edge_midpoints(self) -> np.ndarray:
+        """(n_edges, 2) edge midpoints, built on first use."""
         mids = np.empty((self.n_edges, 2))
         # enumerate each edge's (i, j) and place it with the index maps
         j, i = np.divmod(np.arange(self.n_hedges), self.nx)
@@ -94,10 +97,6 @@ class RectMesh:
         mids[self.vedge_index(i, j)] = np.stack(
             [i * self.dx, (j + 0.5) * self.dy], axis=1)
         return mids
-
-    @property
-    def edge_midpoints(self) -> np.ndarray:
-        return self._midpoints
 
     # ---- boundary ---------------------------------------------------------
 
@@ -130,21 +129,28 @@ def build_mesh(nx: int, ny: int, Lx: float, Ly: float,
 def interpolate_edge_field(mesh: RectMesh, F, rule="midpoint") -> np.ndarray:
     """Edge DoF of a vector field F: average tangential component per edge.
 
-    F must be vectorized: F(x, y) -> (fx, fy) for ndarray x, y.  With
+    F must broadcast: F(x, y) -> (fx, fy) is called with a row of abscissae
+    x and a column of ordinates y, the edge lines and quadrature nodes, so
+    its work grows with the lines of the mesh, not its edges.  With
     rule="midpoint" each DoF is the tangential component at the edge
     midpoint; an integer rule n uses n-point Gauss-Legendre along the edge.
     """
-    mids = mesh.edge_midpoints
     nh = mesh.n_hedges
     out = np.zeros(mesh.n_edges)
+    # horizontal edge (i, j) at j*nx + i, vertical at j*cols + i: two grids
+    out_h, out_v = out[:nh].reshape(-1, mesh.nx), out[nh:].reshape(mesh.ny, -1)
+    x_lines = np.arange(out_v.shape[1]) * mesh.dx  # a row
+    y_lines = np.arange(out_h.shape[0])[:, None] * mesh.dy  # a column
+    x_mids = (np.arange(mesh.nx) + 0.5) * mesh.dx
+    y_mids = (np.arange(mesh.ny)[:, None] + 0.5) * mesh.dy
     # the midpoint rule is the one-point Gauss rule; nodes on [-1, 1],
     # weights normalized to sum to 1 (averaging rule)
     n = 1 if rule == "midpoint" else int(rule)
     nodes, weights = np.polynomial.legendre.leggauss(n)
     weights = weights / 2.0
     for xi, wi in zip(nodes, weights):
-        fx, _ = F(mids[:nh, 0] + 0.5 * mesh.dx * xi, mids[:nh, 1])
-        _, fy = F(mids[nh:, 0], mids[nh:, 1] + 0.5 * mesh.dy * xi)
-        out[:nh] += wi * fx
-        out[nh:] += wi * fy
+        fx, _ = F(x_mids + 0.5 * mesh.dx * xi, y_lines)
+        _, fy = F(x_lines, y_mids + 0.5 * mesh.dy * xi)
+        out_h += wi * fx
+        out_v += wi * fy
     return out

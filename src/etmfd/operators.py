@@ -3,9 +3,10 @@
 The family is parameterized by three dimensionless weights (w1, w2, w3)
 entering the local approximate inverse mass matrix W.  Yee staggering is
 the member (1/4, 0, 1/4); the dispersion-optimal member ties the weights
-to the Courant number and cell aspect ratio.  Global operators are
-assembled additively from one identical local block per face; boundary
-edge rows/columns are zeroed in PEC mode so constrained DoF stay zero.
+to the Courant number and cell aspect ratio.  The mass matrix sums one
+identical local block per face; the step operators are written from a
+template of a few cells, whose rows every uniform mesh repeats, shifted.
+PEC boundary edges carry no DoF in the step, so they stay zero.
 """
 
 from __future__ import annotations
@@ -111,53 +112,90 @@ def _assemble_local_blocks(mesh: RectMesh, block: np.ndarray) -> sp.csr_matrix:
     return op.tocsr()
 
 
-def _apply_pec(op: sp.csr_matrix, mesh: RectMesh, rows=True) -> sp.csr_matrix:
-    # zero the stored entries of boundary-edge columns (and rows), then
-    # drop every stored zero; the copies release the unpruned buffers
-    b = mesh.boundary_edge_mask
-    drop = b[op.indices]
-    if rows:
-        drop |= np.repeat(b, np.diff(op.indptr))
-    op.data[drop] = 0.0
-    op.eliminate_zeros()
-    return sp.csr_matrix((op.data.copy(), op.indices.copy(), op.indptr),
-                         shape=op.shape)
+# A row of G reaches the faces within two cells of its edge, so on a
+# uniform mesh it is a row of G on a template of at most TEMPLATE cells a
+# side, shifted by whole cells: edges within HALO cells of a wall keep
+# their place, all others (any edge of a wider torus) take a central row
+TEMPLATE, HALO = 4, 2
 
 
-def assemble_curl(mesh: RectMesh) -> sp.csr_matrix:
-    """Global discrete curl: edge DoF -> face DoF (cell-average curl)."""
-    c = local_curl(mesh.dx, mesh.dy)
-    fe = mesh.face_edge_table
-    rows = np.repeat(np.arange(mesh.n_faces, dtype=fe.dtype), 4)
-    cols = fe.ravel()
-    vals = np.tile(c, mesh.n_faces)
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(mesh.n_faces, mesh.n_edges)).tocsr()
-
-
-def assemble_curl_curl(mesh: RectMesh) -> sp.csr_matrix:
-    """Global curl-curl operator curl^T M_F curl with M_F = |f| per face.
-
-    Symmetric positive semidefinite; PEC boundary rows/columns zeroed.
-    """
-    c = local_curl(mesh.dx, mesh.dy)
-    block = np.outer(c, c) * (mesh.dx * mesh.dy)
-    return _apply_pec(_assemble_local_blocks(mesh, block), mesh)
-
-
-def assemble_W(mesh: RectMesh, params: MfdParams) -> sp.csr_matrix:
-    """Global W assembled from local blocks; PEC rows/columns zeroed."""
-    block = local_W(params, mesh.dx, mesh.dy)
-    return _apply_pec(_assemble_local_blocks(mesh, block), mesh)
+def _template_G(mesh: RectMesh, params: MfdParams) -> tuple:
+    """The template mesh and its G = W C^T diag(|f|) as CSR pieces
+    (indptr, data, face column, face row).  An entry sums its face's edge
+    terms in ascending edge order, as the product W @ C^T does: the same
+    bits, unless a periodic wrap reorders the face's edges."""
+    t = RectMesh(min(mesh.nx, TEMPLATE), min(mesh.ny, TEMPLATE), 1.0, 1.0,
+                 mesh.boundary)  # topology only: values use mesh.dx, dy
+    fe, b, faces = t.face_edge_table, t.boundary_edge_mask, np.arange(t.n_faces)
+    W, C = np.zeros((t.n_edges, t.n_edges)), np.zeros((t.n_faces, t.n_edges))
+    np.add.at(W, (fe[:, :, None], fe[:, None, :]),
+              local_W(params, mesh.dx, mesh.dy))
+    # a one-cell-wide periodic face holds an edge twice: the terms cancel
+    np.add.at(C, (faces[:, None], fe), local_curl(mesh.dx, mesh.dy))
+    W[b], C[:, b] = 0.0, 0.0
+    K = np.sort(fe, axis=1)
+    terms = W[:, K] * C[faces[:, None], K]
+    G = (((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
+         ) * (mesh.dx * mesh.dy)
+    r, f = np.nonzero(G)
+    fj, fi = np.divmod(f.astype(np.int32), t.nx)
+    return t, np.searchsorted(r, np.arange(t.n_edges + 1)), G[r, f], fi, fj
 
 
 def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
-    """(C, G) with G @ C == W @ A: C is the curl with PEC columns zeroed,
-    G = W C^T diag(|f|); the PEC W is dropped once G exists."""
-    C = _apply_pec(assemble_curl(mesh), mesh, rows=False)
-    G = assemble_W(mesh, params) @ C.T
-    G.data *= mesh.dx * mesh.dy  # diag(|f|) of the uniform mesh
-    G.sort_indices()
+    """(C, G) with G @ C == W @ A: C is the curl with the PEC columns
+    dropped and G = W C^T diag(|f|) with the PEC rows dropped, both CSR
+    with sorted int32 indices, written from stencils without a product."""
+    nx, ny, periodic = mesh.nx, mesh.ny, mesh.boundary == "periodic"
+    # C: each face's edges in ascending order [bottom, top, left, right]
+    fe = mesh.face_edge_table[:, [0, 2, 3, 1]]
+    keep = ~mesh.boundary_edge_mask[fe]
+    c = np.broadcast_to(local_curl(mesh.dx, mesh.dy)[[0, 2, 3, 1]], fe.shape)
+    C = sp.csr_matrix((c[keep], fe[keep], np.r_[0, np.cumsum(keep.sum(1))]),
+                      shape=(mesh.n_faces, mesh.n_edges))
+
+    # G: edge (i, j) takes the row of template edge (i - si, j - sj), with
+    # its face columns shifted by (si, sj)
+    t, tptr, tdata, tfi, tfj = _template_G(mesh, params)
+
+    def shift(k, n, tn):  # cell or line indices k, axis of n (tn) cells
+        return (k - HALO if periodic and n > tn
+                else np.minimum(np.maximum(k - HALO, 0), n - tn))
+
+    nh = mesh.n_hedges
+    jh, ih = np.divmod(np.arange(nh, dtype=np.int32), nx)
+    jv, iv = np.divmod(np.arange(mesh.n_vedges, dtype=np.int32),
+                       mesh.n_vedges // ny)
+    i, j = np.concatenate([ih, iv]), np.concatenate([jh, jv])
+    si, sj = shift(i, nx, t.nx), shift(j, ny, t.ny)
+    ti, tj = i - si, j - sj
+    row = np.concatenate([t.hedge_index(ti[:nh], tj[:nh]),
+                          t.vedge_index(ti[nh:], tj[nh:])])
+    lengths = np.diff(tptr)[row]
+    indptr = np.r_[0, np.cumsum(lengths)]
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+    tflat, sflat = tfj * nx + tfi, sj * nx + si
+    # entry p of edge e's row is the template's entry tptr[row[e]] + p -
+    # indptr[e]; blocks of 2^16 edges bound the intp temporaries
+    offset, block = tptr[row] - indptr[:-1], 1 << 16
+    for a in range(0, mesh.n_edges, block):
+        e, n = slice(a, a + block), lengths[a:a + block]
+        lo, hi = indptr[a], indptr[min(a + block, mesh.n_edges)]
+        q = np.repeat(offset[e], n) + np.arange(lo, hi)
+        # q is in range: mode "clip" only skips take's output buffer
+        tdata.take(q, out=data[lo:hi], mode="clip")
+        if periodic:  # wrap the face column and row apart
+            fi = (tfi.take(q) + np.repeat(si[e], n)) % nx
+            fj = (tfj.take(q) + np.repeat(sj[e], n)) % ny
+            np.add(fj * nx, fi, out=indices[lo:hi])
+        else:
+            np.add(tflat.take(q), np.repeat(sflat[e], n), out=indices[lo:hi])
+    G = sp.csr_matrix((data, indices, indptr),
+                      shape=(mesh.n_edges, mesh.n_faces))
+    if periodic:  # wrapped rows are out of order; one-cell edges repeat
+        for op in (C, G):
+            op.sum_duplicates()
+            op.eliminate_zeros()
     return C, G
 
 

@@ -36,10 +36,10 @@ class SimConfig:
     snapshot_stride: int = 0
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError(f"Courant number must be > 0, got {self.nu}")
-        if self.T <= 0:
-            raise ValueError(f"final time must be > 0, got {self.T}")
+        if not 0 < self.nu < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"Courant number must be finite and > 0, got {self.nu}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"final time must be finite and > 0, got {self.T}")
         stride = self.snapshot_stride
         if not isinstance(stride, (int, np.integer)) or stride < 0:
             raise ValueError(f"snapshot_stride {stride!r} is not an int >= 0")

@@ -57,6 +57,14 @@ def test_converge_empty_h_list(tmp_path, capsys):
     assert main(["--config", cfg, "converge"]) == EXIT_VALIDATION
 
 
+def test_converge_infinite_T_is_invalid_input(tmp_path, capsys):
+    # json reads Infinity: refused as input, not a crash in the step count
+    cfg = write_config(tmp_path, "c.json", {"log2_h": [-3], "T": float("inf")})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "converge"]) == EXIT_VALIDATION
+    assert "final time must be finite" in capsys.readouterr().err
+
+
 def test_converge_unknown_key(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"not_a_key": 1})
     assert main(["--config", cfg, "converge"]) == EXIT_VALIDATION
@@ -200,6 +208,10 @@ def test_exit_code_table(exc_type, code, monkeypatch, capsys):
                  id="stride-float"),
     pytest.param({"nx": "16"}, "not supported", id="nx-string"),
     pytest.param({"nx": 8.7}, "must be integers", id="nx-float"),
+    pytest.param({"T": float("inf")}, "final time must be finite",
+                 id="T-inf"),
+    pytest.param({"Lx": float("inf")}, "domain extents must be finite",
+                 id="Lx-inf"),
 ])
 def test_malformed_simulate_config_is_invalid_input(entries, message,
                                                     tmp_path, capsys):

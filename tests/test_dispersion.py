@@ -11,10 +11,11 @@ from etmfd.dispersion import (P1, WaveVec, anisotropy_sweep,
                               s_matrix, spatial_symbol, spatial_symbol_bloch,
                               symbol_error_slope, temporal_symbol)
 from etmfd.mesh import build_mesh
-from etmfd.operators import (MfdParams, assemble_W, assemble_curl_curl,
-                             local_W, local_curl, optimal_params, yee_params)
+from etmfd.operators import (MfdParams, local_W, local_curl, optimal_params,
+                             yee_params)
 from etmfd.plasma import Medium, coupling_matrix
-from etmfd.selftest import quad_integral_exp, series_exp_oracle
+from etmfd.selftest import (assemble_W, assemble_curl_curl, quad_integral_exp,
+                            series_exp_oracle)
 
 from conftest import bloch_edge_field
 

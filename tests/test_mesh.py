@@ -79,7 +79,9 @@ def test_gamma_and_sizes():
 
 
 @pytest.mark.parametrize("bad", [(0, 1, 1.0, 1.0), (1, -2, 1.0, 1.0),
-                                 (1, 1, 0.0, 1.0), (1, 1, 1.0, -3.0)])
+                                 (1, 1, 0.0, 1.0), (1, 1, 1.0, -3.0),
+                                 (1, 1, np.inf, 1.0), (1, 1, 1.0, -np.inf),
+                                 (1, 1, np.nan, 1.0), (1, 1, 1.0, np.nan)])
 def test_rejects_bad_dimensions(bad):
     with pytest.raises(ValueError):
         build_mesh(*bad)
@@ -143,6 +145,38 @@ def test_interpolation_linearity(rng):
         rhs = (a * interpolate_edge_field(m, F, rule)
                + b * interpolate_edge_field(m, G, rule))
         assert np.abs(lhs - rhs).max() < 1e-14 * max(1.0, np.abs(rhs).max())
+
+
+def _midpoint_table_interpolation(m, F, rule):
+    # per-edge reference: both components at every edge's quadrature nodes
+    mids, nh = m.edge_midpoints, m.n_hedges
+    out = np.zeros(m.n_edges)
+    n = 1 if rule == "midpoint" else rule
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    for xi, wi in zip(nodes, weights / 2.0):
+        fx, _ = F(mids[:nh, 0] + 0.5 * m.dx * xi, mids[:nh, 1])
+        _, fy = F(mids[nh:, 0], mids[nh:, 1] + 0.5 * m.dy * xi)
+        out[:nh] += wi * fx
+        out[nh:] += wi * fy
+    return out
+
+
+@pytest.mark.parametrize("boundary", ["pec", "periodic"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 3), (4, 1), (5, 3), (16, 16)])
+def test_interpolation_evaluates_on_edge_lines(nx, ny, boundary):
+    m = build_mesh(nx, ny, 1.0, 0.8, boundary)
+    sizes = []
+
+    def F(x, y):
+        sizes.extend([np.size(x), np.size(y)])
+        return (-2 * np.cos(np.pi * x) * np.sin(2 * np.pi * y) + 0.3 * y,
+                np.sin(np.pi * x) * np.cos(2 * np.pi * y) - x)
+
+    for rule in ("midpoint", 4):
+        sizes.clear()
+        dof = interpolate_edge_field(m, F, rule)
+        assert max(sizes) <= max(nx, ny) + 1  # lines, not edges
+        assert np.array_equal(dof, _midpoint_table_interpolation(m, F, rule))
 
 
 def test_face_constant():

@@ -3,11 +3,11 @@ import pytest
 
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import (MfdParams, SingularLocalWError, assemble_M,
-                             assemble_W, assemble_curl, assemble_curl_curl,
                              assemble_step_operators,
                              local_M, local_W, local_curl, optimal_local_W,
                              optimal_params, params_for_scheme, yee_params)
-from etmfd.selftest import dense_operators
+from etmfd.selftest import (apply_pec, assemble_W, assemble_curl,
+                            assemble_curl_curl, dense_operators)
 
 from conftest import interpolate_face_field
 
@@ -256,3 +256,33 @@ def test_step_operators_factor_W_times_curl_curl(shape):
     assert G.has_sorted_indices
     if m.boundary == "pec":  # PEC columns of C are zeroed
         assert np.abs(C.toarray()[:, m.boundary_edge_mask]).max() == 0.0
+
+
+# ---- stencil-built step operators vs the product-built oracle -----------------
+
+@pytest.mark.parametrize("boundary", ["pec", "periodic"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (3, 4), (7, 7),
+                                    (8, 9), (13, 11), (64, 64), (256, 256)])
+def test_step_operators_match_the_product_oracle(nx, ny, boundary):
+    # 256^2 spans more than one block of rows
+    m = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    C_ref = apply_pec(assemble_curl(m), m, rows=False)
+    for p in (optimal_params(0.5, m.gamma), yee_params(),
+              MfdParams(0.4, 0.1, 0.2)):
+        G_ref = assemble_W(m, p) @ C_ref.T
+        G_ref.data *= m.dx * m.dy
+        G_ref.sort_indices()
+        for op, ref in zip(assemble_step_operators(m, p), (C_ref, G_ref)):
+            assert op.indices.dtype == op.indptr.dtype == np.int32
+            assert op.has_sorted_indices
+            assert np.array_equal(op.indptr, ref.indptr)
+            assert np.array_equal(op.indices, ref.indices)
+            if boundary == "pec":  # same sums in the same order
+                assert np.array_equal(op.data, ref.data)
+            elif ref.nnz:  # a wrap may reorder a face's edge terms
+                scale = np.abs(ref.data).max()
+                assert np.abs(op.data - ref.data).max() <= 1e-15 * scale
+    if boundary == "pec" or min(nx, ny) > 1:
+        # Yee's G keeps only the two faces of every interior edge
+        G = assemble_step_operators(m, yee_params())[1]
+        assert (np.diff(G.indptr)[~m.boundary_edge_mask] == 2).all()

@@ -9,9 +9,10 @@ from etmfd import stepper
 from etmfd.analysis import (exact_E, initial_fields, make_exact_solution,
                             mode_dofs)
 from etmfd.mesh import build_mesh, interpolate_edge_field
-from etmfd.operators import assemble_W, assemble_curl_curl, optimal_params, yee_params
+from etmfd.operators import optimal_params, yee_params
 from etmfd.plasma import Medium, coupling_matrix, exp_operators
-from etmfd.selftest import dense_step, series_exp_oracle
+from etmfd.selftest import (assemble_W, assemble_curl_curl, dense_step,
+                            series_exp_oracle)
 from etmfd.stepper import (SimConfig, SimState, Snapshot,
                            UnstableSimulationError, initialize, load_snapshot,
                            run, save_snapshot, step, step_operators)
@@ -37,6 +38,14 @@ def test_config_validation():
         make_config(mesh, probes=(10 ** 6,))
     with pytest.raises(ValueError, match="not an integer"):
         make_config(mesh, probes=(3.5,))
+
+
+@pytest.mark.parametrize("field", ["nu", "T"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite(field, value):
+    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    with pytest.raises(ValueError, match=f"finite and > 0, got {value}"):
+        dataclasses.replace(make_config(mesh), **{field: value})
 
 
 def test_initialize_zero_fields():
