@@ -7,7 +7,7 @@ convergence toolkit used to verify the accuracy claims.
 """
 
 from .mesh import RectMesh, build_mesh, interpolate_edge_field
-from .operators import (MfdParams, SingularLocalWError, assemble_M,
+from .operators import (MfdParams, SingularLocalWError,
                         assemble_step_operators, local_M, local_W, local_curl,
                         optimal_local_W, optimal_params, params_for_scheme,
                         yee_params)

@@ -91,9 +91,7 @@ def medium_from_config(cfg: dict) -> Medium:
     unknown = set(block) - MEDIUM_KEYS
     if unknown:
         raise CliError(f"unknown medium keys: {sorted(unknown)}")
-    return Medium(eps0=block.get("eps0", 1.0), c0=block.get("c0", 1.0),
-                  omega_i=block.get("omega_i", 1.0),
-                  omega_p=block.get("omega_p", 1.0))
+    return Medium(**block)  # a key left out takes Medium's default
 
 
 def _fmt6(x: float) -> str:
@@ -134,8 +132,9 @@ def cmd_params(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = load_config(args.config, "converge")
-    if not cfg["log2_h"]:
-        raise CliError("log2_h list must not be empty")
+    for key in ("log2_h", "schemes"):
+        if not cfg[key]:
+            raise CliError(f"{key} list must not be empty")
     medium = medium_from_config(cfg)
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)
@@ -162,15 +161,25 @@ def cmd_converge(args) -> int:
 
 def cmd_anisotropy(args) -> int:
     cfg = load_config(args.config, "anisotropy")
-    if not cfg["ppw"]:
-        raise CliError("ppw list must not be empty")
+    for key in ("ppw", "gammas", "schemes"):
+        if not cfg[key]:
+            raise CliError(f"{key} list must not be empty")
+    n_theta = cfg["n_theta"]
+    if n_theta < 1 or n_theta % 1:  # NaN and inf leave a NaN remainder
+        raise CliError(f"n_theta must be an integer >= 1, got {n_theta!r}")
+    k, ppw, gammas = float(cfg["k"]), cfg["ppw"], cfg["gammas"]
+    # the sweep checks them too, but meets a later gamma after files exist
+    if not all(0 < v < math.inf for v in (k, *ppw, *gammas)):
+        raise CliError(f"k, ppw and gammas must be finite and > 0, got "
+                       f"k={k}, ppw={ppw}, gammas={gammas}")
     medium = medium_from_config(cfg)
-    theta = np.linspace(0.0, 2.0 * np.pi, int(cfg["n_theta"]),
-                        endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, int(n_theta), endpoint=False)
     header = ["theta", "k", "ppw", "scheme", "abs_err", "re_err", "im_err"]
     base = output_path(args, cfg)
-    k = float(cfg["k"])
-    for gamma in cfg["gammas"]:
+    h_ref = None
+    if cfg["fixed_cell_area"]:
+        h_ref = 2.0 * np.pi / (k * ppw[0])
+    for gamma in gammas:
         if cfg["nu_rule"] == "gamma_cubed":
             nu = cfg["nu"] * min(gamma ** 3, 1.0)
         elif cfg["nu_rule"] == "fixed":
@@ -179,13 +188,10 @@ def cmd_anisotropy(args) -> int:
             raise CliError(f"unknown nu_rule {cfg['nu_rule']!r}")
         schemes = [(s, params_for_scheme(s, nu, gamma))
                    for s in cfg["schemes"]]
-        h_ref = None
-        if cfg["fixed_cell_area"]:
-            h_ref = 2.0 * np.pi / (k * cfg["ppw"][0])
-        rows = dispersion.anisotropy_sweep(theta, k, cfg["ppw"], nu, gamma,
-                                           medium, schemes, h_ref=h_ref)
+        rows = dispersion.anisotropy_sweep(theta, k, ppw, nu, gamma, medium,
+                                           schemes, h_ref=h_ref)
         out = base
-        if len(cfg["gammas"]) > 1:
+        if len(gammas) > 1:
             stem, ext = os.path.splitext(base)
             out = f"{stem}_gamma{gamma:g}{ext}"
         write_csv(out, header, rows)

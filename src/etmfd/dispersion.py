@@ -130,6 +130,8 @@ def continuous_cubic_coeffs(k: float, medium: Medium) -> np.ndarray:
 
 def continuous_roots(k: float, medium: Medium) -> np.ndarray:
     """Three complex roots of the continuous dispersion cubic."""
+    if not np.isfinite(k):
+        raise ValueError(f"wave number must be finite, got {k}")
     coeffs = continuous_cubic_coeffs(k, medium)
     roots = np.roots(coeffs)
     scale = max(np.abs(roots).max(), 1.0)
@@ -197,6 +199,9 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
     ratios); dt = nu*h/c0.  schemes is an iterable of (label, MfdParams).
     Returns rows (theta, k, ppw, scheme, abs_err, re_err, im_err).
     """
+    if not all(0 < v < np.inf for v in (k, gamma, *ppw_list)):  # NaN fails
+        raise ValueError(f"k, gamma and ppw must be finite and > 0, got "
+                         f"k={k}, gamma={gamma}, ppw={list(ppw_list)}")
     omega = oscillatory_root(k, medium)
     rows = []
     for ppw in ppw_list:

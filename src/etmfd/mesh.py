@@ -15,8 +15,6 @@ with i = 0), so both orientations count nx*ny edges.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 BOUNDARY_MODES = ("pec", "periodic")
@@ -51,8 +49,10 @@ class RectMesh:
         self.n_edges = self.n_hedges + self.n_vedges
         self.n_faces = self.nx * self.ny
 
-        self._face_edges = self._build_face_edges()
-        self._boundary_mask = self._build_boundary_mask()
+        # (n_faces, 4) edge indices, columns [bottom, right, top, left]
+        self.face_edge_table = self._build_face_edges()
+        # True for edges on the domain boundary (none if periodic)
+        self.boundary_edge_mask = self._build_boundary_mask()
 
     # ---- indexing ---------------------------------------------------------
     # the only encoding of the edge numbering; ints or integer arrays alike
@@ -70,11 +70,6 @@ class RectMesh:
             return self.n_hedges + j * self.nx + i
         return self.n_hedges + j * (self.nx + 1) + i
 
-    @property
-    def face_edge_table(self) -> np.ndarray:
-        """(n_faces, 4) edge indices, columns [bottom, right, top, left]."""
-        return self._face_edges
-
     def _build_face_edges(self) -> np.ndarray:
         # face f = j*nx + i is cell (i, j); int32 is scipy's CSR index type,
         # so the operators' COO indices need no int64 copies
@@ -85,18 +80,15 @@ class RectMesh:
 
     # ---- geometry ---------------------------------------------------------
 
-    @functools.cached_property
-    def edge_midpoints(self) -> np.ndarray:
-        """(n_edges, 2) edge midpoints, built on first use."""
-        mids = np.empty((self.n_edges, 2))
-        # enumerate each edge's (i, j) and place it with the index maps
-        j, i = np.divmod(np.arange(self.n_hedges), self.nx)
-        mids[self.hedge_index(i, j)] = np.stack(
-            [(i + 0.5) * self.dx, j * self.dy], axis=1)
-        j, i = np.divmod(np.arange(self.n_vedges), self.n_vedges // self.ny)
-        mids[self.vedge_index(i, j)] = np.stack(
-            [i * self.dx, (j + 0.5) * self.dy], axis=1)
-        return mids
+    def edge_midpoint(self, e):
+        """(x, y) of the midpoint of edge e, ints or integer arrays alike:
+        the inverse of hedge_index and vedge_index."""
+        e = np.asarray(e)
+        jh, ih = np.divmod(e, self.nx)
+        jv, iv = np.divmod(e - self.n_hedges, self.n_vedges // self.ny)
+        h = e < self.n_hedges
+        return (np.where(h, (ih + 0.5) * self.dx, iv * self.dx),
+                np.where(h, jh * self.dy, (jv + 0.5) * self.dy))
 
     # ---- boundary ---------------------------------------------------------
 
@@ -109,11 +101,6 @@ class RectMesh:
             mask[self.vedge_index(0, j)] = True
             mask[self.vedge_index(self.nx, j)] = True
         return mask
-
-    @property
-    def boundary_edge_mask(self) -> np.ndarray:
-        """True for edges lying on the domain boundary (empty if periodic)."""
-        return self._boundary_mask
 
     def __repr__(self):
         return (f"RectMesh(nx={self.nx}, ny={self.ny}, Lx={self.Lx}, "

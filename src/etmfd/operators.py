@@ -3,9 +3,10 @@
 The family is parameterized by three dimensionless weights (w1, w2, w3)
 entering the local approximate inverse mass matrix W.  Yee staggering is
 the member (1/4, 0, 1/4); the dispersion-optimal member ties the weights
-to the Courant number and cell aspect ratio.  The mass matrix sums one
-identical local block per face; the step operators are written from a
-template of a few cells, whose rows every uniform mesh repeats, shifted.
+to the Courant number and cell aspect ratio.  The step operators are
+written from a template of a few cells, whose rows every uniform mesh
+repeats, shifted; the mass matrix enters only the error norm, face by
+face, as its local block.
 PEC boundary edges carry no DoF in the step, so they stay zero.
 """
 
@@ -42,10 +43,10 @@ def optimal_params(nu: float, gamma: float) -> MfdParams:
     w1, w3 are chosen to remove the propagation-angle dependence:
     w1 = w2/gamma + 1/3, w3 = w2*gamma + 1/3.
     """
-    if nu < 0:
-        raise ValueError(f"Courant number must be >= 0, got {nu}")
-    if gamma <= 0:
-        raise ValueError(f"aspect ratio must be > 0, got {gamma}")
+    if not 0 <= nu < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"Courant number must be finite and >= 0, got {nu}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"aspect ratio must be finite and > 0, got {gamma}")
     w2 = -nu * nu / (12.0 * gamma) + 0.0  # avoid negative zero at nu = 0
     w1 = (3.0 * w2 / gamma + 1.0) / 3.0
     w3 = (3.0 * w2 * gamma + 1.0) / 3.0
@@ -99,17 +100,6 @@ def local_M(params: MfdParams, dx: float, dy: float) -> np.ndarray:
             f"local W is singular for params {params} (min singular value "
             f"{sig[-1]:.3e} vs scale {scale:.3e})")
     return np.linalg.inv(W)
-
-
-def _assemble_local_blocks(mesh: RectMesh, block: np.ndarray) -> sp.csr_matrix:
-    # mesh is uniform: every face carries the same 4x4 block
-    fe = mesh.face_edge_table
-    rows = np.repeat(fe, 4, axis=1).ravel()
-    cols = np.tile(fe, (1, 4)).ravel()
-    vals = np.tile(block.ravel(), mesh.n_faces)
-    op = sp.coo_matrix((vals, (rows, cols)),
-                       shape=(mesh.n_edges, mesh.n_edges))
-    return op.tocsr()
 
 
 # A row of G reaches the faces within two cells of its edge, so on a
@@ -199,14 +189,6 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
     return C, G
 
 
-def assemble_M(mesh: RectMesh, params: MfdParams) -> sp.csr_matrix:
-    """Global mass matrix for norms, assembled from local_M blocks.
-
-    Not PEC-constrained: it is a norm, not an evolution operator.
-    """
-    return _assemble_local_blocks(mesh, local_M(params, mesh.dx, mesh.dy))
-
-
 def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:
     """Resolve a scheme label to MFD weights.
 
@@ -214,8 +196,8 @@ def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:
     is the Yee member (weights independent of nu, gamma).
     """
     key = scheme.lower()
-    if key in ("etmfd", "optimal"):
+    if key == "etmfd":
         return optimal_params(nu, gamma)
-    if key in ("et-yee", "yee"):
+    if key == "et-yee":
         return yee_params()
     raise ValueError(f"unknown scheme {scheme!r}; expected 'etmfd' or 'et-yee'")

@@ -29,12 +29,13 @@ class Medium:
     omega_p: float = 1.0
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.c0 <= 0 or self.omega_p <= 0:
+        positive = (self.eps0, self.c0, self.omega_p)
+        if not all(0 < v < math.inf for v in positive):  # NaN fails both
             raise ValueError(
-                f"eps0, c0, omega_p must be > 0, got ({self.eps0}, "
-                f"{self.c0}, {self.omega_p})")
-        if self.omega_i < 0:
-            raise ValueError(f"omega_i must be >= 0, got {self.omega_i}")
+                f"eps0, c0, omega_p must be finite and > 0, got {positive}")
+        if not 0 <= self.omega_i < math.inf:
+            raise ValueError(
+                f"omega_i must be finite and >= 0, got {self.omega_i}")
         if self.omega_i ** 2 >= 4.0 * self.omega_p ** 2:
             raise RegimeError(
                 f"underdamped regime requires omega_i^2 < 4*omega_p^2; "
@@ -85,8 +86,8 @@ def coupling_matrix(medium: Medium) -> np.ndarray:
 
 def exp_operators(medium: Medium, dt: float) -> ExpOperators:
     """Closed-form exp(X*dt) and its integral for an underdamped medium."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     a, b = medium.alpha, medium.beta
     eps0 = medium.eps0
     e = math.exp(a * dt)

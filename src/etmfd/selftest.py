@@ -1,8 +1,9 @@
 """Independent oracles and the checks built on them.
 
 Each oracle recomputes a core quantity through a route the production
-code does not take: plain-loop dense assembly, COO assembly (whose
-product W C^T the stencil-built step operators must equal), a scaled
+code does not take: plain-loop dense assembly, COO assembly (of W C^T,
+which the stencil-built step operators must equal, and of the global
+mass matrix, which the face-by-face error norm must match), a scaled
 Taylor series and Gauss quadrature of the matrix exponential, Bloch
 reduction of the local blocks, and the exact solution of the k = 0 mode.
 Each check returns its measured deviation; TOLERANCES holds the bounds,
@@ -115,6 +116,16 @@ def apply_pec(op, mesh, rows=True):
     return op
 
 
+def assemble_local_blocks(mesh, block):
+    """Global operator through COO, every face adding the same 4x4 block."""
+    fe = mesh.face_edge_table
+    rows = np.repeat(fe, 4, axis=1).ravel()
+    cols = np.tile(fe, (1, 4)).ravel()
+    vals = np.tile(block.ravel(), mesh.n_faces)
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(mesh.n_edges, mesh.n_edges)).tocsr()
+
+
 def assemble_curl(mesh):
     """Global curl, edge DoF -> face DoF, through COO."""
     vals = np.tile(operators.local_curl(mesh.dx, mesh.dy), mesh.n_faces)
@@ -127,7 +138,7 @@ def assemble_curl_curl(mesh):
     """curl^T diag(|f|) curl from local blocks, PEC rows/columns dropped."""
     c = operators.local_curl(mesh.dx, mesh.dy)
     block = np.outer(c, c) * (mesh.dx * mesh.dy)
-    return apply_pec(operators._assemble_local_blocks(mesh, block), mesh)
+    return apply_pec(assemble_local_blocks(mesh, block), mesh)
 
 
 def assemble_W(mesh, params):
@@ -135,7 +146,7 @@ def assemble_W(mesh, params):
     PEC-pruned curl it gives the step operators' oracle, the product
     G = (W C^T) |f| that `operators.assemble_step_operators` writes."""
     block = operators.local_W(params, mesh.dx, mesh.dy)
-    return apply_pec(operators._assemble_local_blocks(mesh, block), mesh)
+    return apply_pec(assemble_local_blocks(mesh, block), mesh)
 
 
 def dense_step(state, config, ops):

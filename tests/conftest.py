@@ -3,12 +3,28 @@
 The oracles the acceptance suite and `etmfd selftest` share (dense
 assembly, series and quadrature exponentials) live in `etmfd.selftest`.
 These recompute the rest through routes the production code does not
-take: Bloch phase fields, analytic antiderivatives for edge integrals, and
-face averages for the commuting-diagram tests.
+take: Bloch phase fields, analytic antiderivatives for edge integrals,
+face averages for the commuting-diagram tests, and the probe rule scored
+on every edge.
 """
 
 import numpy as np
 import pytest
+
+
+def edge_midpoints(mesh):
+    """(n_edges, 2) table of every edge's midpoint."""
+    return np.stack(mesh.edge_midpoint(np.arange(mesh.n_edges)), axis=1)
+
+
+def pick_probe_reference(mesh, mode):
+    """The probe rule scored on every edge: largest |mode| off the
+    boundary, less 1e-9 times the distance to the center over max(Lx, Ly)."""
+    mids = edge_midpoints(mesh)
+    dist = np.hypot(mids[:, 0] - mesh.Lx / 2.0, mids[:, 1] - mesh.Ly / 2.0)
+    score = np.abs(mode) - 1e-9 * dist / max(mesh.Lx, mesh.Ly)
+    score[mesh.boundary_edge_mask] = -np.inf
+    return int(np.argmax(score))
 
 
 def face_centers(mesh):
@@ -41,7 +57,7 @@ def bloch_edge_field(mesh, kx, ky, U1, U2):
     Reference edges are the bottom and right edges of face (0, 0); the
     wave numbers must be periodic-compatible (kx*Lx, ky*Ly in 2*pi*Z).
     """
-    mids = mesh.edge_midpoints
+    mids = edge_midpoints(mesh)
     m1 = mids[mesh.hedge_index(0, 0)]
     m2 = mids[mesh.vedge_index(1, 0)]
     out = np.empty(mesh.n_edges, dtype=complex)
@@ -59,7 +75,7 @@ def edge_average_oracle(mesh, kx, ky):
     Profile: (-ky cos(kx x) sin(ky y), kx sin(kx x) cos(ky y)).
     """
     out = np.empty(mesh.n_edges)
-    mids = mesh.edge_midpoints
+    mids = edge_midpoints(mesh)
     nh = mesh.n_hedges
     for e in range(nh):
         x0 = mids[e, 0] - 0.5 * mesh.dx

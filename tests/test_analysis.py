@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import edge_average_oracle
+from conftest import edge_average_oracle, pick_probe_reference
 
 from etmfd import analysis, cli, mesh as mesh_module
 from etmfd.analysis import (DegenerateFitError, FitNotConvergedError,
@@ -14,8 +14,9 @@ from etmfd.analysis import (DegenerateFitError, FitNotConvergedError,
                             make_exact_solution, mode_dofs, pick_probe_edge,
                             spatial_mode)
 from etmfd.mesh import build_mesh, interpolate_edge_field
-from etmfd.operators import assemble_M, optimal_params
+from etmfd.operators import local_M, optimal_params, yee_params
 from etmfd.plasma import Medium
+from etmfd.selftest import assemble_local_blocks
 
 MEDIUM = Medium()
 
@@ -71,7 +72,7 @@ def test_spatial_mode_divergence_free(rng):
 
 def _mesh_and_M():
     mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
-    M = assemble_M(mesh, optimal_params(0.5, 1.0))
+    M = local_M(optimal_params(0.5, 1.0), mesh.dx, mesh.dy)
     return mesh, M
 
 
@@ -79,14 +80,14 @@ def test_l2_zero_for_equal_fields():
     mesh, M = _mesh_and_M()
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     ref = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
-    assert l2_relative_error(ref.copy(), ref, M) == 0.0
+    assert l2_relative_error(ref.copy(), ref, mesh, M) == 0.0
 
 
 def test_l2_homogeneity():
     mesh, M = _mesh_and_M()
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     ref = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
-    assert abs(l2_relative_error(2.0 * ref, ref, M) - 1.0) < 1e-14
+    assert abs(l2_relative_error(2.0 * ref, ref, mesh, M) - 1.0) < 1e-14
 
 
 def test_l2_matches_dense_quadratic_form(rng):
@@ -94,15 +95,16 @@ def test_l2_matches_dense_quadratic_form(rng):
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     ref = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
     d = 1e-3 * rng.standard_normal(mesh.n_edges)
-    Md = M.toarray()
+    Md = assemble_local_blocks(mesh, M).toarray()
     expect = math.sqrt(d @ Md @ d) / math.sqrt(ref @ Md @ ref)
-    assert abs(l2_relative_error(ref + d, ref, M) - expect) < 1e-13
+    assert abs(l2_relative_error(ref + d, ref, mesh, M) - expect) < 1e-13
 
 
 def test_l2_zero_denominator():
     mesh, M = _mesh_and_M()
     with pytest.raises(ZeroDivisionError):
-        l2_relative_error(np.ones(mesh.n_edges), np.zeros(mesh.n_edges), M)
+        l2_relative_error(np.ones(mesh.n_edges), np.zeros(mesh.n_edges),
+                          mesh, M)
 
 
 def test_l2_scale_invariant_in_M():
@@ -110,9 +112,29 @@ def test_l2_scale_invariant_in_M():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     ref = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
     d = np.sin(np.arange(mesh.n_edges))
-    e1 = l2_relative_error(ref + d, ref, M)
-    e2 = l2_relative_error(ref + d, ref, 7.3 * M)
+    e1 = l2_relative_error(ref + d, ref, mesh, M)
+    e2 = l2_relative_error(ref + d, ref, mesh, 7.3 * M)
     assert abs(e1 - e2) < 1e-14 * e1
+
+
+MESHES = [(nx, ny, boundary) for boundary in ("pec", "periodic")
+          for nx, ny in ((1, 1), (1, 5), (3, 4), (64, 64))]
+
+
+@pytest.mark.parametrize("nx, ny, boundary", MESHES)
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+def test_l2_face_sum_matches_the_assembled_form(nx, ny, boundary, scheme,
+                                                rng):
+    # one-cell periodic faces hold an edge twice; the COO sum adds both
+    mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    p = (optimal_params(0.5, mesh.gamma) if scheme == "etmfd"
+         else yee_params())
+    M = local_M(p, mesh.dx, mesh.dy)
+    M_glob = assemble_local_blocks(mesh, M)
+    ref, d = rng.standard_normal((2, mesh.n_edges))
+    expect = math.sqrt((d @ (M_glob @ d)) / (ref @ (M_glob @ ref)))
+    got = l2_relative_error(ref + d, ref, mesh, M)
+    assert abs(got - expect) <= 1e-14 * expect
 
 
 # ---- fitting -------------------------------------------------------------------
@@ -215,6 +237,21 @@ def test_pick_probe_edge_interior_max():
     assert abs(dof[probe]) == pytest.approx(np.abs(dof).max())
 
 
+@pytest.mark.parametrize("nx, ny, boundary", MESHES)
+def test_pick_probe_edge_matches_the_full_table_rule(nx, ny, boundary, rng):
+    mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    modes = [np.ones(mesh.n_edges),  # every edge ties: distance decides
+             # near-ties, within the 1e-9 window of the distance penalty
+             1.0 - 1e-9 * rng.random(mesh.n_edges),
+             rng.integers(0, 3, mesh.n_edges),  # integer ties
+             rng.standard_normal(mesh.n_edges)]
+    for kx_pi, ky_pi in ((1, 1), (1, 2), (2, 3), (4, 4)):
+        sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
+        modes.append(mode_dofs(mesh, sol)[0])
+    for mode in modes:
+        assert pick_probe_edge(mesh, mode) == pick_probe_reference(mesh, mode)
+
+
 @pytest.mark.parametrize("kx_pi, ky_pi", [(1, 1), (1, 2), (2, 3)])
 def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
     mesh = build_mesh(16, 12, 1.0, 0.75, "pec")
@@ -273,6 +310,9 @@ def test_convergence_study_validation():
         convergence_study([], "etmfd", MEDIUM, sol, 0.5, 1.0)
     with pytest.raises(ValueError):
         convergence_study([0.3], "etmfd", MEDIUM, sol, 0.5, 1.0)
+    # a repeated h leaves no step to take a rate over; refused up front
+    with pytest.raises(ValueError, match="no h repeated"):
+        convergence_study([2 ** -3, 2 ** -3], "etmfd", MEDIUM, sol, 0.5, 1.0)
 
 
 def test_convergence_study_rows_and_threads():

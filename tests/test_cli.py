@@ -223,3 +223,56 @@ def test_malformed_simulate_config_is_invalid_input(entries, message,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, entries, message", [
+    pytest.param("simulate", {"medium": {"omega_p": float("nan")}},
+                 "must be finite", id="simulate-omega_p-nan"),
+    pytest.param("simulate", {"medium": {"eps0": float("inf")}},
+                 "must be finite", id="simulate-eps0-inf"),
+    pytest.param("roots", {"k": float("nan")}, "wave number must be finite",
+                 id="roots-k-nan"),
+    pytest.param("anisotropy", {"nu": float("nan")},
+                 "Courant number must be finite", id="anisotropy-nu-nan"),
+    pytest.param("anisotropy", {"nu": float("nan"), "schemes": ["et-yee"]},
+                 "dt must be finite", id="anisotropy-yee-nu-nan"),
+    pytest.param("converge", {"log2_h": [-3, -3]}, "no h repeated",
+                 id="converge-repeated-h"),
+    pytest.param("converge", {"schemes": []}, "schemes list must not be empty",
+                 id="converge-no-schemes"),
+    pytest.param("anisotropy", {"ppw": [0]}, "must be finite and > 0",
+                 id="anisotropy-ppw-zero"),
+    pytest.param("anisotropy", {"ppw": [0], "fixed_cell_area": True},
+                 "must be finite and > 0", id="anisotropy-ppw-zero-fixed-area"),
+    pytest.param("anisotropy", {"k": 0}, "must be finite and > 0",
+                 id="anisotropy-k-zero"),
+    pytest.param("anisotropy", {"gammas": [1.0, float("nan")]},
+                 "must be finite and > 0", id="anisotropy-gamma-nan"),
+    pytest.param("anisotropy", {"gammas": [1.0, -4.0],
+                                "schemes": ["et-yee"]},
+                 "must be finite and > 0", id="anisotropy-yee-gamma-negative"),
+    pytest.param("anisotropy", {"n_theta": 2.7}, "n_theta",
+                 id="anisotropy-n_theta-float"),
+    pytest.param("anisotropy", {"n_theta": 0}, "n_theta",
+                 id="anisotropy-n_theta-zero"),
+    pytest.param("anisotropy", {"gammas": []}, "gammas list must not be empty",
+                 id="anisotropy-no-gammas"),
+    pytest.param("anisotropy", {"schemes": []},
+                 "schemes list must not be empty", id="anisotropy-no-schemes"),
+])
+def test_malformed_config_is_refused_before_output(command, entries, message,
+                                                   tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json",
+                       {"nx": 8, "ny": 8, "T": 0.5, **entries}
+                       if command == "simulate" else entries)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), command]) \
+        == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--nu", "--gamma"])
+def test_params_refuses_nan(flag, capsys):
+    assert main(["params", flag, "nan"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""  # no NaN weights printed

@@ -17,7 +17,7 @@ from etmfd.plasma import Medium, coupling_matrix
 from etmfd.selftest import (assemble_W, assemble_curl_curl, quad_integral_exp,
                             series_exp_oracle)
 
-from conftest import bloch_edge_field
+from conftest import bloch_edge_field, edge_midpoints
 
 MEDIUM = Medium()
 
@@ -103,7 +103,7 @@ def test_lemma1_assembled_operator_action(rng):
     Wl = local_W(pars, mesh.dx, mesh.dy)
     c = local_curl(mesh.dx, mesh.dy)
     Al = np.outer(c, c) * mesh.dx * mesh.dy
-    mids = mesh.edge_midpoints
+    mids = edge_midpoints(mesh)
     m1 = mids[mesh.hedge_index(0, 0)]
     m2 = mids[mesh.vedge_index(1, 0)]
     nh = mesh.n_hedges
@@ -323,6 +323,23 @@ def test_sweep_yee_is_anisotropic():
                             [("et-yee", yee_params())])
     errs = [r[4] for r in rows]
     assert max(errs) / min(errs) > 1.0001
+
+
+@pytest.mark.parametrize("k", [float("nan"), float("inf")])
+def test_continuous_roots_rejects_non_finite_k(k):
+    with pytest.raises(ValueError, match="wave number must be finite"):
+        continuous_roots(k, MEDIUM)
+
+
+@pytest.mark.parametrize("k, ppw, gamma", [
+    (0.0, [12], 1.0), (float("nan"), [12], 1.0), (4.0, [12, 0], 1.0),
+    (4.0, [-12], 1.0), (4.0, [float("inf")], 1.0), (4.0, [12], 0.0),
+    (4.0, [12], float("nan")),
+])
+def test_sweep_rejects_degenerate_inputs(k, ppw, gamma):
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        anisotropy_sweep([0.0], k, ppw, 0.5, gamma, MEDIUM,
+                         [("et-yee", yee_params())])
 
 
 def test_sweep_row_count_and_schemes():

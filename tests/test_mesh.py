@@ -3,7 +3,8 @@ import pytest
 
 from etmfd.mesh import build_mesh, interpolate_edge_field
 
-from conftest import edge_average_oracle, interpolate_face_field
+from conftest import (edge_average_oracle, edge_midpoints,
+                      interpolate_face_field)
 
 
 def test_smallest_mesh():
@@ -43,7 +44,7 @@ def test_counting_formulas_exhaustive(nx, ny):
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (3, 4), (16, 16)])
 def test_face_edge_shift_vectors(nx, ny, boundary):
     m = build_mesh(nx, ny, 1.5, 2.0, boundary)
-    mids = m.edge_midpoints
+    mids = edge_midpoints(m)
     period = np.array([m.Lx, m.Ly])
 
     def wrapped(d):  # periodic meshes: shifts are taken modulo Lx, Ly
@@ -69,6 +70,25 @@ def test_face_edge_shift_vectors(nx, ny, boundary):
     # every edge borders two faces, a PEC boundary edge only one
     uses = np.bincount(m.face_edge_table.ravel(), minlength=m.n_edges)
     assert (uses == np.where(m.boundary_edge_mask, 1, 2)).all()
+
+
+@pytest.mark.parametrize("boundary", ["pec", "periodic"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (3, 4), (16, 16)])
+def test_edge_midpoint_inverts_the_index_maps(nx, ny, boundary):
+    m = build_mesh(nx, ny, 1.5, 2.0, boundary)
+    rows = ny + 1 if boundary == "pec" else ny
+    j, i = np.divmod(np.arange(nx * rows), nx)
+    x, y = m.edge_midpoint(m.hedge_index(i, j))
+    assert np.array_equal(x, (i + 0.5) * m.dx)
+    assert np.array_equal(y, j * m.dy)
+    cols = nx + 1 if boundary == "pec" else nx
+    j, i = np.divmod(np.arange(cols * ny), cols)
+    x, y = m.edge_midpoint(m.vedge_index(i, j))
+    assert np.array_equal(x, i * m.dx)
+    assert np.array_equal(y, (j + 0.5) * m.dy)
+    # a plain int gives the same point as its entry in an array
+    e = m.n_edges - 1
+    assert m.edge_midpoint(e) == (x[-1], y[-1])
 
 
 def test_gamma_and_sizes():
@@ -149,7 +169,7 @@ def test_interpolation_linearity(rng):
 
 def _midpoint_table_interpolation(m, F, rule):
     # per-edge reference: both components at every edge's quadrature nodes
-    mids, nh = m.edge_midpoints, m.n_hedges
+    mids, nh = edge_midpoints(m), m.n_hedges
     out = np.zeros(m.n_edges)
     n = 1 if rule == "midpoint" else rule
     nodes, weights = np.polynomial.legendre.leggauss(n)

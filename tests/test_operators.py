@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from etmfd.mesh import build_mesh, interpolate_edge_field
-from etmfd.operators import (MfdParams, SingularLocalWError, assemble_M,
+from etmfd.operators import (MfdParams, SingularLocalWError,
                              assemble_step_operators,
                              local_M, local_W, local_curl, optimal_local_W,
                              optimal_params, params_for_scheme, yee_params)
 from etmfd.selftest import (apply_pec, assemble_W, assemble_curl,
-                            assemble_curl_curl, dense_operators)
+                            assemble_curl_curl, assemble_local_blocks,
+                            dense_operators)
 
 from conftest import interpolate_face_field
 
@@ -63,6 +64,14 @@ def test_yee_params_roundtrip():
     assert (p.w1, p.w2, p.w3) == (0.25, 0.0, 0.25)
     M = local_M(p, 0.5, 0.25)
     assert np.allclose(M, 2.0 * 0.5 * 0.25 * np.eye(4))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_optimal_params_rejects_non_finite_inputs(value):
+    with pytest.raises(ValueError, match="Courant number must be finite"):
+        optimal_params(value, 1.0)
+    with pytest.raises(ValueError, match="aspect ratio must be finite"):
+        optimal_params(0.5, value)
 
 
 def test_optimal_params_values():
@@ -193,8 +202,10 @@ def test_pec_rows_and_columns_zeroed():
 
 
 def test_assemble_M_spd():
+    # the global mass matrix of the COO oracle, which the norm sums per face
     m = build_mesh(4, 4, 1.0, 1.0, "pec")
-    M = assemble_M(m, optimal_params(0.5, 1.0)).toarray()
+    M = assemble_local_blocks(m, local_M(optimal_params(0.5, 1.0), m.dx,
+                                         m.dy)).toarray()
     assert np.abs(M - M.T).max() < 1e-14
     assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -202,8 +213,9 @@ def test_assemble_M_spd():
 def test_params_for_scheme():
     assert params_for_scheme("et-yee", 0.5, 1.0) == yee_params()
     assert params_for_scheme("etmfd", 0.5, 2.0) == optimal_params(0.5, 2.0)
-    with pytest.raises(ValueError):
-        params_for_scheme("leapfrog", 0.5, 1.0)
+    for label in ("leapfrog", "optimal", "yee"):  # one spelling per scheme
+        with pytest.raises(ValueError, match="unknown scheme"):
+            params_for_scheme(label, 0.5, 1.0)
 
 
 # ---- commuting diagram --------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from etmfd.plasma import Medium, RegimeError, coupling_matrix, exp_operators
 from etmfd.selftest import DTS, MEDIA, quad_integral_exp, series_exp_oracle
 
+NONFINITE = (float("nan"), float("inf"), -float("inf"))
+
 
 def test_medium_validation():
     with pytest.raises(RegimeError):
@@ -93,6 +95,16 @@ def test_semigroup(medium):
 def test_exp_operators_rejects_bad_dt():
     with pytest.raises(ValueError):
         exp_operators(Medium(), 0.0)
+    for dt in NONFINITE:
+        with pytest.raises(ValueError, match="finite"):
+            exp_operators(Medium(), dt)
+
+
+@pytest.mark.parametrize("name", ["eps0", "c0", "omega_i", "omega_p"])
+@pytest.mark.parametrize("value", NONFINITE)
+def test_medium_rejects_non_finite_constants(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        Medium(**{name: value})
 
 
 def test_series_oracle_zero_matrix():
