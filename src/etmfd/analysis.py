@@ -255,11 +255,13 @@ def convergence_study(h_list, scheme: str, medium: Medium,
     # a repeated h would leave a rate dividing by log2(h_prev / h) = 0
     if not h_list or len(set(h_list)) < len(h_list):
         raise ValueError(f"h_list must be non-empty, no h repeated: {h_list}")
-
-    def one(h):
-        n = round(1.0 / h)
-        if abs(n * h - 1.0) > 1e-9:
+    # every level is checked before the first one runs
+    cells = [round(1.0 / h) if 0 < h <= 1 else 0 for h in h_list]  # NaN: 0
+    for h, n in zip(h_list, cells):
+        if n < 1 or abs(n * h - 1.0) > 1e-9:
             raise ValueError(f"1/h must be an integer, got h={h}")
+
+    def one(h, n):
         mesh = build_mesh(n, n, 1.0, 1.0, "pec")
         params = params_for_scheme(scheme, nu, mesh.gamma)
         mid, avg = mode_dofs(mesh, sol)
@@ -293,9 +295,9 @@ def convergence_study(h_list, scheme: str, medium: Medium,
     if max_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, h_list))
+            results = list(pool.map(one, h_list, cells))
     else:
-        results = [one(h) for h in h_list]
+        results = [one(h, n) for h, n in zip(h_list, cells)]
 
     rows = []
     for field in ("E", "J"):

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -313,6 +314,26 @@ def test_convergence_study_validation():
     # a repeated h leaves no step to take a rate over; refused up front
     with pytest.raises(ValueError, match="no h repeated"):
         convergence_study([2 ** -3, 2 ** -3], "etmfd", MEDIUM, sol, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1, float("nan"), float("-inf")])
+def test_converge_refuses_a_bad_h_before_any_level(bad, monkeypatch, tmp_path):
+    # 2**0.5 and 2**1 are not 1/n, 2**nan is NaN and 2**-inf is 0
+    calls = []
+    real = analysis.run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", counted)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"log2_h": [-3, bad], "T": 0.5}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out),
+                     "converge"]) == cli.EXIT_VALIDATION
+    assert calls == []
+    assert not (out / "converge.csv").exists()
 
 
 def test_convergence_study_rows_and_threads():

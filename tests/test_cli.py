@@ -90,6 +90,18 @@ def test_converge_byte_stable(tmp_path):
     assert b1 == b2
 
 
+def test_write_csv_is_the_per_cell_join(tmp_path):
+    def per_cell_join(row):  # write_csv before its float fast path
+        return ",".join(cli._cell(v) for v in row) + "\n"
+
+    rows = [(0.1, np.float64(2.5), 3, "etmfd", -0.0),
+            (np.float64(-0.0), 1e-300, np.int64(7), True, float("nan")),
+            (1 / 3, np.float32(0.1), -2, "et-yee", 12.0)]
+    path = tmp_path / "x.csv"
+    cli.write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+    assert path.read_text() == "a,b,c,d,e\n" + "".join(map(per_cell_join, rows))
+
+
 def test_anisotropy_command(tmp_path):
     cfg = write_config(tmp_path, "a.json",
                        {"ppw": [12, 24], "n_theta": 16, "k": 4.0})

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from etmfd import cli, dispersion
 from etmfd.dispersion import (P1, WaveVec, anisotropy_sweep,
                               conductive_leapfrog_residual,
                               continuous_cubic_coeffs, continuous_roots,
@@ -12,7 +13,7 @@ from etmfd.dispersion import (P1, WaveVec, anisotropy_sweep,
                               symbol_error_slope, temporal_symbol)
 from etmfd.mesh import build_mesh
 from etmfd.operators import (MfdParams, local_W, local_curl, optimal_params,
-                             yee_params)
+                             params_for_scheme, yee_params)
 from etmfd.plasma import Medium, coupling_matrix
 from etmfd.selftest import (assemble_W, assemble_curl_curl, quad_integral_exp,
                             series_exp_oracle)
@@ -363,6 +364,105 @@ def test_sweep_aspect_ratio_tradeoff():
             assert err_x < err_y
         else:          # dx > dy: y-direction better resolved
             assert err_y < err_x
+
+
+SCHEMES = ("etmfd", "et-yee")
+SWEEP_MEDIA = [Medium(), Medium(c0=1.5, omega_i=0.7, omega_p=1.3)]
+
+
+@pytest.mark.parametrize("medium", SWEEP_MEDIA)
+@pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_error_over_an_angle_array_is_the_scalar_calls(scheme, gamma, medium):
+    # the default anisotropy grid, where numpy's array square x * x and
+    # libm's pow round a few sin^2 values differently (with glibc, two
+    # angles at ppw 24 and gamma 1)
+    k, nu = 4.0, 0.5 * min(gamma ** 3, 1.0)
+    params = params_for_scheme(scheme, nu, gamma)
+    omega = oscillatory_root(k, medium)
+    theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    for ppw in (12, 24, 17):
+        h = 2 * np.pi / (k * ppw)
+        dt = nu * h / medium.c0
+        got = relative_dispersion_error(omega, WaveVec(k, theta), medium, dt,
+                                        h, gamma, params, medium.c0)
+        want = [relative_dispersion_error(omega, WaveVec(k, t), medium, dt,
+                                          h, gamma, params, medium.c0)
+                for t in theta]
+        assert got.shape == theta.shape
+        assert got.tobytes() == np.array(want).tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
+def test_symbol_over_an_angle_array_is_the_scalar_calls(gamma):
+    theta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+    params = optimal_params(0.5, gamma)
+    for ppw in (8, 12, 24, 48):
+        h = 2 * np.pi / (4.0 * ppw)
+        got = spatial_symbol(WaveVec(4.0, theta), h, gamma, params, 1.0)
+        want = [spatial_symbol(WaveVec(4.0, t), h, gamma, params, 1.0)
+                for t in theta]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def sweep_oracle(theta_grid, k, ppw_list, nu, gamma, medium, schemes,
+                 h_ref=None):
+    """The sweep as one scalar error per row, the determinant taken of the
+    assembled matrix T - S P1."""
+    omega = oscillatory_root(k, medium)
+    rows = []
+    for ppw in ppw_list:
+        h = (2.0 * np.pi / (k * ppw)) if h_ref is None else h_ref / np.sqrt(gamma)
+        dt = nu * h / medium.c0
+        for theta in theta_grid:
+            wv = WaveVec(k, theta)
+            for label, params in schemes:
+                T = temporal_symbol(omega, medium, dt)
+                M = T - spatial_symbol(wv, h, gamma, params, medium.c0) * P1
+                err = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) / abs(omega)
+                rows.append((theta, k, ppw, label,
+                             abs(err), err.real, err.imag))
+    return rows
+
+
+@pytest.mark.parametrize("medium", SWEEP_MEDIA)
+@pytest.mark.parametrize("h_ref", [None, 2 * np.pi / (3.7 * 8)])
+@pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
+def test_sweep_rows_are_the_per_row_oracle(gamma, h_ref, medium):
+    k, ppw, nu = 3.7, [8, 12, 33], 0.4
+    theta = np.linspace(0, 2 * np.pi, 129, endpoint=False)
+    schemes = [(s, params_for_scheme(s, nu, gamma)) for s in SCHEMES]
+    rows = anisotropy_sweep(theta, k, ppw, nu, gamma, medium, schemes,
+                            h_ref=h_ref)
+    want = sweep_oracle(theta, k, ppw, nu, gamma, medium, schemes, h_ref)
+
+    def cells(rs):  # what write_csv puts in the file
+        return [",".join(map(cli._cell, r)) for r in rs]
+
+    assert cells(rows) == cells(want)
+    if h_ref is not None:
+        # one h for every ppw: each ppw block repeats the first one's errors
+        block = len(theta) * len(schemes)
+        errs = [r[4:] for r in rows]
+        assert errs == errs[:block] * len(ppw)
+
+
+def test_sweep_one_error_call_per_ppw_and_scheme(monkeypatch):
+    calls = []
+    real = dispersion.relative_dispersion_error
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "relative_dispersion_error", counted)
+    theta = np.linspace(0, 2 * np.pi, 33, endpoint=False)
+    schemes = [(s, params_for_scheme(s, 0.5, 1.0)) for s in SCHEMES]
+    rows = anisotropy_sweep(theta, 4.0, [12, 24, 48], 0.5, 1.0, MEDIUM,
+                            schemes)
+    assert len(calls) == 3 * 2
+    assert all(np.array_equal(wv.theta, theta) for wv in calls)
+    assert len(rows) == 33 * 3 * 2
 
 
 # ---- leapfrog appendix demonstration ----------------------------------------------
