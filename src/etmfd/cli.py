@@ -99,8 +99,10 @@ def _fmt6(x: float) -> str:
 
 
 def _cell(v) -> str:
+    if type(v) is float:  # the common cell, tested first
+        return repr(v)  # full precision, byte-stable
     if isinstance(v, (float, np.floating)):
-        return repr(float(v))  # full precision, byte-stable
+        return repr(float(v))
     return str(v)
 
 
@@ -109,9 +111,7 @@ def write_csv(path: str, header, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            # a Python float skips _cell: repr is the same bytes, faster
-            fh.write(",".join([repr(v) if type(v) is float else _cell(v)
-                               for v in row]) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 # ---- commands ---------------------------------------------------------------

@@ -46,8 +46,6 @@ def _pow2(x):
     """x ** 2 rounded as libm's pow rounds a float64 scalar's square, also
     elementwise over an array: numpy squares an array as x * x, which
     differs from pow in the last bit for about one value in a thousand."""
-    if np.ndim(x) == 0:
-        return x ** 2
     flat = np.ravel(x).tolist()
     return np.fromiter(map(math.pow, flat, repeat(2.0)), float,
                        len(flat)).reshape(np.shape(x))

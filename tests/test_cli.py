@@ -91,8 +91,13 @@ def test_converge_byte_stable(tmp_path):
 
 
 def test_write_csv_is_the_per_cell_join(tmp_path):
-    def per_cell_join(row):  # write_csv before its float fast path
-        return ",".join(cli._cell(v) for v in row) + "\n"
+    def cell(v):  # the cell format before its Python-float fast path
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+
+    def per_cell_join(row):
+        return ",".join(cell(v) for v in row) + "\n"
 
     rows = [(0.1, np.float64(2.5), 3, "etmfd", -0.0),
             (np.float64(-0.0), 1e-300, np.int64(7), True, float("nan")),

@@ -402,7 +402,22 @@ def test_symbol_over_an_angle_array_is_the_scalar_calls(gamma):
         got = spatial_symbol(WaveVec(4.0, theta), h, gamma, params, 1.0)
         want = [spatial_symbol(WaveVec(4.0, t), h, gamma, params, 1.0)
                 for t in theta]
+        assert all(type(w) is np.float64 for w in want)  # not 0-d arrays
         assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
+def test_square_rounds_as_the_float64_scalar_square(gamma):
+    # the per-row sweep squared each sin as a float64 scalar, v ** 2; the
+    # CSVs keep those bits for arrays and scalars alike
+    theta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+    for ppw in (8, 12, 24, 48):
+        h = 2 * np.pi / (4.0 * ppw)
+        s = np.sin(0.5 * 4.0 * np.sin(theta) * gamma * h)
+        want = np.array([np.float64(v) ** 2 for v in s])
+        assert dispersion._pow2(s).tobytes() == want.tobytes()
+        scalars = [dispersion._pow2(np.float64(v)) for v in s[::64]]
+        assert np.array(scalars).tobytes() == want[::64].tobytes()
 
 
 def sweep_oracle(theta_grid, k, ppw_list, nu, gamma, medium, schemes,
