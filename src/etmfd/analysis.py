@@ -240,9 +240,8 @@ def pick_probe_edge(mesh, mode: np.ndarray) -> int:
 
 
 def convergence_study(h_list, scheme: str, medium: Medium,
-                      sol: ExactSolution, nu: float, T: float,
-                      max_workers: int = 1) -> list[dict]:
-    """Run the standing-mode experiment over a mesh-size sweep.
+                      sol: ExactSolution, nu: float, T: float) -> list[dict]:
+    """Run the standing-mode experiment over a mesh-size sweep, in order.
 
     Returns one row per (h, field) with the relative L2 error at the
     final time and the relative dispersion error from the probe fit;
@@ -292,12 +291,7 @@ def convergence_study(h_list, scheme: str, medium: Medium,
         disp_J = dispersion_error_metric(fit_J, sol.a, sol.b)
         return {"E": (err_E, disp_E), "J": (err_J, disp_J)}
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, h_list, cells))
-    else:
-        results = [one(h, n) for h, n in zip(h_list, cells)]
+    results = [one(h, n) for h, n in zip(h_list, cells)]
 
     rows = []
     for field in ("E", "J"):

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import analysis, dispersion, selftest
 from .mesh import build_mesh
-from .operators import (MfdParams, optimal_local_W, optimal_params,
-                        params_for_scheme)
+from .operators import optimal_local_W, optimal_params, params_for_scheme
 from .plasma import Medium, RegimeError
 from .stepper import SimConfig, UnstableSimulationError, run, save_snapshot
 
@@ -52,10 +51,8 @@ DEFAULTS = {
     "params": {"nu": 0.5, "gamma": 1.0},
 }
 
-# keys a config may hold: its command's defaults plus the optional keys,
-# "medium" unless this table says otherwise
-OPTIONAL_KEYS = {"simulate": {"medium", "params"}, "params": set()}
-COMMAND_KEYS = {cmd: set(keys) | OPTIONAL_KEYS.get(cmd, {"medium"})
+# a config may hold its command's defaults, and "medium" for all but params
+COMMAND_KEYS = {cmd: set(keys) | ({"medium"} if cmd != "params" else set())
                 for cmd, keys in DEFAULTS.items()}
 
 
@@ -63,14 +60,29 @@ class CliError(ValueError):
     """Configuration or usage problem (exit code 1)."""
 
 
+def _object_without_bools(pairs) -> dict:
+    """json object hook: true/false, which Python takes for 1 and 0, are
+    refused as a value or list entry; fixed_cell_area must be one."""
+    for key, value in pairs:
+        if key == "fixed_cell_area":
+            if not isinstance(value, bool):
+                raise CliError(f"config key {key!r} must be true or false")
+        elif any(isinstance(v, bool)
+                 for v in (value if isinstance(value, list) else [value])):
+            raise CliError(f"config key {key!r} must not be a boolean")
+    return dict(pairs)
+
+
 def load_config(path: str | None, command: str) -> dict:
     cfg = dict(DEFAULTS.get(command, {}))
     if path is not None:
         with open(path) as fh:
             try:
-                user = json.load(fh)
+                user = json.load(fh, object_pairs_hook=_object_without_bools)
             except json.JSONDecodeError as exc:
                 raise CliError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise CliError("config must be a JSON object")
         allowed = COMMAND_KEYS[command]
         unknown = set(user) - allowed
         if unknown:
@@ -144,8 +156,7 @@ def cmd_converge(args) -> int:
     all_rows = []
     for scheme in cfg["schemes"]:
         rows = analysis.convergence_study(h_list, scheme, medium, sol,
-                                          nu=cfg["nu"], T=cfg["T"],
-                                          max_workers=args.threads)
+                                          nu=cfg["nu"], T=cfg["T"])
         all_rows.extend(rows)
     out = output_path(args, cfg)
     header = ["log2_h", "scheme", "field", "err_l2", "rate_l2",
@@ -178,9 +189,6 @@ def cmd_anisotropy(args) -> int:
     theta = np.linspace(0.0, 2.0 * np.pi, int(n_theta), endpoint=False)
     header = ["theta", "k", "ppw", "scheme", "abs_err", "re_err", "im_err"]
     base = output_path(args, cfg)
-    h_ref = None
-    if cfg["fixed_cell_area"]:
-        h_ref = 2.0 * np.pi / (k * ppw[0])
     for gamma in gammas:
         if cfg["nu_rule"] == "gamma_cubed":
             nu = cfg["nu"] * min(gamma ** 3, 1.0)
@@ -191,7 +199,7 @@ def cmd_anisotropy(args) -> int:
         schemes = [(s, params_for_scheme(s, nu, gamma))
                    for s in cfg["schemes"]]
         rows = dispersion.anisotropy_sweep(theta, k, ppw, nu, gamma, medium,
-                                           schemes, h_ref=h_ref)
+                                           schemes, cfg["fixed_cell_area"])
         out = base
         if len(gammas) > 1:
             stem, ext = os.path.splitext(base)
@@ -206,11 +214,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, "simulate")
     medium = medium_from_config(cfg)
     mesh = build_mesh(cfg["nx"], cfg["ny"], cfg["Lx"], cfg["Ly"], "pec")
-    if "params" in cfg:
-        w1, w2, w3 = cfg["params"]
-        params = MfdParams(w1, w2, w3)
-    else:
-        params = params_for_scheme(cfg["scheme"], cfg["nu"], mesh.gamma)
+    params = params_for_scheme(cfg["scheme"], cfg["nu"], mesh.gamma)
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)
     mid, avg = analysis.mode_dofs(mesh, sol)
@@ -277,8 +281,8 @@ def make_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (converge only)")
+    parser.add_argument("--threads", type=int, default=1, choices=(1,),
+                        help="single-threaded; kept for callers that pass 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="optimal MFD weights for (nu, gamma)")

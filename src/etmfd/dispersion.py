@@ -214,18 +214,18 @@ def discrete_root_polish(wv: WaveVec, medium: Medium, dt: float, h: float,
 
 
 def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
-                     medium: Medium, schemes, h_ref: float | None = None):
+                     medium: Medium, schemes, fixed_cell_area: bool = False):
     """Relative dispersion error over propagation angles.
 
-    For each ppw the cell size is h = 2*pi/(k*ppw) unless h_ref overrides
-    it; dt = nu*h/c0.  schemes is an iterable of (label, MfdParams).
+    For each ppw the cell size is h = 2*pi/(k*ppw); dt = nu*h/c0.
+    schemes is an iterable of (label, MfdParams).
     Returns rows (theta, k, ppw, scheme, abs_err, re_err, im_err), ppw
     outermost and scheme innermost; each (ppw, scheme) pair is one
     relative_dispersion_error call over the whole angle grid.
 
-    With h_ref, every ppw uses h = h_ref/sqrt(gamma), which fixes the
-    cell area across aspect ratios; ppw then only labels the rows, and
-    each ppw block repeats the same errors.
+    With fixed_cell_area, every ppw uses h = 2*pi/(k*ppw_list[0])/sqrt(gamma),
+    which fixes the cell area across aspect ratios; ppw then only labels
+    the rows, and each ppw block repeats the same errors.
     """
     ppw_list, schemes = list(ppw_list), list(schemes)
     if not all(0 < v < np.inf for v in (k, gamma, *ppw_list)):  # NaN fails
@@ -237,7 +237,8 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
     theta_col = np.repeat(wv.theta, len(schemes)).tolist()
     rows = []
     for ppw in ppw_list:
-        h = (2.0 * np.pi / (k * ppw)) if h_ref is None else h_ref / np.sqrt(gamma)
+        h = (2.0 * np.pi / (k * ppw) if not fixed_cell_area
+             else 2.0 * np.pi / (k * ppw_list[0]) / np.sqrt(gamma))
         dt = nu * h / medium.c0
         err = np.empty((wv.theta.size, len(schemes)), dtype=complex)
         for j, (_, params) in enumerate(schemes):

@@ -185,6 +185,26 @@ def test_usage_error_exit_code():
     assert exc.value.code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("value", ["0", "2", "-3"])
+def test_threads_other_than_one_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", value, "roots"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "argument --threads: invalid choice" in capsys.readouterr().err
+
+
+# the argv that bench/run.py passes to cli.main for every command
+@pytest.mark.parametrize("command, payload", [
+    ("converge", {"log2_h": [-3], "T": 0.5, "schemes": ["etmfd"]}),
+    ("simulate", {"nx": 8, "ny": 8, "T": 0.5}),
+    ("anisotropy", {"ppw": [12], "n_theta": 8}),
+])
+def test_benchmark_argv_runs(command, payload, tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "1", command]) == EXIT_OK
+
+
 def test_selftest_mutation_detected():
     # a sign flip in w2 must break the fourth-order symbol check
     def flipped(nu, gamma):
@@ -274,6 +294,12 @@ def test_malformed_simulate_config_is_invalid_input(entries, message,
                  id="anisotropy-no-gammas"),
     pytest.param("anisotropy", {"schemes": []},
                  "schemes list must not be empty", id="anisotropy-no-schemes"),
+    pytest.param("simulate", {"params": [0.25, 0.0, 0.25]},
+                 "unknown config keys for 'simulate': ['params']",
+                 id="simulate-raw-weights"),
+    # dict.update takes a list of two-letter keys as pairs ("nu" sets "n")
+    pytest.param("anisotropy", ["nu"], "config must be a JSON object",
+                 id="anisotropy-not-an-object"),
 ])
 def test_malformed_config_is_refused_before_output(command, entries, message,
                                                    tmp_path, capsys):
@@ -284,6 +310,33 @@ def test_malformed_config_is_refused_before_output(command, entries, message,
     assert main(["--config", cfg, "--out", str(out), command]) \
         == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# json reads true/false as bool, a subclass of int, so each of these would
+# run as 1 or 0 (or fail later, naming no key) if load_config let it through
+@pytest.mark.parametrize("command, entries, key", [
+    pytest.param("simulate", {"nx": True}, "'nx'", id="nx"),
+    pytest.param("simulate", {"snapshot_stride": True}, "'snapshot_stride'",
+                 id="snapshot_stride"),
+    pytest.param("anisotropy", {"n_theta": True}, "'n_theta'", id="n_theta"),
+    pytest.param("simulate", {"probes": [True]}, "'probes'", id="probes"),
+    pytest.param("simulate", {"medium": {"omega_i": False}},
+                 "'omega_i'", id="medium"),
+    pytest.param("converge", {"log2_h": [-3, True]}, "'log2_h'",
+                 id="log2_h"),
+    pytest.param("anisotropy", {"fixed_cell_area": 1}, "'fixed_cell_area'",
+                 id="fixed_cell_area-not-a-bool"),
+])
+def test_json_booleans_are_refused_before_output(command, entries, key,
+                                                 tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json",
+                       {"nx": 8, "ny": 8, "T": 0.5, **entries}
+                       if command == "simulate" else entries)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), command]) \
+        == EXIT_VALIDATION
+    assert f"config key {key}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -353,12 +353,11 @@ def test_sweep_row_count_and_schemes():
 def test_sweep_aspect_ratio_tradeoff():
     # fixed cell area: the refined axis gets the smaller dispersion error
     k = 4.0
-    h_ref = 2 * np.pi / (k * 12)
     for gamma in (0.25, 4.0):
         nu = 0.5 * min(gamma ** 3, 1.0)
         pars = optimal_params(nu, gamma)
         rows = anisotropy_sweep([0.0, np.pi / 2], k, [12], nu, gamma, MEDIUM,
-                                [("etmfd", pars)], h_ref=h_ref)
+                                [("etmfd", pars)], fixed_cell_area=True)
         err_x, err_y = rows[0][4], rows[1][4]
         if gamma > 1:  # dy > dx: x-direction better resolved
             assert err_x < err_y
@@ -441,6 +440,7 @@ def sweep_oracle(theta_grid, k, ppw_list, nu, gamma, medium, schemes,
 
 
 @pytest.mark.parametrize("medium", SWEEP_MEDIA)
+# the oracle's h_ref: None, or the fixed-cell-area rule 2 pi / (k ppw[0])
 @pytest.mark.parametrize("h_ref", [None, 2 * np.pi / (3.7 * 8)])
 @pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
 def test_sweep_rows_are_the_per_row_oracle(gamma, h_ref, medium):
@@ -448,7 +448,7 @@ def test_sweep_rows_are_the_per_row_oracle(gamma, h_ref, medium):
     theta = np.linspace(0, 2 * np.pi, 129, endpoint=False)
     schemes = [(s, params_for_scheme(s, nu, gamma)) for s in SCHEMES]
     rows = anisotropy_sweep(theta, k, ppw, nu, gamma, medium, schemes,
-                            h_ref=h_ref)
+                            fixed_cell_area=h_ref is not None)
     want = sweep_oracle(theta, k, ppw, nu, gamma, medium, schemes, h_ref)
 
     def cells(rs):  # what write_csv puts in the file
