@@ -108,6 +108,11 @@ def local_M(params: MfdParams, dx: float, dy: float) -> np.ndarray:
 # their place, all others (any edge of a wider torus) take a central row
 TEMPLATE, HALO = 4, 2
 
+# Rows per block of G, the unit of both its assembly and the step.  A
+# block's six edge vectors (48 bytes a row, 1.5 MB) fit in a 2 MB L2
+# cache next to the block's share of G, streamed once per step
+BLOCK = 1 << 15
+
 
 def _template_G(mesh: RectMesh, params: MfdParams) -> tuple:
     """The template mesh and its G = W C^T diag(|f|) as CSR pieces
@@ -132,10 +137,19 @@ def _template_G(mesh: RectMesh, params: MfdParams) -> tuple:
     return t, np.searchsorted(r, np.arange(t.n_edges + 1)), G[r, f], fi, fj
 
 
+def row_blocks(n: int) -> np.ndarray:
+    """Bounds of the row blocks of an n-row operator: as few as hold at
+    most BLOCK rows each, of equal size to within one row."""
+    nb = -(-n // BLOCK)
+    return np.arange(nb + 1) * n // nb
+
+
 def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
     """(C, G) with G @ C == W @ A: C is the curl with the PEC columns
-    dropped and G = W C^T diag(|f|) with the PEC rows dropped, both CSR
-    with sorted int32 indices, written from stencils without a product."""
+    dropped and G = W C^T diag(|f|) with the PEC rows dropped, written
+    from stencils without a product.  C is one CSR matrix; G is a tuple
+    of CSR row blocks, in row order, at the bounds of `row_blocks`.
+    Each has sorted int32 indices and owns its arrays."""
     nx, ny, periodic = mesh.nx, mesh.ny, mesh.boundary == "periodic"
     # C: each face's edges in ascending order [bottom, top, left, right]
     fe = mesh.face_edge_table[:, [0, 2, 3, 1]]
@@ -143,6 +157,9 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
     c = np.broadcast_to(local_curl(mesh.dx, mesh.dy)[[0, 2, 3, 1]], fe.shape)
     C = sp.csr_matrix((c[keep], fe[keep], np.r_[0, np.cumsum(keep.sum(1))]),
                       shape=(mesh.n_faces, mesh.n_edges))
+    if periodic:  # wrapped faces are out of order; one-cell faces repeat
+        C.sum_duplicates()
+        C.eliminate_zeros()
 
     # G: edge (i, j) takes the row of template edge (i - si, j - sj), with
     # its face columns shifted by (si, sj)
@@ -161,32 +178,31 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
     ti, tj = i - si, j - sj
     row = np.concatenate([t.hedge_index(ti[:nh], tj[:nh]),
                           t.vedge_index(ti[nh:], tj[nh:])])
-    lengths = np.diff(tptr)[row]
-    indptr = np.r_[0, np.cumsum(lengths)]
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
-    tflat, sflat = tfj * nx + tfi, sj * nx + si
-    # entry p of edge e's row is the template's entry tptr[row[e]] + p -
-    # indptr[e]; blocks of 2^16 edges bound the intp temporaries
-    offset, block = tptr[row] - indptr[:-1], 1 << 16
-    for a in range(0, mesh.n_edges, block):
-        e, n = slice(a, a + block), lengths[a:a + block]
-        lo, hi = indptr[a], indptr[min(a + block, mesh.n_edges)]
-        q = np.repeat(offset[e], n) + np.arange(lo, hi)
-        # q is in range: mode "clip" only skips take's output buffer
-        tdata.take(q, out=data[lo:hi], mode="clip")
+    tlen, tflat, sflat = np.diff(tptr), tfj * nx + tfi, sj * nx + si
+    # entry p of edge e's row is the template's entry tptr[row[e]] + p.
+    # Each block allocates its own arrays: scipy copies a view of less
+    # than half its base, so blocks cut from one big G would be copies
+    G = []
+    bounds = row_blocks(mesh.n_edges)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        e = slice(a, b)
+        n = tlen[row[e]]
+        indptr = np.zeros(b - a + 1, np.int32)
+        np.cumsum(n, out=indptr[1:])
+        q = np.repeat(tptr[row[e]] - indptr[:-1], n) + np.arange(indptr[-1])
         if periodic:  # wrap the face column and row apart
             fi = (tfi.take(q) + np.repeat(si[e], n)) % nx
             fj = (tfj.take(q) + np.repeat(sj[e], n)) % ny
-            np.add(fj * nx, fi, out=indices[lo:hi])
+            indices = fj * nx + fi
         else:
-            np.add(tflat.take(q), np.repeat(sflat[e], n), out=indices[lo:hi])
-    G = sp.csr_matrix((data, indices, indptr),
-                      shape=(mesh.n_edges, mesh.n_faces))
-    if periodic:  # wrapped rows are out of order; one-cell edges repeat
-        for op in (C, G):
-            op.sum_duplicates()
-            op.eliminate_zeros()
-    return C, G
+            indices = tflat.take(q) + np.repeat(sflat[e], n)
+        block = sp.csr_matrix((tdata.take(q), indices, indptr),
+                              shape=(b - a, mesh.n_faces))
+        if periodic:  # wrapped rows are out of order; one-cell edges repeat
+            block.sum_duplicates()
+            block.eliminate_zeros()
+        G.append(block)
+    return C, tuple(G)
 
 
 def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:

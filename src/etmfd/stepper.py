@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import RectMesh
 from .operators import MfdParams, assemble_step_operators
@@ -73,9 +74,17 @@ class SimState:
     n: int
 
 
-# the factored curl-curl pair with -(c0^2 dt alpha3) folded into G, then
-# (alpha1, alpha2) of the E update and (cJ, cE, cN) of the J update
-StepOperators = namedtuple("StepOperators", "C G alphas j_coeffs")
+class StepOperators(NamedTuple):
+    """What `step` applies, built once per run by `step_operators`.
+
+    C is the PEC-pruned curl, one CSR matrix; G is the tuple of CSR row
+    blocks of W C^T diag(|f|) that `assemble_step_operators` writes, with
+    -(c0^2 dt alpha3) folded in.  alphas are (alpha1, alpha2) of the E
+    update and j_coeffs (cJ, cE, cN) of the J update."""
+    C: sp.csr_matrix
+    G: tuple
+    alphas: tuple
+    j_coeffs: tuple
 
 
 def _j_coefficients(e: ExpOperators) -> tuple:
@@ -99,7 +108,9 @@ def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
     """Set-up of the step: the alpha3 guard, then the assembly."""
     j_coeffs = _j_coefficients(expops)
     C, G = assemble_step_operators(config.mesh, config.params)
-    G.data *= -(config.medium.c0 ** 2 * config.dt * expops.alpha3)
+    scale = -(config.medium.c0 ** 2 * config.dt * expops.alpha3)
+    for G_b in G:
+        G_b.data *= scale
     return StepOperators(C, G, (expops.alpha1, expops.alpha2), j_coeffs)
 
 
@@ -129,20 +140,31 @@ def initialize(config: SimConfig, E0, E1, J0,
 
 def step(state: SimState, ops: StepOperators) -> float:
     """Advance one step in place, E before J so the scheme is explicit.
-    Returns max |field| over the new E and J, NaN if either holds one."""
-    z = ops.G @ (ops.C @ state.E_curr)  # the only new edge-sized array
+    Returns max |field| over the new E and J, NaN if either holds one.
+
+    One pass over the row blocks of G: each block's SpMV, E and J updates
+    and max/min run on its slices while they are in cache.  Every entry
+    takes the same operations in the same order as a whole-vector pass."""
+    y = ops.C @ state.E_curr
     (a1, a2), E, J = ops.alphas, state.E_prev, state.J_prev
-    # E' = (1 + a1) E - a1 E_prev + a2 (J - J_prev) + z into E_prev, then
-    # J' into J_prev with z as scratch
-    z += np.multiply(np.subtract(state.J_curr, J, out=J), a2, out=J)
-    z += np.multiply(E, -a1, out=E)
-    np.add(np.multiply(state.E_curr, 1.0 + a1, out=E), z, out=E)
-    _j_update(ops.j_coeffs, state.E_curr, state.J_curr, E, out=J, scratch=z)
+    peaks = np.empty((len(ops.G), 4))
+    a = 0
+    for k, G_b in enumerate(ops.G):
+        b = a + G_b.shape[0]
+        z = G_b @ y  # the block's curl-curl term, its only new array
+        e, j, e_c, j_c = E[a:b], J[a:b], state.E_curr[a:b], state.J_curr[a:b]
+        # E' = (1 + a1) E - a1 E_prev + a2 (J - J_prev) + z into E_prev,
+        # then J' into J_prev with z as scratch
+        z += np.multiply(np.subtract(j_c, j, out=j), a2, out=j)
+        z += np.multiply(e, -a1, out=e)
+        np.add(np.multiply(e_c, 1.0 + a1, out=e), z, out=e)
+        _j_update(ops.j_coeffs, e_c, j_c, e, out=j, scratch=z)
+        peaks[k] = e.max(), -e.min(), j.max(), -j.min()  # no |x| temporary
+        a = b
     state.E_curr, state.E_prev = E, state.E_curr
     state.J_curr, state.J_prev = J, state.J_curr
     state.n += 1
-    # no |x| temporary; np.max keeps a NaN that Python's max can drop
-    return float(np.max([E.max(), -E.min(), J.max(), -J.min()]))
+    return float(peaks.max())  # a NaN that Python's max could drop stays
 
 
 @dataclass

@@ -7,8 +7,10 @@ import pytest
 
 from etmfd import cli, selftest, stepper
 from etmfd.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, CliError, main
+from etmfd.analysis import make_exact_solution, mode_dofs
+from etmfd.mesh import build_mesh
 from etmfd.operators import MfdParams, optimal_params
-from etmfd.plasma import RegimeError
+from etmfd.plasma import Medium, RegimeError
 from etmfd.stepper import UnstableSimulationError, load_snapshot
 
 
@@ -152,6 +154,44 @@ def test_simulate_command(tmp_path):
     assert meta["step"] == 4
     assert len(E) == len(J) == meta["n_edges"]
     assert np.isfinite(E).all()
+
+
+@pytest.mark.parametrize("entries, message", [
+    pytest.param({"nx": 8, "ny": 4, "Ly": 0.5},
+                 "ky_pi * Ly = 0.5 is not an integer", id="Ly-half"),
+    pytest.param({"nx": 12, "Lx": 1.5}, "kx_pi * Lx = 1.5 is not an integer",
+                 id="Lx-1.5"),
+    pytest.param({"Lx": 2.0, "Ly": 0.5, "ky_pi": 3},
+                 "ky_pi * Ly = 1.5 is not an integer", id="ky_pi-3-Ly-half"),
+])
+def test_simulate_refuses_a_mode_not_vanishing_on_the_walls(entries, message,
+                                                           tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.json", {"nx": 8, "ny": 8, "T": 0.5,
+                                            **entries})
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "simulate"]) \
+        == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entries", [
+    pytest.param({"nx": 8, "ny": 4, "Ly": 0.5, "ky_pi": 2}, id="Ly-half"),
+    pytest.param({"nx": 16, "ny": 8, "Lx": 2.0, "kx_pi": 3}, id="Lx-2"),
+    pytest.param({"nx": 4, "ny": 8, "Lx": 0.5, "kx_pi": 4, "ky_pi": 3},
+                 id="Lx-half")])
+def test_simulate_runs_a_mode_vanishing_on_non_unit_walls(entries, tmp_path):
+    cfg = write_config(tmp_path, "s.json", {"T": 0.5, **entries})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "simulate"]) == EXIT_OK
+    # the mode the guard admits has no tangential E on the walls
+    mesh = build_mesh(entries["nx"], entries["ny"], entries.get("Lx", 1.0),
+                      entries.get("Ly", 1.0), "pec")
+    sol = make_exact_solution(entries.get("kx_pi", 1) * np.pi,
+                              entries.get("ky_pi", 1) * np.pi, Medium())
+    mid = mode_dofs(mesh, sol)[0]
+    assert np.abs(mid[mesh.boundary_edge_mask]).max() \
+        < 1e-13 * np.abs(mid).max()
 
 
 def test_simulate_instability_exit_code(tmp_path):

@@ -305,6 +305,31 @@ def test_polished_minus_continuous_scaling():
     assert 1.7 < slope_yee < 2.3
 
 
+# (pi, pi) at 45 degrees on n^2 unit-square meshes: T's terms grow like
+# 1/dt^2, past the reach of an absolute residual bound from 32^2 on
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("nu", [0.25, 0.5, 0.6])
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+def test_polish_reaches_round_off_on_fine_meshes(n, nu, scheme):
+    k = np.pi * np.sqrt(2.0)
+    wv, h = WaveVec(k, np.pi / 4), 1.0 / n
+    dt = nu * h / MEDIUM.c0
+    pars = params_for_scheme(scheme, nu, 1.0)
+
+    def err(w):
+        return relative_dispersion_error(w, wv, MEDIUM, dt, h, 1.0, pars,
+                                         MEDIUM.c0)
+
+    w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, MEDIUM.c0,
+                             oscillatory_root(k, MEDIUM))
+    # the residual of a root off by 4 eps / (|w| dt)^2 relative, the
+    # rounding of T's terms; measured at most 0.95 of that
+    s = 1e-6 * abs(w)
+    slope = abs((err(w + s) * abs(w + s) - err(w - s) * abs(w - s)) / (2 * s))
+    off = 4.0 * np.finfo(float).eps / (abs(w) * dt) ** 2
+    assert abs(err(w)) <= slope * off
+
+
 # ---- anisotropy sweep ------------------------------------------------------------
 
 def test_sweep_symmetry_square_mesh():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from etmfd import operators
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import (MfdParams, SingularLocalWError,
-                             assemble_step_operators,
+                             assemble_step_operators, row_blocks,
                              local_M, local_W, local_curl, optimal_local_W,
                              optimal_params, params_for_scheme, yee_params)
 from etmfd.selftest import (apply_pec, assemble_W, assemble_curl,
@@ -262,7 +264,7 @@ def test_commuting_diagram_midpoint_second_order():
 def test_step_operators_factor_W_times_curl_curl(shape):
     m = build_mesh(*shape)
     p = optimal_params(0.5, m.gamma)
-    C, G = assemble_step_operators(m, p)
+    C, G = stacked_step_operators(m, p)
     ref = (assemble_W(m, p) @ assemble_curl_curl(m)).toarray()
     assert np.abs((G @ C).toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
     assert G.has_sorted_indices
@@ -272,11 +274,55 @@ def test_step_operators_factor_W_times_curl_curl(shape):
 
 # ---- stencil-built step operators vs the product-built oracle -----------------
 
+def stacked_step_operators(mesh, params):
+    """(C, G) with G's row blocks stacked into one CSR matrix, after
+    checking that every block has sorted int32 indices and is no view of
+    a larger array, and that the blocks split the rows at `row_blocks`."""
+    C, G = assemble_step_operators(mesh, params)
+    assert isinstance(G, tuple)
+    bounds = row_blocks(mesh.n_edges)
+    assert [b.shape[0] for b in G] == np.diff(bounds).tolist()
+    for b in G:
+        assert b.shape[1] == mesh.n_faces
+        assert b.indices.dtype == b.indptr.dtype == np.int32
+        assert b.has_sorted_indices
+        for v in (b.data, b.indices, b.indptr):
+            assert v.base is None or v.base.nbytes == v.nbytes
+    return C, sp.vstack(G, format="csr")
+
+
+@pytest.mark.parametrize("n, sizes", [(1, [1]), (7, [7]), (8, [4, 4]),
+                                      (15, [5, 5, 5]), (16, [5, 5, 6]),
+                                      (23, [5, 6, 6, 6])])
+def test_row_blocks_are_equal_and_at_most_BLOCK(n, sizes, monkeypatch):
+    monkeypatch.setattr(operators, "BLOCK", 7)
+    bounds = row_blocks(n)
+    assert bounds[0] == 0 and bounds[-1] == n
+    assert np.diff(bounds).tolist() == sizes
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("boundary", ["pec", "periodic"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (3, 4), (13, 11)])
+def test_step_operators_in_small_blocks_stack_to_one_block(
+        nx, ny, boundary, block, monkeypatch):
+    # several uneven blocks, wrapped and one-cell periodic rows included
+    m = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    p = optimal_params(0.5, m.gamma)
+    C1, G1 = assemble_step_operators(m, p)
+    assert len(G1) == 1
+    monkeypatch.setattr(operators, "BLOCK", block)
+    C, G = stacked_step_operators(m, p)
+    for op, ref in ((C, C1), (G, G1[0])):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op, attr), getattr(ref, attr))
+
+
 @pytest.mark.parametrize("boundary", ["pec", "periodic"])
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (3, 4), (7, 7),
                                     (8, 9), (13, 11), (64, 64), (256, 256)])
 def test_step_operators_match_the_product_oracle(nx, ny, boundary):
-    # 256^2 spans more than one block of rows
+    # 256^2 spans more than one block of rows: G's blocks are stacked
     m = build_mesh(nx, ny, 1.0, 1.3, boundary)
     C_ref = apply_pec(assemble_curl(m), m, rows=False)
     for p in (optimal_params(0.5, m.gamma), yee_params(),
@@ -284,7 +330,7 @@ def test_step_operators_match_the_product_oracle(nx, ny, boundary):
         G_ref = assemble_W(m, p) @ C_ref.T
         G_ref.data *= m.dx * m.dy
         G_ref.sort_indices()
-        for op, ref in zip(assemble_step_operators(m, p), (C_ref, G_ref)):
+        for op, ref in zip(stacked_step_operators(m, p), (C_ref, G_ref)):
             assert op.indices.dtype == op.indptr.dtype == np.int32
             assert op.has_sorted_indices
             assert np.array_equal(op.indptr, ref.indptr)
@@ -296,5 +342,5 @@ def test_step_operators_match_the_product_oracle(nx, ny, boundary):
                 assert np.abs(op.data - ref.data).max() <= 1e-15 * scale
     if boundary == "pec" or min(nx, ny) > 1:
         # Yee's G keeps only the two faces of every interior edge
-        G = assemble_step_operators(m, yee_params())[1]
+        G = stacked_step_operators(m, yee_params())[1]
         assert (np.diff(G.indptr)[~m.boundary_edge_mask] == 2).all()

@@ -1,15 +1,16 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from etmfd import stepper
+from etmfd import operators, stepper
 from etmfd.analysis import (exact_E, initial_fields, make_exact_solution,
                             mode_dofs)
 from etmfd.mesh import build_mesh, interpolate_edge_field
-from etmfd.operators import optimal_params, yee_params
+from etmfd.operators import optimal_params, params_for_scheme, yee_params
 from etmfd.plasma import Medium, coupling_matrix, exp_operators
 from etmfd.selftest import (assemble_W, assemble_curl_curl, dense_step,
                             series_exp_oracle)
@@ -226,9 +227,10 @@ def test_ode_limit_exactness(dt):
     assert abs(res.state.J_curr[0] - ref[1]) < 1e-12
 
 
-def test_step_matches_the_unfactored_pair(rng):
+@pytest.mark.parametrize("n", [64, 256])  # one block of rows, and five
+def test_step_matches_the_unfactored_pair(n, rng):
     # G @ (C @ E) and the in-place update against W @ (A @ E) written out
-    mesh = build_mesh(64, 64, 1.0, 1.0, "pec")
+    mesh = build_mesh(n, n, 1.0, 1.0, "pec")
     config = make_config(mesh)
     ops = exp_operators(MEDIUM, config.dt)
     st = SimState(*rng.standard_normal((4, mesh.n_edges)), 1)
@@ -296,6 +298,101 @@ def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
     monkeypatch.setattr(stepper, "_j_update", poisoned)
     with pytest.raises(UnstableSimulationError, match="at step 5 "):
         run(config, *_exact_initial(mesh, sol, config.dt))
+
+
+# ---- the row-blocked step ---------------------------------------------------
+
+BLOCKED_MESHES = [(13, 11, "pec"), (8, 8, "pec"), (9, 7, "periodic"),
+                  (1, 40, "periodic")]  # a one-cell-wide torus sums duplicates
+
+
+def _random_state(config, rng):
+    return initialize(config, *rng.standard_normal((3, config.mesh.n_edges)))
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+@pytest.mark.parametrize("nx, ny, boundary", BLOCKED_MESHES)
+def test_blocked_step_is_bit_identical_to_one_block(nx, ny, boundary, scheme,
+                                                    block, rng, monkeypatch):
+    mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    config = dataclasses.replace(
+        make_config(mesh), params=params_for_scheme(scheme, 0.5, mesh.gamma))
+    ops = exp_operators(MEDIUM, config.dt)
+    one = step_operators(config, ops)
+    assert len(one.G) == 1
+    monkeypatch.setattr(operators, "BLOCK", block)
+    many = step_operators(config, ops)
+    assert len(many.G) == -(-mesh.n_edges // block) > 1
+    st_one = _random_state(config, rng)
+    st_many = SimState(*(v.copy() for v in (st_one.E_curr, st_one.E_prev,
+                                             st_one.J_curr, st_one.J_prev)), 1)
+    for _ in range(20):
+        assert step(st_one, one) == step(st_many, many)
+    for field in ("E_curr", "E_prev", "J_curr", "J_prev"):
+        assert np.array_equal(getattr(st_one, field), getattr(st_many, field))
+
+
+@pytest.mark.parametrize("nx, ny, boundary", BLOCKED_MESHES)
+def test_blocked_step_returns_the_max_over_every_block(nx, ny, boundary, rng,
+                                                       monkeypatch):
+    monkeypatch.setattr(operators, "BLOCK", 7)
+    mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    config = make_config(mesh)
+    ops = step_operators(config, exp_operators(MEDIUM, config.dt))
+    last = int(np.flatnonzero(~mesh.boundary_edge_mask)[-1])
+    states = [_random_state(config, rng)]
+    for sign in (1.0, -1.0):  # J enters elementwise: the peak stays put
+        z = np.zeros(mesh.n_edges)
+        J = z.copy()
+        J[last] = sign * 1e3
+        states.append(SimState(z.copy(), z.copy(), J, z.copy(), 1))
+    for st in states:
+        for _ in range(3):
+            m = step(st, ops)
+            assert m == max(np.abs(st.E_curr).max(), np.abs(st.J_curr).max())
+    assert max(np.abs(st.E_curr).argmax(), np.abs(st.J_curr).argmax()) == last
+    assert last >= mesh.n_edges - ops.G[-1].shape[0]  # in the last block
+
+
+@pytest.mark.parametrize("field", ["E", "J"])
+def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
+    monkeypatch.setattr(operators, "BLOCK", 64)
+    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")  # 144 edges, 3 blocks of 48
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    config = make_config(mesh, T=1.0)
+    real = stepper._j_update
+    made = []
+
+    def poisoned(j_coeffs, E, J, E_next, out, scratch):
+        real(j_coeffs, E, J, E_next, out=out, scratch=scratch)
+        made.append(len(out))
+        # initialize makes J^1; step n updates blocks 1..3 in calls
+        # 3 (n - 2) + 2 .. 3 (n - 1) + 1, so step 5's last block is call 13
+        if len(made) == 13:
+            (E_next if field == "E" else out)[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(stepper, "_j_update", poisoned)
+    with pytest.raises(UnstableSimulationError, match="at step 5 "):
+        run(config, *_exact_initial(mesh, sol, config.dt))
+    assert made == [144] + [48] * 12
+
+
+def test_step_allocates_no_edge_sized_array(rng):
+    mesh = build_mesh(512, 512, 1.0, 1.0, "pec")  # 525 312 edges, 17 blocks
+    config = make_config(mesh)
+    ops = step_operators(config, exp_operators(MEDIUM, config.dt))
+    assert len(ops.G) == 17
+    st = _random_state(config, rng)
+    step(st, ops)  # warm: first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        step(st, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mesh.n_edges * 8  # C @ E is face-sized, z block-sized
 
 
 # ETMFD at 32^2 PEC, kx = ky = pi: the unstable mode grows from rounding
