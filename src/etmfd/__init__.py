@@ -15,7 +15,7 @@ from .plasma import (ExpOperators, Medium, RegimeError, coupling_matrix,
                      exp_operators)
 from .stepper import (RunResult, SimConfig, SimState, Snapshot, StepOperators,
                       UnstableSimulationError, initialize, load_snapshot,
-                      run, save_snapshot, step, step_operators)
+                      nu_max, run, save_snapshot, step, step_operators)
 from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
                          conductive_leapfrog_residual, continuous_roots,
                          discrete_root_polish, leapfrog_zeroing_w2,

@@ -79,7 +79,19 @@ def j_time_factor(sol: ExactSolution, t):
 def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
     """(mid, avg): the spatial mode's edge DoFs under the E rule (midpoint
     samples) and the J rule (4-point Gauss edge averages).  The exact
-    fields' DoFs at t are these times e_time_factor and j_time_factor."""
+    fields' DoFs at t are these times e_time_factor and j_time_factor.
+
+    On a PEC mesh the mode's tangential E must vanish on the walls
+    x = Lx and y = Ly, which takes a whole number of half-waves across
+    the domain: ValueError otherwise."""
+    if mesh.boundary == "pec":
+        for k, L in (("kx", "Lx"), ("ky", "Ly")):
+            waves = getattr(sol, k) * getattr(mesh, L) / math.pi
+            if abs(waves - round(waves)) > 1e-9:
+                raise ValueError(
+                    f"{k} {L} / pi = {waves:g} is not an integer: the mode "
+                    f"does not vanish on the PEC wall at {L}")
+
     def mode(x, y):
         return spatial_mode(sol, x, y)
     return (interpolate_edge_field(mesh, mode, "midpoint"),

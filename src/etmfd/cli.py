@@ -217,13 +217,6 @@ def cmd_simulate(args) -> int:
     params = params_for_scheme(cfg["scheme"], cfg["nu"], mesh.gamma)
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)
-    # the mode's tangential E vanishes on the walls x = Lx and y = Ly only
-    # for a whole number of half-waves across the domain
-    for key, L in (("kx_pi", "Lx"), ("ky_pi", "Ly")):
-        waves = cfg[key] * cfg[L]
-        if abs(waves - round(waves)) > 1e-9:
-            raise CliError(f"{key} * {L} = {waves:g} is not an integer: the "
-                           f"mode does not vanish on the PEC wall at {L}")
     mid, avg = analysis.mode_dofs(mesh, sol)
     probes = cfg["probes"]
     if probes == "auto":

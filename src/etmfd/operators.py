@@ -13,6 +13,7 @@ PEC boundary edges carry no DoF in the step, so they stay zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,10 +116,10 @@ BLOCK = 1 << 15
 
 
 def _template_G(mesh: RectMesh, params: MfdParams) -> tuple:
-    """The template mesh and its G = W C^T diag(|f|) as CSR pieces
-    (indptr, data, face column, face row).  An entry sums its face's edge
-    terms in ascending edge order, as the product W @ C^T does: the same
-    bits, unless a periodic wrap reorders the face's edges."""
+    """The template mesh and its G = W C^T diag(|f|), dense.  An entry
+    sums its face's edge terms in ascending edge order, as the product
+    W @ C^T does: the same bits, unless a periodic wrap reorders the
+    face's edges."""
     t = RectMesh(min(mesh.nx, TEMPLATE), min(mesh.ny, TEMPLATE), 1.0, 1.0,
                  mesh.boundary)  # topology only: values use mesh.dx, dy
     fe, b, faces = t.face_edge_table, t.boundary_edge_mask, np.arange(t.n_faces)
@@ -130,26 +131,99 @@ def _template_G(mesh: RectMesh, params: MfdParams) -> tuple:
     W[b], C[:, b] = 0.0, 0.0
     K = np.sort(fe, axis=1)
     terms = W[:, K] * C[faces[:, None], K]
-    G = (((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
-         ) * (mesh.dx * mesh.dy)
-    r, f = np.nonzero(G)
-    fj, fi = np.divmod(f.astype(np.int32), t.nx)
-    return t, np.searchsorted(r, np.arange(t.n_edges + 1)), G[r, f], fi, fj
+    return t, (((terms[..., 0] + terms[..., 1]) + terms[..., 2])
+               + terms[..., 3]) * (mesh.dx * mesh.dy)
 
 
-def row_blocks(n: int) -> np.ndarray:
-    """Bounds of the row blocks of an n-row operator: as few as hold at
-    most BLOCK rows each, of equal size to within one row."""
-    nb = -(-n // BLOCK)
+def row_blocks(n: int, line: int) -> np.ndarray:
+    """Bounds, in lines, of the row blocks of n lines of `line` rows: as
+    few blocks as hold at most BLOCK rows each (one line, if it is
+    longer), of equal size to within one line."""
+    nb = -(-n // max(1, BLOCK // line))
     return np.arange(nb + 1) * n // nb
+
+
+class FaceLayout(NamedTuple):
+    """The face values in `before` ghost lines, the ny face lines and
+    `after` ghost lines, each `width` entries long, zeros past its nx
+    faces.  Ghost lines repeat the face lines that wrap onto them."""
+    nx: int
+    ny: int
+    width: int
+    before: int
+    after: int
+
+    @property
+    def shape(self) -> tuple:
+        return self.before + self.ny + self.after, self.width
+
+    def buffer(self) -> np.ndarray:
+        return np.zeros(self.shape)
+
+    def fill(self, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """Write the face vector y into buf, a `buffer()`; return it flat."""
+        y2, b, nx = y.reshape(self.ny, self.nx), self.before, self.nx
+        buf[b:b + self.ny, :nx] = y2
+        if b or self.after:
+            buf[:b, :nx] = y2[np.arange(-b, 0) % self.ny]
+            buf[b + self.ny:, :nx] = y2[np.arange(self.after) % self.ny]
+        return buf.reshape(-1)
+
+
+class StepG(NamedTuple):
+    """G as DIA row blocks in row order.  Block k multiplies entries
+    start .. start + blocks[k].shape[1] of face layout src, with
+    (src, start) = reads[k]: layout 0 is the face vector, layout l > 0
+    is `layouts[l - 1]`.  Blocks whose lines take the same template rows
+    share one `data` array."""
+    blocks: tuple
+    reads: tuple
+    layouts: tuple
+
+    def scale(self, factor: float) -> None:
+        """Multiply G by factor in place, each shared array once."""
+        for data in {id(b.data): b.data for b in self.blocks}.values():
+            data *= factor
+
+    def buffers(self) -> tuple:
+        """One buffer per face layout, for `windows`."""
+        return tuple(lay.buffer() for lay in self.layouts)
+
+    def windows(self, y: np.ndarray, buffers: tuple) -> list:
+        """Each block's input: its window of the face layouts of y, which
+        are written into `buffers`."""
+        faces = [y] + [lay.fill(y, buf)
+                       for lay, buf in zip(self.layouts, buffers)]
+        return [faces[src][c:c + b.shape[1]]
+                for b, (src, c) in zip(self.blocks, self.reads)]
+
+
+def _diagonals(lines: np.ndarray, offsets: np.ndarray) -> tuple:
+    """DIA (data, offsets) of rows given line by line as a (lines,
+    diagonals, rows a line) array: row r's entry on diagonal d sits in
+    column r + offsets[d]."""
+    vals = lines.transpose(1, 0, 2).reshape(len(offsets), -1)
+    n = vals.shape[1]
+    data = np.zeros((len(offsets), n + max(int(offsets.max()), 0)))
+    for d, k in enumerate(offsets.tolist()):
+        if -k < n:
+            data[d, max(k, 0):n + k] = vals[d, max(-k, 0):]
+    return data, offsets.astype(np.int32)
 
 
 def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
     """(C, G) with G @ C == W @ A: C is the curl with the PEC columns
     dropped and G = W C^T diag(|f|) with the PEC rows dropped, written
-    from stencils without a product.  C is one CSR matrix; G is a tuple
-    of CSR row blocks, in row order, at the bounds of `row_blocks`.
-    Each has sorted int32 indices and owns its arrays."""
+    from stencils without a product.  C is one CSR matrix, G a `StepG`.
+
+    G's blocks hold whole grid lines of one edge orientation, at the
+    bounds of `row_blocks`.  The rows of a line are consecutive entries
+    of their face layout, so each face a row reaches sits at a fixed
+    offset from it: a block is a DIA matrix, its diagonals the row's
+    faces in ascending order (on a PEC mesh).  Horizontal edges of a PEC
+    mesh read the face vector, vertical ones the faces padded to nx + 1
+    a line.  On a torus both read the faces between ghost lines, and a
+    face across the wrap in x takes a diagonal of its own."""
     nx, ny, periodic = mesh.nx, mesh.ny, mesh.boundary == "periodic"
     # C: each face's edges in ascending order [bottom, top, left, right]
     fe = mesh.face_edge_table[:, [0, 2, 3, 1]]
@@ -162,47 +236,60 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
         C.eliminate_zeros()
 
     # G: edge (i, j) takes the row of template edge (i - si, j - sj), with
-    # its face columns shifted by (si, sj)
-    t, tptr, tdata, tfi, tfj = _template_G(mesh, params)
+    # its faces shifted by (si, sj)
+    t, Gt = _template_G(mesh, params)
+    tfj, tfi = np.divmod(np.arange(t.n_faces), t.nx)
 
     def shift(k, n, tn):  # cell or line indices k, axis of n (tn) cells
         return (k - HALO if periodic and n > tn
                 else np.minimum(np.maximum(k - HALO, 0), n - tn))
 
-    nh = mesh.n_hedges
-    jh, ih = np.divmod(np.arange(nh, dtype=np.int32), nx)
-    jv, iv = np.divmod(np.arange(mesh.n_vedges, dtype=np.int32),
-                       mesh.n_vedges // ny)
-    i, j = np.concatenate([ih, iv]), np.concatenate([jh, jv])
-    si, sj = shift(i, nx, t.nx), shift(j, ny, t.ny)
-    ti, tj = i - si, j - sj
-    row = np.concatenate([t.hedge_index(ti[:nh], tj[:nh]),
-                          t.vedge_index(ti[nh:], tj[nh:])])
-    tlen, tflat, sflat = np.diff(tptr), tfj * nx + tfi, sj * nx + si
-    # entry p of edge e's row is the template's entry tptr[row[e]] + p.
-    # Each block allocates its own arrays: scipy copies a view of less
-    # than half its base, so blocks cut from one big G would be copies
-    G = []
-    bounds = row_blocks(mesh.n_edges)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        e = slice(a, b)
-        n = tlen[row[e]]
-        indptr = np.zeros(b - a + 1, np.int32)
-        np.cumsum(n, out=indptr[1:])
-        q = np.repeat(tptr[row[e]] - indptr[:-1], n) + np.arange(indptr[-1])
-        if periodic:  # wrap the face column and row apart
-            fi = (tfi.take(q) + np.repeat(si[e], n)) % nx
-            fj = (tfj.take(q) + np.repeat(sj[e], n)) % ny
-            indices = fj * nx + fi
-        else:
-            indices = tflat.take(q) + np.repeat(sflat[e], n)
-        block = sp.csr_matrix((tdata.take(q), indices, indptr),
-                              shape=(b - a, mesh.n_faces))
-        if periodic:  # wrapped rows are out of order; one-cell edges repeat
-            block.sum_duplicates()
-            block.eliminate_zeros()
-        G.append(block)
-    return C, tuple(G)
+    # per orientation: template row, rows a line, lines, layout, the
+    # layout line of line 0
+    if periodic:
+        layouts = (FaceLayout(nx, ny, nx, HALO, 1),)
+        kinds = ((t.hedge_index, nx, ny, 1, HALO),
+                 (t.vedge_index, nx, ny, 1, HALO))
+    else:
+        layouts = (FaceLayout(nx, ny, nx + 1, 0, 0),)
+        kinds = ((t.hedge_index, nx, ny + 1, 0, 0),
+                 (t.vedge_index, nx + 1, ny, 1, 0))
+    sizes = [mesh.n_faces] + [lay.shape[0] * lay.shape[1] for lay in layouts]
+    blocks, reads = [], []
+    for index, n, lines, src, first in kinds:
+        i, j = np.arange(n), np.arange(lines)
+        si, tj = shift(i, nx, t.nx), j - shift(j, ny, t.ny)
+        # tj takes every value between its extremes
+        us, uj = np.arange(tj.min(), tj.max() + 1), tj - tj.min()
+        # the rows of a line of each template line us[w], their entries
+        # (w, row r, template face f) and each entry's offset
+        rows = Gt[index(i - si, us[:, None])]
+        w, r, f = np.nonzero(rows)
+        fi, dj = tfi[f] + si[r], tfj[f] - us[w]
+        if periodic:  # the face line nearest below, the face in x
+            fi, dj = fi % nx, (dj + HALO) % ny - HALO
+        off = dj * n + fi - r
+        K = np.union1d(off, [0])  # 0: one zero diagonal if G has no entry
+        pattern = np.zeros((len(us), len(K), n))
+        pattern[w, np.searchsorted(K, off), r] = rows[w, r, f]
+        # blocks of one template line share the data array of the longest
+        # block, of which a shorter one reads a part
+        bounds, line_u = row_blocks(lines, n).tolist(), uj.tolist()
+        most = max(b - a for a, b in zip(bounds, bounds[1:]))
+        shared = {}
+        for l0, l1 in zip(bounds[:-1], bounds[1:]):
+            p0 = (l0 + first) * n  # layout entry of the block's first row
+            c0 = max(0, p0 + int(K[0]))
+            c1 = min(sizes[src], p0 + (l1 - l0) * n + int(K[-1]))
+            u = line_u[l0:l1]
+            key = (p0 - c0, (u[0],) * most if u.count(u[0]) == len(u)
+                   else tuple(u))
+            if key not in shared:
+                shared[key] = _diagonals(pattern[list(key[1])], K + key[0])
+            blocks.append(sp.dia_matrix(shared[key],
+                                        shape=((l1 - l0) * n, c1 - c0)))
+            reads.append((src, c0))
+    return C, StepG(tuple(blocks), tuple(reads), layouts)
 
 
 def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:

@@ -18,12 +18,20 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import RectMesh
-from .operators import MfdParams, assemble_step_operators
+from .operators import MfdParams, StepG, assemble_step_operators
 from .plasma import ExpOperators, Medium, exp_operators
 
 
 class UnstableSimulationError(RuntimeError):
     """Field blow-up or NaN detected during time stepping."""
+
+
+def nu_max(gamma: float) -> float:
+    """Largest stable Courant number nu = c0 dt / dx on cells of aspect
+    ratio gamma = dy / dx: gamma / sqrt(1 + gamma^2), where the vacuum
+    symbol reaches |S_h| dt^2 = 4 at the corner of the zone.  It holds
+    for the Yee and the dispersion-optimal weights alike."""
+    return gamma / math.sqrt(1.0 + gamma * gamma)
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,11 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.nu < math.inf:  # NaN fails both comparisons
             raise ValueError(f"Courant number must be finite and > 0, got {self.nu}")
+        limit = nu_max(self.mesh.gamma)
+        if self.nu > limit:
+            raise ValueError(
+                f"Courant number {self.nu:g} is above the stability limit "
+                f"nu_max = {limit:.6g} of aspect ratio {self.mesh.gamma:.6g}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"final time must be finite and > 0, got {self.T}")
         stride = self.snapshot_stride
@@ -77,12 +90,14 @@ class SimState:
 class StepOperators(NamedTuple):
     """What `step` applies, built once per run by `step_operators`.
 
-    C is the PEC-pruned curl, one CSR matrix; G is the tuple of CSR row
+    C is the PEC-pruned curl, one CSR matrix; G is the `StepG` of DIA row
     blocks of W C^T diag(|f|) that `assemble_step_operators` writes, with
-    -(c0^2 dt alpha3) folded in.  alphas are (alpha1, alpha2) of the E
-    update and j_coeffs (cJ, cE, cN) of the J update."""
+    -(c0^2 dt alpha3) folded in, and buffers holds the face layouts G
+    reads, which `step` writes.  alphas are (alpha1, alpha2) of the E update and
+    j_coeffs (cJ, cE, cN) of the J update."""
     C: sp.csr_matrix
-    G: tuple
+    G: StepG
+    buffers: tuple
     alphas: tuple
     j_coeffs: tuple
 
@@ -108,10 +123,9 @@ def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
     """Set-up of the step: the alpha3 guard, then the assembly."""
     j_coeffs = _j_coefficients(expops)
     C, G = assemble_step_operators(config.mesh, config.params)
-    scale = -(config.medium.c0 ** 2 * config.dt * expops.alpha3)
-    for G_b in G:
-        G_b.data *= scale
-    return StepOperators(C, G, (expops.alpha1, expops.alpha2), j_coeffs)
+    G.scale(-(config.medium.c0 ** 2 * config.dt * expops.alpha3))
+    return StepOperators(C, G, G.buffers(), (expops.alpha1, expops.alpha2),
+                         j_coeffs)
 
 
 def initialize(config: SimConfig, E0, E1, J0,
@@ -146,12 +160,13 @@ def step(state: SimState, ops: StepOperators) -> float:
     and max/min run on its slices while they are in cache.  Every entry
     takes the same operations in the same order as a whole-vector pass."""
     y = ops.C @ state.E_curr
+    windows = ops.G.windows(y, ops.buffers)
     (a1, a2), E, J = ops.alphas, state.E_prev, state.J_prev
-    peaks = np.empty((len(ops.G), 4))
+    peaks = np.empty((len(windows), 4))
     a = 0
-    for k, G_b in enumerate(ops.G):
+    for k, (G_b, x) in enumerate(zip(ops.G.blocks, windows)):
         b = a + G_b.shape[0]
-        z = G_b @ y  # the block's curl-curl term, its only new array
+        z = G_b @ x  # the block's curl-curl term, its only new array
         e, j, e_c, j_c = E[a:b], J[a:b], state.E_curr[a:b], state.J_curr[a:b]
         # E' = (1 + a1) E - a1 E_prev + a2 (J - J_prev) + z into E_prev,
         # then J' into J_prev with z as scratch

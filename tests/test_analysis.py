@@ -22,6 +22,22 @@ from etmfd.selftest import assemble_local_blocks
 MEDIUM = Medium()
 
 
+@pytest.mark.parametrize("kx_pi, ky_pi, Lx, Ly", [(1, 1, 1.0, 0.5),
+                                                  (1, 2, 1.5, 1.0),
+                                                  (3, 1, 1.0, 1.25)])
+def test_mode_dofs_refuses_a_mode_not_vanishing_on_the_walls(kx_pi, ky_pi,
+                                                             Lx, Ly):
+    # on 8x4 with Ly = 0.5, kx = ky = pi put the walls' largest tangential
+    # E level with the largest overall, and `run` took it without error
+    mesh = build_mesh(8, 4, Lx, Ly, "pec")
+    sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
+    with pytest.raises(ValueError, match="does not vanish on the PEC wall"):
+        mode_dofs(mesh, sol)
+    # the same mode on a torus, and a whole number of half-waves, pass
+    mode_dofs(build_mesh(8, 4, Lx, Ly, "periodic"), sol)
+    mode_dofs(build_mesh(8, 4, 2.0, 2.0, "pec"), sol)
+
+
 def test_make_exact_solution_validates_wavenumbers():
     with pytest.raises(ValueError):
         make_exact_solution(1.0, np.pi, MEDIUM)
@@ -247,15 +263,17 @@ def test_pick_probe_edge_matches_the_full_table_rule(nx, ny, boundary, rng):
              rng.integers(0, 3, mesh.n_edges),  # integer ties
              rng.standard_normal(mesh.n_edges)]
     for kx_pi, ky_pi in ((1, 1), (1, 2), (2, 3), (4, 4)):
+        # mode_dofs' E rule; on PEC walls at Ly = 1.3 it refuses the mode
         sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
-        modes.append(mode_dofs(mesh, sol)[0])
+        modes.append(interpolate_edge_field(
+            mesh, lambda x, y: spatial_mode(sol, x, y), "midpoint"))
     for mode in modes:
         assert pick_probe_edge(mesh, mode) == pick_probe_reference(mesh, mode)
 
 
 @pytest.mark.parametrize("kx_pi, ky_pi", [(1, 1), (1, 2), (2, 3)])
 def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
-    mesh = build_mesh(16, 12, 1.0, 0.75, "pec")
+    mesh = build_mesh(16, 32, 1.0, 2.0, "pec")
     sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
     mid, avg = mode_dofs(mesh, sol)
     # E: the exact field sampled at edge midpoints, to the last bit

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -158,11 +159,12 @@ def test_simulate_command(tmp_path):
 
 @pytest.mark.parametrize("entries, message", [
     pytest.param({"nx": 8, "ny": 4, "Ly": 0.5},
-                 "ky_pi * Ly = 0.5 is not an integer", id="Ly-half"),
-    pytest.param({"nx": 12, "Lx": 1.5}, "kx_pi * Lx = 1.5 is not an integer",
+                 "ky Ly / pi = 0.5 is not an integer", id="Ly-half"),
+    pytest.param({"nx": 12, "Lx": 1.5}, "kx Lx / pi = 1.5 is not an integer",
                  id="Lx-1.5"),
-    pytest.param({"Lx": 2.0, "Ly": 0.5, "ky_pi": 3},
-                 "ky_pi * Ly = 1.5 is not an integer", id="ky_pi-3-Ly-half"),
+    # gamma = 1/4: nu_max = 0.2425
+    pytest.param({"Lx": 2.0, "Ly": 0.5, "ky_pi": 3, "nu": 0.2},
+                 "ky Ly / pi = 1.5 is not an integer", id="ky_pi-3-Ly-half"),
 ])
 def test_simulate_refuses_a_mode_not_vanishing_on_the_walls(entries, message,
                                                            tmp_path, capsys):
@@ -194,11 +196,26 @@ def test_simulate_runs_a_mode_vanishing_on_non_unit_walls(entries, tmp_path):
         < 1e-13 * np.abs(mid).max()
 
 
-def test_simulate_instability_exit_code(tmp_path):
+def test_simulate_instability_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     cfg = write_config(tmp_path, "s.json", {"nx": 8, "ny": 8, "nu": 5.0,
                                             "T": 50.0})
     assert main(["--config", cfg, "--out", str(tmp_path / "o"),
                  "simulate"]) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("entries", [
+    pytest.param({"nx": 32, "ny": 32, "nu": 1.0}, id="nu-1"),
+    pytest.param({"nx": 16, "ny": 16, "Ly": 0.5, "ky_pi": 2}, id="gamma-half")])
+def test_simulate_refuses_nu_past_the_stability_limit(entries, tmp_path,
+                                                      capsys):
+    # both ran to the 1e12 blow-up guard and exit 2, at steps 63 and 94
+    cfg = write_config(tmp_path, "s.json", {"T": 8.0, **entries})
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "simulate"]) \
+        == EXIT_VALIDATION
+    assert "above the stability limit nu_max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_vanishing_alpha3_exit_code(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from etmfd.selftest import (apply_pec, assemble_W, assemble_curl,
                             assemble_curl_curl, assemble_local_blocks,
                             dense_operators)
 
-from conftest import interpolate_face_field
+from conftest import edge_lines, interpolate_face_field
 
 
 def test_local_curl_unit_cell():
@@ -275,20 +275,34 @@ def test_step_operators_factor_W_times_curl_curl(shape):
 # ---- stencil-built step operators vs the product-built oracle -----------------
 
 def stacked_step_operators(mesh, params):
-    """(C, G) with G's row blocks stacked into one CSR matrix, after
-    checking that every block has sorted int32 indices and is no view of
-    a larger array, and that the blocks split the rows at `row_blocks`."""
+    """(C, G) with G's DIA row blocks mapped back onto the face columns and
+    stacked into one CSR matrix, after checking that the blocks hold whole
+    edge lines at the bounds of `row_blocks`, each with sorted int32
+    offsets and an owned float64 data array, and that no entry falls on
+    the zero padding of a face layout."""
     C, G = assemble_step_operators(mesh, params)
-    assert isinstance(G, tuple)
-    bounds = row_blocks(mesh.n_edges)
-    assert [b.shape[0] for b in G] == np.diff(bounds).tolist()
-    for b in G:
-        assert b.shape[1] == mesh.n_faces
-        assert b.indices.dtype == b.indptr.dtype == np.int32
-        assert b.has_sorted_indices
-        for v in (b.data, b.indices, b.indptr):
-            assert v.base is None or v.base.nbytes == v.nbytes
-    return C, sp.vstack(G, format="csr")
+    rows = [n * b for lines, n in edge_lines(mesh)
+            for b in np.diff(row_blocks(lines, n))]
+    assert [b.shape[0] for b in G.blocks] == rows
+    parts = []
+    for b, (src, start) in zip(G.blocks, G.reads):
+        assert isinstance(b, sp.dia_matrix)
+        assert b.offsets.dtype == np.int32
+        assert (np.diff(b.offsets) > 0).all()
+        assert b.data.dtype == np.float64 and b.data.flags.c_contiguous
+        assert b.data.base is None
+        coo = b.tocoo()  # drops the zero fill
+        col = coo.col + start
+        if src:  # layout entry -> face
+            lay = G.layouts[src - 1]
+            line, fi = np.divmod(col, lay.width)
+            assert (fi < lay.nx).all()
+            col = (line - lay.before) % lay.ny * lay.nx + fi
+        parts.append(sp.csr_matrix((coo.data, (coo.row, col)),
+                                   shape=(b.shape[0], mesh.n_faces)))
+    G = sp.vstack(parts, format="csr")
+    G.sort_indices()
+    return C, G
 
 
 @pytest.mark.parametrize("n, sizes", [(1, [1]), (7, [7]), (8, [4, 4]),
@@ -296,7 +310,7 @@ def stacked_step_operators(mesh, params):
                                       (23, [5, 6, 6, 6])])
 def test_row_blocks_are_equal_and_at_most_BLOCK(n, sizes, monkeypatch):
     monkeypatch.setattr(operators, "BLOCK", 7)
-    bounds = row_blocks(n)
+    bounds = row_blocks(n, 1)
     assert bounds[0] == 0 and bounds[-1] == n
     assert np.diff(bounds).tolist() == sizes
 
@@ -309,13 +323,30 @@ def test_step_operators_in_small_blocks_stack_to_one_block(
     # several uneven blocks, wrapped and one-cell periodic rows included
     m = build_mesh(nx, ny, 1.0, 1.3, boundary)
     p = optimal_params(0.5, m.gamma)
-    C1, G1 = assemble_step_operators(m, p)
-    assert len(G1) == 1
+    assert len(assemble_step_operators(m, p)[1].blocks) == 2  # one a side
+    C1, G1 = stacked_step_operators(m, p)
     monkeypatch.setattr(operators, "BLOCK", block)
     C, G = stacked_step_operators(m, p)
-    for op, ref in ((C, C1), (G, G1[0])):
+    for op, ref in ((C, C1), (G, G1)):
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(op, attr), getattr(ref, attr))
+
+
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+def test_step_operator_blocks_share_one_data_array_per_pattern(scheme):
+    # 512^2 PEC: nine blocks a side, of which only the first and the last
+    # touch a wall; the others are one pattern and must share its array
+    m = build_mesh(512, 512, 1.0, 1.0, "pec")
+    p = params_for_scheme(scheme, 0.5, 1.0)
+    C, G = assemble_step_operators(m, p)
+    assert len(G.blocks) == 18
+    distinct = {id(b.data): b.data for b in G.blocks}
+    assert len(distinct) == 6
+    for side in (G.blocks[1:8], G.blocks[10:17]):  # the inner blocks
+        assert all(b.data is side[0].data for b in side)
+    nbytes = sum(d.nbytes for d in distinct.values())
+    nnz = stacked_step_operators(m, p)[1].nnz
+    assert nbytes < nnz * 12 / 4  # CSR: 8-byte value, 4-byte index
 
 
 @pytest.mark.parametrize("boundary", ["pec", "periodic"])

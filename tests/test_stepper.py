@@ -5,18 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import edge_lines
 
 from etmfd import operators, stepper
 from etmfd.analysis import (exact_E, initial_fields, make_exact_solution,
                             mode_dofs)
 from etmfd.mesh import build_mesh, interpolate_edge_field
-from etmfd.operators import optimal_params, params_for_scheme, yee_params
+from etmfd.operators import (MfdParams, optimal_params, params_for_scheme,
+                             row_blocks, yee_params)
 from etmfd.plasma import Medium, coupling_matrix, exp_operators
 from etmfd.selftest import (assemble_W, assemble_curl_curl, dense_step,
                             series_exp_oracle)
 from etmfd.stepper import (SimConfig, SimState, Snapshot,
                            UnstableSimulationError, initialize, load_snapshot,
-                           run, save_snapshot, step, step_operators)
+                           nu_max, run, save_snapshot, step, step_operators)
 
 MEDIUM = Medium()
 
@@ -205,8 +207,9 @@ def test_pec_boundary_invariance_long_run():
 def test_instability_detected():
     mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    config = SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(),
-                       nu=5.0, T=100.0)
+    # weights unstable at a Courant number the Yee limit admits
+    config = SimConfig(mesh=mesh, medium=MEDIUM,
+                       params=MfdParams(0.6, 0.0, 0.6), nu=0.5, T=100.0)
     with pytest.raises(UnstableSimulationError):
         run(config, *_exact_initial(mesh, sol, config.dt))
 
@@ -285,13 +288,16 @@ def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=1.0)
     edge = int(np.flatnonzero(~mesh.boundary_edge_mask)[5])
+    nb = len(step_operators(config, exp_operators(MEDIUM, config.dt)).G.blocks)
     real = stepper._j_update
     made = []
 
     def poisoned(*args, **kwargs):
         J = real(*args, **kwargs)
         made.append(J)
-        if len(made) == 5:  # initialize makes J^1, step n makes J^n
+        # initialize makes J^1; step n makes J^n block by block, in calls
+        # nb (n - 2) + 2 .. nb (n - 1) + 1, and the edge is in block 1
+        if len(made) == nb * 3 + 2:
             J[edge] = np.nan
         return J
 
@@ -306,6 +312,12 @@ BLOCKED_MESHES = [(13, 11, "pec"), (8, 8, "pec"), (9, 7, "periodic"),
                   (1, 40, "periodic")]  # a one-cell-wide torus sums duplicates
 
 
+def _admitted_config(mesh):
+    """make_config at nu = 0.5, or at nu_max where the cells are too flat
+    for it (the 1x40 torus of BLOCKED_MESHES)."""
+    return make_config(mesh, nu=min(0.5, nu_max(mesh.gamma)))
+
+
 def _random_state(config, rng):
     return initialize(config, *rng.standard_normal((3, config.mesh.n_edges)))
 
@@ -316,14 +328,16 @@ def _random_state(config, rng):
 def test_blocked_step_is_bit_identical_to_one_block(nx, ny, boundary, scheme,
                                                     block, rng, monkeypatch):
     mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    config = _admitted_config(mesh)
     config = dataclasses.replace(
-        make_config(mesh), params=params_for_scheme(scheme, 0.5, mesh.gamma))
+        config, params=params_for_scheme(scheme, config.nu, mesh.gamma))
     ops = exp_operators(MEDIUM, config.dt)
     one = step_operators(config, ops)
-    assert len(one.G) == 1
+    assert len(one.G.blocks) == 2  # one for each edge orientation
     monkeypatch.setattr(operators, "BLOCK", block)
     many = step_operators(config, ops)
-    assert len(many.G) == -(-mesh.n_edges // block) > 1
+    assert len(many.G.blocks) == sum(
+        len(row_blocks(lines, n)) - 1 for lines, n in edge_lines(mesh)) >= 2
     st_one = _random_state(config, rng)
     st_many = SimState(*(v.copy() for v in (st_one.E_curr, st_one.E_prev,
                                              st_one.J_curr, st_one.J_prev)), 1)
@@ -338,7 +352,7 @@ def test_blocked_step_returns_the_max_over_every_block(nx, ny, boundary, rng,
                                                        monkeypatch):
     monkeypatch.setattr(operators, "BLOCK", 7)
     mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
-    config = make_config(mesh)
+    config = _admitted_config(mesh)
     ops = step_operators(config, exp_operators(MEDIUM, config.dt))
     last = int(np.flatnonzero(~mesh.boundary_edge_mask)[-1])
     states = [_random_state(config, rng)]
@@ -352,13 +366,13 @@ def test_blocked_step_returns_the_max_over_every_block(nx, ny, boundary, rng,
             m = step(st, ops)
             assert m == max(np.abs(st.E_curr).max(), np.abs(st.J_curr).max())
     assert max(np.abs(st.E_curr).argmax(), np.abs(st.J_curr).argmax()) == last
-    assert last >= mesh.n_edges - ops.G[-1].shape[0]  # in the last block
+    assert last >= mesh.n_edges - ops.G.blocks[-1].shape[0]  # last block
 
 
 @pytest.mark.parametrize("field", ["E", "J"])
 def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
     monkeypatch.setattr(operators, "BLOCK", 64)
-    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")  # 144 edges, 3 blocks of 48
+    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")  # 144 edges, 4 blocks
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=1.0)
     real = stepper._j_update
@@ -367,23 +381,24 @@ def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
     def poisoned(j_coeffs, E, J, E_next, out, scratch):
         real(j_coeffs, E, J, E_next, out=out, scratch=scratch)
         made.append(len(out))
-        # initialize makes J^1; step n updates blocks 1..3 in calls
-        # 3 (n - 2) + 2 .. 3 (n - 1) + 1, so step 5's last block is call 13
-        if len(made) == 13:
+        # initialize makes J^1; step n updates blocks 1..4 in calls
+        # 4 (n - 2) + 2 .. 4 (n - 1) + 1, so step 5's last block is call 17
+        if len(made) == 17:
             (E_next if field == "E" else out)[-1] = np.nan
         return out
 
     monkeypatch.setattr(stepper, "_j_update", poisoned)
     with pytest.raises(UnstableSimulationError, match="at step 5 "):
         run(config, *_exact_initial(mesh, sol, config.dt))
-    assert made == [144] + [48] * 12
+    # horizontal lines 4 + 5 of 8 edges, vertical lines 4 + 4 of 9
+    assert made == [144] + [32, 40, 36, 36] * 4
 
 
 def test_step_allocates_no_edge_sized_array(rng):
-    mesh = build_mesh(512, 512, 1.0, 1.0, "pec")  # 525 312 edges, 17 blocks
+    mesh = build_mesh(512, 512, 1.0, 1.0, "pec")  # 525 312 edges, 18 blocks
     config = make_config(mesh)
     ops = step_operators(config, exp_operators(MEDIUM, config.dt))
-    assert len(ops.G) == 17
+    assert len(ops.G.blocks) == 18
     st = _random_state(config, rng)
     step(st, ops)  # warm: first-call caches stay out of the count
     tracemalloc.start()
@@ -392,17 +407,25 @@ def test_step_allocates_no_edge_sized_array(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < mesh.n_edges * 8  # C @ E is face-sized, z block-sized
+    # C @ E is face-sized, z block-sized; the padded faces live in ops
+    assert peak < mesh.n_edges * 8
 
 
-# ETMFD at 32^2 PEC, kx = ky = pi: the unstable mode grows from rounding
-# noise, so the step past the bound moves with the order of the update's
-# floating-point operations
-@pytest.mark.parametrize("nu, n_fail", [(1.0, 63), (0.75, 125), (0.7, None)])
-def test_blowup_caught_at_first_step_past_the_bound(nu, n_fail, monkeypatch):
+# 32^2 PEC, kx = ky = pi: ETMFD at nu = 0.7, below nu_max = 0.7071, and
+# two weight sets unstable at nu = 0.5.  The unstable mode grows from
+# rounding noise, so the step past the bound moves with the order of the
+# update's floating-point operations
+@pytest.mark.parametrize("weights, nu, n_fail", [
+    pytest.param(None, 0.7, None, id="0.7-None"),
+    pytest.param((0.6, 0.0, 0.6), 0.5, 80, id="w1-w3-0.6-80"),
+    pytest.param((0.25, -0.3, 0.25), 0.5, 113, id="w2--0.3-113")])
+def test_blowup_caught_at_first_step_past_the_bound(weights, nu, n_fail,
+                                                    monkeypatch):
     mesh = build_mesh(32, 32, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, nu=nu, T=8.0)
+    if weights is not None:
+        config = dataclasses.replace(config, params=MfdParams(*weights))
     inits = _exact_initial(mesh, sol, config.dt)
     st0 = initialize(config, *inits)
     bound = 1e12 * (1.0 + max(np.abs(st0.E_curr).max(),
@@ -425,6 +448,38 @@ def test_blowup_caught_at_first_step_past_the_bound(nu, n_fail, monkeypatch):
             run(config, *inits)
         assert len(seen) == n_fail - 1  # steps 2 .. n_fail
         assert max(seen[:-1]) <= bound < seen[-1]
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_config_refuses_nu_past_the_stability_limit(gamma):
+    mesh = build_mesh(32, 32, 1.0, gamma, "pec")
+    limit = gamma / math.sqrt(1.0 + gamma * gamma)
+    assert nu_max(mesh.gamma) == pytest.approx(limit, rel=1e-15)
+    make_config(mesh, nu=0.99 * limit)
+    make_config(mesh, nu=limit)
+    with pytest.raises(ValueError, match="above the stability limit"):
+        make_config(mesh, nu=1.01 * limit)
+
+
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_nu_max_is_where_random_data_starts_to_blow_up(gamma, scheme, rng,
+                                                       monkeypatch):
+    # by bisection at 32^2 over T = 30, the measured limit sits 0.09% to
+    # 0.23% above nu_max, for both weight sets and gamma in {0.5, 1, 2}
+    mesh = build_mesh(32, 32, 1.0, gamma, "pec")
+    monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
+    for factor, stable in ((0.99, True), (1.01, False)):
+        nu = factor * gamma / math.sqrt(1.0 + gamma * gamma)
+        config = dataclasses.replace(
+            make_config(mesh, nu=nu, T=30.0),
+            params=params_for_scheme(scheme, nu, mesh.gamma))
+        inits = rng.standard_normal((3, mesh.n_edges))
+        if stable:
+            assert run(config, *inits).state.n == config.n_steps
+        else:
+            with pytest.raises(UnstableSimulationError):
+                run(config, *inits)
 
 
 def test_alpha3_guard_fires_before_the_first_step(monkeypatch):
