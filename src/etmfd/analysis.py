@@ -241,6 +241,9 @@ def dispersion_error_metric(fit: FitResult, a_true: float,
 def pick_probe_edge(mesh, mode: np.ndarray) -> int:
     """Interior edge with the largest |mode|, ties toward the center;
     mode is the midpoint DoF vector of `mode_dofs`."""
+    if mesh.boundary_edge_mask.all():
+        raise ValueError(f"{mesh} has no interior edge to probe: every "
+                         "edge of a 1x1 PEC mesh is a wall edge")
     size = np.abs(mode, dtype=float)  # a new array, float for the -inf
     size[mesh.boundary_edge_mask] = -np.inf
     # the tie-break is below 1e-9 * sqrt(2)/2: only |mode| >= max - 1e-9 wins

@@ -237,10 +237,11 @@ def cmd_simulate(args) -> int:
     for snap in result.snapshots:
         save_snapshot(os.path.join(outdir, f"snapshot_{snap.step:06d}"),
                       mesh, snap)
+    E = result.state.E_curr  # max |E| without an |E| temporary
     summary = {"steps": result.state.n, "t_final": result.t_final,
                "dt": config.dt, "probes": list(probes),
                "snapshots": len(result.snapshots),
-               "max_abs_E": float(np.abs(result.state.E_curr).max())}
+               "max_abs_E": float(max(E.max(), -E.min()))}
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

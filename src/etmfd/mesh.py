@@ -51,10 +51,11 @@ class RectMesh:
         self.n_edges = self.n_hedges + self.n_vedges
         self.n_faces = self.nx * self.ny
 
-        # (n_faces, 4) edge indices, columns [bottom, right, top, left]
-        self.face_edge_table = self._build_face_edges()
         # True for edges on the domain boundary (none if periodic)
-        self.boundary_edge_mask = self._build_boundary_mask()
+        self.boundary_edge_mask = np.zeros(self.n_edges, dtype=bool)
+        if boundary == "pec":
+            h, v = self.edge_lines(self.boundary_edge_mask)
+            h[[0, -1]], v[:, [0, -1]] = True, True
 
     # ---- indexing ---------------------------------------------------------
     # the only encoding of the edge numbering; ints or integer arrays alike
@@ -72,13 +73,23 @@ class RectMesh:
             return self.n_hedges + j * self.nx + i
         return self.n_hedges + j * (self.nx + 1) + i
 
-    def _build_face_edges(self) -> np.ndarray:
+    @functools.cached_property
+    def face_edge_table(self) -> np.ndarray:
+        """(n_faces, 4) edge indices, columns [bottom, right, top, left],
+        built on first use: the step never reads it."""
         # face f = j*nx + i is cell (i, j); int32 is scipy's CSR index type,
-        # so the operators' COO indices need no int64 copies
+        # so the oracles' COO indices need no int64 copies
         j, i = np.divmod(np.arange(self.n_faces, dtype=np.int32), self.nx)
         return np.stack([self.hedge_index(i, j), self.vedge_index(i + 1, j),
                          self.hedge_index(i, j + 1), self.vedge_index(i, j)],
                         axis=1)
+
+    def edge_lines(self, v) -> tuple:
+        """Views (vh, vv) of an edge vector v as its horizontal edge lines,
+        (ny + 1, nx) on a PEC mesh, and its vertical ones, (ny, nx + 1):
+        edge (i, j) of each is entry [j, i].  On a torus both are (ny, nx)."""
+        return (v[:self.n_hedges].reshape(-1, self.nx),
+                v[self.n_hedges:].reshape(self.ny, -1))
 
     # ---- geometry ---------------------------------------------------------
 
@@ -91,18 +102,6 @@ class RectMesh:
         h = e < self.n_hedges
         return (np.where(h, (ih + 0.5) * self.dx, iv * self.dx),
                 np.where(h, jh * self.dy, (jv + 0.5) * self.dy))
-
-    # ---- boundary ---------------------------------------------------------
-
-    def _build_boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_edges, dtype=bool)
-        if self.boundary == "pec":
-            i, j = np.arange(self.nx), np.arange(self.ny)
-            mask[self.hedge_index(i, 0)] = True
-            mask[self.hedge_index(i, self.ny)] = True
-            mask[self.vedge_index(0, j)] = True
-            mask[self.vedge_index(self.nx, j)] = True
-        return mask
 
     def __repr__(self):
         return (f"RectMesh(nx={self.nx}, ny={self.ny}, Lx={self.Lx}, "
@@ -124,10 +123,8 @@ def interpolate_edge_field(mesh: RectMesh, F, rule="midpoint") -> np.ndarray:
     rule="midpoint" each DoF is the tangential component at the edge
     midpoint; an integer rule n uses n-point Gauss-Legendre along the edge.
     """
-    nh = mesh.n_hedges
     out = np.zeros(mesh.n_edges)
-    # horizontal edge (i, j) at j*nx + i, vertical at j*cols + i: two grids
-    out_h, out_v = out[:nh].reshape(-1, mesh.nx), out[nh:].reshape(mesh.ny, -1)
+    out_h, out_v = mesh.edge_lines(out)
     x_lines = np.arange(out_v.shape[1]) * mesh.dx  # a row
     y_lines = np.arange(out_h.shape[0])[:, None] * mesh.dy  # a column
     x_mids = (np.arange(mesh.nx) + 0.5) * mesh.dx

@@ -109,9 +109,10 @@ def local_M(params: MfdParams, dx: float, dy: float) -> np.ndarray:
 # their place, all others (any edge of a wider torus) take a central row
 TEMPLATE, HALO = 4, 2
 
-# Rows per block of G, the unit of both its assembly and the step.  A
-# block's six edge vectors (48 bytes a row, 1.5 MB) fit in a 2 MB L2
-# cache next to the block's share of G, streamed once per step
+# Rows per block of G, the unit of both its assembly and the step, and
+# faces per block of the curl.  A block's six edge vectors (48 bytes a
+# row, 1.5 MB) fit in a 2 MB L2 cache next to the block's share of G,
+# streamed once per step
 BLOCK = 1 << 15
 
 
@@ -211,10 +212,68 @@ def _diagonals(lines: np.ndarray, offsets: np.ndarray) -> tuple:
     return data, offsets.astype(np.int32)
 
 
+class Curl:
+    """The curl with the PEC columns dropped, without a matrix: a face
+    sums the terms [bottom, top, left, right] (a CSR row's edge order but
+    across a periodic wrap) from the edge lines of E, one `row_blocks`
+    block of face lines at a time, in cache.  Wall terms are zeroed before
+    they are added; a one-cell torus skips the pair of terms of the edge a
+    face holds twice, which cancel."""
+
+    def __init__(self, mesh: RectMesh):
+        self.mesh, nx, ny = mesh, mesh.nx, mesh.ny
+        pec, every = mesh.boundary == "pec", slice(None)
+        cb, cr, ct, cl = local_curl(mesh.dx, mesh.dy).tolist()
+        # per block of face lines, its terms in order: (edge lines,
+        # coefficient, (source, term) slices, the term's wall faces)
+        self.blocks = []
+        bounds = row_blocks(ny, nx).tolist()
+        for j0, j1 in zip(bounds, bounds[1:]):
+            terms = []
+            for axis, up, c in ((0, 0, cb), (0, 1, ct),
+                                (1, 0, cl), (1, 1, cr)):
+                n = (ny, nx)[axis]  # faces along the axis
+                if not pec and n == 1:
+                    continue
+                # (source, term) bounds: the edges `up` lines on from the
+                # block's faces a .. b - 1 along the axis
+                a, b = (j0, j1) if axis == 0 else (0, nx)
+                cuts = [(a + up, b + up, 0, b - a)]
+                if not pec and b + up > n:  # the last line wraps to the first
+                    cuts = [(a + 1, n, 0, b - a - 1), (0, 1, b - a - 1, b - a)]
+                lead, keep = (slice(j0, j1),) * axis, (every,) * axis
+                w = (n - 1) * up - a  # the wall face, on a PEC mesh
+                wall = slice(w, w + 1) if pec and 0 <= w < b - a else slice(0)
+                terms.append((axis, c, [
+                    (lead + (slice(s0, s1),), keep + (slice(t0, t1),))
+                    for s0, s1, t0, t1 in cuts], keep + (wall,)))
+            self.blocks.append((slice(j0, j1), terms))
+
+    def __call__(self, E: np.ndarray, out: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+        """The curl of E into out, a face vector, which it returns;
+        scratch is another."""
+        lines = self.mesh.edge_lines(E)
+        y = out.reshape(self.mesh.ny, self.mesh.nx)
+        if not self.blocks[0][1]:  # a 1x1 torus: the sum of no terms
+            y[...] = 0.0
+        for rows, terms in self.blocks:
+            yb = y[rows]
+            sb = scratch[:yb.size].reshape(yb.shape)
+            for k, (axis, c, cuts, wall) in enumerate(terms):
+                term = sb if k else yb
+                for src, dst in cuts:
+                    np.multiply(lines[axis][src], c, out=term[dst])
+                term[wall] = 0.0
+                if k:
+                    yb += sb
+        return out
+
+
 def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
-    """(C, G) with G @ C == W @ A: C is the curl with the PEC columns
+    """(C, G) with G @ C == W @ A: C is the `Curl` with the PEC columns
     dropped and G = W C^T diag(|f|) with the PEC rows dropped, written
-    from stencils without a product.  C is one CSR matrix, G a `StepG`.
+    from stencils without a product.  G is a `StepG`.
 
     G's blocks hold whole grid lines of one edge orientation, at the
     bounds of `row_blocks`.  The rows of a line are consecutive entries
@@ -225,16 +284,6 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
     a line.  On a torus both read the faces between ghost lines, and a
     face across the wrap in x takes a diagonal of its own."""
     nx, ny, periodic = mesh.nx, mesh.ny, mesh.boundary == "periodic"
-    # C: each face's edges in ascending order [bottom, top, left, right]
-    fe = mesh.face_edge_table[:, [0, 2, 3, 1]]
-    keep = ~mesh.boundary_edge_mask[fe]
-    c = np.broadcast_to(local_curl(mesh.dx, mesh.dy)[[0, 2, 3, 1]], fe.shape)
-    C = sp.csr_matrix((c[keep], fe[keep], np.r_[0, np.cumsum(keep.sum(1))]),
-                      shape=(mesh.n_faces, mesh.n_edges))
-    if periodic:  # wrapped faces are out of order; one-cell faces repeat
-        C.sum_duplicates()
-        C.eliminate_zeros()
-
     # G: edge (i, j) takes the row of template edge (i - si, j - sj), with
     # its faces shifted by (si, sj)
     t, Gt = _template_G(mesh, params)
@@ -289,7 +338,7 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
             blocks.append(sp.dia_matrix(shared[key],
                                         shape=((l1 - l0) * n, c1 - c0)))
             reads.append((src, c0))
-    return C, StepG(tuple(blocks), tuple(reads), layouts)
+    return Curl(mesh), StepG(tuple(blocks), tuple(reads), layouts)
 
 
 def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import RectMesh
-from .operators import MfdParams, StepG, assemble_step_operators
+from .operators import Curl, MfdParams, StepG, assemble_step_operators
 from .plasma import ExpOperators, Medium, exp_operators
 
 
@@ -90,12 +89,13 @@ class SimState:
 class StepOperators(NamedTuple):
     """What `step` applies, built once per run by `step_operators`.
 
-    C is the PEC-pruned curl, one CSR matrix; G is the `StepG` of DIA row
-    blocks of W C^T diag(|f|) that `assemble_step_operators` writes, with
-    -(c0^2 dt alpha3) folded in, and buffers holds the face layouts G
-    reads, which `step` writes.  alphas are (alpha1, alpha2) of the E update and
+    C is the PEC-pruned `Curl`; G is the `StepG` of DIA row blocks of
+    W C^T diag(|f|) that `assemble_step_operators` writes, with
+    -(c0^2 dt alpha3) folded in.  buffers holds what `step` writes: the
+    face vector y = C @ E, a face-sized scratch and the face layouts G
+    reads.  alphas are (alpha1, alpha2) of the E update and
     j_coeffs (cJ, cE, cN) of the J update."""
-    C: sp.csr_matrix
+    C: Curl
     G: StepG
     buffers: tuple
     alphas: tuple
@@ -124,8 +124,9 @@ def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
     j_coeffs = _j_coefficients(expops)
     C, G = assemble_step_operators(config.mesh, config.params)
     G.scale(-(config.medium.c0 ** 2 * config.dt * expops.alpha3))
-    return StepOperators(C, G, G.buffers(), (expops.alpha1, expops.alpha2),
-                         j_coeffs)
+    faces = (np.empty(config.mesh.n_faces), np.empty(config.mesh.n_faces))
+    return StepOperators(C, G, faces + G.buffers(),
+                         (expops.alpha1, expops.alpha2), j_coeffs)
 
 
 def initialize(config: SimConfig, E0, E1, J0,
@@ -159,8 +160,8 @@ def step(state: SimState, ops: StepOperators) -> float:
     One pass over the row blocks of G: each block's SpMV, E and J updates
     and max/min run on its slices while they are in cache.  Every entry
     takes the same operations in the same order as a whole-vector pass."""
-    y = ops.C @ state.E_curr
-    windows = ops.G.windows(y, ops.buffers)
+    y, scratch, *layouts = ops.buffers
+    windows = ops.G.windows(ops.C(state.E_curr, y, scratch), layouts)
     (a1, a2), E, J = ops.alphas, state.E_prev, state.J_prev
     peaks = np.empty((len(windows), 4))
     a = 0
@@ -231,8 +232,8 @@ def run(config: SimConfig, E0, E1, J0) -> RunResult:
     record(0, state.E_prev, state.J_prev)
     record(1, state.E_curr, state.J_curr)
 
-    blowup_ref = 1.0 + max(np.abs(state.E_curr).max(),
-                           np.abs(state.J_curr).max())
+    E, J = state.E_curr, state.J_curr  # max |x| without an |x| temporary
+    blowup_ref = 1.0 + np.max([E.max(), -E.min(), J.max(), -J.min()])
     while state.n < n_final:
         m = step(state, ops)
         if not np.isfinite(m) or m > 1e12 * blowup_ref:
@@ -262,8 +263,8 @@ def save_snapshot(prefix: str, mesh: RectMesh, snap: Snapshot) -> None:
         "order": "global edge index (horizontal edges first)",
         "fields": {"E": base + ".E.bin", "J": base + ".J.bin"},
     }
-    snap.E.astype("<f8").tofile(prefix + ".E.bin")
-    snap.J.astype("<f8").tofile(prefix + ".J.bin")
+    np.asarray(snap.E, "<f8").tofile(prefix + ".E.bin")  # no copy if f8
+    np.asarray(snap.J, "<f8").tofile(prefix + ".J.bin")
     with open(prefix + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

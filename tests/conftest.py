@@ -17,14 +17,6 @@ def edge_midpoints(mesh):
     return np.stack(mesh.edge_midpoint(np.arange(mesh.n_edges)), axis=1)
 
 
-def edge_lines(mesh):
-    """(lines, edges a line) of the horizontal, then the vertical edges,
-    as the edge numbering lays them out."""
-    if mesh.boundary == "pec":
-        return [(mesh.ny + 1, mesh.nx), (mesh.ny, mesh.nx + 1)]
-    return [(mesh.ny, mesh.nx)] * 2
-
-
 def pick_probe_reference(mesh, mode):
     """The probe rule scored on every edge: largest |mode| off the
     boundary, less 1e-9 times the distance to the center over max(Lx, Ly)."""

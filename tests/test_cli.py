@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -194,6 +197,22 @@ def test_simulate_runs_a_mode_vanishing_on_non_unit_walls(entries, tmp_path):
     mid = mode_dofs(mesh, sol)[0]
     assert np.abs(mid[mesh.boundary_edge_mask]).max() \
         < 1e-13 * np.abs(mid).max()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {"nx": 1, "ny": 1}), ("converge", {"log2_h": [0, -1]})])
+def test_auto_probe_on_a_mesh_without_interior_edges_names_the_cause(
+        command, payload, tmp_path, capsys):
+    # it picked wall edge 0, which SimConfig then refused as a probe the
+    # user never gave
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), command]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "has no interior edge to probe" in err
+    assert "boundary edge" not in err
+    assert not out.exists()
 
 
 def test_simulate_instability_exit_code(tmp_path, monkeypatch):
@@ -403,3 +422,37 @@ def test_params_refuses_nan(flag, capsys):
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
     assert captured.out == ""  # no NaN weights printed
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def readme_commands():
+    """The lines of README's `sh` block of etmfd commands, comments cut."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.S)
+    [block] = [b for b in blocks if b.startswith("etmfd ")]
+    return [" ".join(shlex.split(line, comments=True))
+            for line in block.splitlines()]
+
+
+def ci_readme_step():
+    """The commands of the CI step that runs the README's command block."""
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = lines.split("- name: README commands\n", 1)[1]
+    run = step.split("run: |\n", 1)[1].splitlines()
+    indent = len(run[0]) - len(run[0].lstrip())
+    body = []
+    for line in run:
+        if line.strip() and len(line) - len(line.lstrip()) < indent:
+            break
+        body.append(line.strip())
+    return [line for line in body if line and not line.startswith("cd ")]
+
+
+def test_readme_commands_parse_and_ci_runs_exactly_them():
+    commands = readme_commands()
+    assert "etmfd selftest" in commands
+    for line in commands:
+        cli.make_parser().parse_args(shlex.split(line)[1:])
+    assert ci_readme_step() == commands

@@ -219,3 +219,25 @@ def test_face_trig_average():
     dof = interpolate_face_field(m, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), 6)
     exact = 16.0 * ((1.0 - np.cos(np.pi / 4)) / np.pi) ** 2
     assert abs(dof[0] - exact) < 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["pec", "periodic"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (3, 4)])
+def test_edge_lines_are_views_in_grid_order(nx, ny, boundary):
+    m = build_mesh(nx, ny, 1.5, 2.0, boundary)
+    v = np.arange(m.n_edges, dtype=float)
+    vh, vv = m.edge_lines(v)
+    extra = boundary == "pec"
+    assert vh.shape == (ny + extra, nx) and vv.shape == (ny, nx + extra)
+    assert np.shares_memory(vh, v) and np.shares_memory(vv, v)
+    j, i = np.indices(vh.shape)
+    assert np.array_equal(vh, m.hedge_index(i, j))
+    j, i = np.indices(vv.shape)
+    assert np.array_equal(vv, m.vedge_index(i, j))
+
+
+def test_face_edge_table_is_built_on_first_use():
+    m = build_mesh(3, 4, 1.0, 1.0, "pec")
+    assert "face_edge_table" not in m.__dict__
+    table = m.face_edge_table
+    assert m.face_edge_table is table

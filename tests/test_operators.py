@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from etmfd import operators
 from etmfd.mesh import build_mesh, interpolate_edge_field
-from etmfd.operators import (MfdParams, SingularLocalWError,
+from etmfd.operators import (Curl, MfdParams, SingularLocalWError,
                              assemble_step_operators, row_blocks,
                              local_M, local_W, local_curl, optimal_local_W,
                              optimal_params, params_for_scheme, yee_params)
@@ -12,7 +12,7 @@ from etmfd.selftest import (apply_pec, assemble_W, assemble_curl,
                             assemble_curl_curl, assemble_local_blocks,
                             dense_operators)
 
-from conftest import edge_lines, interpolate_face_field
+from conftest import interpolate_face_field
 
 
 def test_local_curl_unit_cell():
@@ -264,25 +264,64 @@ def test_commuting_diagram_midpoint_second_order():
 def test_step_operators_factor_W_times_curl_curl(shape):
     m = build_mesh(*shape)
     p = optimal_params(0.5, m.gamma)
-    C, G = stacked_step_operators(m, p)
+    G, C = stacked_step_operators(m, p), curl_matrix(m)
     ref = (assemble_W(m, p) @ assemble_curl_curl(m)).toarray()
-    assert np.abs((G @ C).toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(G @ C - ref).max() <= 1e-14 * np.abs(ref).max()
     assert G.has_sorted_indices
     if m.boundary == "pec":  # PEC columns of C are zeroed
-        assert np.abs(C.toarray()[:, m.boundary_edge_mask]).max() == 0.0
+        assert np.abs(C[:, m.boundary_edge_mask]).max() == 0.0
+
+
+def curl_matrix(mesh):
+    """The dense matrix of the step's curl, column by column from its
+    action on the unit edge vectors."""
+    curl, y, s = Curl(mesh), np.empty(mesh.n_faces), np.empty(mesh.n_faces)
+    return np.stack([curl(e, y, s).copy() for e in np.eye(mesh.n_edges)],
+                    axis=1)
+
+
+@pytest.mark.parametrize("block", [None, 2])
+@pytest.mark.parametrize("boundary", ["pec", "periodic"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (1, 2), (2, 1),
+                                    (2, 2), (3, 4), (13, 11), (64, 64),
+                                    (256, 256)])
+def test_curl_acts_as_the_pruned_oracle_curl(nx, ny, boundary, block, rng,
+                                             monkeypatch):
+    # random wall entries too: on PEC meshes they must not reach a face.
+    # BLOCK = 2 cuts blocks of one or two face lines, the last one wrapped
+    if block:
+        monkeypatch.setattr(operators, "BLOCK", block)
+    m = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    C_ref = apply_pec(assemble_curl(m), m, rows=False)
+    curl = assemble_step_operators(m, yee_params())[0]
+    assert len(curl.blocks) == len(row_blocks(ny, nx)) - 1
+    for E in (rng.standard_normal(m.n_edges), rng.uniform(1, 2, m.n_edges)):
+        # NaN-filled buffers: every face is written, whatever they held
+        y = curl(E, np.full(m.n_faces, np.nan), np.full(m.n_faces, np.nan))
+        ref = C_ref @ E
+        if boundary == "pec":  # the CSR row's sum in its order
+            assert np.array_equal(y, ref)
+        else:  # a wrap reorders a face's terms: rounding of their sizes
+            scale = (abs(C_ref) @ np.abs(E)).max()
+            assert np.abs(y - ref).max() <= 1e-15 * scale
+            # off the wraps, bit for bit: a one-cell axis has none, since
+            # CSR drops the pair of terms that cancel, and so does the curl
+            j, i = np.divmod(np.arange(m.n_faces), nx)
+            off = ((j < ny - 1) | (ny == 1)) & ((i < nx - 1) | (nx == 1))
+            assert np.array_equal(y[off], ref[off])
 
 
 # ---- stencil-built step operators vs the product-built oracle -----------------
 
 def stacked_step_operators(mesh, params):
-    """(C, G) with G's DIA row blocks mapped back onto the face columns and
+    """G with its DIA row blocks mapped back onto the face columns and
     stacked into one CSR matrix, after checking that the blocks hold whole
     edge lines at the bounds of `row_blocks`, each with sorted int32
     offsets and an owned float64 data array, and that no entry falls on
     the zero padding of a face layout."""
-    C, G = assemble_step_operators(mesh, params)
-    rows = [n * b for lines, n in edge_lines(mesh)
-            for b in np.diff(row_blocks(lines, n))]
+    G = assemble_step_operators(mesh, params)[1]
+    rows = [n * b for lines, n in (v.shape for v in mesh.edge_lines(
+        np.empty(mesh.n_edges))) for b in np.diff(row_blocks(lines, n))]
     assert [b.shape[0] for b in G.blocks] == rows
     parts = []
     for b, (src, start) in zip(G.blocks, G.reads):
@@ -302,7 +341,7 @@ def stacked_step_operators(mesh, params):
                                    shape=(b.shape[0], mesh.n_faces)))
     G = sp.vstack(parts, format="csr")
     G.sort_indices()
-    return C, G
+    return G
 
 
 @pytest.mark.parametrize("n, sizes", [(1, [1]), (7, [7]), (8, [4, 4]),
@@ -324,12 +363,11 @@ def test_step_operators_in_small_blocks_stack_to_one_block(
     m = build_mesh(nx, ny, 1.0, 1.3, boundary)
     p = optimal_params(0.5, m.gamma)
     assert len(assemble_step_operators(m, p)[1].blocks) == 2  # one a side
-    C1, G1 = stacked_step_operators(m, p)
+    G1 = stacked_step_operators(m, p)
     monkeypatch.setattr(operators, "BLOCK", block)
-    C, G = stacked_step_operators(m, p)
-    for op, ref in ((C, C1), (G, G1)):
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(op, attr), getattr(ref, attr))
+    G = stacked_step_operators(m, p)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(G, attr), getattr(G1, attr))
 
 
 @pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
@@ -338,14 +376,14 @@ def test_step_operator_blocks_share_one_data_array_per_pattern(scheme):
     # touch a wall; the others are one pattern and must share its array
     m = build_mesh(512, 512, 1.0, 1.0, "pec")
     p = params_for_scheme(scheme, 0.5, 1.0)
-    C, G = assemble_step_operators(m, p)
+    G = assemble_step_operators(m, p)[1]
     assert len(G.blocks) == 18
     distinct = {id(b.data): b.data for b in G.blocks}
     assert len(distinct) == 6
     for side in (G.blocks[1:8], G.blocks[10:17]):  # the inner blocks
         assert all(b.data is side[0].data for b in side)
     nbytes = sum(d.nbytes for d in distinct.values())
-    nnz = stacked_step_operators(m, p)[1].nnz
+    nnz = stacked_step_operators(m, p).nnz
     assert nbytes < nnz * 12 / 4  # CSR: 8-byte value, 4-byte index
 
 
@@ -361,17 +399,17 @@ def test_step_operators_match_the_product_oracle(nx, ny, boundary):
         G_ref = assemble_W(m, p) @ C_ref.T
         G_ref.data *= m.dx * m.dy
         G_ref.sort_indices()
-        for op, ref in zip(stacked_step_operators(m, p), (C_ref, G_ref)):
-            assert op.indices.dtype == op.indptr.dtype == np.int32
-            assert op.has_sorted_indices
-            assert np.array_equal(op.indptr, ref.indptr)
-            assert np.array_equal(op.indices, ref.indices)
-            if boundary == "pec":  # same sums in the same order
-                assert np.array_equal(op.data, ref.data)
-            elif ref.nnz:  # a wrap may reorder a face's edge terms
-                scale = np.abs(ref.data).max()
-                assert np.abs(op.data - ref.data).max() <= 1e-15 * scale
+        op, ref = stacked_step_operators(m, p), G_ref
+        assert op.indices.dtype == op.indptr.dtype == np.int32
+        assert op.has_sorted_indices
+        assert np.array_equal(op.indptr, ref.indptr)
+        assert np.array_equal(op.indices, ref.indices)
+        if boundary == "pec":  # same sums in the same order
+            assert np.array_equal(op.data, ref.data)
+        elif ref.nnz:  # a wrap may reorder a face's edge terms
+            scale = np.abs(ref.data).max()
+            assert np.abs(op.data - ref.data).max() <= 1e-15 * scale
     if boundary == "pec" or min(nx, ny) > 1:
         # Yee's G keeps only the two faces of every interior edge
-        G = stacked_step_operators(m, yee_params())[1]
+        G = stacked_step_operators(m, yee_params())
         assert (np.diff(G.indptr)[~m.boundary_edge_mask] == 2).all()

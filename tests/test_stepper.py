@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import edge_lines
 
 from etmfd import operators, stepper
 from etmfd.analysis import (exact_E, initial_fields, make_exact_solution,
@@ -337,7 +336,8 @@ def test_blocked_step_is_bit_identical_to_one_block(nx, ny, boundary, scheme,
     monkeypatch.setattr(operators, "BLOCK", block)
     many = step_operators(config, ops)
     assert len(many.G.blocks) == sum(
-        len(row_blocks(lines, n)) - 1 for lines, n in edge_lines(mesh)) >= 2
+        len(row_blocks(*v.shape)) - 1
+        for v in mesh.edge_lines(np.empty(mesh.n_edges))) >= 2
     st_one = _random_state(config, rng)
     st_many = SimState(*(v.copy() for v in (st_one.E_curr, st_one.E_prev,
                                              st_one.J_curr, st_one.J_prev)), 1)
@@ -407,8 +407,8 @@ def test_step_allocates_no_edge_sized_array(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # C @ E is face-sized, z block-sized; the padded faces live in ops
-    assert peak < mesh.n_edges * 8
+    # z is block-sized; C @ E, its scratch and the padded faces live in ops
+    assert peak < mesh.n_faces * 8 / 2
 
 
 # 32^2 PEC, kx = ky = pi: ETMFD at nu = 0.7, below nu_max = 0.7071, and
@@ -576,3 +576,31 @@ def test_snapshot_old_sidecar_with_absolute_paths(tmp_path):
     (tmp_path / "moved" / "snap.json").write_text(json.dumps(meta))
     _, E, J = load_snapshot(str(tmp_path / "moved" / "snap"))
     assert np.array_equal(E, snap.E) and np.array_equal(J, snap.J)
+
+
+def test_save_snapshot_writes_without_an_edge_sized_copy(tmp_path):
+    mesh = build_mesh(512, 512, 1.0, 1.0, "pec")  # 525 312 edges
+    rng = np.random.default_rng(7)
+    snap = Snapshot(3, 0.5, *rng.standard_normal((2, mesh.n_edges)))
+    prefix = str(tmp_path / "snap")
+    save_snapshot(prefix, mesh, snap)  # warm
+    tracemalloc.start()
+    try:
+        save_snapshot(prefix, mesh, snap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mesh.n_edges * 8 / 4
+    # the bytes are the little-endian float64 values, in edge order
+    for name, v in (("E", snap.E), ("J", snap.J)):
+        assert (tmp_path / f"snap.{name}.bin").read_bytes() \
+            == v.astype("<f8").tobytes()
+
+
+def test_run_builds_no_face_edge_table():
+    # the step's curl reads edge lines: only norms and oracles need it
+    mesh = build_mesh(8, 6, 1.0, 1.0, "pec")
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    config = make_config(mesh, T=0.25, snapshot_stride=2)
+    run(config, *_exact_initial(mesh, sol, config.dt))
+    assert "face_edge_table" not in mesh.__dict__
