@@ -24,9 +24,8 @@ from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
                          symbol_error_slope, temporal_symbol)
 from .analysis import (DegenerateFitError, ExactSolution,
                        FitNotConvergedError, FitResult, convergence_study,
-                       dispersion_error_metric, exact_E, exact_J,
-                       fit_damped_cosine, initial_fields, l2_relative_error,
-                       make_exact_solution, mode_dofs, pick_probe_edge,
-                       spatial_mode)
+                       dispersion_error_metric, exact_E, fit_damped_cosine,
+                       initial_fields, l2_relative_error, make_exact_solution,
+                       mode_dofs, pick_probe_edge, spatial_mode)
 
 __version__ = "0.1.0"

@@ -64,16 +64,39 @@ def spatial_mode(sol: ExactSolution, x, y):
     return vx, vy
 
 
+def _model_and_jacobian(model: str, t: np.ndarray, a: float, b: float,
+                        medium: Medium | None):
+    """The time law of field `model` with decay a and frequency b at t,
+    and its derivatives in a and b: (f, df/da, df/db)."""
+    if model == "E":
+        e = np.exp(a * t)
+        c, s = np.cos(b * t), np.sin(b * t)
+        f = e * c
+        return f, t * f, -t * e * s
+    if model == "J":
+        if medium is None:
+            raise ValueError("the J model needs the medium constants")
+        wi = medium.omega_i
+        scale = medium.eps0 * medium.omega_p ** 2
+        e = np.exp(a * t)
+        c, s = np.cos(b * t), np.sin(b * t)
+        den = b * b + (a + wi) ** 2
+        num = (a + wi) * c + b * s
+        f = scale * e * num / den
+        df_da = scale * e * (t * num / den + c / den
+                             - num * 2.0 * (a + wi) / den ** 2)
+        df_db = scale * e * ((-(a + wi) * t * s + s + b * t * c) / den
+                             - num * 2.0 * b / den ** 2)
+        return f, df_da, df_db
+    raise ValueError(f"model must be 'E' or 'J', got {model!r}")
+
+
 def e_time_factor(sol: ExactSolution, t):
-    return np.exp(sol.a * t) * np.cos(sol.b * t)
+    return _model_and_jacobian("E", t, sol.a, sol.b, sol.medium)[0]
 
 
 def j_time_factor(sol: ExactSolution, t):
-    a, b = sol.a, sol.b
-    med = sol.medium
-    den = b * b + (a + med.omega_i) ** 2
-    num = (a + med.omega_i) * np.cos(b * t) + b * np.sin(b * t)
-    return med.eps0 * med.omega_p ** 2 * np.exp(a * t) * num / den
+    return _model_and_jacobian("J", t, sol.a, sol.b, sol.medium)[0]
 
 
 def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -111,12 +134,6 @@ def exact_E(sol: ExactSolution, x, y, t):
     return f * vx, f * vy
 
 
-def exact_J(sol: ExactSolution, x, y, t):
-    vx, vy = spatial_mode(sol, x, y)
-    f = j_time_factor(sol, t)
-    return f * vx, f * vy
-
-
 # ---- error norms ------------------------------------------------------------
 
 def l2_relative_error(F_h: np.ndarray, F_ref: np.ndarray, mesh,
@@ -143,31 +160,6 @@ class FitResult:
     rms_residual: float
     iterations: int
     converged: bool
-
-
-def _model_and_jacobian(model: str, t: np.ndarray, a: float, b: float,
-                        medium: Medium | None):
-    if model == "E":
-        e = np.exp(a * t)
-        c, s = np.cos(b * t), np.sin(b * t)
-        f = e * c
-        return f, t * f, -t * e * s
-    if model == "J":
-        if medium is None:
-            raise ValueError("the J model needs the medium constants")
-        wi = medium.omega_i
-        scale = medium.eps0 * medium.omega_p ** 2
-        e = np.exp(a * t)
-        c, s = np.cos(b * t), np.sin(b * t)
-        den = b * b + (a + wi) ** 2
-        num = (a + wi) * c + b * s
-        f = scale * e * num / den
-        df_da = scale * e * (t * num / den + c / den
-                             - num * 2.0 * (a + wi) / den ** 2)
-        df_db = scale * e * ((-(a + wi) * t * s + s + b * t * c) / den
-                             - num * 2.0 * b / den ** 2)
-        return f, df_da, df_db
-    raise ValueError(f"model must be 'E' or 'J', got {model!r}")
 
 
 def fit_damped_cosine(trace: np.ndarray, dt: float, model: str = "E",
@@ -274,6 +266,9 @@ def convergence_study(h_list, scheme: str, medium: Medium,
     for h, n in zip(h_list, cells):
         if n < 1 or abs(n * h - 1.0) > 1e-9:
             raise ValueError(f"1/h must be an integer, got h={h}")
+        if n == 1:  # every edge of a 1x1 PEC mesh is a wall edge
+            raise ValueError(f"h={h}: the 1x1 PEC mesh has no interior "
+                             "edge to probe")
 
     def one(h, n):
         mesh = build_mesh(n, n, 1.0, 1.0, "pec")

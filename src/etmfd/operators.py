@@ -116,11 +116,11 @@ TEMPLATE, HALO = 4, 2
 BLOCK = 1 << 15
 
 
-def _template_G(mesh: RectMesh, params: MfdParams) -> tuple:
-    """The template mesh and its G = W C^T diag(|f|), dense.  An entry
-    sums its face's edge terms in ascending edge order, as the product
-    W @ C^T does: the same bits, unless a periodic wrap reorders the
-    face's edges."""
+def _template_G(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
+    """The template mesh and its G = W C^T diag(|f|) times scale, dense.
+    An entry sums its face's edge terms in ascending edge order, as the
+    product W @ C^T does: the same bits, unless a periodic wrap reorders
+    the face's edges."""
     t = RectMesh(min(mesh.nx, TEMPLATE), min(mesh.ny, TEMPLATE), 1.0, 1.0,
                  mesh.boundary)  # topology only: values use mesh.dx, dy
     fe, b, faces = t.face_edge_table, t.boundary_edge_mask, np.arange(t.n_faces)
@@ -133,7 +133,7 @@ def _template_G(mesh: RectMesh, params: MfdParams) -> tuple:
     K = np.sort(fe, axis=1)
     terms = W[:, K] * C[faces[:, None], K]
     return t, (((terms[..., 0] + terms[..., 1]) + terms[..., 2])
-               + terms[..., 3]) * (mesh.dx * mesh.dy)
+               + terms[..., 3]) * (mesh.dx * mesh.dy) * scale
 
 
 def row_blocks(n: int, line: int) -> np.ndarray:
@@ -142,61 +142,6 @@ def row_blocks(n: int, line: int) -> np.ndarray:
     longer), of equal size to within one line."""
     nb = -(-n // max(1, BLOCK // line))
     return np.arange(nb + 1) * n // nb
-
-
-class FaceLayout(NamedTuple):
-    """The face values in `before` ghost lines, the ny face lines and
-    `after` ghost lines, each `width` entries long, zeros past its nx
-    faces.  Ghost lines repeat the face lines that wrap onto them."""
-    nx: int
-    ny: int
-    width: int
-    before: int
-    after: int
-
-    @property
-    def shape(self) -> tuple:
-        return self.before + self.ny + self.after, self.width
-
-    def buffer(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
-    def fill(self, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """Write the face vector y into buf, a `buffer()`; return it flat."""
-        y2, b, nx = y.reshape(self.ny, self.nx), self.before, self.nx
-        buf[b:b + self.ny, :nx] = y2
-        if b or self.after:
-            buf[:b, :nx] = y2[np.arange(-b, 0) % self.ny]
-            buf[b + self.ny:, :nx] = y2[np.arange(self.after) % self.ny]
-        return buf.reshape(-1)
-
-
-class StepG(NamedTuple):
-    """G as DIA row blocks in row order.  Block k multiplies entries
-    start .. start + blocks[k].shape[1] of face layout src, with
-    (src, start) = reads[k]: layout 0 is the face vector, layout l > 0
-    is `layouts[l - 1]`.  Blocks whose lines take the same template rows
-    share one `data` array."""
-    blocks: tuple
-    reads: tuple
-    layouts: tuple
-
-    def scale(self, factor: float) -> None:
-        """Multiply G by factor in place, each shared array once."""
-        for data in {id(b.data): b.data for b in self.blocks}.values():
-            data *= factor
-
-    def buffers(self) -> tuple:
-        """One buffer per face layout, for `windows`."""
-        return tuple(lay.buffer() for lay in self.layouts)
-
-    def windows(self, y: np.ndarray, buffers: tuple) -> list:
-        """Each block's input: its window of the face layouts of y, which
-        are written into `buffers`."""
-        faces = [y] + [lay.fill(y, buf)
-                       for lay, buf in zip(self.layouts, buffers)]
-        return [faces[src][c:c + b.shape[1]]
-                for b, (src, c) in zip(self.blocks, self.reads)]
 
 
 def _diagonals(lines: np.ndarray, offsets: np.ndarray) -> tuple:
@@ -270,42 +215,69 @@ class Curl:
         return out
 
 
-def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
-    """(C, G) with G @ C == W @ A: C is the `Curl` with the PEC columns
-    dropped and G = W C^T diag(|f|) with the PEC rows dropped, written
-    from stencils without a product.  G is a `StepG`.
+class CurlCurl(NamedTuple):
+    """W A = G C: the `Curl` C with the PEC columns dropped, then G =
+    W C^T diag(|f|) with the PEC rows dropped as DIA row blocks, in row
+    order; block k's rows are `blocks[k] @ windows(E)[k]`.  With (padded,
+    start) = reads[k], it reads entries start .. start + blocks[k].shape[1]
+    of the face vector y or, if padded, of `layout` flat: the faces in
+    `before` ghost lines, the ny face lines and `after` ghost lines, each
+    line zero past its nx faces, a ghost line a copy of the face line
+    that wraps onto it.  On a torus y is the face lines of `layout`.
+    Blocks whose lines take the same template rows share one `data` array."""
+    curl: Curl
+    blocks: tuple
+    reads: tuple
+    layout: np.ndarray
+    before: int
+    after: int
+    y: np.ndarray
+    scratch: np.ndarray
+
+    def windows(self, E: np.ndarray) -> list:
+        """C E into y and the layout; each block's input window."""
+        y = self.curl(E, self.y, self.scratch)
+        lay, b, ny = self.layout, self.before, self.curl.mesh.ny
+        if b or self.after:  # the ghost lines: y is the face lines
+            lay[:b] = lay[b + np.arange(-b, 0) % ny]
+            lay[b + ny:] = lay[b + np.arange(self.after) % ny]
+        else:  # the padded copy
+            lay[:, :self.curl.mesh.nx] = y.reshape(ny, -1)
+        faces = (y, lay.reshape(-1))
+        return [faces[padded][c:c + G_b.shape[1]]
+                for G_b, (padded, c) in zip(self.blocks, self.reads)]
+
+
+def _G_blocks(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
+    """The `blocks` and `reads` of a `CurlCurl` of scale W A, and the
+    (before, after, width) of its layout.
 
     G's blocks hold whole grid lines of one edge orientation, at the
     bounds of `row_blocks`.  The rows of a line are consecutive entries
     of their face layout, so each face a row reaches sits at a fixed
     offset from it: a block is a DIA matrix, its diagonals the row's
     faces in ascending order (on a PEC mesh).  Horizontal edges of a PEC
-    mesh read the face vector, vertical ones the faces padded to nx + 1
-    a line.  On a torus both read the faces between ghost lines, and a
-    face across the wrap in x takes a diagonal of its own."""
+    mesh read y, vertical ones the faces padded to nx + 1 a line.  On a
+    torus both read the faces between ghost lines, and a face across the
+    wrap in x takes a diagonal of its own."""
     nx, ny, periodic = mesh.nx, mesh.ny, mesh.boundary == "periodic"
     # G: edge (i, j) takes the row of template edge (i - si, j - sj), with
     # its faces shifted by (si, sj)
-    t, Gt = _template_G(mesh, params)
+    t, Gt = _template_G(mesh, params, scale)
     tfj, tfi = np.divmod(np.arange(t.n_faces), t.nx)
 
     def shift(k, n, tn):  # cell or line indices k, axis of n (tn) cells
         return (k - HALO if periodic and n > tn
                 else np.minimum(np.maximum(k - HALO, 0), n - tn))
 
-    # per orientation: template row, rows a line, lines, layout, the
-    # layout line of line 0
-    if periodic:
-        layouts = (FaceLayout(nx, ny, nx, HALO, 1),)
-        kinds = ((t.hedge_index, nx, ny, 1, HALO),
-                 (t.vedge_index, nx, ny, 1, HALO))
-    else:
-        layouts = (FaceLayout(nx, ny, nx + 1, 0, 0),)
-        kinds = ((t.hedge_index, nx, ny + 1, 0, 0),
-                 (t.vedge_index, nx + 1, ny, 1, 0))
-    sizes = [mesh.n_faces] + [lay.shape[0] * lay.shape[1] for lay in layouts]
+    # per orientation: template row, rows a line, lines, whether it reads
+    # the layout (else y), the layout line of line 0
+    before, after, width = (HALO, 1, nx) if periodic else (0, 0, nx + 1)
+    kinds = ((t.hedge_index, nx, ny + (not periodic), periodic, before),
+             (t.vedge_index, width, ny, True, before))
+    sizes = (mesh.n_faces, (before + ny + after) * width)
     blocks, reads = [], []
-    for index, n, lines, src, first in kinds:
+    for index, n, lines, padded, first in kinds:
         i, j = np.arange(n), np.arange(lines)
         si, tj = shift(i, nx, t.nx), j - shift(j, ny, t.ny)
         # tj takes every value between its extremes
@@ -329,7 +301,7 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
         for l0, l1 in zip(bounds[:-1], bounds[1:]):
             p0 = (l0 + first) * n  # layout entry of the block's first row
             c0 = max(0, p0 + int(K[0]))
-            c1 = min(sizes[src], p0 + (l1 - l0) * n + int(K[-1]))
+            c1 = min(sizes[padded], p0 + (l1 - l0) * n + int(K[-1]))
             u = line_u[l0:l1]
             key = (p0 - c0, (u[0],) * most if u.count(u[0]) == len(u)
                    else tuple(u))
@@ -337,8 +309,23 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams) -> tuple:
                 shared[key] = _diagonals(pattern[list(key[1])], K + key[0])
             blocks.append(sp.dia_matrix(shared[key],
                                         shape=((l1 - l0) * n, c1 - c0)))
-            reads.append((src, c0))
-    return Curl(mesh), StepG(tuple(blocks), tuple(reads), layouts)
+            reads.append((padded, c0))
+    return tuple(blocks), tuple(reads), (before, after, width)
+
+
+def assemble_step_operators(mesh: RectMesh, params: MfdParams,
+                            scale: float) -> CurlCurl:
+    """The `CurlCurl` scale W A = G C, G written from stencils without a
+    product.  The template's G takes the scale, so each stored entry is
+    one template entry times it: the bits of scaling G afterwards."""
+    blocks, reads, (before, after, width) = _G_blocks(mesh, params, scale)
+    # the buffers once the assembly's temporaries are freed, whose
+    # resident memory they can take
+    layout = np.zeros((before + mesh.ny + after, width))
+    y = (layout[before:before + mesh.ny].reshape(-1) if before or after
+         else np.empty(mesh.n_faces))
+    return CurlCurl(Curl(mesh), blocks, reads, layout, before, after, y,
+                    np.empty(mesh.n_faces))
 
 
 def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mesh import RectMesh
-from .operators import Curl, MfdParams, StepG, assemble_step_operators
+from .operators import CurlCurl, MfdParams, assemble_step_operators
 from .plasma import ExpOperators, Medium, exp_operators
 
 
@@ -35,6 +35,10 @@ def nu_max(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A run's inputs, checked on construction.  nu above `nu_max` is
+    refused, a limit that holds only for the Yee and dispersion-optimal
+    weights: MfdParams(0.6, 0, 0.6) passes at nu = 0.5 and blows up at
+    step 80 on a 32^2 PEC mesh."""
     mesh: RectMesh
     medium: Medium
     params: MfdParams
@@ -89,15 +93,10 @@ class SimState:
 class StepOperators(NamedTuple):
     """What `step` applies, built once per run by `step_operators`.
 
-    C is the PEC-pruned `Curl`; G is the `StepG` of DIA row blocks of
-    W C^T diag(|f|) that `assemble_step_operators` writes, with
-    -(c0^2 dt alpha3) folded in.  buffers holds what `step` writes: the
-    face vector y = C @ E, a face-sized scratch and the face layouts G
-    reads.  alphas are (alpha1, alpha2) of the E update and
-    j_coeffs (cJ, cE, cN) of the J update."""
-    C: Curl
-    G: StepG
-    buffers: tuple
+    K is the `CurlCurl` of W A with -(c0^2 dt alpha3) folded in, alphas
+    are (alpha1, alpha2) of the E update and j_coeffs (cJ, cE, cN) of the
+    J update."""
+    K: CurlCurl
     alphas: tuple
     j_coeffs: tuple
 
@@ -122,11 +121,10 @@ def _j_update(j_coeffs: tuple, E, J, E_next, out, scratch) -> np.ndarray:
 def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
     """Set-up of the step: the alpha3 guard, then the assembly."""
     j_coeffs = _j_coefficients(expops)
-    C, G = assemble_step_operators(config.mesh, config.params)
-    G.scale(-(config.medium.c0 ** 2 * config.dt * expops.alpha3))
-    faces = (np.empty(config.mesh.n_faces), np.empty(config.mesh.n_faces))
-    return StepOperators(C, G, faces + G.buffers(),
-                         (expops.alpha1, expops.alpha2), j_coeffs)
+    K = assemble_step_operators(
+        config.mesh, config.params,
+        -(config.medium.c0 ** 2 * config.dt * expops.alpha3))
+    return StepOperators(K, (expops.alpha1, expops.alpha2), j_coeffs)
 
 
 def initialize(config: SimConfig, E0, E1, J0,
@@ -160,12 +158,11 @@ def step(state: SimState, ops: StepOperators) -> float:
     One pass over the row blocks of G: each block's SpMV, E and J updates
     and max/min run on its slices while they are in cache.  Every entry
     takes the same operations in the same order as a whole-vector pass."""
-    y, scratch, *layouts = ops.buffers
-    windows = ops.G.windows(ops.C(state.E_curr, y, scratch), layouts)
+    windows = ops.K.windows(state.E_curr)
     (a1, a2), E, J = ops.alphas, state.E_prev, state.J_prev
     peaks = np.empty((len(windows), 4))
     a = 0
-    for k, (G_b, x) in enumerate(zip(ops.G.blocks, windows)):
+    for k, (G_b, x) in enumerate(zip(ops.K.blocks, windows)):
         b = a + G_b.shape[0]
         z = G_b @ x  # the block's curl-curl term, its only new array
         e, j, e_c, j_c = E[a:b], J[a:b], state.E_curr[a:b], state.J_curr[a:b]

@@ -10,7 +10,7 @@ from etmfd import analysis, cli, mesh as mesh_module
 from etmfd.analysis import (DegenerateFitError, FitNotConvergedError,
                             FitResult, convergence_study,
                             dispersion_error_metric, e_time_factor, exact_E,
-                            exact_J, fit_damped_cosine, initial_fields,
+                            fit_damped_cosine, initial_fields,
                             j_time_factor, l2_relative_error,
                             make_exact_solution, mode_dofs, pick_probe_edge,
                             spatial_mode)
@@ -56,11 +56,24 @@ def test_j_proportional_to_e_at_t0():
     x = np.array([0.23, 0.61])
     y = np.array([0.37, 0.82])
     ex, ey = exact_E(sol, x, y, 0.0)
-    jx, jy = exact_J(sol, x, y, 0.0)
+    jx, jy = (j_time_factor(sol, 0.0) * v for v in spatial_mode(sol, x, y))
     awi = sol.a + MEDIUM.omega_i
     factor = MEDIUM.eps0 * MEDIUM.omega_p ** 2 * awi / (sol.b ** 2 + awi ** 2)
     assert np.allclose(jx, factor * ex)
     assert np.allclose(jy, factor * ey)
+
+
+def test_time_factors_keep_their_formula_to_the_bit():
+    # the references and initial data take the law the probe fits take;
+    # written out here in the order it evaluates
+    sol = make_exact_solution(np.pi, 2 * np.pi, MEDIUM)
+    a, b, wi = sol.a, sol.b, MEDIUM.omega_i
+    t = np.linspace(0.0, 7.3, 101)
+    e = np.exp(a * t)
+    num = (a + wi) * np.cos(b * t) + b * np.sin(b * t)
+    j = MEDIUM.eps0 * MEDIUM.omega_p ** 2 * e * num / (b * b + (a + wi) ** 2)
+    assert np.array_equal(e_time_factor(sol, t), e * np.cos(b * t))
+    assert np.array_equal(j_time_factor(sol, t), j)
 
 
 def test_tangential_e_vanishes_on_boundary():
@@ -339,9 +352,10 @@ def test_convergence_study_validation():
         convergence_study([2 ** -3, 2 ** -3], "etmfd", MEDIUM, sol, 0.5, 1.0)
 
 
-@pytest.mark.parametrize("bad", [0.5, 1, float("nan"), float("-inf")])
+@pytest.mark.parametrize("bad", [0.5, 1, float("nan"), float("-inf"), 0])
 def test_converge_refuses_a_bad_h_before_any_level(bad, monkeypatch, tmp_path):
-    # 2**0.5 and 2**1 are not 1/n, 2**nan is NaN and 2**-inf is 0
+    # 2**0.5 and 2**1 are not 1/n, 2**nan is NaN and 2**-inf is 0; 2**0
+    # is a 1x1 mesh, with no interior edge to probe
     calls = []
     real = analysis.run
 

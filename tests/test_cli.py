@@ -9,7 +9,7 @@ import shlex
 import numpy as np
 import pytest
 
-from etmfd import cli, selftest, stepper
+from etmfd import analysis, cli, selftest, stepper
 from etmfd.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, CliError, main
 from etmfd.analysis import make_exact_solution, mode_dofs
 from etmfd.mesh import build_mesh
@@ -279,6 +279,38 @@ def test_benchmark_argv_runs(command, payload, tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", payload)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"),
                  "--threads", "1", command]) == EXIT_OK
+
+
+# the module attributes that bench/tracing.py replaces to split a
+# command's wall time into set-up and stepping
+RUN_SITES = (("analysis", "run"), ("cli", "run"))
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("converge", {"log2_h": [-3], "T": 0.5, "schemes": ["etmfd"]}),
+    ("simulate", {"nx": 8, "ny": 8, "T": 0.5}),
+])
+def test_commands_step_through_the_benchmark_call_sites(command, payload,
+                                                        tmp_path,
+                                                        monkeypatch):
+    modules = {"analysis": analysis, "cli": cli}
+    runs, steps = [], []
+
+    def recorded(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr in RUN_SITES:
+        monkeypatch.setattr(modules[module], attr,
+                            recorded(getattr(modules[module], attr), runs))
+    monkeypatch.setattr(stepper, "step", recorded(stepper.step, steps))
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 command]) == EXIT_OK
+    assert len(runs) == 1 and isinstance(runs[0][0], stepper.SimConfig)
+    assert len(steps) == runs[0][0].n_steps - 1  # steps 2 .. n_steps
 
 
 def test_selftest_mutation_detected():

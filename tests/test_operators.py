@@ -293,7 +293,7 @@ def test_curl_acts_as_the_pruned_oracle_curl(nx, ny, boundary, block, rng,
         monkeypatch.setattr(operators, "BLOCK", block)
     m = build_mesh(nx, ny, 1.0, 1.3, boundary)
     C_ref = apply_pec(assemble_curl(m), m, rows=False)
-    curl = assemble_step_operators(m, yee_params())[0]
+    curl = assemble_step_operators(m, yee_params(), 1.0).curl
     assert len(curl.blocks) == len(row_blocks(ny, nx)) - 1
     for E in (rng.standard_normal(m.n_edges), rng.uniform(1, 2, m.n_edges)):
         # NaN-filled buffers: every face is written, whatever they held
@@ -319,12 +319,12 @@ def stacked_step_operators(mesh, params):
     edge lines at the bounds of `row_blocks`, each with sorted int32
     offsets and an owned float64 data array, and that no entry falls on
     the zero padding of a face layout."""
-    G = assemble_step_operators(mesh, params)[1]
+    G = assemble_step_operators(mesh, params, 1.0)
     rows = [n * b for lines, n in (v.shape for v in mesh.edge_lines(
         np.empty(mesh.n_edges))) for b in np.diff(row_blocks(lines, n))]
     assert [b.shape[0] for b in G.blocks] == rows
     parts = []
-    for b, (src, start) in zip(G.blocks, G.reads):
+    for b, (padded, start) in zip(G.blocks, G.reads):
         assert isinstance(b, sp.dia_matrix)
         assert b.offsets.dtype == np.int32
         assert (np.diff(b.offsets) > 0).all()
@@ -332,11 +332,10 @@ def stacked_step_operators(mesh, params):
         assert b.data.base is None
         coo = b.tocoo()  # drops the zero fill
         col = coo.col + start
-        if src:  # layout entry -> face
-            lay = G.layouts[src - 1]
-            line, fi = np.divmod(col, lay.width)
-            assert (fi < lay.nx).all()
-            col = (line - lay.before) % lay.ny * lay.nx + fi
+        if padded:  # layout entry -> face
+            line, fi = np.divmod(col, G.layout.shape[1])
+            assert (fi < mesh.nx).all()
+            col = (line - G.before) % mesh.ny * mesh.nx + fi
         parts.append(sp.csr_matrix((coo.data, (coo.row, col)),
                                    shape=(b.shape[0], mesh.n_faces)))
     G = sp.vstack(parts, format="csr")
@@ -362,7 +361,7 @@ def test_step_operators_in_small_blocks_stack_to_one_block(
     # several uneven blocks, wrapped and one-cell periodic rows included
     m = build_mesh(nx, ny, 1.0, 1.3, boundary)
     p = optimal_params(0.5, m.gamma)
-    assert len(assemble_step_operators(m, p)[1].blocks) == 2  # one a side
+    assert len(assemble_step_operators(m, p, 1.0).blocks) == 2  # one a side
     G1 = stacked_step_operators(m, p)
     monkeypatch.setattr(operators, "BLOCK", block)
     G = stacked_step_operators(m, p)
@@ -376,7 +375,7 @@ def test_step_operator_blocks_share_one_data_array_per_pattern(scheme):
     # touch a wall; the others are one pattern and must share its array
     m = build_mesh(512, 512, 1.0, 1.0, "pec")
     p = params_for_scheme(scheme, 0.5, 1.0)
-    G = assemble_step_operators(m, p)[1]
+    G = assemble_step_operators(m, p, 1.0)
     assert len(G.blocks) == 18
     distinct = {id(b.data): b.data for b in G.blocks}
     assert len(distinct) == 6
@@ -385,6 +384,24 @@ def test_step_operator_blocks_share_one_data_array_per_pattern(scheme):
     nbytes = sum(d.nbytes for d in distinct.values())
     nnz = stacked_step_operators(m, p).nnz
     assert nbytes < nnz * 12 / 4  # CSR: 8-byte value, 4-byte index
+
+
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+def test_scaled_step_operators_are_the_factor_times_the_unscaled(scheme):
+    # the template takes the scale: each entry is one product, the bits
+    # of scaling every block's data afterwards
+    m = build_mesh(512, 512, 1.0, 1.0, "pec")
+    p = params_for_scheme(scheme, 0.5, 1.0)
+    factor = -0.3 * m.dx  # the step's -(c0^2 dt alpha3) is of this kind
+    G1 = assemble_step_operators(m, p, 1.0)
+    G = assemble_step_operators(m, p, factor)
+    assert G.reads == G1.reads
+    for b, b1 in zip(G.blocks, G1.blocks):
+        assert np.array_equal(b.offsets, b1.offsets)
+        # == is bitwise but for the sign of zero: the zero fill stays +0
+        assert np.array_equal(b.data, factor * b1.data)
+    for side in (G.blocks[1:8], G.blocks[10:17]):  # the inner blocks
+        assert all(b.data is side[0].data for b in side)
 
 
 @pytest.mark.parametrize("boundary", ["pec", "periodic"])

@@ -287,7 +287,7 @@ def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=1.0)
     edge = int(np.flatnonzero(~mesh.boundary_edge_mask)[5])
-    nb = len(step_operators(config, exp_operators(MEDIUM, config.dt)).G.blocks)
+    nb = len(step_operators(config, exp_operators(MEDIUM, config.dt)).K.blocks)
     real = stepper._j_update
     made = []
 
@@ -332,10 +332,10 @@ def test_blocked_step_is_bit_identical_to_one_block(nx, ny, boundary, scheme,
         config, params=params_for_scheme(scheme, config.nu, mesh.gamma))
     ops = exp_operators(MEDIUM, config.dt)
     one = step_operators(config, ops)
-    assert len(one.G.blocks) == 2  # one for each edge orientation
+    assert len(one.K.blocks) == 2  # one for each edge orientation
     monkeypatch.setattr(operators, "BLOCK", block)
     many = step_operators(config, ops)
-    assert len(many.G.blocks) == sum(
+    assert len(many.K.blocks) == sum(
         len(row_blocks(*v.shape)) - 1
         for v in mesh.edge_lines(np.empty(mesh.n_edges))) >= 2
     st_one = _random_state(config, rng)
@@ -366,7 +366,7 @@ def test_blocked_step_returns_the_max_over_every_block(nx, ny, boundary, rng,
             m = step(st, ops)
             assert m == max(np.abs(st.E_curr).max(), np.abs(st.J_curr).max())
     assert max(np.abs(st.E_curr).argmax(), np.abs(st.J_curr).argmax()) == last
-    assert last >= mesh.n_edges - ops.G.blocks[-1].shape[0]  # last block
+    assert last >= mesh.n_edges - ops.K.blocks[-1].shape[0]  # last block
 
 
 @pytest.mark.parametrize("field", ["E", "J"])
@@ -398,7 +398,7 @@ def test_step_allocates_no_edge_sized_array(rng):
     mesh = build_mesh(512, 512, 1.0, 1.0, "pec")  # 525 312 edges, 18 blocks
     config = make_config(mesh)
     ops = step_operators(config, exp_operators(MEDIUM, config.dt))
-    assert len(ops.G.blocks) == 18
+    assert len(ops.K.blocks) == 18
     st = _random_state(config, rng)
     step(st, ops)  # warm: first-call caches stay out of the count
     tracemalloc.start()
