@@ -25,7 +25,7 @@ from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
 from .analysis import (DegenerateFitError, ExactSolution,
                        FitNotConvergedError, FitResult, convergence_study,
                        dispersion_error_metric, exact_E, fit_damped_cosine,
-                       initial_fields, l2_relative_error, make_exact_solution,
-                       mode_dofs, pick_probe_edge, spatial_mode)
+                       l2_relative_error, make_exact_solution, mode_dofs,
+                       pick_probe_edge, run_standing_mode, spatial_mode)
 
 __version__ = "0.1.0"

@@ -22,6 +22,9 @@ from .operators import local_M, params_for_scheme
 from .plasma import Medium
 from .stepper import SimConfig, run
 
+# samples a probe fit needs: the trace of a run of n steps holds n + 1
+MIN_FIT_SAMPLES = 8
+
 
 class DegenerateFitError(ValueError):
     """Fit cannot start: zero amplitude or singular normal matrix."""
@@ -52,6 +55,8 @@ def make_exact_solution(kx: float, ky: float, medium: Medium) -> ExactSolution:
         m = kv / math.pi
         if abs(m - round(m)) > 1e-9:
             raise ValueError(f"{name}={kv} is not an integer multiple of pi")
+    if round(kx / math.pi) == round(ky / math.pi) == 0:
+        raise ValueError("kx = ky = 0 is the zero field: no mode to run")
     w = oscillatory_root(math.hypot(kx, ky), medium)
     # decay on the imaginary axis, oscillation on the real axis
     return ExactSolution(kx=kx, ky=ky, a=w.imag, b=w.real, medium=medium)
@@ -121,13 +126,6 @@ def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
             interpolate_edge_field(mesh, mode, 4))
 
 
-def initial_fields(sol: ExactSolution, mid, avg, dt: float) -> tuple:
-    """(E0, E1, J0) for `stepper.run`: the exact E at t = 0 and dt and the
-    exact J at t = 0, from the `mode_dofs` pair."""
-    return (e_time_factor(sol, 0.0) * mid, e_time_factor(sol, dt) * mid,
-            j_time_factor(sol, 0.0) * avg)
-
-
 def exact_E(sol: ExactSolution, x, y, t):
     vx, vy = spatial_mode(sol, x, y)
     f = e_time_factor(sol, t)
@@ -175,8 +173,9 @@ def fit_damped_cosine(trace: np.ndarray, dt: float, model: str = "E",
     flagged, not raised.
     """
     trace = np.asarray(trace, dtype=float)
-    if trace.size < 8:
-        raise ValueError(f"trace too short to fit: {trace.size} < 8")
+    if trace.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"trace too short to fit: {trace.size} < "
+                         f"{MIN_FIT_SAMPLES}")
     t = dt * np.arange(trace.size)
     a, b = float(initial_guess[0]), float(initial_guess[1])
 
@@ -246,15 +245,36 @@ def pick_probe_edge(mesh, mode: np.ndarray) -> int:
     return int(cand[np.argmax(score)])
 
 
-def convergence_study(h_list, scheme: str, medium: Medium,
-                      sol: ExactSolution, nu: float, T: float) -> list[dict]:
+def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
+                      T: float, probes=None, snapshot_stride: int = 0
+                      ) -> tuple:
+    """Run the standing mode `sol` in `sol.medium` on `mesh` with the
+    weights of `scheme`, from the `mode_dofs` pair (mid, avg) times the
+    exact time factors; probes=None takes the `pick_probe_edge` probe.
+    Returns (config, result, mid, avg)."""
+    params = params_for_scheme(scheme, nu, mesh.gamma)
+    mid, avg = mode_dofs(mesh, sol)
+    if probes is None:
+        probes = (pick_probe_edge(mesh, mid),)
+    config = SimConfig(mesh=mesh, medium=sol.medium, params=params, nu=nu,
+                       T=T, probes=tuple(probes),
+                       snapshot_stride=snapshot_stride)
+    result = run(config, e_time_factor(sol, 0.0) * mid,
+                 e_time_factor(sol, config.dt) * mid,
+                 j_time_factor(sol, 0.0) * avg)
+    return config, result, mid, avg
+
+
+def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
+                      T: float) -> list[dict]:
     """Run the standing-mode experiment over a mesh-size sweep, in order.
 
     Returns one row per (h, field) with the relative L2 error at the
     final time and the relative dispersion error from the probe fit;
     rate columns hold log2 ratios between successive mesh sizes.  The
     references, like the initial data and the fit amplitudes, are the
-    `mode_dofs` pair scaled by the exact time factors.  Raises
+    `mode_dofs` pair scaled by the exact time factors.  Each level is a
+    `run_standing_mode` in `sol.medium`, which the fits take too.  Raises
     FitNotConvergedError when a probe fit does not converge.
     """
     h_list = list(h_list)
@@ -262,24 +282,28 @@ def convergence_study(h_list, scheme: str, medium: Medium,
     if not h_list or len(set(h_list)) < len(h_list):
         raise ValueError(f"h_list must be non-empty, no h repeated: {h_list}")
     # every level is checked before the first one runs
-    cells = [round(1.0 / h) if 0 < h <= 1 else 0 for h in h_list]  # NaN: 0
-    for h, n in zip(h_list, cells):
+    meshes = []
+    for h in h_list:
+        n = round(1.0 / h) if 0 < h <= 1 else 0  # NaN: 0
         if n < 1 or abs(n * h - 1.0) > 1e-9:
             raise ValueError(f"1/h must be an integer, got h={h}")
         if n == 1:  # every edge of a 1x1 PEC mesh is a wall edge
             raise ValueError(f"h={h}: the 1x1 PEC mesh has no interior "
                              "edge to probe")
-
-    def one(h, n):
         mesh = build_mesh(n, n, 1.0, 1.0, "pec")
-        params = params_for_scheme(scheme, nu, mesh.gamma)
-        mid, avg = mode_dofs(mesh, sol)
-        probe = pick_probe_edge(mesh, mid)
-        config = SimConfig(mesh=mesh, medium=medium, params=params,
-                           nu=nu, T=T, probes=(probe,))
-        result = run(config, *initial_fields(sol, mid, avg, config.dt))
-        tf = result.t_final
-        M = local_M(params, mesh.dx, mesh.dy)
+        samples = 1 + SimConfig(
+            mesh=mesh, medium=sol.medium, nu=nu, T=T,
+            params=params_for_scheme(scheme, nu, mesh.gamma)).n_steps
+        if samples < MIN_FIT_SAMPLES:
+            raise ValueError(f"T={T:g} leaves {samples} probe samples at "
+                             f"h={h:g}, fewer than the {MIN_FIT_SAMPLES} a "
+                             "fit needs")
+        meshes.append(mesh)
+
+    def one(h, mesh):
+        config, result, mid, avg = run_standing_mode(mesh, scheme, sol, nu, T)
+        tf, (probe,) = result.t_final, config.probes
+        M = local_M(config.params, mesh.dx, mesh.dy)
         err_E = l2_relative_error(result.state.E_curr,
                                   e_time_factor(sol, tf) * mid, mesh, M)
         err_J = l2_relative_error(result.state.J_curr,
@@ -287,10 +311,10 @@ def convergence_study(h_list, scheme: str, medium: Medium,
 
         guess = (sol.a, sol.b)
         fit_E = fit_damped_cosine(result.probe_E[probe], config.dt, "E",
-                                  medium, amplitude=mid[probe],
+                                  sol.medium, amplitude=mid[probe],
                                   initial_guess=guess)
         fit_J = fit_damped_cosine(result.probe_J[probe], config.dt, "J",
-                                  medium, amplitude=avg[probe],
+                                  sol.medium, amplitude=avg[probe],
                                   initial_guess=guess)
         for field, fit in (("E", fit_E), ("J", fit_J)):
             if not fit.converged:
@@ -301,7 +325,7 @@ def convergence_study(h_list, scheme: str, medium: Medium,
         disp_J = dispersion_error_metric(fit_J, sol.a, sol.b)
         return {"E": (err_E, disp_E), "J": (err_J, disp_J)}
 
-    results = [one(h, n) for h, n in zip(h_list, cells)]
+    results = [one(h, mesh) for h, mesh in zip(h_list, meshes)]
 
     rows = []
     for field in ("E", "J"):

@@ -27,7 +27,7 @@ from . import analysis, dispersion, selftest
 from .mesh import build_mesh
 from .operators import optimal_local_W, optimal_params, params_for_scheme
 from .plasma import Medium, RegimeError
-from .stepper import SimConfig, UnstableSimulationError, run, save_snapshot
+from .stepper import UnstableSimulationError, save_snapshot
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -155,7 +155,7 @@ def cmd_converge(args) -> int:
     h_list = [2.0 ** p for p in cfg["log2_h"]]
     all_rows = []
     for scheme in cfg["schemes"]:
-        rows = analysis.convergence_study(h_list, scheme, medium, sol,
+        rows = analysis.convergence_study(h_list, scheme, sol,
                                           nu=cfg["nu"], T=cfg["T"])
         all_rows.extend(rows)
     out = output_path(args, cfg)
@@ -214,23 +214,18 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, "simulate")
     medium = medium_from_config(cfg)
     mesh = build_mesh(cfg["nx"], cfg["ny"], cfg["Lx"], cfg["Ly"], "pec")
-    params = params_for_scheme(cfg["scheme"], cfg["nu"], mesh.gamma)
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)
-    mid, avg = analysis.mode_dofs(mesh, sol)
     probes = cfg["probes"]
-    if probes == "auto":
-        probes = [analysis.pick_probe_edge(mesh, mid)]
-    elif not isinstance(probes, list):
+    if probes != "auto" and not isinstance(probes, list):
         raise CliError(f'probes must be "auto" or a list, got {probes!r}')
-    config = SimConfig(mesh=mesh, medium=medium, params=params,
-                       nu=cfg["nu"], T=cfg["T"], probes=tuple(probes),
-                       snapshot_stride=cfg["snapshot_stride"])
-    result = run(config, *analysis.initial_fields(sol, mid, avg, config.dt))
+    config, result, _, _ = analysis.run_standing_mode(
+        mesh, cfg["scheme"], sol, cfg["nu"], cfg["T"],
+        None if probes == "auto" else probes, cfg["snapshot_stride"])
 
     outdir = output_path(args, cfg)
     os.makedirs(outdir, exist_ok=True)
-    for e in probes:
+    for e in config.probes:
         rows = zip(result.times, result.probe_E[e], result.probe_J[e])
         write_csv(os.path.join(outdir, f"probe_{e}.csv"),
                   ["t", "E", "J"], rows)
@@ -239,7 +234,7 @@ def cmd_simulate(args) -> int:
                       mesh, snap)
     E = result.state.E_curr  # max |E| without an |E| temporary
     summary = {"steps": result.state.n, "t_final": result.t_final,
-               "dt": config.dt, "probes": list(probes),
+               "dt": config.dt, "probes": list(config.probes),
                "snapshots": len(result.snapshots),
                "max_abs_E": float(max(E.max(), -E.min()))}
     with open(os.path.join(outdir, "summary.json"), "w") as fh:

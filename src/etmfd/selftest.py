@@ -1,11 +1,9 @@
 """Independent oracles and the checks built on them.
 
 Each oracle recomputes a core quantity through a route the production
-code does not take: plain-loop dense assembly, COO assembly (of W C^T,
-which the stencil-built step operators must equal, and of the global
-mass matrix, which the face-by-face error norm must match), a scaled
-Taylor series and Gauss quadrature of the matrix exponential, Bloch
-reduction of the local blocks, and the exact solution of the k = 0 mode.
+code does not take: plain-loop dense assembly, a scaled Taylor series
+and Gauss quadrature of the matrix exponential, Bloch reduction of the
+local blocks, and the exact solution of the k = 0 mode.
 Each check returns its measured deviation; TOLERANCES holds the bounds,
 which the acceptance suite pins.  `etmfd selftest` runs every check in a
 few seconds, and the acceptance tests call the same functions.
@@ -16,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dispersion, operators, plasma, stepper
 from .mesh import build_mesh
@@ -103,50 +100,6 @@ def dense_operators(mesh, params):
             M[b, :] = 0.0
             M[:, b] = 0.0
     return Wd, Ad
-
-
-def apply_pec(op, mesh, rows=True):
-    """op with the stored entries of PEC columns (and rows) dropped."""
-    b = mesh.boundary_edge_mask
-    drop = b[op.indices]
-    if rows:
-        drop |= np.repeat(b, np.diff(op.indptr))
-    op.data[drop] = 0.0
-    op.eliminate_zeros()
-    return op
-
-
-def assemble_local_blocks(mesh, block):
-    """Global operator through COO, every face adding the same 4x4 block."""
-    fe = mesh.face_edge_table
-    rows = np.repeat(fe, 4, axis=1).ravel()
-    cols = np.tile(fe, (1, 4)).ravel()
-    vals = np.tile(block.ravel(), mesh.n_faces)
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(mesh.n_edges, mesh.n_edges)).tocsr()
-
-
-def assemble_curl(mesh):
-    """Global curl, edge DoF -> face DoF, through COO."""
-    vals = np.tile(operators.local_curl(mesh.dx, mesh.dy), mesh.n_faces)
-    rows = np.repeat(np.arange(mesh.n_faces), 4)
-    return sp.coo_matrix((vals, (rows, mesh.face_edge_table.ravel())),
-                         shape=(mesh.n_faces, mesh.n_edges)).tocsr()
-
-
-def assemble_curl_curl(mesh):
-    """curl^T diag(|f|) curl from local blocks, PEC rows/columns dropped."""
-    c = operators.local_curl(mesh.dx, mesh.dy)
-    block = np.outer(c, c) * (mesh.dx * mesh.dy)
-    return apply_pec(assemble_local_blocks(mesh, block), mesh)
-
-
-def assemble_W(mesh, params):
-    """Global W from local blocks, PEC rows/columns dropped.  With the
-    PEC-pruned curl it gives the step operators' oracle, the product
-    G = (W C^T) |f| that `operators.assemble_step_operators` writes."""
-    block = operators.local_W(params, mesh.dx, mesh.dy)
-    return apply_pec(assemble_local_blocks(mesh, block), mesh)
 
 
 def dense_step(state, config, ops):

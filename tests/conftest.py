@@ -3,13 +3,18 @@
 The oracles the acceptance suite and `etmfd selftest` share (dense
 assembly, series and quadrature exponentials) live in `etmfd.selftest`.
 These recompute the rest through routes the production code does not
-take: Bloch phase fields, analytic antiderivatives for edge integrals,
-face averages for the commuting-diagram tests, and the probe rule scored
-on every edge.
+take: COO assembly (of W C^T, which the stencil-built step operators
+must equal, and of the global mass matrix, which the face-by-face error
+norm must match), Bloch phase fields, analytic antiderivatives for edge
+integrals, face averages for the commuting-diagram tests, and the probe
+rule scored on every edge.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+from etmfd.operators import local_curl, local_W
 
 
 def edge_midpoints(mesh):
@@ -25,6 +30,50 @@ def pick_probe_reference(mesh, mode):
     score = np.abs(mode) - 1e-9 * dist / max(mesh.Lx, mesh.Ly)
     score[mesh.boundary_edge_mask] = -np.inf
     return int(np.argmax(score))
+
+
+def apply_pec(op, mesh, rows=True):
+    """op with the stored entries of PEC columns (and rows) dropped."""
+    b = mesh.boundary_edge_mask
+    drop = b[op.indices]
+    if rows:
+        drop |= np.repeat(b, np.diff(op.indptr))
+    op.data[drop] = 0.0
+    op.eliminate_zeros()
+    return op
+
+
+def assemble_local_blocks(mesh, block):
+    """Global operator through COO, every face adding the same 4x4 block."""
+    fe = mesh.face_edge_table
+    rows = np.repeat(fe, 4, axis=1).ravel()
+    cols = np.tile(fe, (1, 4)).ravel()
+    vals = np.tile(block.ravel(), mesh.n_faces)
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(mesh.n_edges, mesh.n_edges)).tocsr()
+
+
+def assemble_curl(mesh):
+    """Global curl, edge DoF -> face DoF, through COO."""
+    vals = np.tile(local_curl(mesh.dx, mesh.dy), mesh.n_faces)
+    rows = np.repeat(np.arange(mesh.n_faces), 4)
+    return sp.coo_matrix((vals, (rows, mesh.face_edge_table.ravel())),
+                         shape=(mesh.n_faces, mesh.n_edges)).tocsr()
+
+
+def assemble_curl_curl(mesh):
+    """curl^T diag(|f|) curl from local blocks, PEC rows/columns dropped."""
+    c = local_curl(mesh.dx, mesh.dy)
+    block = np.outer(c, c) * (mesh.dx * mesh.dy)
+    return apply_pec(assemble_local_blocks(mesh, block), mesh)
+
+
+def assemble_W(mesh, params):
+    """Global W from local blocks, PEC rows/columns dropped.  With the
+    PEC-pruned curl it gives the step operators' oracle, the product
+    G = (W C^T) |f| that `operators.assemble_step_operators` writes."""
+    block = local_W(params, mesh.dx, mesh.dy)
+    return apply_pec(assemble_local_blocks(mesh, block), mesh)
 
 
 def face_centers(mesh):

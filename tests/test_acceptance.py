@@ -53,8 +53,7 @@ def experiment2():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     h_list = [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
     t0 = time.time()
-    rows = {scheme: convergence_study(h_list, scheme, MEDIUM, sol,
-                                      nu=0.5, T=4.0)
+    rows = {scheme: convergence_study(h_list, scheme, sol, nu=0.5, T=4.0)
             for scheme in ("etmfd", "et-yee")}
     rows["elapsed"] = time.time() - t0
     return rows

@@ -4,20 +4,20 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import edge_average_oracle, pick_probe_reference
+from conftest import (assemble_local_blocks, edge_average_oracle,
+                      pick_probe_reference)
 
 from etmfd import analysis, cli, mesh as mesh_module
 from etmfd.analysis import (DegenerateFitError, FitNotConvergedError,
                             FitResult, convergence_study,
                             dispersion_error_metric, e_time_factor, exact_E,
-                            fit_damped_cosine, initial_fields,
-                            j_time_factor, l2_relative_error,
-                            make_exact_solution, mode_dofs, pick_probe_edge,
+                            fit_damped_cosine, j_time_factor,
+                            l2_relative_error, make_exact_solution,
+                            mode_dofs, pick_probe_edge, run_standing_mode,
                             spatial_mode)
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import local_M, optimal_params, yee_params
 from etmfd.plasma import Medium
-from etmfd.selftest import assemble_local_blocks
 
 MEDIUM = Medium()
 
@@ -303,10 +303,16 @@ def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
     # rule would miss them by O((kh)^2), about 1e-2 here)
     exact = edge_average_oracle(mesh, sol.kx, sol.ky)
     assert np.abs(avg - exact).max() < 1e-10 * np.abs(exact).max()
-    E0, E1, J0 = initial_fields(sol, mid, avg, 0.01)
-    assert np.array_equal(E0, mid)
-    assert np.array_equal(E1, e_time_factor(sol, 0.01) * mid)
-    assert np.array_equal(J0, j_time_factor(sol, 0.0) * avg)
+    # one step: the run starts from the pair times the exact time factors
+    config, result, mid1, avg1 = run_standing_mode(mesh, "etmfd", sol, 0.5,
+                                                   0.01)
+    st, inner = result.state, ~mesh.boundary_edge_mask
+    assert st.n == 1
+    assert np.array_equal(mid1, mid) and np.array_equal(avg1, avg)
+    for got, want in ((st.E_prev, e_time_factor(sol, 0.0) * mid),
+                      (st.E_curr, e_time_factor(sol, config.dt) * mid),
+                      (st.J_prev, j_time_factor(sol, 0.0) * avg)):
+        assert np.array_equal(got[inner], want[inner])
 
 
 def _count_interpolations(monkeypatch):
@@ -328,7 +334,7 @@ def _count_interpolations(monkeypatch):
 def test_two_interpolations_per_convergence_level(monkeypatch):
     rules = _count_interpolations(monkeypatch)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    convergence_study([2 ** -3, 2 ** -4], "etmfd", MEDIUM, sol, 0.5, 1.0)
+    convergence_study([2 ** -3, 2 ** -4], "etmfd", sol, 0.5, 1.0)
     assert rules == ["midpoint", 4] * 2
 
 
@@ -344,12 +350,12 @@ def test_two_interpolations_per_simulate(monkeypatch, tmp_path):
 def test_convergence_study_validation():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     with pytest.raises(ValueError):
-        convergence_study([], "etmfd", MEDIUM, sol, 0.5, 1.0)
+        convergence_study([], "etmfd", sol, 0.5, 1.0)
     with pytest.raises(ValueError):
-        convergence_study([0.3], "etmfd", MEDIUM, sol, 0.5, 1.0)
+        convergence_study([0.3], "etmfd", sol, 0.5, 1.0)
     # a repeated h leaves no step to take a rate over; refused up front
     with pytest.raises(ValueError, match="no h repeated"):
-        convergence_study([2 ** -3, 2 ** -3], "etmfd", MEDIUM, sol, 0.5, 1.0)
+        convergence_study([2 ** -3, 2 ** -3], "etmfd", sol, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1, float("nan"), float("-inf"), 0])
@@ -375,8 +381,7 @@ def test_converge_refuses_a_bad_h_before_any_level(bad, monkeypatch, tmp_path):
 
 def test_convergence_study_rows():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    rows = convergence_study([2 ** -3, 2 ** -4], "etmfd", MEDIUM, sol,
-                             0.5, 1.0)
+    rows = convergence_study([2 ** -3, 2 ** -4], "etmfd", sol, 0.5, 1.0)
     assert len(rows) == 4
     assert {r["field"] for r in rows} == {"E", "J"}
     first_e = [r for r in rows if r["field"] == "E"][0]
@@ -392,4 +397,4 @@ def test_convergence_study_rejects_nonconverged_fit(monkeypatch):
     monkeypatch.setattr(analysis, "fit_damped_cosine", stalled)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     with pytest.raises(FitNotConvergedError, match=r"E probe.*etmfd.*h=0\.125"):
-        convergence_study([2 ** -3], "etmfd", MEDIUM, sol, 0.5, 1.0)
+        convergence_study([2 ** -3], "etmfd", sol, 0.5, 1.0)

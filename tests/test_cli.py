@@ -215,6 +215,62 @@ def test_auto_probe_on_a_mesh_without_interior_edges_names_the_cause(
     assert not out.exists()
 
 
+def record_runs(monkeypatch) -> list:
+    """The RunResult of every run a command starts, in order."""
+    results = []
+    real = analysis.run
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(analysis, "run", recorded)
+    return results
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    # simulate ran 128 steps of zeros and exited 0; converge ran a level,
+    # then exited 2 on the zero M-norm of the reference
+    pytest.param("simulate", {"kx_pi": 0, "ky_pi": 0},
+                 "kx = ky = 0 is the zero field", id="simulate-zero-mode"),
+    pytest.param("converge", {"kx_pi": 0, "ky_pi": 0, "log2_h": [-3, -4],
+                              "T": 0.5},
+                 "kx = ky = 0 is the zero field", id="converge-zero-mode"),
+    # a level ran, then its fit found the trace too short: 2 samples, and
+    # 13 at 2^-5 before 7 at 2^-4
+    pytest.param("converge", {"T": 0.01, "log2_h": [-4, -5]},
+                 "fewer than the 8 a fit needs", id="converge-2-samples"),
+    pytest.param("converge", {"T": 0.1875, "log2_h": [-5, -4]},
+                 "fewer than the 8 a fit needs", id="converge-7-samples-late"),
+])
+def test_unusable_runs_are_refused_before_any_run(
+        command, payload, message, tmp_path, capsys, monkeypatch):
+    runs = record_runs(monkeypatch)
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), command]) \
+        == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+def test_simulate_and_converge_run_the_mode_to_the_same_bits(tmp_path,
+                                                            monkeypatch):
+    # the default simulate is the 2^-4 etmfd level of the default converge
+    runs = record_runs(monkeypatch)
+    assert main(["--out", str(tmp_path / "s"), "simulate"]) == EXIT_OK
+    cfg = write_config(tmp_path, "c.json",
+                       {"log2_h": [-4], "schemes": ["etmfd"]})
+    assert main(["--config", cfg, "--out", str(tmp_path / "c"),
+                 "converge"]) == EXIT_OK
+    sim, conv = runs
+    assert sim.probe_E.keys() == conv.probe_E.keys()
+    for e in sim.probe_E:
+        assert np.array_equal(sim.probe_E[e], conv.probe_E[e])
+        assert np.array_equal(sim.probe_J[e], conv.probe_J[e])
+
+
 def test_simulate_instability_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     cfg = write_config(tmp_path, "s.json", {"nx": 8, "ny": 8, "nu": 5.0,
@@ -303,8 +359,10 @@ def test_commands_step_through_the_benchmark_call_sites(command, payload,
         return wrapper
 
     for module, attr in RUN_SITES:
-        monkeypatch.setattr(modules[module], attr,
-                            recorded(getattr(modules[module], attr), runs))
+        # a site the module lacks is skipped, as tracing.Patches.wrap does
+        if hasattr(modules[module], attr):
+            monkeypatch.setattr(modules[module], attr,
+                                recorded(getattr(modules[module], attr), runs))
     monkeypatch.setattr(stepper, "step", recorded(stepper.step, steps))
     cfg = write_config(tmp_path, "c.json", payload)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"),
@@ -480,6 +538,18 @@ def ci_readme_step():
             break
         body.append(line.strip())
     return [line for line in body if line and not line.startswith("cd ")]
+
+
+def test_readme_python_blocks_run():
+    # the second block reuses the first one's medium and solution
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "<README.md>", "exec"), namespace)
+    assert len(namespace["rows"]) == 6
+    assert len(namespace["result"].snapshots) == 9  # steps 0, 16, .., 128
 
 
 def test_readme_commands_parse_and_ci_runs_exactly_them():

@@ -10,15 +10,15 @@ from etmfd.dispersion import (P1, WaveVec, anisotropy_sweep,
                               discrete_root_polish, leapfrog_zeroing_w2,
                               oscillatory_root, relative_dispersion_error,
                               s_matrix, spatial_symbol, spatial_symbol_bloch,
-                              symbol_error_slope, temporal_symbol)
+                              temporal_symbol)
 from etmfd.mesh import build_mesh
 from etmfd.operators import (MfdParams, local_W, local_curl, optimal_params,
                              params_for_scheme, yee_params)
 from etmfd.plasma import Medium, coupling_matrix
-from etmfd.selftest import (assemble_W, assemble_curl_curl, quad_integral_exp,
-                            series_exp_oracle)
+from etmfd.selftest import quad_integral_exp, series_exp_oracle
 
-from conftest import bloch_edge_field, edge_midpoints
+from conftest import (assemble_W, assemble_curl_curl, bloch_edge_field,
+                      edge_midpoints)
 
 MEDIUM = Medium()
 
@@ -251,15 +251,6 @@ def test_refinement_ratios():
         vals[label] = errs[0] / errs[1]
     assert 16.0 * 0.7 < vals["opt"] < 16.0 * 1.3
     assert 4.0 * 0.7 < vals["yee"] < 4.0 * 1.3
-
-
-def test_symbol_error_slopes():
-    slope_opt, errs_opt = symbol_error_slope(4.0, 0.5, MEDIUM, optimal_params)
-    slope_yee, errs_yee = symbol_error_slope(4.0, 0.5, MEDIUM,
-                                             lambda nu, g: yee_params())
-    assert slope_opt >= 3.8
-    assert abs(slope_yee - 2.0) <= 0.15
-    assert errs_opt[0] * 10.0 <= errs_yee[0]
 
 
 # ---- root polishing --------------------------------------------------------------

@@ -8,11 +8,11 @@ from etmfd.operators import (Curl, MfdParams, SingularLocalWError,
                              assemble_step_operators, row_blocks,
                              local_M, local_W, local_curl, optimal_local_W,
                              optimal_params, params_for_scheme, yee_params)
-from etmfd.selftest import (apply_pec, assemble_W, assemble_curl,
-                            assemble_curl_curl, assemble_local_blocks,
-                            dense_operators)
+from etmfd.selftest import dense_operators
 
-from conftest import interpolate_face_field
+from conftest import (apply_pec, assemble_W, assemble_curl,
+                      assemble_curl_curl, assemble_local_blocks,
+                      interpolate_face_field)
 
 
 def test_local_curl_unit_cell():
@@ -99,16 +99,6 @@ def test_optimal_local_W_substitution():
     W = optimal_local_W(0.5, 0.5, 1.0, 1.0)
     assert abs(W[0, 0] - 0.5625) < 1e-15
     assert abs(W[0, 1] + 0.25 / 12.0) < 1e-15
-
-
-@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.0])
-@pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
-def test_optimal_W_equals_composed_path(nu, gamma):
-    dx = 0.37
-    dy = gamma * dx
-    direct = optimal_local_W(nu, nu / gamma, dx, dy)
-    composed = local_W(optimal_params(nu, gamma), dx, dy)
-    assert np.abs(direct - composed).max() < 1e-14
 
 
 def test_local_M_inverse_contract():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from etmfd.plasma import Medium, RegimeError, coupling_matrix, exp_operators
-from etmfd.selftest import DTS, MEDIA, quad_integral_exp, series_exp_oracle
+from etmfd.selftest import DTS, MEDIA, series_exp_oracle
 
 NONFINITE = (float("nan"), float("inf"), -float("inf"))
 
@@ -55,15 +55,6 @@ def test_small_dt_limits():
     ops = exp_operators(Medium(omega_i=1.0, omega_p=1.0), 1e-8)
     assert np.abs(ops.exp_matrix - np.eye(2)).max() < 1e-7
     assert np.abs(ops.integral_matrix).max() < 1e-7
-
-
-@pytest.mark.parametrize("medium", MEDIA)
-@pytest.mark.parametrize("dt", DTS)
-def test_exp_operators_match_oracles(medium, dt):
-    X = coupling_matrix(medium)
-    ops = exp_operators(medium, dt)
-    assert np.abs(ops.exp_matrix - series_exp_oracle(X, dt)).max() < 1e-12
-    assert np.abs(ops.integral_matrix - quad_integral_exp(X, dt)).max() < 1e-12
 
 
 @pytest.mark.parametrize("medium", MEDIA)
