@@ -9,19 +9,18 @@ convergence toolkit used to verify the accuracy claims.
 from .mesh import RectMesh, build_mesh, interpolate_edge_field
 from .operators import (MfdParams, SingularLocalWError,
                         assemble_step_operators, local_M, local_W, local_curl,
-                        optimal_local_W, optimal_params, params_for_scheme,
-                        yee_params)
+                        optimal_params, params_for_scheme, yee_params)
 from .plasma import (ExpOperators, Medium, RegimeError, coupling_matrix,
                      exp_operators)
 from .stepper import (RunResult, SimConfig, SimState, Snapshot, StepOperators,
                       UnstableSimulationError, initialize, load_snapshot,
                       nu_max, run, save_snapshot, step, step_operators)
 from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
-                         conductive_leapfrog_residual, continuous_roots,
-                         discrete_root_polish, leapfrog_zeroing_w2,
-                         oscillatory_root, relative_dispersion_error,
-                         s_matrix, spatial_symbol, spatial_symbol_bloch,
-                         symbol_error_slope, temporal_symbol)
+                         continuous_roots, discrete_root_polish,
+                         leapfrog_zeroing_w2, oscillatory_root,
+                         relative_dispersion_error, s_matrix, spatial_symbol,
+                         spatial_symbol_bloch, symbol_error_slope,
+                         temporal_symbol)
 from .analysis import (DegenerateFitError, ExactSolution,
                        FitNotConvergedError, FitResult, convergence_study,
                        dispersion_error_metric, exact_E, fit_damped_cosine,

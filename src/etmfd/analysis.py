@@ -106,8 +106,10 @@ def j_time_factor(sol: ExactSolution, t):
 
 def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
     """(mid, avg): the spatial mode's edge DoFs under the E rule (midpoint
-    samples) and the J rule (4-point Gauss edge averages).  The exact
-    fields' DoFs at t are these times e_time_factor and j_time_factor.
+    samples) and the J rule (exact edge averages).  The exact fields' DoFs
+    at t are these times e_time_factor and j_time_factor.  The mode is
+    separable, so an edge's average is its midpoint sample times
+    sinc(kx dx / 2) on horizontal edges and sinc(ky dy / 2) on vertical ones.
 
     On a PEC mesh the mode's tangential E must vanish on the walls
     x = Lx and y = Ly, which takes a whole number of half-waves across
@@ -120,10 +122,13 @@ def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
                     f"{k} {L} / pi = {waves:g} is not an integer: the mode "
                     f"does not vanish on the PEC wall at {L}")
 
-    def mode(x, y):
-        return spatial_mode(sol, x, y)
-    return (interpolate_edge_field(mesh, mode, "midpoint"),
-            interpolate_edge_field(mesh, mode, 4))
+    mid = interpolate_edge_field(mesh, lambda x, y: spatial_mode(sol, x, y))
+    avg = mid.copy()
+    avg_h, avg_v = mesh.edge_lines(avg)
+    # np.sinc(u / pi) = sin(u) / u
+    avg_h *= np.sinc(sol.kx * mesh.dx / (2.0 * math.pi))
+    avg_v *= np.sinc(sol.ky * mesh.dy / (2.0 * math.pi))
+    return mid, avg
 
 
 def exact_E(sol: ExactSolution, x, y, t):

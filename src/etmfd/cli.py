@@ -1,7 +1,8 @@
 """Command-line driver: parameter computation, experiments, self-tests.
 
 Subcommands
-    params      print the optimal MFD weights and local W for (nu, gamma)
+    params      print the optimal MFD weights, the stable Courant limit
+                and the local W for (nu, gamma)
     converge    mesh-refinement study, writes a convergence CSV
     anisotropy  dispersion-error sweep over propagation angles, writes CSV
     simulate    run one simulation, write probe traces and snapshots
@@ -25,9 +26,9 @@ import numpy as np
 
 from . import analysis, dispersion, selftest
 from .mesh import build_mesh
-from .operators import optimal_local_W, optimal_params, params_for_scheme
+from .operators import local_W, optimal_params, params_for_scheme
 from .plasma import Medium, RegimeError
-from .stepper import UnstableSimulationError, save_snapshot
+from .stepper import UnstableSimulationError, nu_max, save_snapshot
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -137,7 +138,9 @@ def cmd_params(args) -> int:
     print(f"w1 = {_fmt6(p.w1)}")
     print(f"w2 = {_fmt6(p.w2)}")
     print(f"w3 = {_fmt6(p.w3)}")
-    W = optimal_local_W(nu, nu / gamma, 1.0, gamma)
+    print(f"nu_max = {_fmt6(nu_max(gamma))}")
+    # + 0.0: at nu = 0 the -4 w2 entries are -0.0, which print as -0
+    W = local_W(p, 1.0, gamma) + 0.0
     print("optimal local W (unit dx, dy = gamma):")
     for row in W:
         print("  " + "  ".join(f"{v:>12.6g}" for v in row))
@@ -149,6 +152,8 @@ def cmd_converge(args) -> int:
     for key in ("log2_h", "schemes"):
         if not cfg[key]:
             raise CliError(f"{key} list must not be empty")
+    for scheme in cfg["schemes"]:  # a bad label is refused before any sweep
+        params_for_scheme(scheme, cfg["nu"], 1.0)  # the unit square's gamma
     medium = medium_from_config(cfg)
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)

@@ -10,7 +10,6 @@ which vanishes exactly on roots of the discrete dispersion relation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import cycle, repeat
 
@@ -42,15 +41,6 @@ class WaveVec:
         return self.k * np.sin(self.theta)
 
 
-def _pow2(x):
-    """x ** 2 rounded as libm's pow rounds a float64 scalar's square, also
-    elementwise over an array: numpy squares an array as x * x, which
-    differs from pow in the last bit for about one value in a thousand."""
-    flat = np.ravel(x).tolist()
-    return np.fromiter(map(math.pow, flat, repeat(2.0)), float,
-                       len(flat)).reshape(np.shape(x))
-
-
 def spatial_symbol(wv: WaveVec, h: float, gamma: float,
                    params: MfdParams, c0: float) -> float | np.ndarray:
     """Discrete spatial symbol of c0^2 * curl curl on a dx=h, dy=gamma*h cell.
@@ -60,8 +50,8 @@ def spatial_symbol(wv: WaveVec, h: float, gamma: float,
     S_h = -(c0 k)^2 {1 + [(w3-1/3)cos^4 + 2 gamma w2 cos^2 sin^2
     + gamma^2 (w1-1/3) sin^4] k^2 h^2 + O(h^4)}.
     """
-    sx = _pow2(np.sin(0.5 * wv.kx * h))
-    sy = _pow2(np.sin(0.5 * wv.ky * gamma * h))
+    sx = np.square(np.sin(0.5 * wv.kx * h))
+    sy = np.square(np.sin(0.5 * wv.ky * gamma * h))
     w1, w2, w3 = params.w1, params.w2, params.w3
     c2 = c0 * c0
     term_x = -(4.0 * c2 / h ** 2) * sx * (1.0 + (4.0 * w3 - 1.0) * sx)
@@ -273,23 +263,14 @@ def symbol_error_slope(k: float, nu: float, medium: Medium,
     return slope, np.array(errs)
 
 
-def conductive_leapfrog_residual(omega: complex, tau: float, nu: float,
-                                 gamma: float, w2: float | complex,
-                                 c0: float) -> complex:
-    """h^2 coefficient of the leapfrog dispersion residual in a conductor.
-
-    (nu^2 w^2 (w^2 + 2i w/tau) - 12 gamma w2 (w^2 + i w/tau)^2) / (12 c0^2):
-    no single real w2 zeroes it for all omega at finite tau, which is why
-    leapfrog time stepping cannot be dispersion-optimized in lossy media.
-    """
-    a = omega * omega + 2j * omega / tau
-    b = omega * omega + 1j * omega / tau
-    return (nu * nu * omega * omega * a - 12.0 * gamma * w2 * b * b) / (12.0 * c0 * c0)
-
-
 def leapfrog_zeroing_w2(omega: complex, tau: float, nu: float,
                         gamma: float) -> complex:
-    """The (generally complex, omega-dependent) w2 zeroing the residual."""
+    """The w2 that zeroes the h^2 coefficient of the leapfrog dispersion
+    residual in a conductor,
+    (nu^2 w^2 (w^2 + 2i w/tau) - 12 gamma w2 (w^2 + i w/tau)^2) / (12 c0^2),
+    at frequency omega.  At finite tau it is complex and depends on omega:
+    no single real w2 zeroes the residual for all omega, which is why
+    leapfrog time stepping cannot be dispersion-optimized in lossy media."""
     a = omega * omega + 2j * omega / tau
     b = omega * omega + 1j * omega / tau
     return nu * nu * omega * omega * a / (12.0 * gamma * b * b)

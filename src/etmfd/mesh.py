@@ -114,35 +114,20 @@ def build_mesh(nx: int, ny: int, Lx: float, Ly: float,
     return RectMesh(nx, ny, Lx, Ly, boundary)
 
 
-def interpolate_edge_field(mesh: RectMesh, F, rule="midpoint") -> np.ndarray:
-    """Edge DoF of a vector field F: average tangential component per edge.
+def interpolate_edge_field(mesh: RectMesh, F) -> np.ndarray:
+    """Edge DoF of a vector field F sampled at the edge midpoints: the
+    tangential component there, which is the edge average to O(h^2).
 
     F must broadcast: F(x, y) -> (fx, fy) is called with a row of abscissae
-    x and a column of ordinates y, the edge lines and quadrature nodes, so
-    its work grows with the lines of the mesh, not its edges.  With
-    rule="midpoint" each DoF is the tangential component at the edge
-    midpoint; an integer rule n uses n-point Gauss-Legendre along the edge.
+    x and a column of ordinates y, the edge lines and midpoints, so its
+    work grows with the lines of the mesh, not its edges.
     """
-    out = np.zeros(mesh.n_edges)
+    out = np.zeros(mesh.n_edges)  # adding into +0 turns a -0 sample into +0
     out_h, out_v = mesh.edge_lines(out)
-    x_lines = np.arange(out_v.shape[1]) * mesh.dx  # a row
+    x_mids = (np.arange(mesh.nx) + 0.5) * mesh.dx  # a row
     y_lines = np.arange(out_h.shape[0])[:, None] * mesh.dy  # a column
-    x_mids = (np.arange(mesh.nx) + 0.5) * mesh.dx
+    x_lines = np.arange(out_v.shape[1]) * mesh.dx
     y_mids = (np.arange(mesh.ny)[:, None] + 0.5) * mesh.dy
-    # the midpoint rule is the one-point Gauss rule
-    nodes, weights = _gauss_rule(1 if rule == "midpoint" else int(rule))
-    for xi, wi in zip(nodes, weights):
-        fx, _ = F(x_mids + 0.5 * mesh.dx * xi, y_lines)
-        _, fy = F(x_lines, y_mids + 0.5 * mesh.dy * xi)
-        out_h += wi * fx
-        out_v += wi * fy
+    out_h += F(x_mids, y_lines)[0]
+    out_v += F(x_lines, y_mids)[1]
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple:
-    """n-point Gauss-Legendre nodes on [-1, 1] and weights normalized to
-    sum to 1 (an averaging rule), computed once per n: `leggauss` solves
-    an eigenproblem, which took half of a 16^2 `interpolate_edge_field`."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return tuple(nodes.tolist()), tuple((weights / 2.0).tolist())

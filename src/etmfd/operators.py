@@ -78,19 +78,6 @@ def local_W(params: MfdParams, dx: float, dy: float) -> np.ndarray:
     return W / (4.0 * dx * dy)
 
 
-def optimal_local_W(nu_x: float, nu_y: float, dx: float, dy: float) -> np.ndarray:
-    """The dispersion-optimal local W written directly in Courant numbers."""
-    p, q = nu_x * nu_y, nu_x * nu_x
-    r = nu_y * nu_y
-    W = np.array([
-        [7.0 - r, -p, r - 1.0, p],
-        [-p, 7.0 - q, p, q - 1.0],
-        [r - 1.0, p, 7.0 - r, -p],
-        [p, q - 1.0, -p, 7.0 - q],
-    ])
-    return W / (12.0 * dx * dy)
-
-
 def local_M(params: MfdParams, dx: float, dy: float) -> np.ndarray:
     """Local mass matrix: the exact inverse of local_W (norms only)."""
     W = local_W(params, dx, dy)

@@ -5,15 +5,17 @@ assembly, series and quadrature exponentials) live in `etmfd.selftest`.
 These recompute the rest through routes the production code does not
 take: COO assembly (of W C^T, which the stencil-built step operators
 must equal, and of the global mass matrix, which the face-by-face error
-norm must match), Bloch phase fields, analytic antiderivatives for edge
-integrals, face averages for the commuting-diagram tests, and the probe
-rule scored on every edge.
+norm must match), Bloch phase fields, Gauss-Legendre edge and face
+averages and analytic antiderivatives for the commuting-diagram and
+exactness tests, the probe rule scored on every edge, and the leapfrog
+dispersion residual in a conductor.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from etmfd.mesh import interpolate_edge_field
 from etmfd.operators import local_curl, local_W
 
 
@@ -82,6 +84,33 @@ def face_centers(mesh):
     return (i + 0.5) * mesh.dx, (j + 0.5) * mesh.dy
 
 
+def gauss_edge_field(mesh, F, n):
+    """Edge DoF of a vector field F: its average tangential component per
+    edge by n-point Gauss-Legendre, F evaluated on the edge lines as
+    `interpolate_edge_field` does; n = 1 is its midpoint rule."""
+    out = np.zeros(mesh.n_edges)
+    out_h, out_v = mesh.edge_lines(out)
+    x_lines = np.arange(out_v.shape[1]) * mesh.dx  # a row
+    y_lines = np.arange(out_h.shape[0])[:, None] * mesh.dy  # a column
+    x_mids = (np.arange(mesh.nx) + 0.5) * mesh.dx
+    y_mids = (np.arange(mesh.ny)[:, None] + 0.5) * mesh.dy
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    for xi, wi in zip(nodes, weights / 2.0):  # weights summing to 1
+        fx, _ = F(x_mids + 0.5 * mesh.dx * xi, y_lines)
+        _, fy = F(x_lines, y_mids + 0.5 * mesh.dy * xi)
+        out_h += wi * fx
+        out_v += wi * fy
+    return out
+
+
+def edge_field(mesh, F, rule):
+    """Edge DoF of F: rule="midpoint" is the production midpoint rule, an
+    integer n the n-point Gauss oracle."""
+    if rule == "midpoint":
+        return interpolate_edge_field(mesh, F)
+    return gauss_edge_field(mesh, F, rule)
+
+
 def interpolate_face_field(mesh, g, rule=2):
     """Face DoF of a scalar field g: cell average per face.
 
@@ -138,6 +167,15 @@ def edge_average_oracle(mesh, kx, ky):
         y1 = mids[e, 1] + 0.5 * mesh.dy
         out[e] = kx * np.sin(kx * x) * (np.sin(ky * y1) - np.sin(ky * y0)) / (ky * mesh.dy)
     return out
+
+
+def conductive_leapfrog_residual(omega, tau, nu, gamma, w2, c0):
+    """h^2 coefficient of the leapfrog dispersion residual in a conductor,
+    (nu^2 w^2 (w^2 + 2i w/tau) - 12 gamma w2 (w^2 + i w/tau)^2) / (12 c0^2),
+    which `leapfrog_zeroing_w2` zeroes."""
+    a = omega * omega + 2j * omega / tau
+    b = omega * omega + 1j * omega / tau
+    return (nu * nu * omega * omega * a - 12.0 * gamma * w2 * b * b) / (12.0 * c0 * c0)
 
 
 @pytest.fixture(scope="session")

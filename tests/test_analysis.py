@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import (assemble_local_blocks, edge_average_oracle,
-                      pick_probe_reference)
+                      gauss_edge_field, pick_probe_reference)
 
 from etmfd import analysis, cli, mesh as mesh_module
 from etmfd.analysis import (DegenerateFitError, FitNotConvergedError,
@@ -109,21 +109,21 @@ def _mesh_and_M():
 def test_l2_zero_for_equal_fields():
     mesh, M = _mesh_and_M()
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    ref = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
+    ref = gauss_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
     assert l2_relative_error(ref.copy(), ref, mesh, M) == 0.0
 
 
 def test_l2_homogeneity():
     mesh, M = _mesh_and_M()
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    ref = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
+    ref = gauss_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
     assert abs(l2_relative_error(2.0 * ref, ref, mesh, M) - 1.0) < 1e-14
 
 
 def test_l2_matches_dense_quadratic_form(rng):
     mesh, M = _mesh_and_M()
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    ref = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
+    ref = gauss_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
     d = 1e-3 * rng.standard_normal(mesh.n_edges)
     Md = assemble_local_blocks(mesh, M).toarray()
     expect = math.sqrt(d @ Md @ d) / math.sqrt(ref @ Md @ ref)
@@ -140,7 +140,7 @@ def test_l2_zero_denominator():
 def test_l2_scale_invariant_in_M():
     mesh, M = _mesh_and_M()
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    ref = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
+    ref = gauss_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), 4)
     d = np.sin(np.arange(mesh.n_edges))
     e1 = l2_relative_error(ref + d, ref, mesh, M)
     e2 = l2_relative_error(ref + d, ref, mesh, 7.3 * M)
@@ -260,8 +260,7 @@ def test_metric_sign_flip_invariance():
 def test_pick_probe_edge_interior_max():
     mesh = build_mesh(16, 16, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    dof = interpolate_edge_field(mesh, lambda x, y: spatial_mode(sol, x, y),
-                                 "midpoint")
+    dof = interpolate_edge_field(mesh, lambda x, y: spatial_mode(sol, x, y))
     probe = pick_probe_edge(mesh, dof)
     assert not mesh.boundary_edge_mask[probe]
     assert abs(dof[probe]) == pytest.approx(np.abs(dof).max())
@@ -279,7 +278,7 @@ def test_pick_probe_edge_matches_the_full_table_rule(nx, ny, boundary, rng):
         # mode_dofs' E rule; on PEC walls at Ly = 1.3 it refuses the mode
         sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
         modes.append(interpolate_edge_field(
-            mesh, lambda x, y: spatial_mode(sol, x, y), "midpoint"))
+            mesh, lambda x, y: spatial_mode(sol, x, y)))
     for mode in modes:
         if mesh.boundary_edge_mask.all():  # 1x1 PEC: no edge to pick
             with pytest.raises(ValueError, match="no interior edge"):
@@ -296,8 +295,7 @@ def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
     mid, avg = mode_dofs(mesh, sol)
     # E: the exact field sampled at edge midpoints, to the last bit
     t = 0.3
-    want = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, t),
-                                  "midpoint")
+    want = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, t))
     assert np.array_equal(e_time_factor(sol, t) * mid, want)
     # J: edge averages, against the antiderivative oracle (the midpoint
     # rule would miss them by O((kh)^2), about 1e-2 here)
@@ -315,36 +313,47 @@ def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
         assert np.array_equal(got[inner], want[inner])
 
 
+def test_mode_dofs_J_rule_is_the_exact_edge_average():
+    # a coarse mesh and a short wave, where 4-point Gauss missed the
+    # averages by 1.8e-7 relative
+    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    sol = make_exact_solution(3 * np.pi, np.pi, MEDIUM)
+    exact = edge_average_oracle(mesh, sol.kx, sol.ky)
+    assert np.abs(mode_dofs(mesh, sol)[1] - exact).max() \
+        < 1e-14 * np.abs(exact).max()
+
+
 def _count_interpolations(monkeypatch):
-    """Record the rule of every interpolate_edge_field call in etmfd."""
-    rules = []
+    """Record the mesh of every interpolate_edge_field call in etmfd."""
+    meshes = []
     real = mesh_module.interpolate_edge_field
 
-    def counted(mesh, F, rule="midpoint"):
-        rules.append(rule)
-        return real(mesh, F, rule)
+    def counted(mesh, F):
+        meshes.append(mesh)
+        return real(mesh, F)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "etmfd"
                 and getattr(module, "interpolate_edge_field", None) is real):
             monkeypatch.setattr(module, "interpolate_edge_field", counted)
-    return rules
+    return meshes
 
 
-def test_two_interpolations_per_convergence_level(monkeypatch):
-    rules = _count_interpolations(monkeypatch)
+def test_one_interpolation_per_convergence_level(monkeypatch):
+    # J's edge averages are the midpoint samples times a closed form
+    meshes = _count_interpolations(monkeypatch)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     convergence_study([2 ** -3, 2 ** -4], "etmfd", sol, 0.5, 1.0)
-    assert rules == ["midpoint", 4] * 2
+    assert [m.nx for m in meshes] == [8, 16]
 
 
-def test_two_interpolations_per_simulate(monkeypatch, tmp_path):
-    rules = _count_interpolations(monkeypatch)
+def test_one_interpolation_per_simulate(monkeypatch, tmp_path):
+    meshes = _count_interpolations(monkeypatch)
     cfg = tmp_path / "s.json"
     cfg.write_text('{"nx": 8, "ny": 8, "T": 0.25}')
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path),
                      "simulate"]) == cli.EXIT_OK
-    assert rules == ["midpoint", 4]
+    assert [m.nx for m in meshes] == [8]
 
 
 def test_convergence_study_validation():

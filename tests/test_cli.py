@@ -35,6 +35,8 @@ def test_params_zero_courant(capsys):
     assert main(["params", "--nu", "0", "--gamma", "1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "w1 = 0.333333" in out and "w2 = 0" in out
+    assert "nu_max = 0.707107" in out
+    assert "-0" not in out.split()  # the zero entries of W print as 0
 
 
 def test_roots_command(capsys):
@@ -242,6 +244,10 @@ def record_runs(monkeypatch) -> list:
                  "fewer than the 8 a fit needs", id="converge-2-samples"),
     pytest.param("converge", {"T": 0.1875, "log2_h": [-5, -4]},
                  "fewer than the 8 a fit needs", id="converge-7-samples-late"),
+    # the whole etmfd sweep ran before the label was met
+    pytest.param("converge", {"schemes": ["etmfd", "bogus"], "T": 0.5,
+                              "log2_h": [-3]},
+                 "unknown scheme 'bogus'", id="converge-unknown-scheme-late"),
 ])
 def test_unusable_runs_are_refused_before_any_run(
         command, payload, message, tmp_path, capsys, monkeypatch):

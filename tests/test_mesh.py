@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from etmfd.mesh import build_mesh, interpolate_edge_field
+from etmfd.mesh import build_mesh
 
-from conftest import (edge_average_oracle, edge_midpoints,
-                      interpolate_face_field)
+from conftest import (edge_average_oracle, edge_field, edge_midpoints,
+                      gauss_edge_field, interpolate_face_field)
 
 
 def test_smallest_mesh():
@@ -117,7 +117,7 @@ def test_rejects_bad_boundary_mode():
 @pytest.mark.parametrize("rule", ["midpoint", 2, 4])
 def test_constant_field(rule):
     m = build_mesh(3, 2, 1.0, 1.0, "pec")
-    dof = interpolate_edge_field(m, lambda x, y: (1.0 + 0 * x, 0 * y), rule)
+    dof = edge_field(m, lambda x, y: (1.0 + 0 * x, 0 * y), rule)
     assert np.allclose(dof[:m.n_hedges], 1.0)
     assert np.allclose(dof[m.n_hedges:], 0.0)
 
@@ -126,7 +126,7 @@ def test_constant_field(rule):
 def test_linear_field_on_axis_edge(rule):
     # F = (y, 0): zero on every horizontal edge lying on y=0
     m = build_mesh(4, 4, 1.0, 1.0, "pec")
-    dof = interpolate_edge_field(m, lambda x, y: (y, 0 * x), rule)
+    dof = edge_field(m, lambda x, y: (y, 0 * x), rule)
     for i in range(m.nx):
         assert dof[m.hedge_index(i, 0)] == 0.0
 
@@ -140,7 +140,7 @@ def test_edge_gauss4_matches_analytic_integral():
         return (-ky * np.cos(kx * x) * np.sin(ky * y),
                 kx * np.sin(kx * x) * np.cos(ky * y))
 
-    dof = interpolate_edge_field(m, F, 4)
+    dof = gauss_edge_field(m, F, 4)
     ref = edge_average_oracle(m, kx, ky)
     assert np.abs(dof - ref).max() < 1e-12
 
@@ -161,9 +161,8 @@ def test_interpolation_linearity(rng):
         return a * fx + b * gx, a * fy + b * gy
 
     for rule in ("midpoint", 3):
-        lhs = interpolate_edge_field(m, combo, rule)
-        rhs = (a * interpolate_edge_field(m, F, rule)
-               + b * interpolate_edge_field(m, G, rule))
+        lhs = edge_field(m, combo, rule)
+        rhs = a * edge_field(m, F, rule) + b * edge_field(m, G, rule)
         assert np.abs(lhs - rhs).max() < 1e-14 * max(1.0, np.abs(rhs).max())
 
 
@@ -192,9 +191,9 @@ def test_interpolation_evaluates_on_edge_lines(nx, ny, boundary):
         return (-2 * np.cos(np.pi * x) * np.sin(2 * np.pi * y) + 0.3 * y,
                 np.sin(np.pi * x) * np.cos(2 * np.pi * y) - x)
 
-    for rule in ("midpoint", 4):
+    for rule in ("midpoint", 1, 4):  # the 1-point oracle is the midpoint rule
         sizes.clear()
-        dof = interpolate_edge_field(m, F, rule)
+        dof = edge_field(m, F, rule)
         assert max(sizes) <= max(nx, ny) + 1  # lines, not edges
         assert np.array_equal(dof, _midpoint_table_interpolation(m, F, rule))
 

@@ -6,13 +6,13 @@ from etmfd import operators
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import (Curl, MfdParams, SingularLocalWError,
                              assemble_step_operators, row_blocks,
-                             local_M, local_W, local_curl, optimal_local_W,
-                             optimal_params, params_for_scheme, yee_params)
-from etmfd.selftest import dense_operators
+                             local_M, local_W, local_curl, optimal_params,
+                             params_for_scheme, yee_params)
+from etmfd.selftest import dense_operators, optimal_local_W
 
 from conftest import (apply_pec, assemble_W, assemble_curl,
                       assemble_curl_curl, assemble_local_blocks,
-                      interpolate_face_field)
+                      edge_field, interpolate_face_field)
 
 
 def test_local_curl_unit_cell():
@@ -222,7 +222,7 @@ def _commuting_defect(n, rule):
     def curlF(x, y):
         return 2 * np.pi * np.cos(2 * np.pi * x) - 2 * np.pi * np.cos(2 * np.pi * y)
 
-    lhs = curl_op @ interpolate_edge_field(m, F, rule)
+    lhs = curl_op @ edge_field(m, F, rule)
     rhs = interpolate_face_field(m, curlF, rule)
     return np.abs(lhs - rhs).max()
 
@@ -230,7 +230,7 @@ def _commuting_defect(n, rule):
 def test_commuting_diagram_exact_for_linear():
     m = build_mesh(3, 3, 1.0, 1.0, "pec")
     curl_op = assemble_curl(m)
-    lhs = curl_op @ interpolate_edge_field(m, lambda x, y: (y, 2 * x), "midpoint")
+    lhs = curl_op @ interpolate_edge_field(m, lambda x, y: (y, 2 * x))
     rhs = interpolate_face_field(m, lambda x, y: 1.0 + 0 * x, "midpoint")
     assert np.abs(lhs - rhs).max() < 1e-13
 

@@ -64,8 +64,7 @@ def test_exact_solution_boundary_dof_vanish_unclamped():
     # PEC compatibility without clamping: interpolate directly and inspect
     mesh = build_mesh(16, 16, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    dof = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0),
-                                 "midpoint")
+    dof = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0))
     scale = np.abs(dof).max()
     assert np.abs(dof[mesh.boundary_edge_mask]).max() < 1e-13 * scale
 
