@@ -21,10 +21,10 @@ from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
                          relative_dispersion_error, s_matrix, spatial_symbol,
                          spatial_symbol_bloch, symbol_error_slope,
                          temporal_symbol)
-from .analysis import (DegenerateFitError, ExactSolution,
-                       FitNotConvergedError, FitResult, convergence_study,
-                       dispersion_error_metric, exact_E, fit_damped_cosine,
-                       l2_relative_error, make_exact_solution, mode_dofs,
-                       pick_probe_edge, run_standing_mode, spatial_mode)
+from .analysis import (DegenerateFitError, ExactSolution, FitResult,
+                       convergence_study, dispersion_error_metric, exact_E,
+                       fit_damped_cosine, l2_relative_error,
+                       make_exact_solution, mode_dofs, pick_probe_edge,
+                       run_standing_mode, spatial_mode)
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ square: a divergence-free trigonometric profile times a damped cosine
 whose decay/oscillation pair (a, b) comes from the propagating root of
 the continuous dispersion cubic.  Accuracy is measured two ways: a
 relative L2 error in the mimetic mass-matrix inner product, summed face
-by face from the local block, and a relative dispersion error from
-nonlinear least-squares fits of probe time traces.
+by face from the local block, and a relative dispersion error of the
+decay and frequency read off probe time traces in closed form, from the
+two-term recurrence that a sampled damped cosine obeys.
 """
 
 from __future__ import annotations
@@ -26,12 +27,8 @@ from .stepper import SimConfig, run
 MIN_FIT_SAMPLES = 8
 
 
-class DegenerateFitError(ValueError):
-    """Fit cannot start: zero amplitude or singular normal matrix."""
-
-
-class FitNotConvergedError(ArithmeticError):
-    """A probe fit of a convergence study stopped before converging."""
+class DegenerateFitError(ArithmeticError):
+    """A probe trace holds no damped oscillation to fit."""
 
 
 # ---- exact solution ---------------------------------------------------------
@@ -69,39 +66,19 @@ def spatial_mode(sol: ExactSolution, x, y):
     return vx, vy
 
 
-def _model_and_jacobian(model: str, t: np.ndarray, a: float, b: float,
-                        medium: Medium | None):
-    """The time law of field `model` with decay a and frequency b at t,
-    and its derivatives in a and b: (f, df/da, df/db)."""
-    if model == "E":
-        e = np.exp(a * t)
-        c, s = np.cos(b * t), np.sin(b * t)
-        f = e * c
-        return f, t * f, -t * e * s
-    if model == "J":
-        if medium is None:
-            raise ValueError("the J model needs the medium constants")
-        wi = medium.omega_i
-        scale = medium.eps0 * medium.omega_p ** 2
-        e = np.exp(a * t)
-        c, s = np.cos(b * t), np.sin(b * t)
-        den = b * b + (a + wi) ** 2
-        num = (a + wi) * c + b * s
-        f = scale * e * num / den
-        df_da = scale * e * (t * num / den + c / den
-                             - num * 2.0 * (a + wi) / den ** 2)
-        df_db = scale * e * ((-(a + wi) * t * s + s + b * t * c) / den
-                             - num * 2.0 * b / den ** 2)
-        return f, df_da, df_db
-    raise ValueError(f"model must be 'E' or 'J', got {model!r}")
-
-
 def e_time_factor(sol: ExactSolution, t):
-    return _model_and_jacobian("E", t, sol.a, sol.b, sol.medium)[0]
+    """E's time law: e^{a t} cos(b t)."""
+    return np.exp(sol.a * t) * np.cos(sol.b * t)
 
 
 def j_time_factor(sol: ExactSolution, t):
-    return _model_and_jacobian("J", t, sol.a, sol.b, sol.medium)[0]
+    """J's time law, the current E's time law drives in sol.medium:
+    eps0 wp^2 e^{a t} ((a + wi) cos(b t) + b sin(b t)) / (b^2 + (a + wi)^2)."""
+    m = sol.medium
+    aw = sol.a + m.omega_i
+    num = aw * np.cos(sol.b * t) + sol.b * np.sin(sol.b * t)
+    return m.eps0 * m.omega_p ** 2 * np.exp(sol.a * t) * num / (
+        sol.b * sol.b + aw ** 2)
 
 
 def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -165,64 +142,41 @@ class FitResult:
     converged: bool
 
 
-def fit_damped_cosine(trace: np.ndarray, dt: float, model: str = "E",
-                      medium: Medium | None = None, amplitude: float = 1.0,
-                      initial_guess: tuple[float, float] = (0.0, 1.0)
-                      ) -> FitResult:
-    """Levenberg-damped Gauss-Newton fit of (a_h, b_h) to a probe trace.
+def fit_damped_cosine(trace: np.ndarray, dt: float) -> FitResult:
+    """(a_h, b_h) of a trace x_n = A e^{a n dt} cos(b n dt + phi) in closed
+    form, whatever A and phi: E and J probe traces are both such.
 
-    The amplitude is fixed (the known spatial DoF factor at the probe);
-    only the decay and frequency are free.  Accepts a step only when it
-    lowers the residual; converges when the parameter update norm drops
-    below 1e-12 within 200 iterations.  A non-converged fit is returned
-    flagged, not raised.
+    With r = e^{a dt} the trace obeys x[n+1] = 2 r cos(b dt) x[n] - r^2
+    x[n-1], so x[n+1] - 2 x[n] + x[n-1] = c x[n] + v (x[n] - x[n-1]) with
+    v = r^2 - 1 and c = -2 r (1 - cos(b dt)) - (r - 1)^2.  One linear
+    least-squares solve for (c, v) gives a_h = log1p(v) / (2 dt) and
+    1 - cos(b_h dt) = -(c + (r - 1)^2) / (2 r), with r - 1 = v / (1 + r):
+    no small term is a difference of large ones.  rms_residual is the RMS
+    of the recurrence residual; iterations is 1 and converged True.
+    DegenerateFitError when the trace holds no damped oscillation.
     """
-    trace = np.asarray(trace, dtype=float)
-    if trace.size < MIN_FIT_SAMPLES:
-        raise ValueError(f"trace too short to fit: {trace.size} < "
+    x = np.asarray(trace, dtype=float)
+    if x.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"trace too short to fit: {x.size} < "
                          f"{MIN_FIT_SAMPLES}")
-    t = dt * np.arange(trace.size)
-    a, b = float(initial_guess[0]), float(initial_guess[1])
-
-    def residual(a, b):
-        f, _, _ = _model_and_jacobian(model, t, a, b, medium)
-        return trace - amplitude * f
-
-    r = residual(a, b)
-    cost = float(r @ r)
-    lam = 1e-3
-    its = 0
-    for its in range(1, 201):
-        f, df_da, df_db = _model_and_jacobian(model, t, a, b, medium)
-        J = amplitude * np.column_stack([df_da, df_db])
-        JtJ = J.T @ J
-        g = J.T @ r
-        scale = np.abs(JtJ).max()
-        if scale <= 0.0 or np.linalg.det(JtJ) < 1e-30 * scale * scale:
-            raise DegenerateFitError(
-                "degenerate Jacobian (zero amplitude or flat model)")
-        accepted = False
-        for _ in range(50):
-            A = JtJ + lam * np.diag(np.diag(JtJ))
-            try:
-                delta = np.linalg.solve(A, g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            r_new = residual(a + delta[0], b + delta[1])
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost:
-                a, b = a + delta[0], b + delta[1]
-                r, cost = r_new, cost_new
-                lam = max(lam * 0.1, 1e-15)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-        if np.linalg.norm(delta) < 1e-12:
-            return FitResult(a, b, math.sqrt(cost / trace.size), its, True)
-    return FitResult(a, b, math.sqrt(cost / trace.size), its, False)
+    d2 = x[2:] - 2.0 * x[1:-1] + x[:-2]
+    X = np.column_stack([x[1:-1], x[1:-1] - x[:-2]])
+    # a NaN or inf in the trace fails this test too
+    if not np.linalg.norm(d2) > 1e-12 * np.linalg.norm(x):
+        raise DegenerateFitError("zero, constant or linear trace")
+    coef, _, _, sv = np.linalg.lstsq(X, d2, rcond=None)
+    if not sv[1] > 1e-10 * sv[0]:  # x[n] - x[n-1] a multiple of x[n]
+        raise DegenerateFitError("pure exponential trace")
+    c, v = float(coef[0]), float(coef[1])
+    r = math.sqrt(1.0 + v) if v > -1.0 else math.nan  # then q is NaN
+    q = -(c + (v / (1.0 + r)) ** 2) / (2.0 * r)  # 1 - cos(b_h dt)
+    if not 0.0 < q <= 2.0:
+        raise DegenerateFitError(f"recurrence (c, v) = ({c:g}, {v:g}) has "
+                                 "no decay factor and frequency")
+    res = d2 - X @ coef
+    return FitResult(math.log1p(v) / (2.0 * dt),
+                     2.0 * math.asin(math.sqrt(q / 2.0)) / dt,
+                     math.sqrt(float(res @ res) / res.size), 1, True)
 
 
 def dispersion_error_metric(fit: FitResult, a_true: float,
@@ -277,10 +231,11 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
     Returns one row per (h, field) with the relative L2 error at the
     final time and the relative dispersion error from the probe fit;
     rate columns hold log2 ratios between successive mesh sizes.  The
-    references, like the initial data and the fit amplitudes, are the
-    `mode_dofs` pair scaled by the exact time factors.  Each level is a
-    `run_standing_mode` in `sol.medium`, which the fits take too.  Raises
-    FitNotConvergedError when a probe fit does not converge.
+    L2 references, like the initial data, are the `mode_dofs` pair scaled
+    by the exact time factors; the fits read (a_h, b_h) off the probe
+    traces alone.  Each level is a `run_standing_mode` in `sol.medium`.
+    A DegenerateFitError from a probe fit is raised again naming the
+    field, the scheme and h.
     """
     h_list = list(h_list)
     # a repeated h would leave a rate dividing by log2(h_prev / h) = 0
@@ -314,21 +269,17 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
         err_J = l2_relative_error(result.state.J_curr,
                                   j_time_factor(sol, tf) * avg, mesh, M)
 
-        guess = (sol.a, sol.b)
-        fit_E = fit_damped_cosine(result.probe_E[probe], config.dt, "E",
-                                  sol.medium, amplitude=mid[probe],
-                                  initial_guess=guess)
-        fit_J = fit_damped_cosine(result.probe_J[probe], config.dt, "J",
-                                  sol.medium, amplitude=avg[probe],
-                                  initial_guess=guess)
-        for field, fit in (("E", fit_E), ("J", fit_J)):
-            if not fit.converged:
-                raise FitNotConvergedError(
-                    f"{field} probe fit did not converge for {scheme} at "
-                    f"h={h:g} ({fit.iterations} iterations)")
-        disp_E = dispersion_error_metric(fit_E, sol.a, sol.b)
-        disp_J = dispersion_error_metric(fit_J, sol.a, sol.b)
-        return {"E": (err_E, disp_E), "J": (err_J, disp_J)}
+        def disp(field, trace):
+            try:
+                fit = fit_damped_cosine(trace, config.dt)
+            except DegenerateFitError as exc:
+                raise DegenerateFitError(
+                    f"{field} probe fit failed for {scheme} at h={h:g}: "
+                    f"{exc}") from None
+            return dispersion_error_metric(fit, sol.a, sol.b)
+
+        return {"E": (err_E, disp("E", result.probe_E[probe])),
+                "J": (err_J, disp("J", result.probe_J[probe]))}
 
     results = [one(h, mesh) for h, mesh in zip(h_list, meshes)]
 

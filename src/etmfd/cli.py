@@ -94,9 +94,25 @@ def load_config(path: str | None, command: str) -> dict:
     return cfg
 
 
-def output_path(args, cfg: dict) -> str:
-    """The config's "out" path, under the --out directory when one is given."""
-    return os.path.join(args.out or "", cfg["out"])
+def output_path(args, cfg: dict, directory: bool = False) -> str:
+    """The config's "out" path, under the --out directory when one is given.
+
+    Checked before any run, and nothing is created: the path must not be
+    empty, must not exist as the wrong kind (a directory if `directory`,
+    else a file), and must not lie below a file."""
+    if cfg["out"] == "":
+        raise CliError('config key "out" must not be empty')
+    path = os.path.join(args.out or "", cfg["out"])
+    if not (directory or os.path.basename(path)):  # "dir/" names no file
+        raise CliError(f"out path {path!r} names a directory, not a file")
+    near = os.path.abspath(path)
+    while not os.path.exists(near):
+        near = os.path.dirname(near)
+    want_dir = directory or near != os.path.abspath(path)
+    if os.path.isdir(near) != want_dir:
+        raise CliError(f"out path {path!r} needs {near!r} to be a "
+                       f"{'directory' if want_dir else 'file'}")
+    return path
 
 
 def medium_from_config(cfg: dict) -> Medium:
@@ -157,13 +173,13 @@ def cmd_converge(args) -> int:
     medium = medium_from_config(cfg)
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)
+    out = output_path(args, cfg)
     h_list = [2.0 ** p for p in cfg["log2_h"]]
     all_rows = []
     for scheme in cfg["schemes"]:
         rows = analysis.convergence_study(h_list, scheme, sol,
                                           nu=cfg["nu"], T=cfg["T"])
         all_rows.extend(rows)
-    out = output_path(args, cfg)
     header = ["log2_h", "scheme", "field", "err_l2", "rate_l2",
               "err_disp", "rate_disp"]
     write_csv(out, header, [[r[k] for k in header] for r in all_rows])
@@ -217,6 +233,7 @@ def cmd_anisotropy(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, "simulate")
+    outdir = output_path(args, cfg, directory=True)
     medium = medium_from_config(cfg)
     mesh = build_mesh(cfg["nx"], cfg["ny"], cfg["Lx"], cfg["Ly"], "pec")
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
@@ -228,7 +245,6 @@ def cmd_simulate(args) -> int:
         mesh, cfg["scheme"], sol, cfg["nu"], cfg["T"],
         None if probes == "auto" else probes, cfg["snapshot_stride"])
 
-    outdir = output_path(args, cfg)
     os.makedirs(outdir, exist_ok=True)
     for e in config.probes:
         rows = zip(result.times, result.probe_E[e], result.probe_J[e])
@@ -310,12 +326,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 # Exception -> exit code, first match wins.  LinAlgError subclasses
-# ValueError, so the numerical row must come first.
+# ValueError, so the numerical row must come first.  OSError is a write
+# that failed after output_path's checks (a full disk, no permission).
 EXIT_CODES = (
     ((UnstableSimulationError, np.linalg.LinAlgError, ArithmeticError),
      EXIT_NUMERICAL, "numerical failure"),
-    ((CliError, RegimeError, ValueError, TypeError), EXIT_VALIDATION,
-     "error"),
+    ((CliError, RegimeError, ValueError, TypeError, OSError),
+     EXIT_VALIDATION, "error"),
 )
 
 

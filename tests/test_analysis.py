@@ -8,8 +8,8 @@ from conftest import (assemble_local_blocks, edge_average_oracle,
                       gauss_edge_field, pick_probe_reference)
 
 from etmfd import analysis, cli, mesh as mesh_module
-from etmfd.analysis import (DegenerateFitError, FitNotConvergedError,
-                            FitResult, convergence_study,
+from etmfd.analysis import (DegenerateFitError, FitResult,
+                            convergence_study,
                             dispersion_error_metric, e_time_factor, exact_E,
                             fit_damped_cosine, j_time_factor,
                             l2_relative_error, make_exact_solution,
@@ -173,10 +173,22 @@ def test_fit_exact_damped_cosine():
     dt, n = 0.01, 400
     t = dt * np.arange(n)
     trace = np.exp(0.1 * t) * np.cos(2.0 * t)
-    fit = fit_damped_cosine(trace, dt, "E", initial_guess=(0.0, 1.5))
-    assert fit.converged
+    fit = fit_damped_cosine(trace, dt)
+    assert fit.converged and fit.iterations == 1
     assert abs(fit.a_h - 0.1) < 1e-10
     assert abs(fit.b_h - 2.0) < 1e-10
+
+
+@pytest.mark.parametrize("amp, phase", [(1.0, 0.0), (-3.7, 1.1),
+                                        (1e-6, 2.5), (5e3, -0.3)])
+@pytest.mark.parametrize("a, b, dt", [(0.1, 2.0, 0.01), (-0.35, 4.5, 2e-3),
+                                      (-1.2, 0.7, 0.05)])
+def test_fit_recovers_any_amplitude_and_phase(amp, phase, a, b, dt):
+    t = dt * np.arange(300)
+    fit = fit_damped_cosine(amp * np.exp(a * t) * np.cos(b * t + phase), dt)
+    assert abs(fit.a_h - a) <= 1e-12 * abs(a)
+    assert abs(fit.b_h - b) <= 1e-12 * b
+    assert fit.rms_residual <= 1e-13 * abs(amp)
 
 
 def test_fit_with_small_noise(rng):
@@ -184,49 +196,44 @@ def test_fit_with_small_noise(rng):
     t = dt * np.arange(n)
     trace = np.exp(0.1 * t) * np.cos(2.0 * t)
     trace = trace + 1e-8 * rng.uniform(-1.0, 1.0, n)
-    fit = fit_damped_cosine(trace, dt, "E", initial_guess=(0.0, 1.5))
+    fit = fit_damped_cosine(trace, dt)
     assert abs(fit.a_h - 0.1) < 1e-6
     assert abs(fit.b_h - 2.0) < 1e-6
 
 
 def test_fit_zero_trace_degenerate():
     with pytest.raises(DegenerateFitError):
-        fit_damped_cosine(np.zeros(64), 0.01, "E", amplitude=0.0,
-                          initial_guess=(0.0, 1.0))
+        fit_damped_cosine(np.zeros(64), 0.01)
+
+
+@pytest.mark.parametrize("trace", [
+    np.full(64, 2.5),
+    0.3 + 0.7 * 0.01 * np.arange(64),
+    np.exp(0.3 * 0.01 * np.arange(64)),
+    -3.0 * np.exp(-2.0 * 0.01 * np.arange(64)),
+    np.exp(0.01 * np.arange(64)) + np.exp(0.02 * np.arange(64)),
+    np.r_[np.cos(0.1 * np.arange(63)), np.nan],
+], ids=["constant", "linear", "exp", "exp-decay", "two-exp", "nan"])
+def test_fit_refuses_a_trace_without_a_damped_oscillation(trace):
+    # the bare formula would read (0, 0) off the constant and linear traces
+    with pytest.raises(DegenerateFitError):
+        fit_damped_cosine(trace, 0.01)
 
 
 def test_fit_short_trace_rejected():
     with pytest.raises(ValueError):
-        fit_damped_cosine(np.zeros(5), 0.01, "E")
-
-
-def test_fit_monotone_in_residual():
-    dt, n = 0.02, 300
-    t = dt * np.arange(n)
-    trace = 0.8 * np.exp(-0.05 * t) * np.cos(3.1 * t)
-    guess = (-0.3, 2.5)
-    fit = fit_damped_cosine(trace, dt, "E", amplitude=0.8, initial_guess=guess)
-    r0 = trace - 0.8 * np.exp(guess[0] * t) * np.cos(guess[1] * t)
-    rms0 = math.sqrt(float(r0 @ r0) / n)
-    assert fit.rms_residual <= rms0
+        fit_damped_cosine(np.zeros(5), 0.01)
 
 
 def test_fit_j_model():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dt, n = 0.02, 300
     t = dt * np.arange(n)
-    amp = -1.7
-    trace = amp * j_time_factor(sol, t)
-    fit = fit_damped_cosine(trace, dt, "J", MEDIUM, amplitude=amp,
-                            initial_guess=(sol.a + 0.01, sol.b - 0.05))
-    assert fit.converged
-    assert abs(fit.a_h - sol.a) < 1e-9
-    assert abs(fit.b_h - sol.b) < 1e-9
-
-
-def test_fit_j_model_requires_medium():
-    with pytest.raises(ValueError):
-        fit_damped_cosine(np.ones(16), 0.1, "J")
+    for amp in (-1.7, 0.3):
+        fit = fit_damped_cosine(amp * j_time_factor(sol, t), dt)
+        assert fit.converged
+        assert abs(fit.a_h - sol.a) <= 1e-12 * abs(sol.a)
+        assert abs(fit.b_h - sol.b) <= 1e-12 * sol.b
 
 
 # ---- dispersion error metric ------------------------------------------------------
@@ -399,11 +406,13 @@ def test_convergence_study_rows():
     assert second_e["err_l2"] < first_e["err_l2"]
 
 
-def test_convergence_study_rejects_nonconverged_fit(monkeypatch):
-    def stalled(trace, dt, model, *args, **kwargs):
-        return FitResult(0.0, 1.0, 1.0, 200, False)
+def test_convergence_study_names_the_failed_fit(monkeypatch):
+    def flat(trace, dt):
+        return fit_damped_cosine(np.zeros_like(trace), dt)
 
-    monkeypatch.setattr(analysis, "fit_damped_cosine", stalled)
+    monkeypatch.setattr(analysis, "fit_damped_cosine", flat)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    with pytest.raises(FitNotConvergedError, match=r"E probe.*etmfd.*h=0\.125"):
+    with pytest.raises(DegenerateFitError,
+                       match=r"^E probe fit failed for etmfd at h=0\.125: "
+                             r"zero, constant or linear trace$"):
         convergence_study([2 ** -3], "etmfd", sol, 0.5, 1.0)

@@ -1,5 +1,7 @@
+import builtins
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import pathlib
@@ -230,6 +232,34 @@ def record_runs(monkeypatch) -> list:
     return results
 
 
+# each ran to the end, then died with a traceback at the write
+@pytest.mark.parametrize("command, out, make, message", [
+    pytest.param("simulate", "taken", "file", "taken' to be a directory",
+                 id="simulate-out-is-a-file"),
+    pytest.param("converge", "taken", "dir", "taken' to be a file",
+                 id="converge-out-is-a-directory"),
+    pytest.param("converge", "taken/c.csv", "file",
+                 "taken' to be a directory", id="converge-out-below-a-file"),
+    pytest.param("simulate", "taken/a/b", "file", "taken' to be a directory",
+                 id="simulate-out-below-a-file"),
+    pytest.param("converge", "fresh/", "dir", "names a directory",
+                 id="converge-out-ends-in-a-slash"),
+])
+def test_out_of_the_wrong_kind_is_refused_before_any_run(
+        command, out, make, message, tmp_path, capsys, monkeypatch):
+    runs = record_runs(monkeypatch)
+    if make == "file":
+        (tmp_path / "taken").write_text("keep")
+    else:
+        (tmp_path / "taken").mkdir()
+    cfg = write_config(tmp_path, "c.json", {"out": out, "T": 0.5})
+    assert main(["--config", cfg, "--out", str(tmp_path), command]) \
+        == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert runs == []
+    assert make == "dir" or (tmp_path / "taken").read_text() == "keep"
+
+
 @pytest.mark.parametrize("command, payload, message", [
     # simulate ran 128 steps of zeros and exited 0; converge ran a level,
     # then exited 2 on the zero M-norm of the reference
@@ -248,6 +278,11 @@ def record_runs(monkeypatch) -> list:
     pytest.param("converge", {"schemes": ["etmfd", "bogus"], "T": 0.5,
                               "log2_h": [-3]},
                  "unknown scheme 'bogus'", id="converge-unknown-scheme-late"),
+    # every level ran, then the write died with a traceback
+    pytest.param("converge", {"out": "", "T": 0.5, "log2_h": [-3]},
+                 '"out" must not be empty', id="converge-empty-out"),
+    pytest.param("simulate", {"out": "", "T": 0.5},
+                 '"out" must not be empty', id="simulate-empty-out"),
 ])
 def test_unusable_runs_are_refused_before_any_run(
         command, payload, message, tmp_path, capsys, monkeypatch):
@@ -398,6 +433,7 @@ def test_selftest_mutation_detected():
     (UnstableSimulationError, EXIT_NUMERICAL),
     (np.linalg.LinAlgError, EXIT_NUMERICAL),
     (ArithmeticError, EXIT_NUMERICAL),
+    (OSError, EXIT_VALIDATION),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_exit_code_table(exc_type, code, monkeypatch, capsys):
     def fail(args):
@@ -564,3 +600,57 @@ def test_readme_commands_parse_and_ci_runs_exactly_them():
     for line in commands:
         cli.make_parser().parse_args(shlex.split(line)[1:])
     assert ci_readme_step() == commands
+
+
+def readme_exit_rows():
+    """(code, classes, examples) for each row of README's exit-code table:
+    the backticked names before "e.g." and those after it."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("\n| raised", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines()[2:]:
+        raised, code = (cell.strip() for cell in line.strip("|").split("|"))
+        named, _, examples = raised.partition("e.g.")
+        rows.append((int(code), re.findall(r"`([\w.]+)`", named),
+                     re.findall(r"`([\w.]+)`", examples)))
+    return rows
+
+
+def package_class(name):
+    """The exception class `name` as the package exports it, if it does."""
+    for module in ("etmfd", "etmfd.cli"):
+        cls = getattr(importlib.import_module(module), name, None)
+        if isinstance(cls, type):
+            return cls
+    return None
+
+
+def readme_class(name):
+    """A class the table names: a builtin, a dotted path, or the package's."""
+    if "." in name:
+        module, _, attr = name.rpartition(".")
+        return getattr(importlib.import_module(module), attr)
+    return getattr(builtins, name, None) or package_class(name)
+
+
+def exit_code_of(exc_type):
+    return next(code for types, code, _ in cli.EXIT_CODES
+                if issubclass(exc_type, types))
+
+
+def test_readme_exit_code_table_is_cli_exit_codes():
+    rows = readme_exit_rows()
+    assert [code for code, _, _ in rows][:1] == [EXIT_OK]
+    named = set()
+    for code, classes, examples in rows:
+        for name in classes:
+            cls = readme_class(name)
+            assert cls is not None, f"README names unknown class {name}"
+            assert exit_code_of(cls) == code, name
+            named.add(cls)
+        for name in examples:
+            cls = package_class(name)
+            assert cls is not None, f"README example {name} is not exported"
+            assert issubclass(cls, tuple(map(readme_class, classes))), name
+            assert exit_code_of(cls) == code, name
+    assert {cls for types, _, _ in cli.EXIT_CODES for cls in types} <= named
