@@ -6,7 +6,7 @@ differencing, its dispersion-optimal (m-adapted) member, and the symbol /
 convergence toolkit used to verify the accuracy claims.
 """
 
-from .mesh import RectMesh, build_mesh, interpolate_edge_field
+from .mesh import RectMesh, build_mesh, interpolate_edge_field, scale_lines
 from .operators import (MfdParams, SingularLocalWError,
                         assemble_step_operators, local_M, local_W, local_curl,
                         optimal_params, params_for_scheme, yee_params)

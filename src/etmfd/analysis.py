@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import oscillatory_root
-from .mesh import build_mesh, interpolate_edge_field
+from .mesh import build_mesh, interpolate_edge_field, scale_lines
 from .operators import local_M, params_for_scheme
 from .plasma import Medium
 from .stepper import SimConfig, run
@@ -59,11 +59,11 @@ def make_exact_solution(kx: float, ky: float, medium: Medium) -> ExactSolution:
     return ExactSolution(kx=kx, ky=ky, a=w.imag, b=w.real, medium=medium)
 
 
-def spatial_mode(sol: ExactSolution, x, y):
-    """Divergence-free profile (-ky cos sin, kx sin cos); curlcurl = k^2 * it."""
-    vx = -sol.ky * np.cos(sol.kx * x) * np.sin(sol.ky * y)
-    vy = sol.kx * np.sin(sol.kx * x) * np.cos(sol.ky * y)
-    return vx, vy
+def spatial_mode(sol: ExactSolution) -> tuple:
+    """Divergence-free profile (-ky cos sin, kx sin cos), one callable
+    (x, y) -> component per component; curlcurl = k^2 * it."""
+    return (lambda x, y: -sol.ky * np.cos(sol.kx * x) * np.sin(sol.ky * y),
+            lambda x, y: sol.kx * np.sin(sol.kx * x) * np.cos(sol.ky * y))
 
 
 def e_time_factor(sol: ExactSolution, t):
@@ -81,12 +81,12 @@ def j_time_factor(sol: ExactSolution, t):
         sol.b * sol.b + aw ** 2)
 
 
-def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
-    """(mid, avg): the spatial mode's edge DoFs under the E rule (midpoint
-    samples) and the J rule (exact edge averages).  The exact fields' DoFs
-    at t are these times e_time_factor and j_time_factor.  The mode is
-    separable, so an edge's average is its midpoint sample times
-    sinc(kx dx / 2) on horizontal edges and sinc(ky dy / 2) on vertical ones.
+def mode_dofs(mesh, sol: ExactSolution) -> tuple:
+    """(mid, j_scale): the spatial mode's edge DoFs under the E rule
+    (midpoint samples), and (sinc(kx dx / 2), sinc(ky dy / 2)), which take
+    them to the J rule (exact edge averages) on horizontal and vertical
+    edges, the mode being separable.  The exact fields' DoFs at t are mid
+    and `scale_lines(mesh, mid, j_scale)` times the time factors.
 
     On a PEC mesh the mode's tangential E must vanish on the walls
     x = Lx and y = Ly, which takes a whole number of half-waves across
@@ -99,19 +99,15 @@ def mode_dofs(mesh, sol: ExactSolution) -> tuple[np.ndarray, np.ndarray]:
                     f"{k} {L} / pi = {waves:g} is not an integer: the mode "
                     f"does not vanish on the PEC wall at {L}")
 
-    mid = interpolate_edge_field(mesh, lambda x, y: spatial_mode(sol, x, y))
-    avg = mid.copy()
-    avg_h, avg_v = mesh.edge_lines(avg)
+    mid = interpolate_edge_field(mesh, *spatial_mode(sol))
     # np.sinc(u / pi) = sin(u) / u
-    avg_h *= np.sinc(sol.kx * mesh.dx / (2.0 * math.pi))
-    avg_v *= np.sinc(sol.ky * mesh.dy / (2.0 * math.pi))
-    return mid, avg
+    return mid, (np.sinc(sol.kx * mesh.dx / (2.0 * math.pi)),
+                 np.sinc(sol.ky * mesh.dy / (2.0 * math.pi)))
 
 
 def exact_E(sol: ExactSolution, x, y, t):
-    vx, vy = spatial_mode(sol, x, y)
     f = e_time_factor(sol, t)
-    return f * vx, f * vy
+    return tuple(f * v(x, y) for v in spatial_mode(sol))
 
 
 # ---- error norms ------------------------------------------------------------
@@ -205,23 +201,23 @@ def pick_probe_edge(mesh, mode: np.ndarray) -> int:
 
 
 def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
-                      T: float, probes=None, snapshot_stride: int = 0
-                      ) -> tuple:
+                      T: float, probes=None, snapshot_stride: int = 0,
+                      save=None) -> tuple:
     """Run the standing mode `sol` in `sol.medium` on `mesh` with the
-    weights of `scheme`, from the `mode_dofs` pair (mid, avg) times the
-    exact time factors; probes=None takes the `pick_probe_edge` probe.
-    Returns (config, result, mid, avg)."""
+    weights of `scheme`, from `mode_dofs` and the exact time factors;
+    probes=None takes the `pick_probe_edge` probe, `save` is `run`'s.
+    Returns (config, result, mid, j_scale)."""
     params = params_for_scheme(scheme, nu, mesh.gamma)
-    mid, avg = mode_dofs(mesh, sol)
+    mid, j_scale = mode_dofs(mesh, sol)
     if probes is None:
         probes = (pick_probe_edge(mesh, mid),)
     config = SimConfig(mesh=mesh, medium=sol.medium, params=params, nu=nu,
                        T=T, probes=tuple(probes),
                        snapshot_stride=snapshot_stride)
-    result = run(config, e_time_factor(sol, 0.0) * mid,
-                 e_time_factor(sol, config.dt) * mid,
-                 j_time_factor(sol, 0.0) * avg)
-    return config, result, mid, avg
+    factors = (e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
+               j_time_factor(sol, 0.0))
+    result = run(config, mid, j_scale, factors, save)
+    return config, result, mid, j_scale
 
 
 def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
@@ -231,8 +227,8 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
     Returns one row per (h, field) with the relative L2 error at the
     final time and the relative dispersion error from the probe fit;
     rate columns hold log2 ratios between successive mesh sizes.  The
-    L2 references, like the initial data, are the `mode_dofs` pair scaled
-    by the exact time factors; the fits read (a_h, b_h) off the probe
+    L2 references, like the initial data, are the `mode_dofs` profiles
+    scaled by the exact time factors; the fits read (a_h, b_h) off the probe
     traces alone.  Each level is a `run_standing_mode` in `sol.medium`.
     A DegenerateFitError from a probe fit is raised again naming the
     field, the scheme and h.
@@ -261,13 +257,14 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
         meshes.append(mesh)
 
     def one(h, mesh):
-        config, result, mid, avg = run_standing_mode(mesh, scheme, sol, nu, T)
+        config, result, mid, j_scale = run_standing_mode(mesh, scheme, sol,
+                                                         nu, T)
         tf, (probe,) = result.t_final, config.probes
         M = local_M(config.params, mesh.dx, mesh.dy)
         err_E = l2_relative_error(result.state.E_curr,
                                   e_time_factor(sol, tf) * mid, mesh, M)
-        err_J = l2_relative_error(result.state.J_curr,
-                                  j_time_factor(sol, tf) * avg, mesh, M)
+        J_ref = j_time_factor(sol, tf) * scale_lines(mesh, mid, j_scale)
+        err_J = l2_relative_error(result.state.J_curr, J_ref, mesh, M)
 
         def disp(field, trace):
             try:

@@ -241,28 +241,33 @@ def cmd_simulate(args) -> int:
     probes = cfg["probes"]
     if probes != "auto" and not isinstance(probes, list):
         raise CliError(f'probes must be "auto" or a list, got {probes!r}')
+    saved = []  # each written as it is taken: a failed run leaves these
+
+    def save(snap):
+        os.makedirs(outdir, exist_ok=True)
+        save_snapshot(os.path.join(outdir, f"snapshot_{snap.step:06d}"),
+                      mesh, snap)
+        saved.append(snap.step)
+
     config, result, _, _ = analysis.run_standing_mode(
         mesh, cfg["scheme"], sol, cfg["nu"], cfg["T"],
-        None if probes == "auto" else probes, cfg["snapshot_stride"])
+        None if probes == "auto" else probes, cfg["snapshot_stride"], save)
 
     os.makedirs(outdir, exist_ok=True)
     for e in config.probes:
         rows = zip(result.times, result.probe_E[e], result.probe_J[e])
         write_csv(os.path.join(outdir, f"probe_{e}.csv"),
                   ["t", "E", "J"], rows)
-    for snap in result.snapshots:
-        save_snapshot(os.path.join(outdir, f"snapshot_{snap.step:06d}"),
-                      mesh, snap)
     E = result.state.E_curr  # max |E| without an |E| temporary
     summary = {"steps": result.state.n, "t_final": result.t_final,
                "dt": config.dt, "probes": list(config.probes),
-               "snapshots": len(result.snapshots),
+               "snapshots": len(saved),
                "max_abs_E": float(max(E.max(), -E.min()))}
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {outdir} ({result.state.n} steps, "
-          f"{len(result.snapshots)} snapshots)")
+          f"{len(saved)} snapshots)")
     return EXIT_OK
 
 

@@ -114,13 +114,13 @@ def build_mesh(nx: int, ny: int, Lx: float, Ly: float,
     return RectMesh(nx, ny, Lx, Ly, boundary)
 
 
-def interpolate_edge_field(mesh: RectMesh, F) -> np.ndarray:
-    """Edge DoF of a vector field F sampled at the edge midpoints: the
+def interpolate_edge_field(mesh: RectMesh, fx, fy) -> np.ndarray:
+    """Edge DoF of a vector field sampled at the edge midpoints: the
     tangential component there, which is the edge average to O(h^2).
 
-    F must broadcast: F(x, y) -> (fx, fy) is called with a row of abscissae
-    x and a column of ordinates y, the edge lines and midpoints, so its
-    work grows with the lines of the mesh, not its edges.
+    fx(x, y) and fy(x, y) give each component on its own edges only, and
+    must broadcast: x is a row of abscissae and y a column of ordinates,
+    the edge lines and midpoints, so the work grows with the mesh lines.
     """
     out = np.zeros(mesh.n_edges)  # adding into +0 turns a -0 sample into +0
     out_h, out_v = mesh.edge_lines(out)
@@ -128,6 +128,15 @@ def interpolate_edge_field(mesh: RectMesh, F) -> np.ndarray:
     y_lines = np.arange(out_h.shape[0])[:, None] * mesh.dy  # a column
     x_lines = np.arange(out_v.shape[1]) * mesh.dx
     y_mids = (np.arange(mesh.ny)[:, None] + 0.5) * mesh.dy
-    out_h += F(x_mids, y_lines)[0]
-    out_v += F(x_lines, y_mids)[1]
+    out_h += fx(x_mids, y_lines)
+    out_v += fy(x_lines, y_mids)
+    return out
+
+
+def scale_lines(mesh: RectMesh, v, scales) -> np.ndarray:
+    """A copy of the edge vector v times scales[0] on the horizontal edges
+    and scales[1] on the vertical ones."""
+    out = np.array(v, dtype=float)
+    for line, s in zip(mesh.edge_lines(out), scales, strict=True):
+        line *= s
     return out

@@ -228,8 +228,8 @@ def ode_exactness_deviation(dts=(0.1, 0.01)):
         config = stepper.SimConfig(mesh=mesh, medium=medium,
                                    params=operators.yee_params(),
                                    nu=dt * medium.c0 / mesh.dx, T=1.0)
-        # the mesh has one horizontal and one vertical edge
-        res = stepper.run(config, (u0[0], 0.0), (u1[0], 0.0), (u0[1], 0.0))
+        # the mesh has one horizontal and one vertical edge: E on the first
+        res = stepper.run(config, (1.0, 0.0), (1, 1), (u0[0], u1[0], u0[1]))
         ref = series_exp_oracle(X, res.t_final) @ u0
         worst = max(worst, abs(res.state.E_curr[0] - ref[0]),
                     abs(res.state.J_curr[0] - ref[1]))

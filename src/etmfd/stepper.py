@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import RectMesh
+from .mesh import RectMesh, scale_lines
 from .operators import CurlCurl, MfdParams, assemble_step_operators
 from .plasma import ExpOperators, Medium, exp_operators
 
@@ -127,25 +127,25 @@ def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
     return StepOperators(K, (expops.alpha1, expops.alpha2), j_coeffs)
 
 
-def initialize(config: SimConfig, E0, E1, J0,
+def initialize(config: SimConfig, mode, j_scale, factors,
                expops: ExpOperators | None = None) -> SimState:
-    """Start from the edge DoFs of E at t = 0 and dt and of J at t = 0.
-
-    Each array is copied, so `step` never overwrites a caller's array,
-    and its PEC boundary entries are zeroed.  J^1 comes from one hybrid J
-    update, which is exact whenever (E^0, E^1, J^0) lie on an
-    exponential-step trajectory.
-    """
+    """Start from one edge profile and scalars (f0, f1, f2) = factors:
+    E^0 = f0 mode, E^1 = f1 mode and J^0 = f2 `scale_lines(mesh, mode,
+    j_scale)`, each a new buffer with its PEC boundary entries zeroed.  J^1
+    comes from one hybrid J update, which is exact whenever (E^0, E^1,
+    J^0) lie on an exponential-step trajectory."""
     mesh = config.mesh
     if expops is None:
         expops = exp_operators(config.medium, config.dt)
-    shapes = [np.shape(v) for v in (E0, E1, J0)]
-    if shapes != [(mesh.n_edges,)] * 3:
-        raise ValueError(f"E0, E1, J0 have shapes {shapes}, want "
-                         f"({mesh.n_edges},) each")
-    fields = np.array([E0, E1, J0], dtype=float)
-    fields[:, mesh.boundary_edge_mask] = 0.0
-    E0, E1, J0 = fields
+    mode = np.asarray(mode, dtype=float)
+    if mode.shape != (mesh.n_edges,):
+        raise ValueError(f"mode has shape {mode.shape}, want ({mesh.n_edges},)")
+    f0, f1, f2 = factors
+    E0, E1 = np.multiply(mode, f0), np.multiply(mode, f1)
+    J0 = scale_lines(mesh, mode, j_scale)
+    J0 *= f2
+    for v in (E0, E1, J0):
+        v[mesh.boundary_edge_mask] = 0.0
     J1 = _j_update(_j_coefficients(expops), E0, J0, E1,
                    out=np.empty_like(J0), scratch=np.empty_like(J0))
     return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
@@ -194,37 +194,38 @@ class RunResult:
     times: np.ndarray
     probe_E: dict
     probe_J: dict
-    snapshots: list = field(default_factory=list)
 
     @property
     def t_final(self) -> float:
         return float(self.times[-1])
 
 
-def run(config: SimConfig, E0, E1, J0) -> RunResult:
-    """Run from the initial edge DoFs (see `initialize`) to the first step
-    at or past T, recording probes every step.
+def run(config: SimConfig, mode, j_scale, factors, save=None) -> RunResult:
+    """Run from the initial data of `initialize` to the first step at or
+    past T, recording probes every step from the initial two (t = 0, dt).
 
-    Probe traces include the two initialization samples (t = 0 and dt);
-    snapshots are taken at every step the stride divides, 0 and 1 too.
+    At every step the stride divides, 0 and 1 too, `save` gets a
+    `Snapshot` of the live buffers, which the next step overwrites: it
+    writes or copies them.  A stride with no `save` is refused up front.
     Raises UnstableSimulationError on NaN or blow-up.
     """
+    stride = config.snapshot_stride
+    if stride > 0 and save is None:
+        raise ValueError(f"snapshot_stride {stride} needs a save sink")
     dt = config.dt
     expops = exp_operators(config.medium, dt)
     ops = step_operators(config, expops)
-    state = initialize(config, E0, E1, J0, expops)
+    state = initialize(config, mode, j_scale, factors, expops)
 
     n_final = config.n_steps
     trace_E = {e: np.empty(n_final + 1) for e in config.probes}
     trace_J = {e: np.empty(n_final + 1) for e in config.probes}
-    snapshots = []
-    stride = config.snapshot_stride
 
     def record(n, E, J):
         for e in config.probes:
             trace_E[e][n], trace_J[e][n] = E[e], J[e]
         if stride > 0 and n % stride == 0:
-            snapshots.append(Snapshot(n, n * dt, E.copy(), J.copy()))
+            save(Snapshot(n, n * dt, E, J))
 
     record(0, state.E_prev, state.J_prev)
     record(1, state.E_curr, state.J_curr)
@@ -239,9 +240,7 @@ def run(config: SimConfig, E0, E1, J0) -> RunResult:
                 f"max |field| = {m:.3e}")
         record(state.n, state.E_curr, state.J_curr)
 
-    times = dt * np.arange(n_final + 1)
-    return RunResult(state=state, times=times, probe_E=trace_E,
-                     probe_J=trace_J, snapshots=snapshots)
+    return RunResult(state, dt * np.arange(n_final + 1), trace_E, trace_J)
 
 
 # ---- snapshot persistence ---------------------------------------------------

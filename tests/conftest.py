@@ -3,7 +3,8 @@
 The oracles the acceptance suite and `etmfd selftest` share (dense
 assembly, series and quadrature exponentials) live in `etmfd.selftest`.
 These recompute the rest through routes the production code does not
-take: COO assembly (of W C^T, which the stencil-built step operators
+take: a state built from any three edge arrays for the random-data
+tests, COO assembly (of W C^T, which the stencil-built step operators
 must equal, and of the global mass matrix, which the face-by-face error
 norm must match), Bloch phase fields, Gauss-Legendre edge and face
 averages and analytic antiderivatives for the commuting-diagram and
@@ -17,6 +18,21 @@ import scipy.sparse as sp
 
 from etmfd.mesh import interpolate_edge_field
 from etmfd.operators import local_curl, local_W
+from etmfd.plasma import exp_operators
+from etmfd.stepper import SimState, _j_coefficients, _j_update
+
+
+def initial_state(config, E0, E1, J0):
+    """A `SimState` from any three edge arrays, E at t = 0 and dt and J at
+    t = 0, as `stepper.initialize` makes one from a profile: copies with
+    their PEC entries zeroed, and J^1 from one hybrid J update."""
+    E0, E1, J0 = np.array([E0, E1, J0], dtype=float)
+    for v in (E0, E1, J0):
+        v[config.mesh.boundary_edge_mask] = 0.0
+    coeffs = _j_coefficients(exp_operators(config.medium, config.dt))
+    J1 = _j_update(coeffs, E0, J0, E1, out=np.empty_like(J0),
+                   scratch=np.empty_like(J0))
+    return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
 
 
 def edge_midpoints(mesh):
@@ -104,10 +120,11 @@ def gauss_edge_field(mesh, F, n):
 
 
 def edge_field(mesh, F, rule):
-    """Edge DoF of F: rule="midpoint" is the production midpoint rule, an
-    integer n the n-point Gauss oracle."""
+    """Edge DoF of F, (x, y) -> (fx, fy): rule="midpoint" is the production
+    midpoint rule, an integer n the n-point Gauss oracle."""
     if rule == "midpoint":
-        return interpolate_edge_field(mesh, F)
+        return interpolate_edge_field(mesh, lambda x, y: F(x, y)[0],
+                                      lambda x, y: F(x, y)[1])
     return gauss_edge_field(mesh, F, rule)
 
 

@@ -144,7 +144,8 @@ def test_anisotropy_gamma_sweep(tmp_path):
         assert (tmp_path / "out" / f"anisotropy_gamma{g}.csv").exists()
 
 
-def test_simulate_command(tmp_path):
+def test_simulate_command(tmp_path, monkeypatch):
+    runs = record_runs(monkeypatch)
     cfg = write_config(tmp_path, "s.json",
                        {"nx": 8, "ny": 8, "T": 0.5, "snapshot_stride": 4})
     out = str(tmp_path / "out")
@@ -152,16 +153,48 @@ def test_simulate_command(tmp_path):
     outdir = tmp_path / "out" / "sim_out"
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["steps"] == 8  # T=0.5, dt = 0.5/8
+    assert summary["snapshots"] == 3
     probe_files = list(outdir.glob("probe_*.csv"))
     assert len(probe_files) == 1
     with open(probe_files[0]) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == summary["steps"] + 1
     assert float(rows[0]["t"]) == 0.0
-    meta, E, J = load_snapshot(str(outdir / "snapshot_000004"))
-    assert meta["step"] == 4
-    assert len(E) == len(J) == meta["n_edges"]
-    assert np.isfinite(E).all()
+    # each snapshot, written as it was taken, holds its own step's fields
+    [probe], [result] = summary["probes"], runs
+    for n in (0, 4, 8):
+        meta, E, J = load_snapshot(str(outdir / f"snapshot_{n:06d}"))
+        assert meta["step"] == n
+        assert len(E) == len(J) == meta["n_edges"]
+        assert (E[probe], J[probe]) == (float(rows[n]["E"]),
+                                        float(rows[n]["J"]))
+    assert np.array_equal(E, result.state.E_curr)
+    assert np.array_equal(J, result.state.J_curr)
+
+
+def test_simulate_that_blows_up_keeps_the_snapshots_taken_before(
+        tmp_path, capsys, monkeypatch):
+    real = stepper.step
+
+    def blows_up_at_step_5(state, ops):
+        m = real(state, ops)
+        return math.inf if state.n == 5 else m
+
+    monkeypatch.setattr(stepper, "step", blows_up_at_step_5)
+    cfg = write_config(tmp_path, "s.json",
+                       {"nx": 8, "ny": 8, "T": 0.5, "snapshot_stride": 2})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "simulate"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: instability at step 5 ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # no summary.json marks the run incomplete; steps 0, 2 and 4 stay
+    outdir = tmp_path / "o" / "sim_out"
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        f"snapshot_{n:06d}.{ext}" for n in (0, 2, 4)
+        for ext in ("E.bin", "J.bin", "json")]
+    assert [load_snapshot(str(outdir / f"snapshot_{n:06d}"))[0]["step"]
+            for n in (0, 2, 4)] == [0, 2, 4]
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -591,7 +624,10 @@ def test_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, "<README.md>", "exec"), namespace)
     assert len(namespace["rows"]) == 6
-    assert len(namespace["result"].snapshots) == 9  # steps 0, 16, .., 128
+    snapshots, state = namespace["snapshots"], namespace["result"].state
+    assert [s.step for s in snapshots] == list(range(0, 129, 16))
+    assert np.array_equal(snapshots[-1].E, state.E_curr)
+    assert np.array_equal(snapshots[-1].J, state.J_curr)
 
 
 def test_readme_commands_parse_and_ci_runs_exactly_them():

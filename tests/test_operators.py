@@ -130,7 +130,8 @@ def test_local_M_singular_raises():
 def test_curl_curl_kills_constants_periodic():
     m = build_mesh(4, 4, 1.0, 1.0, "periodic")
     A = assemble_curl_curl(m)
-    const = interpolate_edge_field(m, lambda x, y: (2.0 + 0 * x, -3.0 + 0 * y))
+    const = interpolate_edge_field(m, lambda x, y: 2.0 + 0 * x,
+                                   lambda x, y: -3.0 + 0 * y)
     assert np.abs(A @ const).max() < 1e-13
 
 
@@ -230,7 +231,8 @@ def _commuting_defect(n, rule):
 def test_commuting_diagram_exact_for_linear():
     m = build_mesh(3, 3, 1.0, 1.0, "pec")
     curl_op = assemble_curl(m)
-    lhs = curl_op @ interpolate_edge_field(m, lambda x, y: (y, 2 * x))
+    lhs = curl_op @ interpolate_edge_field(m, lambda x, y: y,
+                                           lambda x, y: 2 * x)
     rhs = interpolate_face_field(m, lambda x, y: 1.0 + 0 * x, "midpoint")
     assert np.abs(lhs - rhs).max() < 1e-13
 

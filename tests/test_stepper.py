@@ -18,7 +18,8 @@ from etmfd.stepper import (SimConfig, SimState, Snapshot,
                            UnstableSimulationError, initialize, load_snapshot,
                            nu_max, run, save_snapshot, step, step_operators)
 
-from conftest import assemble_W, assemble_curl_curl
+from conftest import (assemble_W, assemble_curl_curl, edge_field,
+                      initial_state)
 
 MEDIUM = Medium()
 
@@ -53,8 +54,8 @@ def test_config_rejects_non_finite(field, value):
 
 def test_initialize_zero_fields():
     mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
-    z = np.zeros(mesh.n_edges)
-    st = initialize(make_config(mesh), z, z, z)
+    st = initialize(make_config(mesh), np.zeros(mesh.n_edges), (1.0, 1.0),
+                    (1.0, 1.0, 1.0))
     assert st.n == 1
     for v in (st.E_curr, st.E_prev, st.J_curr, st.J_prev):
         assert np.abs(v).max() == 0.0
@@ -64,7 +65,7 @@ def test_exact_solution_boundary_dof_vanish_unclamped():
     # PEC compatibility without clamping: interpolate directly and inspect
     mesh = build_mesh(16, 16, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    dof = interpolate_edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0))
+    dof = edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), "midpoint")
     scale = np.abs(dof).max()
     assert np.abs(dof[mesh.boundary_edge_mask]).max() < 1e-13 * scale
 
@@ -72,8 +73,8 @@ def test_exact_solution_boundary_dof_vanish_unclamped():
 def test_initialize_standing_setup():
     mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    E0, _ = mode_dofs(mesh, sol)
-    st = initialize(make_config(mesh), E0, E0, np.zeros(mesh.n_edges))
+    mid, j_scale = mode_dofs(mesh, sol)
+    st = initialize(make_config(mesh), mid, j_scale, (1.0, 1.0, 0.0))
     assert st.n == 1
     assert np.array_equal(st.E_curr, st.E_prev)
     assert st.E_curr is not st.E_prev
@@ -81,22 +82,23 @@ def test_initialize_standing_setup():
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_initialize_rejects_a_wrong_length(which):
+    # the profile, the two J scales and the three time factors
     mesh = build_mesh(4, 3, 1.0, 1.0, "pec")
-    fields = [np.zeros(mesh.n_edges) for _ in range(3)]
-    fields[which] = np.zeros(mesh.n_edges - 1)
-    with pytest.raises(ValueError, match=f"want \\({mesh.n_edges},\\) each"):
-        initialize(make_config(mesh), *fields)
+    args = [np.zeros(mesh.n_edges), (1.0, 1.0), (1.0, 1.0, 1.0)]
+    args[which] = [np.zeros(mesh.n_edges - 1), (1.0,), (1.0, 1.0)][which]
+    match = [f"want \\({mesh.n_edges},\\)", "argument 2 is shorter",
+             "expected 3, got 2"][which]
+    with pytest.raises(ValueError, match=match):
+        initialize(make_config(mesh), *args)
 
 
 def test_run_leaves_the_callers_arrays_unchanged():
-    # one array as both E0 and E1: without the copy, step would overwrite
-    # it and the two initial buffers would alias
     mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    E0, J0 = mode_dofs(mesh, sol)
-    kept = E0.copy(), J0.copy()
-    run(make_config(mesh, T=0.5), E0, E0, J0)
-    assert np.array_equal(E0, kept[0]) and np.array_equal(J0, kept[1])
+    mid, j_scale = mode_dofs(mesh, sol)
+    kept = mid.copy()
+    run(make_config(mesh, T=0.5), mid, j_scale, (1.0, 0.9, 0.3))
+    assert np.array_equal(mid, kept)
 
 
 @pytest.mark.parametrize("n_steps, stride, want", [
@@ -109,13 +111,31 @@ def test_snapshots_at_every_multiple_of_the_stride(n_steps, stride, want):
     config = make_config(mesh, T=(n_steps - 0.5) * dt, snapshot_stride=stride)
     assert config.n_steps == n_steps
     inits = _exact_initial(mesh, sol, dt)
-    res = run(config, *inits)
-    assert [s.step for s in res.snapshots] == want
-    assert [s.t for s in res.snapshots] == [n * dt for n in want]
+    snapshots = []
+    run(config, *inits, save=lambda s: snapshots.append(_copied(s)))
+    assert [s.step for s in snapshots] == want
+    assert [s.t for s in snapshots] == [n * dt for n in want]
     if stride == 1:  # step 1 holds the initial E^1 and the bootstrapped J^1
         st = initialize(config, *inits)
-        assert np.array_equal(res.snapshots[1].E, st.E_curr)
-        assert np.array_equal(res.snapshots[1].J, st.J_curr)
+        assert np.array_equal(snapshots[1].E, st.E_curr)
+        assert np.array_equal(snapshots[1].J, st.J_curr)
+
+
+def _copied(snap):
+    """A snapshot that outlives the step: run passes the live buffers."""
+    return Snapshot(snap.step, snap.t, snap.E.copy(), snap.J.copy())
+
+
+def test_run_refuses_a_stride_with_no_sink_before_any_step(monkeypatch):
+    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    config = make_config(mesh, snapshot_stride=2)
+    calls = []
+    monkeypatch.setattr(stepper, "initialize", lambda *a: calls.append(a))
+    monkeypatch.setattr(stepper, "step", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="snapshot_stride 2 needs a save"):
+        run(config, *_exact_initial(mesh, sol, config.dt))
+    assert calls == []
 
 
 def test_step_zero_state():
@@ -161,10 +181,11 @@ def test_step_matches_dense_oracle(rng):
 
 
 def _exact_initial(mesh, sol, dt):
-    """(E0, E1, J0): the exact E at t = 0 and dt and J at t = 0."""
-    mid, avg = mode_dofs(mesh, sol)
-    return (e_time_factor(sol, 0.0) * mid, e_time_factor(sol, dt) * mid,
-            j_time_factor(sol, 0.0) * avg)
+    """(mode, j_scale, factors) of the exact E at t = 0 and dt and J at
+    t = 0."""
+    mid, j_scale = mode_dofs(mesh, sol)
+    return mid, j_scale, (e_time_factor(sol, 0.0), e_time_factor(sol, dt),
+                          j_time_factor(sol, 0.0))
 
 
 def test_run_shorter_than_one_step():
@@ -225,8 +246,8 @@ def test_ode_limit_exactness(dt):
     u1 = series_exp_oracle(X, dt) @ u0
     config = SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(),
                        nu=dt * MEDIUM.c0 / mesh.dx, T=1.0)
-    # one horizontal and one vertical edge
-    res = run(config, (u0[0], 0.0), (u1[0], 0.0), (u0[1], 0.0))
+    # one horizontal and one vertical edge: the mode on the first
+    res = run(config, (1.0, 0.0), (1.0, 1.0), (u0[0], u1[0], u0[1]))
     ref = series_exp_oracle(X, res.t_final) @ u0
     assert abs(res.state.E_curr[0] - ref[0]) < 1e-12
     assert abs(res.state.J_curr[0] - ref[1]) < 1e-12
@@ -270,10 +291,11 @@ def test_run_keeps_no_view_of_a_reused_buffer():
         st = SimState(E, st.E_curr, J, st.J_curr, n)
         ref.append((E, J))
 
-    res = run(config, *inits)
+    snapshots = []
+    res = run(config, *inits, save=lambda s: snapshots.append(_copied(s)))
     assert config.n_steps == res.state.n == 12
-    assert [s.step for s in res.snapshots] == [0, 3, 6, 9, 12]
-    for s in res.snapshots:
+    assert [s.step for s in snapshots] == [0, 3, 6, 9, 12]
+    for s in snapshots:
         assert np.abs(s.E - ref[s.step][0]).max() < 1e-13
         assert np.abs(s.J - ref[s.step][1]).max() < 1e-13
     for n, (E, J) in enumerate(ref):
@@ -321,7 +343,7 @@ def _admitted_config(mesh):
 
 
 def _random_state(config, rng):
-    return initialize(config, *rng.standard_normal((3, config.mesh.n_edges)))
+    return initial_state(config, *rng.standard_normal((3, config.mesh.n_edges)))
 
 
 @pytest.mark.parametrize("block", [7, 64])
@@ -477,7 +499,8 @@ def test_nu_max_is_where_random_data_starts_to_blow_up(gamma, scheme, rng,
         config = dataclasses.replace(
             make_config(mesh, nu=nu, T=30.0),
             params=params_for_scheme(scheme, nu, mesh.gamma))
-        inits = rng.standard_normal((3, mesh.n_edges))
+        inits = (rng.standard_normal(mesh.n_edges), rng.standard_normal(2),
+                 rng.standard_normal(3))
         if stable:
             assert run(config, *inits).state.n == config.n_steps
         else:
@@ -524,11 +547,11 @@ def test_hybrid_equivalent_to_second_order_form():
 
     kx = ky = 2 * np.pi  # periodic-compatible standing data
 
-    mode = interpolate_edge_field(
-        mesh, lambda x, y: (np.cos(kx * x) * np.sin(ky * y),
-                            np.sin(kx * x) * np.cos(ky * y)))
-    st_h = initialize(config, mode, math.cos(2.0 * config.dt) * mode,
-                      0.3 * mode, ops)
+    mode = interpolate_edge_field(mesh,
+                                  lambda x, y: np.cos(kx * x) * np.sin(ky * y),
+                                  lambda x, y: np.sin(kx * x) * np.cos(ky * y))
+    st_h = initialize(config, mode, (1.0, 1.0),
+                      (1.0, math.cos(2.0 * config.dt), 0.3), ops)
     st_s = SimState(st_h.E_curr.copy(), st_h.E_prev.copy(),
                     st_h.J_curr.copy(), st_h.J_prev.copy(), st_h.n)
     scale = np.abs(st_h.E_curr).max()
@@ -542,16 +565,20 @@ def test_snapshot_roundtrip(tmp_path):
     mesh = build_mesh(6, 5, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.5, snapshot_stride=2)
-    res = run(config, *_exact_initial(mesh, sol, config.dt))
-    assert len(res.snapshots) >= 2
-    snap = res.snapshots[-1]
-    prefix = str(tmp_path / "snap")
-    save_snapshot(prefix, mesh, snap)
-    meta, E, J = load_snapshot(prefix)
-    assert meta["step"] == snap.step
-    assert meta["nx"] == mesh.nx and meta["ny"] == mesh.ny
-    assert np.array_equal(E, snap.E)
-    assert np.array_equal(J, snap.J)
+    snapshots = []
+
+    def save(snap):  # written as it is taken, then read back at the end
+        save_snapshot(str(tmp_path / f"snap{snap.step}"), mesh, snap)
+        snapshots.append(_copied(snap))
+
+    run(config, *_exact_initial(mesh, sol, config.dt), save=save)
+    assert [s.step for s in snapshots] == [0, 2, 4, 6]
+    for snap in snapshots:
+        meta, E, J = load_snapshot(str(tmp_path / f"snap{snap.step}"))
+        assert meta["step"] == snap.step and meta["time"] == snap.t
+        assert meta["nx"] == mesh.nx and meta["ny"] == mesh.ny
+        assert np.array_equal(E, snap.E)
+        assert np.array_equal(J, snap.J)
 
 
 def test_snapshot_loads_from_another_cwd(tmp_path, monkeypatch):
@@ -605,5 +632,5 @@ def test_run_builds_no_face_edge_table():
     mesh = build_mesh(8, 6, 1.0, 1.0, "pec")
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.25, snapshot_stride=2)
-    run(config, *_exact_initial(mesh, sol, config.dt))
+    run(config, *_exact_initial(mesh, sol, config.dt), save=lambda s: None)
     assert "face_edge_table" not in mesh.__dict__
