@@ -88,16 +88,15 @@ def mode_dofs(mesh, sol: ExactSolution) -> tuple:
     edges, the mode being separable.  The exact fields' DoFs at t are mid
     and `scale_lines(mesh, mid, j_scale)` times the time factors.
 
-    On a PEC mesh the mode's tangential E must vanish on the walls
-    x = Lx and y = Ly, which takes a whole number of half-waves across
-    the domain: ValueError otherwise."""
-    if mesh.boundary == "pec":
-        for k, L in (("kx", "Lx"), ("ky", "Ly")):
-            waves = getattr(sol, k) * getattr(mesh, L) / math.pi
-            if abs(waves - round(waves)) > 1e-9:
-                raise ValueError(
-                    f"{k} {L} / pi = {waves:g} is not an integer: the mode "
-                    f"does not vanish on the PEC wall at {L}")
+    The mode's tangential E must vanish on the PEC walls x = Lx and
+    y = Ly, which takes a whole number of half-waves across the domain:
+    ValueError otherwise."""
+    for k, L in (("kx", "Lx"), ("ky", "Ly")):
+        waves = getattr(sol, k) * getattr(mesh, L) / math.pi
+        if abs(waves - round(waves)) > 1e-9:
+            raise ValueError(
+                f"{k} {L} / pi = {waves:g} is not an integer: the mode "
+                f"does not vanish on the PEC wall at {L}")
 
     mid = interpolate_edge_field(mesh, *spatial_mode(sol))
     # np.sinc(u / pi) = sin(u) / u
@@ -246,7 +245,7 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
         if n == 1:  # every edge of a 1x1 PEC mesh is a wall edge
             raise ValueError(f"h={h}: the 1x1 PEC mesh has no interior "
                              "edge to probe")
-        mesh = build_mesh(n, n, 1.0, 1.0, "pec")
+        mesh = build_mesh(n, n, 1.0, 1.0)
         samples = 1 + SimConfig(
             mesh=mesh, medium=sol.medium, nu=nu, T=T,
             params=params_for_scheme(scheme, nu, mesh.gamma)).n_steps

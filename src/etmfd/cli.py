@@ -235,7 +235,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, "simulate")
     outdir = output_path(args, cfg, directory=True)
     medium = medium_from_config(cfg)
-    mesh = build_mesh(cfg["nx"], cfg["ny"], cfg["Lx"], cfg["Ly"], "pec")
+    mesh = build_mesh(cfg["nx"], cfg["ny"], cfg["Lx"], cfg["Ly"])
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)
     probes = cfg["probes"]

@@ -6,11 +6,11 @@ horizontal edges and +y for vertical ones.  A scalar field carries one DoF
 per face: its cell average.  Per-face orientation signs (counter-clockwise
 circulation) live in the local curl vector, not in the DoF.
 
-Edges are indexed horizontally-first.  On a PEC mesh the horizontal edge
-(i, j) sits on the line y = j*dy spanning cells i, i in [0, nx), j in
-[0, ny]; vertical edges follow, (i, j) on x = i*dx with i in [0, nx],
-j in [0, ny).  Periodic meshes identify j = ny with j = 0 (and i = nx
-with i = 0), so both orientations count nx*ny edges.
+Edges are indexed horizontally-first.  The horizontal edge (i, j) sits
+on the line y = j*dy spanning cells i, i in [0, nx), j in [0, ny];
+vertical edges follow, (i, j) on x = i*dx with i in [0, nx], j in
+[0, ny).  The domain's walls are perfect conductors (PEC): the edges on
+them are boundary edges, whose tangential field is held at zero.
 """
 
 from __future__ import annotations
@@ -19,58 +19,42 @@ import functools
 
 import numpy as np
 
-BOUNDARY_MODES = ("pec", "periodic")
-
 
 class RectMesh:
     """Uniform rectangular mesh on [0, Lx] x [0, Ly] with nx*ny cells."""
 
-    def __init__(self, nx: int, ny: int, Lx: float, Ly: float,
-                 boundary: str = "pec"):
+    def __init__(self, nx: int, ny: int, Lx: float, Ly: float):
         if nx < 1 or ny < 1 or nx % 1 or ny % 1:
             raise ValueError(f"cell counts must be integers >= 1, got nx={nx}, ny={ny}")
         if not (0 < Lx < np.inf and 0 < Ly < np.inf):  # NaN fails too
             raise ValueError(f"domain extents must be finite and > 0, got Lx={Lx}, Ly={Ly}")
-        if boundary not in BOUNDARY_MODES:
-            raise ValueError(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.Lx = float(Lx)
         self.Ly = float(Ly)
-        self.boundary = boundary
         self.dx = self.Lx / self.nx
         self.dy = self.Ly / self.ny
         self.gamma = self.dy / self.dx
 
-        if boundary == "pec":
-            self.n_hedges = self.nx * (self.ny + 1)
-            self.n_vedges = (self.nx + 1) * self.ny
-        else:
-            self.n_hedges = self.nx * self.ny
-            self.n_vedges = self.nx * self.ny
+        self.n_hedges = self.nx * (self.ny + 1)
+        self.n_vedges = (self.nx + 1) * self.ny
         self.n_edges = self.n_hedges + self.n_vedges
         self.n_faces = self.nx * self.ny
 
-        # True for edges on the domain boundary (none if periodic)
+        # True for edges on the domain boundary
         self.boundary_edge_mask = np.zeros(self.n_edges, dtype=bool)
-        if boundary == "pec":
-            h, v = self.edge_lines(self.boundary_edge_mask)
-            h[[0, -1]], v[:, [0, -1]] = True, True
+        h, v = self.edge_lines(self.boundary_edge_mask)
+        h[[0, -1]], v[:, [0, -1]] = True, True
 
     # ---- indexing ---------------------------------------------------------
     # the only encoding of the edge numbering; ints or integer arrays alike
 
     def hedge_index(self, i, j):
         """Horizontal edge on y = j*dy spanning cell column i."""
-        if self.boundary == "periodic":
-            i, j = i % self.nx, j % self.ny
         return j * self.nx + i
 
     def vedge_index(self, i, j):
         """Vertical edge on x = i*dx spanning cell row j."""
-        if self.boundary == "periodic":
-            i, j = i % self.nx, j % self.ny
-            return self.n_hedges + j * self.nx + i
         return self.n_hedges + j * (self.nx + 1) + i
 
     @functools.cached_property
@@ -86,8 +70,8 @@ class RectMesh:
 
     def edge_lines(self, v) -> tuple:
         """Views (vh, vv) of an edge vector v as its horizontal edge lines,
-        (ny + 1, nx) on a PEC mesh, and its vertical ones, (ny, nx + 1):
-        edge (i, j) of each is entry [j, i].  On a torus both are (ny, nx)."""
+        (ny + 1, nx), and its vertical ones, (ny, nx + 1): edge (i, j) of
+        each is entry [j, i]."""
         return (v[:self.n_hedges].reshape(-1, self.nx),
                 v[self.n_hedges:].reshape(self.ny, -1))
 
@@ -98,20 +82,19 @@ class RectMesh:
         the inverse of hedge_index and vedge_index."""
         e = np.asarray(e)
         jh, ih = np.divmod(e, self.nx)
-        jv, iv = np.divmod(e - self.n_hedges, self.n_vedges // self.ny)
+        jv, iv = np.divmod(e - self.n_hedges, self.nx + 1)
         h = e < self.n_hedges
         return (np.where(h, (ih + 0.5) * self.dx, iv * self.dx),
                 np.where(h, jh * self.dy, (jv + 0.5) * self.dy))
 
     def __repr__(self):
         return (f"RectMesh(nx={self.nx}, ny={self.ny}, Lx={self.Lx}, "
-                f"Ly={self.Ly}, boundary={self.boundary!r})")
+                f"Ly={self.Ly})")
 
 
-def build_mesh(nx: int, ny: int, Lx: float, Ly: float,
-               boundary: str = "pec") -> RectMesh:
+def build_mesh(nx: int, ny: int, Lx: float, Ly: float) -> RectMesh:
     """Construct a rectangular mesh; rejects non-positive dimensions."""
-    return RectMesh(nx, ny, Lx, Ly, boundary)
+    return RectMesh(nx, ny, Lx, Ly)
 
 
 def interpolate_edge_field(mesh: RectMesh, fx, fy) -> np.ndarray:

@@ -93,7 +93,7 @@ def local_M(params: MfdParams, dx: float, dy: float) -> np.ndarray:
 # A row of G reaches the faces within two cells of its edge, so on a
 # uniform mesh it is a row of G on a template of at most TEMPLATE cells a
 # side, shifted by whole cells: edges within HALO cells of a wall keep
-# their place, all others (any edge of a wider torus) take a central row
+# their place, all others take a central row
 TEMPLATE, HALO = 4, 2
 
 # Rows per block of G, the unit of both its assembly and the step, and
@@ -106,16 +106,14 @@ BLOCK = 1 << 15
 def _template_G(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
     """The template mesh and its G = W C^T diag(|f|) times scale, dense.
     An entry sums its face's edge terms in ascending edge order, as the
-    product W @ C^T does: the same bits, unless a periodic wrap reorders
-    the face's edges."""
-    t = RectMesh(min(mesh.nx, TEMPLATE), min(mesh.ny, TEMPLATE), 1.0, 1.0,
-                 mesh.boundary)  # topology only: values use mesh.dx, dy
+    product W @ C^T does: the same bits."""
+    # topology only: values use mesh.dx, dy
+    t = RectMesh(min(mesh.nx, TEMPLATE), min(mesh.ny, TEMPLATE), 1.0, 1.0)
     fe, b, faces = t.face_edge_table, t.boundary_edge_mask, np.arange(t.n_faces)
     W, C = np.zeros((t.n_edges, t.n_edges)), np.zeros((t.n_faces, t.n_edges))
     np.add.at(W, (fe[:, :, None], fe[:, None, :]),
               local_W(params, mesh.dx, mesh.dy))
-    # a one-cell-wide periodic face holds an edge twice: the terms cancel
-    np.add.at(C, (faces[:, None], fe), local_curl(mesh.dx, mesh.dy))
+    C[faces[:, None], fe] = local_curl(mesh.dx, mesh.dy)
     W[b], C[:, b] = 0.0, 0.0
     K = np.sort(fe, axis=1)
     terms = W[:, K] * C[faces[:, None], K]
@@ -146,39 +144,29 @@ def _diagonals(lines: np.ndarray, offsets: np.ndarray) -> tuple:
 
 class Curl:
     """The curl with the PEC columns dropped, without a matrix: a face
-    sums the terms [bottom, top, left, right] (a CSR row's edge order but
-    across a periodic wrap) from the edge lines of E, one `row_blocks`
-    block of face lines at a time, in cache.  Wall terms are zeroed before
-    they are added; a one-cell torus skips the pair of terms of the edge a
-    face holds twice, which cancel."""
+    sums the terms [bottom, top, left, right] (a CSR row's edge order)
+    from the edge lines of E, one `row_blocks` block of face lines at a
+    time, in cache.  Wall terms are zeroed before they are added."""
 
     def __init__(self, mesh: RectMesh):
         self.mesh, nx, ny = mesh, mesh.nx, mesh.ny
-        pec, every = mesh.boundary == "pec", slice(None)
         cb, cr, ct, cl = local_curl(mesh.dx, mesh.dy).tolist()
         # per block of face lines, its terms in order: (edge lines,
-        # coefficient, (source, term) slices, the term's wall faces)
+        # coefficient, source slice, the term's wall faces)
         self.blocks = []
         bounds = row_blocks(ny, nx).tolist()
         for j0, j1 in zip(bounds, bounds[1:]):
             terms = []
             for axis, up, c in ((0, 0, cb), (0, 1, ct),
                                 (1, 0, cl), (1, 1, cr)):
-                n = (ny, nx)[axis]  # faces along the axis
-                if not pec and n == 1:
-                    continue
-                # (source, term) bounds: the edges `up` lines on from the
-                # block's faces a .. b - 1 along the axis
+                # the edges `up` lines on from the block's faces a .. b - 1
+                # along the axis, and the wall face among them, if any
                 a, b = (j0, j1) if axis == 0 else (0, nx)
-                cuts = [(a + up, b + up, 0, b - a)]
-                if not pec and b + up > n:  # the last line wraps to the first
-                    cuts = [(a + 1, n, 0, b - a - 1), (0, 1, b - a - 1, b - a)]
-                lead, keep = (slice(j0, j1),) * axis, (every,) * axis
-                w = (n - 1) * up - a  # the wall face, on a PEC mesh
-                wall = slice(w, w + 1) if pec and 0 <= w < b - a else slice(0)
-                terms.append((axis, c, [
-                    (lead + (slice(s0, s1),), keep + (slice(t0, t1),))
-                    for s0, s1, t0, t1 in cuts], keep + (wall,)))
+                w = ((ny, nx)[axis] - 1) * up - a
+                wall = slice(w, w + 1) if 0 <= w < b - a else slice(0)
+                lead, keep = (slice(j0, j1),) * axis, (slice(None),) * axis
+                terms.append((axis, c, lead + (slice(a + up, b + up),),
+                              keep + (wall,)))
             self.blocks.append((slice(j0, j1), terms))
 
     def __call__(self, E: np.ndarray, out: np.ndarray,
@@ -187,15 +175,12 @@ class Curl:
         scratch is another."""
         lines = self.mesh.edge_lines(E)
         y = out.reshape(self.mesh.ny, self.mesh.nx)
-        if not self.blocks[0][1]:  # a 1x1 torus: the sum of no terms
-            y[...] = 0.0
         for rows, terms in self.blocks:
             yb = y[rows]
             sb = scratch[:yb.size].reshape(yb.shape)
-            for k, (axis, c, cuts, wall) in enumerate(terms):
+            for k, (axis, c, src, wall) in enumerate(terms):
                 term = sb if k else yb
-                for src, dst in cuts:
-                    np.multiply(lines[axis][src], c, out=term[dst])
+                np.multiply(lines[axis][src], c, out=term)
                 term[wall] = 0.0
                 if k:
                     yb += sb
@@ -207,64 +192,50 @@ class CurlCurl(NamedTuple):
     W C^T diag(|f|) with the PEC rows dropped as DIA row blocks, in row
     order; block k's rows are `blocks[k] @ windows(E)[k]`.  With (padded,
     start) = reads[k], it reads entries start .. start + blocks[k].shape[1]
-    of the face vector y or, if padded, of `layout` flat: the faces in
-    `before` ghost lines, the ny face lines and `after` ghost lines, each
-    line zero past its nx faces, a ghost line a copy of the face line
-    that wraps onto it.  On a torus y is the face lines of `layout`.
-    Blocks whose lines take the same template rows share one `data` array."""
+    of the face vector y or, if padded, of `layout` flat: the ny face
+    lines, each zero past its nx faces.  Blocks whose lines take the same
+    template rows share one `data` array."""
     curl: Curl
     blocks: tuple
     reads: tuple
     layout: np.ndarray
-    before: int
-    after: int
     y: np.ndarray
     scratch: np.ndarray
 
     def windows(self, E: np.ndarray) -> list:
         """C E into y and the layout; each block's input window."""
-        y = self.curl(E, self.y, self.scratch)
-        lay, b, ny = self.layout, self.before, self.curl.mesh.ny
-        if b or self.after:  # the ghost lines: y is the face lines
-            lay[:b] = lay[b + np.arange(-b, 0) % ny]
-            lay[b + ny:] = lay[b + np.arange(self.after) % ny]
-        else:  # the padded copy
-            lay[:, :self.curl.mesh.nx] = y.reshape(ny, -1)
+        y, lay = self.curl(E, self.y, self.scratch), self.layout
+        lay[:, :self.curl.mesh.nx] = y.reshape(lay.shape[0], -1)
         faces = (y, lay.reshape(-1))
         return [faces[padded][c:c + G_b.shape[1]]
                 for G_b, (padded, c) in zip(self.blocks, self.reads)]
 
 
 def _G_blocks(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
-    """The `blocks` and `reads` of a `CurlCurl` of scale W A, and the
-    (before, after, width) of its layout.
+    """The `blocks` and `reads` of a `CurlCurl` of scale W A.
 
     G's blocks hold whole grid lines of one edge orientation, at the
     bounds of `row_blocks`.  The rows of a line are consecutive entries
     of their face layout, so each face a row reaches sits at a fixed
     offset from it: a block is a DIA matrix, its diagonals the row's
-    faces in ascending order (on a PEC mesh).  Horizontal edges of a PEC
-    mesh read y, vertical ones the faces padded to nx + 1 a line.  On a
-    torus both read the faces between ghost lines, and a face across the
-    wrap in x takes a diagonal of its own."""
-    nx, ny, periodic = mesh.nx, mesh.ny, mesh.boundary == "periodic"
+    faces in ascending order.  Horizontal edges read y, vertical ones
+    the faces padded to nx + 1 a line."""
+    nx, ny = mesh.nx, mesh.ny
     # G: edge (i, j) takes the row of template edge (i - si, j - sj), with
     # its faces shifted by (si, sj)
     t, Gt = _template_G(mesh, params, scale)
     tfj, tfi = np.divmod(np.arange(t.n_faces), t.nx)
 
     def shift(k, n, tn):  # cell or line indices k, axis of n (tn) cells
-        return (k - HALO if periodic and n > tn
-                else np.minimum(np.maximum(k - HALO, 0), n - tn))
+        return np.minimum(np.maximum(k - HALO, 0), n - tn)
 
     # per orientation: template row, rows a line, lines, whether it reads
-    # the layout (else y), the layout line of line 0
-    before, after, width = (HALO, 1, nx) if periodic else (0, 0, nx + 1)
-    kinds = ((t.hedge_index, nx, ny + (not periodic), periodic, before),
-             (t.vedge_index, width, ny, True, before))
-    sizes = (mesh.n_faces, (before + ny + after) * width)
+    # the layout (else y)
+    kinds = ((t.hedge_index, nx, ny + 1, False),
+             (t.vedge_index, nx + 1, ny, True))
+    sizes = (mesh.n_faces, ny * (nx + 1))
     blocks, reads = [], []
-    for index, n, lines, padded, first in kinds:
+    for index, n, lines, padded in kinds:
         i, j = np.arange(n), np.arange(lines)
         si, tj = shift(i, nx, t.nx), j - shift(j, ny, t.ny)
         # tj takes every value between its extremes
@@ -274,8 +245,6 @@ def _G_blocks(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
         rows = Gt[index(i - si, us[:, None])]
         w, r, f = np.nonzero(rows)
         fi, dj = tfi[f] + si[r], tfj[f] - us[w]
-        if periodic:  # the face line nearest below, the face in x
-            fi, dj = fi % nx, (dj + HALO) % ny - HALO
         off = dj * n + fi - r
         K = np.union1d(off, [0])  # 0: one zero diagonal if G has no entry
         pattern = np.zeros((len(us), len(K), n))
@@ -286,7 +255,7 @@ def _G_blocks(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
         most = max(b - a for a, b in zip(bounds, bounds[1:]))
         shared = {}
         for l0, l1 in zip(bounds[:-1], bounds[1:]):
-            p0 = (l0 + first) * n  # layout entry of the block's first row
+            p0 = l0 * n  # layout entry of the block's first row
             c0 = max(0, p0 + int(K[0]))
             c1 = min(sizes[padded], p0 + (l1 - l0) * n + int(K[-1]))
             u = line_u[l0:l1]
@@ -297,7 +266,7 @@ def _G_blocks(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
             blocks.append(sp.dia_matrix(shared[key],
                                         shape=((l1 - l0) * n, c1 - c0)))
             reads.append((padded, c0))
-    return tuple(blocks), tuple(reads), (before, after, width)
+    return tuple(blocks), tuple(reads)
 
 
 def assemble_step_operators(mesh: RectMesh, params: MfdParams,
@@ -305,13 +274,11 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams,
     """The `CurlCurl` scale W A = G C, G written from stencils without a
     product.  The template's G takes the scale, so each stored entry is
     one template entry times it: the bits of scaling G afterwards."""
-    blocks, reads, (before, after, width) = _G_blocks(mesh, params, scale)
+    blocks, reads = _G_blocks(mesh, params, scale)
     # the buffers once the assembly's temporaries are freed, whose
     # resident memory they can take
-    layout = np.zeros((before + mesh.ny + after, width))
-    y = (layout[before:before + mesh.ny].reshape(-1) if before or after
-         else np.empty(mesh.n_faces))
-    return CurlCurl(Curl(mesh), blocks, reads, layout, before, after, y,
+    layout, y = np.zeros((mesh.ny, mesh.nx + 1)), np.empty(mesh.n_faces)
+    return CurlCurl(Curl(mesh), blocks, reads, layout, y,
                     np.empty(mesh.n_faces))
 
 

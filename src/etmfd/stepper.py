@@ -3,7 +3,7 @@
 The update is hybrid: a two-step update for the electric field followed
 by a one-step update for the polarization current that reuses the freshly
 computed E (so the scheme stays explicit).  Boundary DoF are held at zero
-in PEC mode throughout.
+throughout.
 """
 
 from __future__ import annotations
@@ -61,13 +61,15 @@ class SimConfig:
         if not isinstance(stride, (int, np.integer)) or stride < 0:
             raise ValueError(f"snapshot_stride {stride!r} is not an int >= 0")
         boundary = self.mesh.boundary_edge_mask
-        for e in self.probes:
+        for k, e in enumerate(self.probes):
             if not isinstance(e, (int, np.integer)):
                 raise ValueError(f"probe edge {e!r} is not an integer index")
             if not (0 <= e < self.mesh.n_edges):
                 raise ValueError(f"probe edge {e} out of range")
             if boundary[e]:
                 raise ValueError(f"probe edge {e} is a boundary edge")
+            if e in self.probes[:k]:  # one trace and one CSV per edge
+                raise ValueError(f"probe edge {e} is listed twice")
 
     @property
     def dt(self) -> float:
@@ -254,7 +256,7 @@ def save_snapshot(prefix: str, mesh: RectMesh, snap: Snapshot) -> None:
     base = os.path.basename(prefix)
     meta = {
         "nx": mesh.nx, "ny": mesh.ny, "Lx": mesh.Lx, "Ly": mesh.Ly,
-        "boundary": mesh.boundary, "step": snap.step, "time": snap.t,
+        "boundary": "pec", "step": snap.step, "time": snap.t,
         "n_edges": mesh.n_edges, "dtype": "<f8",
         "order": "global edge index (horizontal edges first)",
         "fields": {"E": base + ".E.bin", "J": base + ".J.bin"},

@@ -35,6 +35,13 @@ def initial_state(config, E0, E1, J0):
     return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
 
 
+def pec_ids(shapes):
+    """Mesh shapes (nx, ny, ...) as parameters whose ids end in "-pec",
+    the boundary every mesh has, so a case's id names its whole mesh."""
+    return [pytest.param(*s, id="-".join(map(str, s)) + "-pec")
+            for s in shapes]
+
+
 def edge_midpoints(mesh):
     """(n_edges, 2) table of every edge's midpoint."""
     return np.stack(mesh.edge_midpoint(np.arange(mesh.n_edges)), axis=1)
@@ -94,6 +101,18 @@ def assemble_W(mesh, params):
     return apply_pec(assemble_local_blocks(mesh, block), mesh)
 
 
+def wall_free_gradient(mesh, rng):
+    """The discrete gradient of random nodal values that vanish on the
+    walls: zero on every wall edge, and its curl is zero on every face."""
+    phi = np.zeros((mesh.ny + 1, mesh.nx + 1))
+    phi[1:-1, 1:-1] = rng.standard_normal((mesh.ny - 1, mesh.nx - 1))
+    out = np.empty(mesh.n_edges)
+    out_h, out_v = mesh.edge_lines(out)
+    out_h[...] = np.diff(phi, axis=1) / mesh.dx
+    out_v[...] = np.diff(phi, axis=0) / mesh.dy
+    return out
+
+
 def face_centers(mesh):
     """(n_faces,) x and y of the face centers, face index j*nx + i."""
     j, i = np.divmod(np.arange(mesh.n_faces), mesh.nx)
@@ -150,7 +169,8 @@ def bloch_edge_field(mesh, kx, ky, U1, U2):
     """Complex Bloch DoF field: two reference amplitudes plus phase shifts.
 
     Reference edges are the bottom and right edges of face (0, 0); the
-    wave numbers must be periodic-compatible (kx*Lx, ky*Ly in 2*pi*Z).
+    wave numbers are any reals.  An assembled operator's row whose faces
+    touch no wall edge acts on it as the Bloch reduction predicts.
     """
     mids = edge_midpoints(mesh)
     m1 = mids[mesh.hedge_index(0, 0)]

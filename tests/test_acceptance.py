@@ -9,13 +9,16 @@ test holds equal to ORACLE_TOLERANCES):
   3. Symbol-level slopes over ppw {12, 24, 48} at k = 4, nu = 1/2:
      >= 3.8 (optimal), 2.0 +- 0.15 (Yee); 10x gap at 12 ppw.
   4. Oracle equivalences: exponential coefficients 1e-12; one step vs
-     dense assembly 1e-13, periodic and PEC; symbol vs Bloch reduction 1e-12 for 20 random
-     draws; direct optimal W vs composed path 1e-14.
+     dense assembly 1e-13 on 3x3 and 3x4 PEC meshes; symbol vs Bloch
+     reduction 1e-12 for 20 random draws; direct optimal W vs composed
+     path 1e-14.
   5. Lossy-medium leapfrog residual: zeroing w2 is complex (|Im| > 1e-3)
      and frequency-dependent at tau = 1; real and frequency-independent
      to 1e-10 (relative) in the vacuum limit.
-  6. Exponential stepping integrates the k = 0 mode exactly (1e-12 at
-     t = 1 for dt in {0.1, 0.01}).
+  6. Exponential stepping integrates a curl-free mode exactly (1e-12 at
+     t = 1 for dt in {0.1, 0.01}): the gradient of the hat at the one
+     interior node of a 2x2 PEC mesh of unit cells, whose step on each
+     edge is the 2x2 ODE of the k = 0 mode.
 
 Criteria 4-6 measure through the checks in etmfd.selftest, which
 `etmfd selftest` also runs.

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (assemble_local_blocks, edge_average_oracle,
-                      edge_field, gauss_edge_field, pick_probe_reference)
+                      edge_field, gauss_edge_field, pec_ids,
+                      pick_probe_reference)
 
 from etmfd import analysis, cli, mesh as mesh_module
 from etmfd.analysis import (DegenerateFitError, FitResult,
@@ -31,13 +32,12 @@ def test_mode_dofs_refuses_a_mode_not_vanishing_on_the_walls(kx_pi, ky_pi,
                                                              Lx, Ly):
     # on 8x4 with Ly = 0.5, kx = ky = pi put the walls' largest tangential
     # E level with the largest overall, and `run` took it without error
-    mesh = build_mesh(8, 4, Lx, Ly, "pec")
+    mesh = build_mesh(8, 4, Lx, Ly)
     sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
     with pytest.raises(ValueError, match="does not vanish on the PEC wall"):
         mode_dofs(mesh, sol)
-    # the same mode on a torus, and a whole number of half-waves, pass
-    mode_dofs(build_mesh(8, 4, Lx, Ly, "periodic"), sol)
-    mode_dofs(build_mesh(8, 4, 2.0, 2.0, "pec"), sol)
+    # a whole number of half-waves passes
+    mode_dofs(build_mesh(8, 4, 2.0, 2.0), sol)
 
 
 def test_make_exact_solution_validates_wavenumbers():
@@ -104,7 +104,7 @@ def test_spatial_mode_divergence_free(rng):
 # ---- L2 error ----------------------------------------------------------------
 
 def _mesh_and_M():
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     M = local_M(optimal_params(0.5, 1.0), mesh.dx, mesh.dy)
     return mesh, M
 
@@ -150,16 +150,13 @@ def test_l2_scale_invariant_in_M():
     assert abs(e1 - e2) < 1e-14 * e1
 
 
-MESHES = [(nx, ny, boundary) for boundary in ("pec", "periodic")
-          for nx, ny in ((1, 1), (1, 5), (3, 4), (64, 64))]
+MESHES = pec_ids([(1, 1), (1, 5), (3, 4), (64, 64)])
 
 
-@pytest.mark.parametrize("nx, ny, boundary", MESHES)
+@pytest.mark.parametrize("nx, ny", MESHES)
 @pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
-def test_l2_face_sum_matches_the_assembled_form(nx, ny, boundary, scheme,
-                                                rng):
-    # one-cell periodic faces hold an edge twice; the COO sum adds both
-    mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
+def test_l2_face_sum_matches_the_assembled_form(nx, ny, scheme, rng):
+    mesh = build_mesh(nx, ny, 1.0, 1.3)
     p = (optimal_params(0.5, mesh.gamma) if scheme == "etmfd"
          else yee_params())
     M = local_M(p, mesh.dx, mesh.dy)
@@ -268,7 +265,7 @@ def test_metric_sign_flip_invariance():
 # ---- probe selection and study plumbing --------------------------------------------
 
 def test_pick_probe_edge_interior_max():
-    mesh = build_mesh(16, 16, 1.0, 1.0, "pec")
+    mesh = build_mesh(16, 16, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dof = interpolate_edge_field(mesh, *spatial_mode(sol))
     probe = pick_probe_edge(mesh, dof)
@@ -276,9 +273,9 @@ def test_pick_probe_edge_interior_max():
     assert abs(dof[probe]) == pytest.approx(np.abs(dof).max())
 
 
-@pytest.mark.parametrize("nx, ny, boundary", MESHES)
-def test_pick_probe_edge_matches_the_full_table_rule(nx, ny, boundary, rng):
-    mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
+@pytest.mark.parametrize("nx, ny", MESHES)
+def test_pick_probe_edge_matches_the_full_table_rule(nx, ny, rng):
+    mesh = build_mesh(nx, ny, 1.0, 1.3)
     modes = [np.ones(mesh.n_edges),  # every edge ties: distance decides
              # near-ties, within the 1e-9 window of the distance penalty
              1.0 - 1e-9 * rng.random(mesh.n_edges),
@@ -289,7 +286,7 @@ def test_pick_probe_edge_matches_the_full_table_rule(nx, ny, boundary, rng):
         sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
         modes.append(interpolate_edge_field(mesh, *spatial_mode(sol)))
     for mode in modes:
-        if mesh.boundary_edge_mask.all():  # 1x1 PEC: no edge to pick
+        if mesh.boundary_edge_mask.all():  # 1x1: no edge to pick
             with pytest.raises(ValueError, match="no interior edge"):
                 pick_probe_edge(mesh, mode)
         else:
@@ -299,7 +296,7 @@ def test_pick_probe_edge_matches_the_full_table_rule(nx, ny, boundary, rng):
 
 @pytest.mark.parametrize("kx_pi, ky_pi", [(1, 1), (1, 2), (2, 3)])
 def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
-    mesh = build_mesh(16, 32, 1.0, 2.0, "pec")
+    mesh = build_mesh(16, 32, 1.0, 2.0)
     sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
     mid, j_scale = mode_dofs(mesh, sol)
     avg = scale_lines(mesh, mid, j_scale)
@@ -326,7 +323,7 @@ def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
 def test_mode_dofs_J_rule_is_the_exact_edge_average():
     # a coarse mesh and a short wave, where 4-point Gauss missed the
     # averages by 1.8e-7 relative
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     sol = make_exact_solution(3 * np.pi, np.pi, MEDIUM)
     exact = edge_average_oracle(mesh, sol.kx, sol.ky)
     assert np.abs(scale_lines(mesh, *mode_dofs(mesh, sol)) - exact).max() \
@@ -339,7 +336,7 @@ def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
     # and each snapshot goes to the sink as views.  Measured 10.3 edge
     # vectors of traced peak; initial-data arrays, a (3, n) stack of them
     # or snapshot copies held for the run take it past 12 (23.3)
-    mesh = build_mesh(512, 512, 1.0, 1.0, "pec")
+    mesh = build_mesh(512, 512, 1.0, 1.0)
     sol = make_exact_solution(np.pi, 2 * np.pi, MEDIUM)
     T = 19.5 * 0.5 * mesh.dx / MEDIUM.c0  # 20 steps
     probe = 1000  # an interior horizontal edge

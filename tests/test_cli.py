@@ -228,7 +228,7 @@ def test_simulate_runs_a_mode_vanishing_on_non_unit_walls(entries, tmp_path):
                  "simulate"]) == EXIT_OK
     # the mode the guard admits has no tangential E on the walls
     mesh = build_mesh(entries["nx"], entries["ny"], entries.get("Lx", 1.0),
-                      entries.get("Ly", 1.0), "pec")
+                      entries.get("Ly", 1.0))
     sol = make_exact_solution(entries.get("kx_pi", 1) * np.pi,
                               entries.get("ky_pi", 1) * np.pi, Medium())
     mid = mode_dofs(mesh, sol)[0]
@@ -480,6 +480,8 @@ def test_exit_code_table(exc_type, code, monkeypatch, capsys):
 @pytest.mark.parametrize("entries, message", [
     pytest.param({"probes": [3.5]}, "not an integer", id="probe-float"),
     pytest.param({"probes": 5}, "must be", id="probes-scalar"),
+    pytest.param({"probes": [100, 100]}, "probe edge 100 is listed twice",
+                 id="probe-repeated"),
     pytest.param({"snapshot_stride": -3}, "snapshot_stride",
                  id="stride-negative"),
     pytest.param({"snapshot_stride": 2.5}, "snapshot_stride",

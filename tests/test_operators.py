@@ -12,7 +12,8 @@ from etmfd.selftest import dense_operators, optimal_local_W
 
 from conftest import (apply_pec, assemble_W, assemble_curl,
                       assemble_curl_curl, assemble_local_blocks,
-                      edge_field, interpolate_face_field)
+                      edge_field, interpolate_face_field, pec_ids,
+                      wall_free_gradient)
 
 
 def test_local_curl_unit_cell():
@@ -127,24 +128,22 @@ def test_local_M_singular_raises():
 
 # ---- assembled operators ------------------------------------------------------
 
-def test_curl_curl_kills_constants_periodic():
-    m = build_mesh(4, 4, 1.0, 1.0, "periodic")
-    A = assemble_curl_curl(m)
-    const = interpolate_edge_field(m, lambda x, y: 2.0 + 0 * x,
-                                   lambda x, y: -3.0 + 0 * y)
-    assert np.abs(A @ const).max() < 1e-13
+def test_curl_curl_kills_gradients(rng):
+    m = build_mesh(4, 5, 1.0, 1.3)
+    grad = wall_free_gradient(m, rng)
+    assert np.abs(grad).max() > 1.0
+    assert np.abs(assemble_curl_curl(m) @ grad).max() < 1e-13
 
 
 def test_curl_curl_1x1_pec_is_zero():
-    m = build_mesh(1, 1, 1.0, 1.0, "pec")
+    m = build_mesh(1, 1, 1.0, 1.0)
     A = assemble_curl_curl(m)
     assert A.nnz == 0 or np.abs(A.toarray()).max() == 0.0
 
 
-@pytest.mark.parametrize("boundary", ["pec", "periodic"])
-def test_curl_curl_symmetric_psd(boundary, rng):
+def test_curl_curl_symmetric_psd(rng):
     for nx, ny in [(3, 3), (8, 8), (5, 8)]:
-        m = build_mesh(nx, ny, 1.0, 1.3, boundary)
+        m = build_mesh(nx, ny, 1.0, 1.3)
         A = assemble_curl_curl(m).toarray()
         assert np.abs(A - A.T).max() < 1e-14
         for _ in range(100 // 6):
@@ -153,7 +152,7 @@ def test_curl_curl_symmetric_psd(boundary, rng):
 
 
 def test_assembly_matches_dense_oracle():
-    m = build_mesh(3, 3, 1.0, 1.0, "periodic")
+    m = build_mesh(3, 3, 1.0, 1.0)
     p = optimal_params(0.5, 1.0)
     Wd, Ad = dense_operators(m, p)
     assert np.abs(assemble_W(m, p).toarray() - Wd).max() == 0.0
@@ -161,24 +160,15 @@ def test_assembly_matches_dense_oracle():
 
 
 def test_assembly_matches_dense_oracle_pec():
-    m = build_mesh(3, 4, 1.0, 2.0, "pec")
+    m = build_mesh(3, 4, 1.0, 2.0)
     p = yee_params()
     Wd, Ad = dense_operators(m, p)
     assert np.abs(assemble_W(m, p).toarray() - Wd).max() < 1e-15
     assert np.abs(assemble_curl_curl(m).toarray() - Ad).max() < 1e-15
 
 
-def test_assembled_yee_diagonal_on_periodic():
-    h = 0.5
-    m = build_mesh(2, 2, 2 * h, 2 * h, "periodic")
-    W = assemble_W(m, yee_params()).toarray()
-    # every edge is shared by two faces, each contributing 1/(2 h^2)
-    assert np.allclose(np.diag(W), 1.0 / h ** 2)
-    assert np.abs(W - np.diag(np.diag(W))).max() == 0.0
-
-
 def test_w2_zero_couples_only_parallel_edges():
-    m = build_mesh(3, 3, 1.0, 1.0, "periodic")
+    m = build_mesh(3, 3, 1.0, 1.0)
     W = assemble_W(m, MfdParams(0.4, 0.0, 0.2)).toarray()
     nh = m.n_hedges
     assert np.abs(W[:nh, nh:]).max() == 0.0
@@ -186,7 +176,7 @@ def test_w2_zero_couples_only_parallel_edges():
 
 
 def test_pec_rows_and_columns_zeroed():
-    m = build_mesh(4, 4, 1.0, 1.0, "pec")
+    m = build_mesh(4, 4, 1.0, 1.0)
     for op in (assemble_W(m, optimal_params(0.5, 1.0)), assemble_curl_curl(m)):
         dense = op.toarray()
         b = m.boundary_edge_mask
@@ -196,7 +186,7 @@ def test_pec_rows_and_columns_zeroed():
 
 def test_assemble_M_spd():
     # the global mass matrix of the COO oracle, which the norm sums per face
-    m = build_mesh(4, 4, 1.0, 1.0, "pec")
+    m = build_mesh(4, 4, 1.0, 1.0)
     M = assemble_local_blocks(m, local_M(optimal_params(0.5, 1.0), m.dx,
                                          m.dy)).toarray()
     assert np.abs(M - M.T).max() < 1e-14
@@ -214,7 +204,7 @@ def test_params_for_scheme():
 # ---- commuting diagram --------------------------------------------------------
 
 def _commuting_defect(n, rule):
-    m = build_mesh(n, n, 1.0, 1.0, "pec")
+    m = build_mesh(n, n, 1.0, 1.0)
     curl_op = assemble_curl(m)
 
     def F(x, y):
@@ -229,7 +219,7 @@ def _commuting_defect(n, rule):
 
 
 def test_commuting_diagram_exact_for_linear():
-    m = build_mesh(3, 3, 1.0, 1.0, "pec")
+    m = build_mesh(3, 3, 1.0, 1.0)
     curl_op = assemble_curl(m)
     lhs = curl_op @ interpolate_edge_field(m, lambda x, y: y,
                                            lambda x, y: 2 * x)
@@ -250,9 +240,8 @@ def test_commuting_diagram_midpoint_second_order():
     assert 3.0 < d2 / d3 < 5.0
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 1.0, 2.0, "pec"),
-                                   (3, 3, 1.0, 1.0, "periodic"),
-                                   (1, 1, 1.0, 1.0, "periodic")])
+@pytest.mark.parametrize("shape", [(3, 4, 1.0, 2.0), (3, 3, 1.0, 1.0),
+                                   (1, 1, 1.0, 1.0)])
 def test_step_operators_factor_W_times_curl_curl(shape):
     m = build_mesh(*shape)
     p = optimal_params(0.5, m.gamma)
@@ -260,8 +249,7 @@ def test_step_operators_factor_W_times_curl_curl(shape):
     ref = (assemble_W(m, p) @ assemble_curl_curl(m)).toarray()
     assert np.abs(G @ C - ref).max() <= 1e-14 * np.abs(ref).max()
     assert G.has_sorted_indices
-    if m.boundary == "pec":  # PEC columns of C are zeroed
-        assert np.abs(C[:, m.boundary_edge_mask]).max() == 0.0
+    assert np.abs(C[:, m.boundary_edge_mask]).max() == 0.0  # PEC columns
 
 
 def curl_matrix(mesh):
@@ -273,34 +261,24 @@ def curl_matrix(mesh):
 
 
 @pytest.mark.parametrize("block", [None, 2])
-@pytest.mark.parametrize("boundary", ["pec", "periodic"])
-@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (1, 2), (2, 1),
-                                    (2, 2), (3, 4), (13, 11), (64, 64),
-                                    (256, 256)])
-def test_curl_acts_as_the_pruned_oracle_curl(nx, ny, boundary, block, rng,
+@pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 5), (5, 1), (1, 2),
+                                            (2, 1), (2, 2), (3, 4), (13, 11),
+                                            (64, 64), (256, 256)]))
+def test_curl_acts_as_the_pruned_oracle_curl(nx, ny, block, rng,
                                              monkeypatch):
-    # random wall entries too: on PEC meshes they must not reach a face.
-    # BLOCK = 2 cuts blocks of one or two face lines, the last one wrapped
+    # random wall entries too: they must not reach a face.  BLOCK = 2
+    # cuts blocks of one or two face lines
     if block:
         monkeypatch.setattr(operators, "BLOCK", block)
-    m = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    m = build_mesh(nx, ny, 1.0, 1.3)
     C_ref = apply_pec(assemble_curl(m), m, rows=False)
     curl = assemble_step_operators(m, yee_params(), 1.0).curl
     assert len(curl.blocks) == len(row_blocks(ny, nx)) - 1
     for E in (rng.standard_normal(m.n_edges), rng.uniform(1, 2, m.n_edges)):
         # NaN-filled buffers: every face is written, whatever they held
         y = curl(E, np.full(m.n_faces, np.nan), np.full(m.n_faces, np.nan))
-        ref = C_ref @ E
-        if boundary == "pec":  # the CSR row's sum in its order
-            assert np.array_equal(y, ref)
-        else:  # a wrap reorders a face's terms: rounding of their sizes
-            scale = (abs(C_ref) @ np.abs(E)).max()
-            assert np.abs(y - ref).max() <= 1e-15 * scale
-            # off the wraps, bit for bit: a one-cell axis has none, since
-            # CSR drops the pair of terms that cancel, and so does the curl
-            j, i = np.divmod(np.arange(m.n_faces), nx)
-            off = ((j < ny - 1) | (ny == 1)) & ((i < nx - 1) | (nx == 1))
-            assert np.array_equal(y[off], ref[off])
+        # the CSR row's sum in its order
+        assert np.array_equal(y, C_ref @ E)
 
 
 # ---- stencil-built step operators vs the product-built oracle -----------------
@@ -327,7 +305,7 @@ def stacked_step_operators(mesh, params):
         if padded:  # layout entry -> face
             line, fi = np.divmod(col, G.layout.shape[1])
             assert (fi < mesh.nx).all()
-            col = (line - G.before) % mesh.ny * mesh.nx + fi
+            col = line * mesh.nx + fi
         parts.append(sp.csr_matrix((coo.data, (coo.row, col)),
                                    shape=(b.shape[0], mesh.n_faces)))
     G = sp.vstack(parts, format="csr")
@@ -346,12 +324,11 @@ def test_row_blocks_are_equal_and_at_most_BLOCK(n, sizes, monkeypatch):
 
 
 @pytest.mark.parametrize("block", [7, 64])
-@pytest.mark.parametrize("boundary", ["pec", "periodic"])
-@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (3, 4), (13, 11)])
+@pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 5), (3, 4), (13, 11)]))
 def test_step_operators_in_small_blocks_stack_to_one_block(
-        nx, ny, boundary, block, monkeypatch):
-    # several uneven blocks, wrapped and one-cell periodic rows included
-    m = build_mesh(nx, ny, 1.0, 1.3, boundary)
+        nx, ny, block, monkeypatch):
+    # several uneven blocks, one-cell rows included
+    m = build_mesh(nx, ny, 1.0, 1.3)
     p = optimal_params(0.5, m.gamma)
     assert len(assemble_step_operators(m, p, 1.0).blocks) == 2  # one a side
     G1 = stacked_step_operators(m, p)
@@ -365,7 +342,7 @@ def test_step_operators_in_small_blocks_stack_to_one_block(
 def test_step_operator_blocks_share_one_data_array_per_pattern(scheme):
     # 512^2 PEC: nine blocks a side, of which only the first and the last
     # touch a wall; the others are one pattern and must share its array
-    m = build_mesh(512, 512, 1.0, 1.0, "pec")
+    m = build_mesh(512, 512, 1.0, 1.0)
     p = params_for_scheme(scheme, 0.5, 1.0)
     G = assemble_step_operators(m, p, 1.0)
     assert len(G.blocks) == 18
@@ -382,7 +359,7 @@ def test_step_operator_blocks_share_one_data_array_per_pattern(scheme):
 def test_scaled_step_operators_are_the_factor_times_the_unscaled(scheme):
     # the template takes the scale: each entry is one product, the bits
     # of scaling every block's data afterwards
-    m = build_mesh(512, 512, 1.0, 1.0, "pec")
+    m = build_mesh(512, 512, 1.0, 1.0)
     p = params_for_scheme(scheme, 0.5, 1.0)
     factor = -0.3 * m.dx  # the step's -(c0^2 dt alpha3) is of this kind
     G1 = assemble_step_operators(m, p, 1.0)
@@ -396,12 +373,12 @@ def test_scaled_step_operators_are_the_factor_times_the_unscaled(scheme):
         assert all(b.data is side[0].data for b in side)
 
 
-@pytest.mark.parametrize("boundary", ["pec", "periodic"])
-@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (3, 4), (7, 7),
-                                    (8, 9), (13, 11), (64, 64), (256, 256)])
-def test_step_operators_match_the_product_oracle(nx, ny, boundary):
+@pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 5), (5, 1), (3, 4),
+                                            (7, 7), (8, 9), (13, 11), (64, 64),
+                                            (256, 256)]))
+def test_step_operators_match_the_product_oracle(nx, ny):
     # 256^2 spans more than one block of rows: G's blocks are stacked
-    m = build_mesh(nx, ny, 1.0, 1.3, boundary)
+    m = build_mesh(nx, ny, 1.0, 1.3)
     C_ref = apply_pec(assemble_curl(m), m, rows=False)
     for p in (optimal_params(0.5, m.gamma), yee_params(),
               MfdParams(0.4, 0.1, 0.2)):
@@ -413,12 +390,7 @@ def test_step_operators_match_the_product_oracle(nx, ny, boundary):
         assert op.has_sorted_indices
         assert np.array_equal(op.indptr, ref.indptr)
         assert np.array_equal(op.indices, ref.indices)
-        if boundary == "pec":  # same sums in the same order
-            assert np.array_equal(op.data, ref.data)
-        elif ref.nnz:  # a wrap may reorder a face's edge terms
-            scale = np.abs(ref.data).max()
-            assert np.abs(op.data - ref.data).max() <= 1e-15 * scale
-    if boundary == "pec" or min(nx, ny) > 1:
-        # Yee's G keeps only the two faces of every interior edge
-        G = stacked_step_operators(m, yee_params())
-        assert (np.diff(G.indptr)[~m.boundary_edge_mask] == 2).all()
+        assert np.array_equal(op.data, ref.data)  # same sums, same order
+    # Yee's G keeps only the two faces of every interior edge
+    G = stacked_step_operators(m, yee_params())
+    assert (np.diff(G.indptr)[~m.boundary_edge_mask] == 2).all()

@@ -19,7 +19,7 @@ from etmfd.stepper import (SimConfig, SimState, Snapshot,
                            nu_max, run, save_snapshot, step, step_operators)
 
 from conftest import (assemble_W, assemble_curl_curl, edge_field,
-                      initial_state)
+                      initial_state, pec_ids, wall_free_gradient)
 
 MEDIUM = Medium()
 
@@ -30,7 +30,7 @@ def make_config(mesh, nu=0.5, T=1.0, **kw):
 
 
 def test_config_validation():
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     with pytest.raises(ValueError):
         make_config(mesh, nu=-0.5)
     with pytest.raises(ValueError):
@@ -47,13 +47,13 @@ def test_config_validation():
 @pytest.mark.parametrize("field", ["nu", "T"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_config_rejects_non_finite(field, value):
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     with pytest.raises(ValueError, match=f"finite and > 0, got {value}"):
         dataclasses.replace(make_config(mesh), **{field: value})
 
 
 def test_initialize_zero_fields():
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     st = initialize(make_config(mesh), np.zeros(mesh.n_edges), (1.0, 1.0),
                     (1.0, 1.0, 1.0))
     assert st.n == 1
@@ -63,7 +63,7 @@ def test_initialize_zero_fields():
 
 def test_exact_solution_boundary_dof_vanish_unclamped():
     # PEC compatibility without clamping: interpolate directly and inspect
-    mesh = build_mesh(16, 16, 1.0, 1.0, "pec")
+    mesh = build_mesh(16, 16, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dof = edge_field(mesh, lambda x, y: exact_E(sol, x, y, 0.0), "midpoint")
     scale = np.abs(dof).max()
@@ -71,7 +71,7 @@ def test_exact_solution_boundary_dof_vanish_unclamped():
 
 
 def test_initialize_standing_setup():
-    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
+    mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     mid, j_scale = mode_dofs(mesh, sol)
     st = initialize(make_config(mesh), mid, j_scale, (1.0, 1.0, 0.0))
@@ -83,7 +83,7 @@ def test_initialize_standing_setup():
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_initialize_rejects_a_wrong_length(which):
     # the profile, the two J scales and the three time factors
-    mesh = build_mesh(4, 3, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 3, 1.0, 1.0)
     args = [np.zeros(mesh.n_edges), (1.0, 1.0), (1.0, 1.0, 1.0)]
     args[which] = [np.zeros(mesh.n_edges - 1), (1.0,), (1.0, 1.0)][which]
     match = [f"want \\({mesh.n_edges},\\)", "argument 2 is shorter",
@@ -93,7 +93,7 @@ def test_initialize_rejects_a_wrong_length(which):
 
 
 def test_run_leaves_the_callers_arrays_unchanged():
-    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
+    mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     mid, j_scale = mode_dofs(mesh, sol)
     kept = mid.copy()
@@ -105,7 +105,7 @@ def test_run_leaves_the_callers_arrays_unchanged():
     (5, 1, [0, 1, 2, 3, 4, 5]), (1, 1, [0, 1]), (5, 2, [0, 2, 4]),
     (4, 3, [0, 3])])
 def test_snapshots_at_every_multiple_of_the_stride(n_steps, stride, want):
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dt = 0.5 * mesh.dx / MEDIUM.c0
     config = make_config(mesh, T=(n_steps - 0.5) * dt, snapshot_stride=stride)
@@ -126,8 +126,16 @@ def _copied(snap):
     return Snapshot(snap.step, snap.t, snap.E.copy(), snap.J.copy())
 
 
+@pytest.mark.parametrize("probes", [(5, 5), (5, 6, np.int64(5))])
+def test_config_refuses_a_repeated_probe_edge(probes):
+    # one trace and one CSV per edge: a repeat would be listed twice
+    mesh = build_mesh(4, 4, 1.0, 1.0)
+    with pytest.raises(ValueError, match="probe edge 5 is listed twice"):
+        make_config(mesh, probes=probes)
+
+
 def test_run_refuses_a_stride_with_no_sink_before_any_step(monkeypatch):
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, snapshot_stride=2)
     calls = []
@@ -139,7 +147,7 @@ def test_run_refuses_a_stride_with_no_sink_before_any_step(monkeypatch):
 
 
 def test_step_zero_state():
-    mesh = build_mesh(3, 3, 1.0, 1.0, "periodic")
+    mesh = build_mesh(3, 3, 1.0, 1.0)
     config = make_config(mesh)
     ops = step_operators(config, exp_operators(MEDIUM, config.dt))
     z = np.zeros(mesh.n_edges)
@@ -149,25 +157,26 @@ def test_step_zero_state():
     assert st.n == 2
 
 
-def test_step_uniform_mode_matches_scalar_recurrence():
-    # k = 0 Bloch mode on a periodic mesh: curl term vanishes, every edge
-    # evolves by the scalar two-step recurrence
-    mesh = build_mesh(4, 4, 1.0, 1.0, "periodic")
+def test_step_uniform_mode_matches_scalar_recurrence(rng):
+    # a gradient vanishing on the walls: the curl term vanishes, every
+    # edge evolves by the scalar two-step recurrence
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     config = make_config(mesh)
     ops = exp_operators(MEDIUM, config.dt)
     e_c, e_p, j_c, j_p = 0.8, 0.75, -0.2, -0.25
-    ones = np.ones(mesh.n_edges)
-    new = SimState(e_c * ones, e_p * ones, j_c * ones, j_p * ones, 1)
+    g = wall_free_gradient(mesh, rng)
+    new = SimState(e_c * g, e_p * g, j_c * g, j_p * g, 1)
     step(new, step_operators(config, ops))
     e_next = (1 + ops.alpha1) * e_c + ops.alpha2 * j_c - ops.alpha1 * e_p - ops.alpha2 * j_p
     j_next = ops.beta1 * j_c + ops.beta2 * e_c + ops.beta3 / ops.alpha3 * (
         e_next - ops.alpha1 * e_c - ops.alpha2 * j_c)
-    assert np.abs(new.E_curr - e_next).max() < 1e-14
-    assert np.abs(new.J_curr - j_next).max() < 1e-14
+    scale = np.abs(g).max()
+    assert np.abs(new.E_curr - e_next * g).max() < 1e-14 * scale
+    assert np.abs(new.J_curr - j_next * g).max() < 1e-14 * scale
 
 
 def test_step_matches_dense_oracle(rng):
-    mesh = build_mesh(3, 3, 1.0, 1.0, "periodic")
+    mesh = build_mesh(3, 3, 1.0, 1.0)
     config = make_config(mesh)
     ops = exp_operators(MEDIUM, config.dt)
     st = SimState(rng.standard_normal(mesh.n_edges),
@@ -189,7 +198,7 @@ def _exact_initial(mesh, sol, dt):
 
 
 def test_run_shorter_than_one_step():
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[0])
     config = make_config(mesh, T=1e-4, probes=(probe,))
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
@@ -200,7 +209,7 @@ def test_run_shorter_than_one_step():
 
 
 def test_run_probe_traces_start_with_initial_data():
-    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
+    mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[7])
     config = make_config(mesh, T=0.5, probes=(probe,))
@@ -214,7 +223,7 @@ def test_run_probe_traces_start_with_initial_data():
 
 
 def test_pec_boundary_invariance_long_run():
-    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
+    mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     nu = 0.5
     T = 10_000 * nu * mesh.dx / MEDIUM.c0  # 10^4 steps
@@ -228,7 +237,7 @@ def test_pec_boundary_invariance_long_run():
 
 
 def test_instability_detected():
-    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
+    mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     # weights unstable at a Courant number the Yee limit admits
     config = SimConfig(mesh=mesh, medium=MEDIUM,
@@ -239,24 +248,29 @@ def test_instability_detected():
 
 @pytest.mark.parametrize("dt", [0.1, 0.01])
 def test_ode_limit_exactness(dt):
-    # acceptance criterion: k = 0 mode integrates the 2x2 ODE exactly
-    mesh = build_mesh(1, 1, 1.0, 1.0, "periodic")
+    # acceptance criterion: a curl-free mode integrates the 2x2 ODE
+    # exactly, here the gradient of the hat at the one interior node of a
+    # 2x2 mesh of unit cells, +-1 on its four edges
+    mesh = build_mesh(2, 2, 2.0, 2.0)
+    e = mesh.hedge_index(0, 1)
+    mode = np.zeros(mesh.n_edges)
+    mode[[e, mesh.hedge_index(1, 1), mesh.vedge_index(1, 0),
+          mesh.vedge_index(1, 1)]] = 1.0, -1.0, 1.0, -1.0
     X = coupling_matrix(MEDIUM)
     u0 = np.array([0.7, -0.3])
     u1 = series_exp_oracle(X, dt) @ u0
     config = SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(),
                        nu=dt * MEDIUM.c0 / mesh.dx, T=1.0)
-    # one horizontal and one vertical edge: the mode on the first
-    res = run(config, (1.0, 0.0), (1.0, 1.0), (u0[0], u1[0], u0[1]))
+    res = run(config, mode, (1.0, 1.0), (u0[0], u1[0], u0[1]))
     ref = series_exp_oracle(X, res.t_final) @ u0
-    assert abs(res.state.E_curr[0] - ref[0]) < 1e-12
-    assert abs(res.state.J_curr[0] - ref[1]) < 1e-12
+    assert abs(res.state.E_curr[e] - ref[0]) < 1e-12
+    assert abs(res.state.J_curr[e] - ref[1]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [64, 256])  # one block of rows, and five
 def test_step_matches_the_unfactored_pair(n, rng):
     # G @ (C @ E) and the in-place update against W @ (A @ E) written out
-    mesh = build_mesh(n, n, 1.0, 1.0, "pec")
+    mesh = build_mesh(n, n, 1.0, 1.0)
     config = make_config(mesh)
     ops = exp_operators(MEDIUM, config.dt)
     st = SimState(*rng.standard_normal((4, mesh.n_edges)), 1)
@@ -276,7 +290,7 @@ def test_step_matches_the_unfactored_pair(n, rng):
 def test_run_keeps_no_view_of_a_reused_buffer():
     # step overwrites the step n-1 buffers: snapshots, probe samples and
     # the final state must hold the values of their own step
-    mesh = build_mesh(6, 5, 1.0, 1.0, "pec")
+    mesh = build_mesh(6, 5, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[9])
     dt = 0.5 * mesh.dx / MEDIUM.c0
@@ -308,7 +322,7 @@ def test_run_keeps_no_view_of_a_reused_buffer():
 
 
 def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
-    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")
+    mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=1.0)
     edge = int(np.flatnonzero(~mesh.boundary_edge_mask)[5])
@@ -332,14 +346,7 @@ def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
 
 # ---- the row-blocked step ---------------------------------------------------
 
-BLOCKED_MESHES = [(13, 11, "pec"), (8, 8, "pec"), (9, 7, "periodic"),
-                  (1, 40, "periodic")]  # a one-cell-wide torus sums duplicates
-
-
-def _admitted_config(mesh):
-    """make_config at nu = 0.5, or at nu_max where the cells are too flat
-    for it (the 1x40 torus of BLOCKED_MESHES)."""
-    return make_config(mesh, nu=min(0.5, nu_max(mesh.gamma)))
+BLOCKED_MESHES = pec_ids([(13, 11), (8, 8)])
 
 
 def _random_state(config, rng):
@@ -348,11 +355,11 @@ def _random_state(config, rng):
 
 @pytest.mark.parametrize("block", [7, 64])
 @pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
-@pytest.mark.parametrize("nx, ny, boundary", BLOCKED_MESHES)
-def test_blocked_step_is_bit_identical_to_one_block(nx, ny, boundary, scheme,
-                                                    block, rng, monkeypatch):
-    mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
-    config = _admitted_config(mesh)
+@pytest.mark.parametrize("nx, ny", BLOCKED_MESHES)
+def test_blocked_step_is_bit_identical_to_one_block(nx, ny, scheme, block,
+                                                    rng, monkeypatch):
+    mesh = build_mesh(nx, ny, 1.0, 1.3)
+    config = make_config(mesh)
     config = dataclasses.replace(
         config, params=params_for_scheme(scheme, config.nu, mesh.gamma))
     ops = exp_operators(MEDIUM, config.dt)
@@ -372,12 +379,12 @@ def test_blocked_step_is_bit_identical_to_one_block(nx, ny, boundary, scheme,
         assert np.array_equal(getattr(st_one, field), getattr(st_many, field))
 
 
-@pytest.mark.parametrize("nx, ny, boundary", BLOCKED_MESHES)
-def test_blocked_step_returns_the_max_over_every_block(nx, ny, boundary, rng,
+@pytest.mark.parametrize("nx, ny", BLOCKED_MESHES)
+def test_blocked_step_returns_the_max_over_every_block(nx, ny, rng,
                                                        monkeypatch):
     monkeypatch.setattr(operators, "BLOCK", 7)
-    mesh = build_mesh(nx, ny, 1.0, 1.3, boundary)
-    config = _admitted_config(mesh)
+    mesh = build_mesh(nx, ny, 1.0, 1.3)
+    config = make_config(mesh)
     ops = step_operators(config, exp_operators(MEDIUM, config.dt))
     last = int(np.flatnonzero(~mesh.boundary_edge_mask)[-1])
     states = [_random_state(config, rng)]
@@ -397,7 +404,7 @@ def test_blocked_step_returns_the_max_over_every_block(nx, ny, boundary, rng,
 @pytest.mark.parametrize("field", ["E", "J"])
 def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
     monkeypatch.setattr(operators, "BLOCK", 64)
-    mesh = build_mesh(8, 8, 1.0, 1.0, "pec")  # 144 edges, 4 blocks
+    mesh = build_mesh(8, 8, 1.0, 1.0)  # 144 edges, 4 blocks
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=1.0)
     real = stepper._j_update
@@ -420,7 +427,7 @@ def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
 
 
 def test_step_allocates_no_edge_sized_array(rng):
-    mesh = build_mesh(512, 512, 1.0, 1.0, "pec")  # 525 312 edges, 18 blocks
+    mesh = build_mesh(512, 512, 1.0, 1.0)  # 525 312 edges, 18 blocks
     config = make_config(mesh)
     ops = step_operators(config, exp_operators(MEDIUM, config.dt))
     assert len(ops.K.blocks) == 18
@@ -446,7 +453,7 @@ def test_step_allocates_no_edge_sized_array(rng):
     pytest.param((0.25, -0.3, 0.25), 0.5, 113, id="w2--0.3-113")])
 def test_blowup_caught_at_first_step_past_the_bound(weights, nu, n_fail,
                                                     monkeypatch):
-    mesh = build_mesh(32, 32, 1.0, 1.0, "pec")
+    mesh = build_mesh(32, 32, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, nu=nu, T=8.0)
     if weights is not None:
@@ -477,7 +484,7 @@ def test_blowup_caught_at_first_step_past_the_bound(weights, nu, n_fail,
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 def test_config_refuses_nu_past_the_stability_limit(gamma):
-    mesh = build_mesh(32, 32, 1.0, gamma, "pec")
+    mesh = build_mesh(32, 32, 1.0, gamma)
     limit = gamma / math.sqrt(1.0 + gamma * gamma)
     assert nu_max(mesh.gamma) == pytest.approx(limit, rel=1e-15)
     make_config(mesh, nu=0.99 * limit)
@@ -492,7 +499,7 @@ def test_nu_max_is_where_random_data_starts_to_blow_up(gamma, scheme, rng,
                                                        monkeypatch):
     # by bisection at 32^2 over T = 30, the measured limit sits 0.09% to
     # 0.23% above nu_max, for both weight sets and gamma in {0.5, 1, 2}
-    mesh = build_mesh(32, 32, 1.0, gamma, "pec")
+    mesh = build_mesh(32, 32, 1.0, gamma)
     monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     for factor, stable in ((0.99, True), (1.01, False)):
         nu = factor * gamma / math.sqrt(1.0 + gamma * gamma)
@@ -509,7 +516,7 @@ def test_nu_max_is_where_random_data_starts_to_blow_up(gamma, scheme, rng,
 
 
 def test_alpha3_guard_fires_before_the_first_step(monkeypatch):
-    mesh = build_mesh(4, 4, 1.0, 1.0, "pec")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh)
     real = stepper.exp_operators
@@ -538,14 +545,14 @@ def second_order_step(state, W_op, A_op, ops, config):
 def test_hybrid_equivalent_to_second_order_form():
     # identical E trajectories from identical (E0, E1, J0, J1) when J1
     # comes from one hybrid J update
-    mesh = build_mesh(4, 4, 1.0, 1.0, "periodic")
+    mesh = build_mesh(4, 4, 1.0, 1.0)
     config = make_config(mesh, T=3.0)
     ops = exp_operators(MEDIUM, config.dt)
     W_op = assemble_W(mesh, config.params)
     A_op = assemble_curl_curl(mesh)
     step_ops = step_operators(config, ops)
 
-    kx = ky = 2 * np.pi  # periodic-compatible standing data
+    kx = ky = 2 * np.pi  # standing data vanishing on the walls
 
     mode = interpolate_edge_field(mesh,
                                   lambda x, y: np.cos(kx * x) * np.sin(ky * y),
@@ -562,7 +569,7 @@ def test_hybrid_equivalent_to_second_order_form():
 
 
 def test_snapshot_roundtrip(tmp_path):
-    mesh = build_mesh(6, 5, 1.0, 1.0, "pec")
+    mesh = build_mesh(6, 5, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.5, snapshot_stride=2)
     snapshots = []
@@ -581,8 +588,21 @@ def test_snapshot_roundtrip(tmp_path):
         assert np.array_equal(J, snap.J)
 
 
+def test_snapshot_sidecar_holds_exactly_its_keys(tmp_path):
+    # the format readers rely on, "boundary" included: every mesh is PEC
+    mesh = build_mesh(3, 2, 1.5, 1.0)
+    z = np.zeros(mesh.n_edges)
+    save_snapshot(str(tmp_path / "s"), mesh, Snapshot(4, 0.25, z, z))
+    meta = json.loads((tmp_path / "s.json").read_text())
+    assert meta == {
+        "nx": 3, "ny": 2, "Lx": 1.5, "Ly": 1.0, "boundary": "pec",
+        "step": 4, "time": 0.25, "n_edges": 17, "dtype": "<f8",
+        "order": "global edge index (horizontal edges first)",
+        "fields": {"E": "s.E.bin", "J": "s.J.bin"}}
+
+
 def test_snapshot_loads_from_another_cwd(tmp_path, monkeypatch):
-    mesh = build_mesh(3, 2, 1.0, 1.0, "pec")
+    mesh = build_mesh(3, 2, 1.0, 1.0)
     snap = Snapshot(4, 0.25, np.arange(mesh.n_edges, dtype=float),
                     -np.arange(mesh.n_edges, dtype=float))
     (tmp_path / "run" / "out").mkdir(parents=True)
@@ -595,7 +615,7 @@ def test_snapshot_loads_from_another_cwd(tmp_path, monkeypatch):
 
 
 def test_snapshot_old_sidecar_with_absolute_paths(tmp_path):
-    mesh = build_mesh(2, 2, 1.0, 1.0, "pec")
+    mesh = build_mesh(2, 2, 1.0, 1.0)
     snap = Snapshot(0, 0.0, np.ones(mesh.n_edges), np.zeros(mesh.n_edges))
     prefix = str(tmp_path / "snap")
     save_snapshot(prefix, mesh, snap)
@@ -609,7 +629,7 @@ def test_snapshot_old_sidecar_with_absolute_paths(tmp_path):
 
 
 def test_save_snapshot_writes_without_an_edge_sized_copy(tmp_path):
-    mesh = build_mesh(512, 512, 1.0, 1.0, "pec")  # 525 312 edges
+    mesh = build_mesh(512, 512, 1.0, 1.0)  # 525 312 edges
     rng = np.random.default_rng(7)
     snap = Snapshot(3, 0.5, *rng.standard_normal((2, mesh.n_edges)))
     prefix = str(tmp_path / "snap")
@@ -629,7 +649,7 @@ def test_save_snapshot_writes_without_an_edge_sized_copy(tmp_path):
 
 def test_run_builds_no_face_edge_table():
     # the step's curl reads edge lines: only norms and oracles need it
-    mesh = build_mesh(8, 6, 1.0, 1.0, "pec")
+    mesh = build_mesh(8, 6, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.25, snapshot_stride=2)
     run(config, *_exact_initial(mesh, sol, config.dt), save=lambda s: None)
