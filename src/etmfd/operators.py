@@ -3,10 +3,10 @@
 The family is parameterized by three dimensionless weights (w1, w2, w3)
 entering the local approximate inverse mass matrix W.  Yee staggering is
 the member (1/4, 0, 1/4); the dispersion-optimal member ties the weights
-to the Courant number and cell aspect ratio.  The step operators are
-written from a template of a few cells, whose rows every uniform mesh
-repeats, shifted; the mass matrix enters only the error norm, face by
-face, as its local block.
+to the Courant number and cell aspect ratio.  The step applies W times
+the curl-curl without a matrix: the curl, then a five-point stencil of
+face differences on each edge; the mass matrix enters only the error
+norm, face by face, as its local block.
 PEC boundary edges carry no DoF in the step, so they stay zero.
 """
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import RectMesh
 
@@ -90,35 +89,10 @@ def local_M(params: MfdParams, dx: float, dy: float) -> np.ndarray:
     return np.linalg.inv(W)
 
 
-# A row of G reaches the faces within two cells of its edge, so on a
-# uniform mesh it is a row of G on a template of at most TEMPLATE cells a
-# side, shifted by whole cells: edges within HALO cells of a wall keep
-# their place, all others take a central row
-TEMPLATE, HALO = 4, 2
-
-# Rows per block of G, the unit of both its assembly and the step, and
-# faces per block of the curl.  A block's six edge vectors (48 bytes a
-# row, 1.5 MB) fit in a 2 MB L2 cache next to the block's share of G,
-# streamed once per step
+# Rows per block of the step (a mesh of at most BLOCK edges is one
+# block), and faces per block of the curl.  A block's six edge vectors
+# (48 bytes a row, 1.5 MB) fit in a 2 MB L2 cache next to its buffers
 BLOCK = 1 << 15
-
-
-def _template_G(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
-    """The template mesh and its G = W C^T diag(|f|) times scale, dense.
-    An entry sums its face's edge terms in ascending edge order, as the
-    product W @ C^T does: the same bits."""
-    # topology only: values use mesh.dx, dy
-    t = RectMesh(min(mesh.nx, TEMPLATE), min(mesh.ny, TEMPLATE), 1.0, 1.0)
-    fe, b, faces = t.face_edge_table, t.boundary_edge_mask, np.arange(t.n_faces)
-    W, C = np.zeros((t.n_edges, t.n_edges)), np.zeros((t.n_faces, t.n_edges))
-    np.add.at(W, (fe[:, :, None], fe[:, None, :]),
-              local_W(params, mesh.dx, mesh.dy))
-    C[faces[:, None], fe] = local_curl(mesh.dx, mesh.dy)
-    W[b], C[:, b] = 0.0, 0.0
-    K = np.sort(fe, axis=1)
-    terms = W[:, K] * C[faces[:, None], K]
-    return t, (((terms[..., 0] + terms[..., 1]) + terms[..., 2])
-               + terms[..., 3]) * (mesh.dx * mesh.dy) * scale
 
 
 def row_blocks(n: int, line: int) -> np.ndarray:
@@ -127,19 +101,6 @@ def row_blocks(n: int, line: int) -> np.ndarray:
     longer), of equal size to within one line."""
     nb = -(-n // max(1, BLOCK // line))
     return np.arange(nb + 1) * n // nb
-
-
-def _diagonals(lines: np.ndarray, offsets: np.ndarray) -> tuple:
-    """DIA (data, offsets) of rows given line by line as a (lines,
-    diagonals, rows a line) array: row r's entry on diagonal d sits in
-    column r + offsets[d]."""
-    vals = lines.transpose(1, 0, 2).reshape(len(offsets), -1)
-    n = vals.shape[1]
-    data = np.zeros((len(offsets), n + max(int(offsets.max()), 0)))
-    for d, k in enumerate(offsets.tolist()):
-        if -k < n:
-            data[d, max(k, 0):n + k] = vals[d, max(-k, 0):]
-    return data, offsets.astype(np.int32)
 
 
 class Curl:
@@ -172,7 +133,7 @@ class Curl:
     def __call__(self, E: np.ndarray, out: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
         """The curl of E into out, a face vector, which it returns;
-        scratch is another."""
+        scratch holds at least one block of faces."""
         lines = self.mesh.edge_lines(E)
         y = out.reshape(self.mesh.ny, self.mesh.nx)
         for rows, terms in self.blocks:
@@ -187,99 +148,135 @@ class Curl:
         return out
 
 
+class Block(NamedTuple):
+    """Rows of a `CurlCurl`, their buffer z, and the calls that fill z."""
+    rows: slice
+    z: np.ndarray
+    calls: tuple
+
+
 class CurlCurl(NamedTuple):
-    """W A = G C: the `Curl` C with the PEC columns dropped, then G =
-    W C^T diag(|f|) with the PEC rows dropped as DIA row blocks, in row
-    order; block k's rows are `blocks[k] @ windows(E)[k]`.  With (padded,
-    start) = reads[k], it reads entries start .. start + blocks[k].shape[1]
-    of the face vector y or, if padded, of `layout` flat: the ny face
-    lines, each zero past its nx faces.  Blocks whose lines take the same
-    template rows share one `data` array."""
+    """scale W A = scale W C^T diag(|f|) C with the PEC rows and columns
+    dropped, without a matrix: `curl` writes y = C E, then each block's
+    (ufunc, operands) calls, on views fixed when it is built, take the
+    face differences of y on its edges and their five-point stencil
+    (`assemble_step_operators`).  It holds y and block-sized buffers."""
     curl: Curl
-    blocks: tuple
-    reads: tuple
-    layout: np.ndarray
     y: np.ndarray
     scratch: np.ndarray
+    blocks: tuple
 
-    def windows(self, E: np.ndarray) -> list:
-        """C E into y and the layout; each block's input window."""
-        y, lay = self.curl(E, self.y, self.scratch), self.layout
-        lay[:, :self.curl.mesh.nx] = y.reshape(lay.shape[0], -1)
-        faces = (y, lay.reshape(-1))
-        return [faces[padded][c:c + G_b.shape[1]]
-                for G_b, (padded, c) in zip(self.blocks, self.reads)]
+    def __call__(self, E: np.ndarray):
+        """Yield (rows, z) block by block in row order: z holds the rows
+        `rows` of scale W A E until the next block overwrites it."""
+        self.curl(E, self.y, self.scratch)
+        for block in self.blocks:
+            for f, args in block.calls:
+                f(*args)
+            yield block.rows, block.z
 
 
-def _G_blocks(mesh: RectMesh, params: MfdParams, scale: float) -> tuple:
-    """The `blocks` and `reads` of a `CurlCurl` of scale W A.
+def _stencil(D, w, z, t, A, B_lines, C_rows, ends=()) -> list:
+    """The calls z = A d + B (d of the lines before and after) + C (d of
+    the rows before and after), d in the flat buffer D of lines of w
+    rows, one halo line before z's; t takes each sum, and the ends amend
+    the row sums past the lines' ends.  A zero B or C skips its term."""
+    def at(k):  # d shifted by k rows
+        return D[w + k:w + k + len(z)]
+    calls = [(np.multiply, (at(0), A, z))]
+    for coef, k, fixes in ((B_lines, w, ()), (C_rows, 1, ends)):
+        if coef:
+            calls += [(np.add, (at(-k), at(k), t)), *fixes,
+                      (np.multiply, (t, coef, t)), (np.add, (z, t, z))]
+    return calls
 
-    G's blocks hold whole grid lines of one edge orientation, at the
-    bounds of `row_blocks`.  The rows of a line are consecutive entries
-    of their face layout, so each face a row reaches sits at a fixed
-    offset from it: a block is a DIA matrix, its diagonals the row's
-    faces in ascending order.  Horizontal edges read y, vertical ones
-    the faces padded to nx + 1 a line."""
-    nx, ny = mesh.nx, mesh.ny
-    # G: edge (i, j) takes the row of template edge (i - si, j - sj), with
-    # its faces shifted by (si, sj)
-    t, Gt = _template_G(mesh, params, scale)
-    tfj, tfi = np.divmod(np.arange(t.n_faces), t.nx)
 
-    def shift(k, n, tn):  # cell or line indices k, axis of n (tn) cells
-        return np.minimum(np.maximum(k - HALO, 0), n - tn)
+def _horizontal(y, D, z, t, l0, l1, coeffs) -> list:
+    """The calls of the block of horizontal edge lines l0 .. l1 - 1: d is
+    0 on the wall lines 0 and ny (Dirichlet across) and reflected past
+    each line's ends (Neumann along)."""
+    ny, nx = y.shape
+    n, y, (A, B, C) = l1 - l0, y.reshape(-1), coeffs
+    # D holds lines l0 - 1 .. l1: d on the interior ones P .. Q - 1, else 0
+    P, Q = max(l0 - 1, 1), min(l1 + 1, ny)
+    D, z, t = D[:(n + 2) * nx], z.reshape(n, nx), t[:n * nx].reshape(n, nx)
+    calls = [(np.copyto, (v, 0.0)) for v in (D[:(P - l0 + 1) * nx],
+                                             D[(Q - l0 + 1) * nx:]) if v.size]
+    calls.append((np.subtract, (y[P * nx:Q * nx], y[(P - 1) * nx:(Q - 1) * nx],
+                                D[(P - l0 + 1) * nx:(Q - l0 + 1) * nx])))
+    d = D[nx:(n + 1) * nx].reshape(n, nx)
+    ends = [(np.add, (d[:, i], d[:, j], t[:, k])) for i, j, k in
+            ((0, min(1, nx - 1), 0), (max(nx - 2, 0), nx - 1, nx - 1))]
+    walls = [(np.copyto, (z[k], 0.0)) for k in (0, -1)
+             if l0 + k % n in (0, ny)]
+    return calls + _stencil(D, nx, z.reshape(-1), t.reshape(-1), A, B, C,
+                            ends) + walls
 
-    # per orientation: template row, rows a line, lines, whether it reads
-    # the layout (else y)
-    kinds = ((t.hedge_index, nx, ny + 1, False),
-             (t.vedge_index, nx + 1, ny, True))
-    sizes = (mesh.n_faces, ny * (nx + 1))
-    blocks, reads = [], []
-    for index, n, lines, padded in kinds:
-        i, j = np.arange(n), np.arange(lines)
-        si, tj = shift(i, nx, t.nx), j - shift(j, ny, t.ny)
-        # tj takes every value between its extremes
-        us, uj = np.arange(tj.min(), tj.max() + 1), tj - tj.min()
-        # the rows of a line of each template line us[w], their entries
-        # (w, row r, template face f) and each entry's offset
-        rows = Gt[index(i - si, us[:, None])]
-        w, r, f = np.nonzero(rows)
-        fi, dj = tfi[f] + si[r], tfj[f] - us[w]
-        off = dj * n + fi - r
-        K = np.union1d(off, [0])  # 0: one zero diagonal if G has no entry
-        pattern = np.zeros((len(us), len(K), n))
-        pattern[w, np.searchsorted(K, off), r] = rows[w, r, f]
-        # blocks of one template line share the data array of the longest
-        # block, of which a shorter one reads a part
-        bounds, line_u = row_blocks(lines, n).tolist(), uj.tolist()
-        most = max(b - a for a, b in zip(bounds, bounds[1:]))
-        shared = {}
-        for l0, l1 in zip(bounds[:-1], bounds[1:]):
-            p0 = l0 * n  # layout entry of the block's first row
-            c0 = max(0, p0 + int(K[0]))
-            c1 = min(sizes[padded], p0 + (l1 - l0) * n + int(K[-1]))
-            u = line_u[l0:l1]
-            key = (p0 - c0, (u[0],) * most if u.count(u[0]) == len(u)
-                   else tuple(u))
-            if key not in shared:
-                shared[key] = _diagonals(pattern[list(key[1])], K + key[0])
-            blocks.append(sp.dia_matrix(shared[key],
-                                        shape=((l1 - l0) * n, c1 - c0)))
-            reads.append((padded, c0))
-    return tuple(blocks), tuple(reads)
+
+def _vertical(y, D, z, t, l0, l1, coeffs) -> list:
+    """The calls of the block of vertical edge lines l0 .. l1 - 1: d is
+    0 on the wall rows 0 and nx (Dirichlet across), and the first and
+    the last line's d stands past them (Neumann along)."""
+    ny, nx = y.shape
+    n, w, (A, B, C) = l1 - l0, nx + 1, coeffs
+    # D holds lines l0 - 1 .. l1, the real ones P .. Q - 1 written here;
+    # its wall rows stay 0
+    P, Q = max(l0 - 1, 0), min(l1 + 1, ny)
+    D2 = D[:(n + 2) * w].reshape(n + 2, w)
+    calls = [(np.subtract, (y[P:Q, :-1], y[P:Q, 1:],
+                            D2[P - l0 + 1:Q - l0 + 1, 1:nx]))]
+    calls += [(np.copyto, (D2[g], D2[r])) for g, r, ghost in
+              ((0, 1, l0 == 0), (n + 1, n, l1 == ny)) if ghost]
+    return calls + _stencil(D, w, z, t[:n * w], A, C, B) + [
+        (np.copyto, (z.reshape(n, w)[:, k], 0.0)) for k in (0, nx)]
 
 
 def assemble_step_operators(mesh: RectMesh, params: MfdParams,
                             scale: float) -> CurlCurl:
-    """The `CurlCurl` scale W A = G C, G written from stencils without a
-    product.  The template's G takes the scale, so each stored entry is
-    one template entry times it: the bits of scaling G afterwards."""
-    blocks, reads = _G_blocks(mesh, params, scale)
-    # the buffers once the assembly's temporaries are freed, whose
-    # resident memory they can take
-    layout, y = np.zeros((mesh.ny, mesh.nx + 1)), np.empty(mesh.n_faces)
-    return CurlCurl(Curl(mesh), blocks, reads, layout, y,
-                    np.empty(mesh.n_faces))
+    """The `CurlCurl` of scale W A, its blocks' calls planned once.
+
+    On each edge let d be the difference of y across it, y[j] - y[j-1]
+    on horizontal edge (i, j) and y[i-1] - y[i] on vertical edge (i, j):
+    C^T diag(|f|) y is dx d on horizontal edges and dy d on vertical
+    ones.  W sums local_W rows over the edge's two faces.  On a
+    horizontal edge their w2 terms read the four vertical edges of
+    those faces, whose signed sum is a second difference of y, dy (2 d
+    - d[i-1] - d[i+1]) on the horizontal edges beside it.  So, with
+    s = scale / (4 dx dy), a1 = 1 + 4 w1, b1 = 1 - 4 w1 and c = 4 w2,
+
+        z = A d + B (d[j-1] + d[j+1]) + C (d[i-1] + d[i+1]),
+        A = s dx (2 a1 + 2 c dy/dx),  B = s dx b1,  C = -s dx c dy/dx,
+
+    and the vertical edges mirror it with a3, b3 and c dx/dy.  Past the
+    walls d is 0 across an edge (the dropped PEC columns) and reflected
+    along it (y mirrored past a wall gives the wall edge its d = 0);
+    wall edges take z = 0."""
+    nx, ny, dx, dy = mesh.nx, mesh.ny, mesh.dx, mesh.dy
+    s, c = scale / (4.0 * dx * dy), 4.0 * params.w2
+    coeffs = [(s * h * (2.0 * (1.0 + 4.0 * w) + 2.0 * c * r),
+               s * h * (1.0 - 4.0 * w), -s * h * c * r) for h, w, r in
+              ((dx, params.w1, dy / dx), (dy, params.w3, dx / dy))]
+    # per orientation: the calls' planner, rows a line and row blocks,
+    # each a run of whole edge lines
+    kinds = ((_horizontal, nx, row_blocks(ny + 1, nx).tolist()),
+             (_vertical, nx + 1, row_blocks(ny, nx + 1).tolist()))
+    most = [max(np.diff(b).tolist()) * w for _, w, b in kinds]
+    one = mesh.n_edges <= BLOCK  # then one block takes both orientations
+    y, z = np.empty(mesh.n_faces), np.empty(mesh.n_edges if one else max(most))
+    scratch = np.empty(max(max(most), max(np.diff(row_blocks(ny, nx))) * nx))
+    blocks = []
+    for (plan, w, bounds), size, abc in zip(kinds, most, coeffs):
+        # d with a halo line each side; zeros, since the vertical wall
+        # rows are never written
+        D = np.zeros(size + 2 * w)
+        for l0, l1 in zip(bounds, bounds[1:]):
+            a = blocks[-1].rows.stop if blocks else 0
+            zb = z[a * one:a * one + (l1 - l0) * w]
+            calls = plan(y.reshape(ny, nx), D, zb, scratch, l0, l1, abc)
+            blocks.append(Block(slice(a, a + len(zb)), zb, tuple(calls)))
+    if one:
+        blocks = [Block(slice(0, len(z)), z, blocks[0].calls + blocks[1].calls)]
+    return CurlCurl(Curl(mesh), y, scratch, tuple(blocks))
 
 
 def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mesh import RectMesh, scale_lines
+from . import operators
 from .operators import CurlCurl, MfdParams, assemble_step_operators
 from .plasma import ExpOperators, Medium, exp_operators
 
@@ -148,8 +149,12 @@ def initialize(config: SimConfig, mode, j_scale, factors,
     J0 *= f2
     for v in (E0, E1, J0):
         v[mesh.boundary_edge_mask] = 0.0
-    J1 = _j_update(_j_coefficients(expops), E0, J0, E1,
-                   out=np.empty_like(J0), scratch=np.empty_like(J0))
+    # J^1 in slices of BLOCK edges, with one slice of scratch
+    J1, coeffs = np.empty_like(J0), _j_coefficients(expops)
+    scratch = np.empty(min(operators.BLOCK, len(J0)))
+    for a in range(0, len(J0), len(scratch)):
+        b = slice(a, a + len(scratch))
+        _j_update(coeffs, E0[b], J0[b], E1[b], J1[b], scratch[:len(J1[b])])
     return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
 
 
@@ -157,17 +162,14 @@ def step(state: SimState, ops: StepOperators) -> float:
     """Advance one step in place, E before J so the scheme is explicit.
     Returns max |field| over the new E and J, NaN if either holds one.
 
-    One pass over the row blocks of G: each block's SpMV, E and J updates
-    and max/min run on its slices while they are in cache.  Every entry
-    takes the same operations in the same order as a whole-vector pass."""
-    windows = ops.K.windows(state.E_curr)
+    One pass over the row blocks of K: each block's curl-curl rows, E
+    and J updates and max/min run on its slices while they are in cache.
+    Every entry takes the same operations in the same order as a
+    whole-vector pass."""
     (a1, a2), E, J = ops.alphas, state.E_prev, state.J_prev
-    peaks = np.empty((len(windows), 4))
-    a = 0
-    for k, (G_b, x) in enumerate(zip(ops.K.blocks, windows)):
-        b = a + G_b.shape[0]
-        z = G_b @ x  # the block's curl-curl term, its only new array
-        e, j, e_c, j_c = E[a:b], J[a:b], state.E_curr[a:b], state.J_curr[a:b]
+    peaks = np.empty((len(ops.K.blocks), 4))
+    for k, (r, z) in enumerate(ops.K(state.E_curr)):
+        e, j, e_c, j_c = E[r], J[r], state.E_curr[r], state.J_curr[r]
         # E' = (1 + a1) E - a1 E_prev + a2 (J - J_prev) + z into E_prev,
         # then J' into J_prev with z as scratch
         z += np.multiply(np.subtract(j_c, j, out=j), a2, out=j)
@@ -175,7 +177,6 @@ def step(state: SimState, ops: StepOperators) -> float:
         np.add(np.multiply(e_c, 1.0 + a1, out=e), z, out=e)
         _j_update(ops.j_coeffs, e_c, j_c, e, out=j, scratch=z)
         peaks[k] = e.max(), -e.min(), j.max(), -j.min()  # no |x| temporary
-        a = b
     state.E_curr, state.E_prev = E, state.E_curr
     state.J_curr, state.J_prev = J, state.J_curr
     state.n += 1

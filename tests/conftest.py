@@ -4,9 +4,9 @@ The oracles the acceptance suite and `etmfd selftest` share (dense
 assembly, series and quadrature exponentials) live in `etmfd.selftest`.
 These recompute the rest through routes the production code does not
 take: a state built from any three edge arrays for the random-data
-tests, COO assembly (of W C^T, which the stencil-built step operators
-must equal, and of the global mass matrix, which the face-by-face error
-norm must match), Bloch phase fields, Gauss-Legendre edge and face
+tests, COO assembly (of W and the curl-curl, whose product the
+matrix-free step operators must apply, and of the global mass matrix,
+which the face-by-face error norm must match), Bloch phase fields, Gauss-Legendre edge and face
 averages and analytic antiderivatives for the commuting-diagram and
 exactness tests, the probe rule scored on every edge, and the leapfrog
 dispersion residual in a conductor.
@@ -94,9 +94,9 @@ def assemble_curl_curl(mesh):
 
 
 def assemble_W(mesh, params):
-    """Global W from local blocks, PEC rows/columns dropped.  With the
-    PEC-pruned curl it gives the step operators' oracle, the product
-    G = (W C^T) |f| that `operators.assemble_step_operators` writes."""
+    """Global W from local blocks, PEC rows/columns dropped.  With
+    `assemble_curl_curl` it gives the step operators' oracle, the
+    product W A that `operators.assemble_step_operators` applies."""
     block = local_W(params, mesh.dx, mesh.dy)
     return apply_pec(assemble_local_blocks(mesh, block), mesh)
 

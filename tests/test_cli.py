@@ -4,9 +4,12 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -692,3 +695,38 @@ def test_readme_exit_code_table_is_cli_exit_codes():
             assert issubclass(cls, tuple(map(readme_class, classes))), name
             assert exit_code_of(cls) == code, name
     assert {cls for types, _, _ in cli.EXIT_CODES for cls in types} <= named
+
+
+NO_SCIPY = """
+import importlib.abc, json, sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is not a runtime dependency: {name}")
+
+
+sys.meta_path.insert(0, NoScipy())
+from etmfd import cli
+
+with open("converge.json", "w") as fh:
+    json.dump({"log2_h": [-3, -4], "schemes": ["etmfd", "et-yee"]}, fh)
+codes = [cli.main(["selftest"]),
+         cli.main(["--config", "converge.json", "converge"])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # a fresh interpreter that refuses any scipy import runs selftest and a
+    # 2-level converge: numpy is the only runtime dependency
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK, EXIT_OK], "scipy": []}
+    assert (tmp_path / "converge.csv").stat().st_size > 0

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from etmfd import operators
-from etmfd.mesh import build_mesh, interpolate_edge_field
-from etmfd.operators import (Curl, MfdParams, SingularLocalWError,
+from etmfd.mesh import RectMesh, build_mesh, interpolate_edge_field
+from etmfd.operators import (MfdParams, SingularLocalWError,
                              assemble_step_operators, row_blocks,
                              local_M, local_W, local_curl, optimal_params,
                              params_for_scheme, yee_params)
@@ -240,26 +239,6 @@ def test_commuting_diagram_midpoint_second_order():
     assert 3.0 < d2 / d3 < 5.0
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 1.0, 2.0), (3, 3, 1.0, 1.0),
-                                   (1, 1, 1.0, 1.0)])
-def test_step_operators_factor_W_times_curl_curl(shape):
-    m = build_mesh(*shape)
-    p = optimal_params(0.5, m.gamma)
-    G, C = stacked_step_operators(m, p), curl_matrix(m)
-    ref = (assemble_W(m, p) @ assemble_curl_curl(m)).toarray()
-    assert np.abs(G @ C - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert G.has_sorted_indices
-    assert np.abs(C[:, m.boundary_edge_mask]).max() == 0.0  # PEC columns
-
-
-def curl_matrix(mesh):
-    """The dense matrix of the step's curl, column by column from its
-    action on the unit edge vectors."""
-    curl, y, s = Curl(mesh), np.empty(mesh.n_faces), np.empty(mesh.n_faces)
-    return np.stack([curl(e, y, s).copy() for e in np.eye(mesh.n_edges)],
-                    axis=1)
-
-
 def torus_curl(mesh, E):
     """The curl on the nx x ny torus of E with its wall entries zeroed:
     the top and right wall lines are dropped, and the bottom and left
@@ -298,38 +277,6 @@ def test_curl_acts_as_the_pruned_oracle_curl(nx, ny, oracle, block, rng,
         assert np.array_equal(y, ref)
 
 
-# ---- stencil-built step operators vs the product-built oracle -----------------
-
-def stacked_step_operators(mesh, params):
-    """G with its DIA row blocks mapped back onto the face columns and
-    stacked into one CSR matrix, after checking that the blocks hold whole
-    edge lines at the bounds of `row_blocks`, each with sorted int32
-    offsets and an owned float64 data array, and that no entry falls on
-    the zero padding of a face layout."""
-    G = assemble_step_operators(mesh, params, 1.0)
-    rows = [n * b for lines, n in (v.shape for v in mesh.edge_lines(
-        np.empty(mesh.n_edges))) for b in np.diff(row_blocks(lines, n))]
-    assert [b.shape[0] for b in G.blocks] == rows
-    parts = []
-    for b, (padded, start) in zip(G.blocks, G.reads):
-        assert isinstance(b, sp.dia_matrix)
-        assert b.offsets.dtype == np.int32
-        assert (np.diff(b.offsets) > 0).all()
-        assert b.data.dtype == np.float64 and b.data.flags.c_contiguous
-        assert b.data.base is None
-        coo = b.tocoo()  # drops the zero fill
-        col = coo.col + start
-        if padded:  # layout entry -> face
-            line, fi = np.divmod(col, G.layout.shape[1])
-            assert (fi < mesh.nx).all()
-            col = line * mesh.nx + fi
-        parts.append(sp.csr_matrix((coo.data, (coo.row, col)),
-                                   shape=(b.shape[0], mesh.n_faces)))
-    G = sp.vstack(parts, format="csr")
-    G.sort_indices()
-    return G
-
-
 @pytest.mark.parametrize("n, sizes", [(1, [1]), (7, [7]), (8, [4, 4]),
                                       (15, [5, 5, 5]), (16, [5, 5, 6]),
                                       (23, [5, 6, 6, 6])])
@@ -340,74 +287,105 @@ def test_row_blocks_are_equal_and_at_most_BLOCK(n, sizes, monkeypatch):
     assert np.diff(bounds).tolist() == sizes
 
 
+# ---- the matrix-free curl-curl stencil vs the product-built oracle -----------
+
+WEIGHTS = [None, (0.25, 0.0, 0.25), (0.4, 0.1, 0.2), (0.25, -0.3, 0.25)]
+
+
+def weights(w, mesh):
+    """MfdParams of a WEIGHTS entry; None is the optimal set at nu = 0.5."""
+    return optimal_params(0.5, mesh.gamma) if w is None else MfdParams(*w)
+
+
+def stencil_action(mesh, params, scale, E):
+    """scale W A E from the `CurlCurl`, its blocks laid side by side, after
+    checking that their rows tile the edge vector in order."""
+    out, end = np.full(mesh.n_edges, np.nan), 0
+    for rows, z in assemble_step_operators(mesh, params, scale)(E):
+        assert rows.start == end and z.shape == (rows.stop - rows.start,)
+        out[rows], end = z, rows.stop
+    assert end == mesh.n_edges
+    return out
+
+
+def assert_acts_as_the_product_oracle(mesh, params, rng):
+    # random wall entries too, which must reach no row
+    scale = -0.3 * mesh.dx  # the step's -(c0^2 dt alpha3) is of this kind
+    E = rng.standard_normal(mesh.n_edges)
+    ref = scale * (assemble_W(mesh, params) @ (assemble_curl_curl(mesh) @ E))
+    z = stencil_action(mesh, params, scale, E)
+    assert np.abs(z - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert not z[mesh.boundary_edge_mask].any()  # wall rows: exactly 0
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 1.0, 2.0), (3, 3, 1.0, 1.0),
+                                   (1, 1, 1.0, 1.0)])
+def test_step_operators_factor_W_times_curl_curl(shape, rng):
+    m = build_mesh(*shape)
+    assert_acts_as_the_product_oracle(m, optimal_params(0.5, m.gamma), rng)
+
+
+@pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 2), (2, 1), (1, 5),
+                                            (5, 1), (3, 4), (7, 7), (8, 9),
+                                            (13, 11), (64, 64), (256, 256)]))
+def test_step_operators_match_the_product_oracle(nx, ny, rng):
+    # Ly = 1.3: non-square cells; 256^2 spans several blocks a side
+    m = build_mesh(nx, ny, 1.0, 1.3)
+    for w in WEIGHTS:
+        assert_acts_as_the_product_oracle(m, weights(w, m), rng)
+
+
 @pytest.mark.parametrize("block", [7, 64])
-@pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 5), (3, 4), (13, 11)]))
+@pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 5), (5, 1), (2, 2),
+                                            (3, 4), (13, 11), (40, 24)]))
 def test_step_operators_in_small_blocks_stack_to_one_block(
-        nx, ny, block, monkeypatch):
-    # several uneven blocks, one-cell rows included
+        nx, ny, block, rng, monkeypatch):
+    # uneven blocks of one or a few lines, one-cell axes included: halo
+    # lines are read across every block bound, and the result is the
+    # one-block result bit for bit.  A mesh of at most BLOCK edges is one
+    # block, else each orientation takes its `row_blocks`
     m = build_mesh(nx, ny, 1.0, 1.3)
-    p = optimal_params(0.5, m.gamma)
-    assert len(assemble_step_operators(m, p, 1.0).blocks) == 2  # one a side
-    G1 = stacked_step_operators(m, p)
+    E = rng.standard_normal(m.n_edges)
+    ones = []
+    for w in WEIGHTS:
+        assert len(assemble_step_operators(m, weights(w, m), 1.0).blocks) == 1
+        ones.append(stencil_action(m, weights(w, m), -0.7, E))
     monkeypatch.setattr(operators, "BLOCK", block)
-    G = stacked_step_operators(m, p)
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(G, attr), getattr(G1, attr))
+    K = assemble_step_operators(m, yee_params(), 1.0)
+    sides = len(row_blocks(ny + 1, nx)) + len(row_blocks(ny, nx + 1)) - 2
+    assert len(K.blocks) == (1 if m.n_edges <= block else sides)
+    for w, one in zip(WEIGHTS, ones):
+        assert np.array_equal(stencil_action(m, weights(w, m), -0.7, E), one)
+
+
+def held_arrays(obj, seen=None) -> dict:
+    """The arrays that own the memory of every array an object reaches
+    through its attributes, tuples and lists, by id."""
+    seen = {} if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while obj.base is not None:
+            obj = obj.base
+        seen[id(obj)] = obj
+    elif isinstance(obj, RectMesh):  # the mesh's, not the operator's
+        pass
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            held_arrays(v, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        held_arrays(list(vars(obj).values()), seen)
+    return seen
 
 
 @pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
-def test_step_operator_blocks_share_one_data_array_per_pattern(scheme):
-    # 512^2 PEC: nine blocks a side, of which only the first and the last
-    # touch a wall; the others are one pattern and must share its array
+def test_step_operators_hold_no_edge_sized_array(scheme):
+    # 512^2: nine blocks a side.  Held: the face vector y and block-sized
+    # buffers (the result, a scratch and each orientation's face
+    # differences with their halo lines); no matrix, padded face copy or
+    # edge vector
     m = build_mesh(512, 512, 1.0, 1.0)
-    p = params_for_scheme(scheme, 0.5, 1.0)
-    G = assemble_step_operators(m, p, 1.0)
-    assert len(G.blocks) == 18
-    distinct = {id(b.data): b.data for b in G.blocks}
-    assert len(distinct) == 6
-    for side in (G.blocks[1:8], G.blocks[10:17]):  # the inner blocks
-        assert all(b.data is side[0].data for b in side)
-    nbytes = sum(d.nbytes for d in distinct.values())
-    nnz = stacked_step_operators(m, p).nnz
-    assert nbytes < nnz * 12 / 4  # CSR: 8-byte value, 4-byte index
-
-
-@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
-def test_scaled_step_operators_are_the_factor_times_the_unscaled(scheme):
-    # the template takes the scale: each entry is one product, the bits
-    # of scaling every block's data afterwards
-    m = build_mesh(512, 512, 1.0, 1.0)
-    p = params_for_scheme(scheme, 0.5, 1.0)
-    factor = -0.3 * m.dx  # the step's -(c0^2 dt alpha3) is of this kind
-    G1 = assemble_step_operators(m, p, 1.0)
-    G = assemble_step_operators(m, p, factor)
-    assert G.reads == G1.reads
-    for b, b1 in zip(G.blocks, G1.blocks):
-        assert np.array_equal(b.offsets, b1.offsets)
-        # == is bitwise but for the sign of zero: the zero fill stays +0
-        assert np.array_equal(b.data, factor * b1.data)
-    for side in (G.blocks[1:8], G.blocks[10:17]):  # the inner blocks
-        assert all(b.data is side[0].data for b in side)
-
-
-@pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 5), (5, 1), (3, 4),
-                                            (7, 7), (8, 9), (13, 11), (64, 64),
-                                            (256, 256)]))
-def test_step_operators_match_the_product_oracle(nx, ny):
-    # 256^2 spans more than one block of rows: G's blocks are stacked
-    m = build_mesh(nx, ny, 1.0, 1.3)
-    C_ref = apply_pec(assemble_curl(m), m, rows=False)
-    for p in (optimal_params(0.5, m.gamma), yee_params(),
-              MfdParams(0.4, 0.1, 0.2)):
-        G_ref = assemble_W(m, p) @ C_ref.T
-        G_ref.data *= m.dx * m.dy
-        G_ref.sort_indices()
-        op, ref = stacked_step_operators(m, p), G_ref
-        assert op.indices.dtype == op.indptr.dtype == np.int32
-        assert op.has_sorted_indices
-        assert np.array_equal(op.indptr, ref.indptr)
-        assert np.array_equal(op.indices, ref.indices)
-        assert np.array_equal(op.data, ref.data)  # same sums, same order
-    # Yee's G keeps only the two faces of every interior edge
-    G = stacked_step_operators(m, yee_params())
-    assert (np.diff(G.indptr)[~m.boundary_edge_mask] == 2).all()
+    K = assemble_step_operators(m, params_for_scheme(scheme, 0.5, 1.0), 1.0)
+    assert len(K.blocks) == 18
+    arrays = held_arrays(K)
+    sizes = sorted(a.size for a in arrays.values())
+    assert sizes[-1] == m.n_faces and id(K.y) in arrays
+    assert sum(sizes[:-1]) <= 4 * (operators.BLOCK + 2 * (m.nx + 1))

@@ -333,8 +333,9 @@ def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
     def poisoned(*args, **kwargs):
         J = real(*args, **kwargs)
         made.append(J)
-        # initialize makes J^1; step n makes J^n block by block, in calls
-        # nb (n - 2) + 2 .. nb (n - 1) + 1, and the edge is in block 1
+        # initialize makes J^1 in one call (144 edges, one BLOCK); step n
+        # makes J^n block by block, in calls nb (n - 2) + 2 .. nb (n - 1)
+        # + 1, and the edge is in block 1
         if len(made) == nb * 3 + 2:
             J[edge] = np.nan
         return J
@@ -364,7 +365,7 @@ def test_blocked_step_is_bit_identical_to_one_block(nx, ny, scheme, block,
         config, params=params_for_scheme(scheme, config.nu, mesh.gamma))
     ops = exp_operators(MEDIUM, config.dt)
     one = step_operators(config, ops)
-    assert len(one.K.blocks) == 2  # one for each edge orientation
+    assert len(one.K.blocks) == 1  # the whole mesh, both orientations
     monkeypatch.setattr(operators, "BLOCK", block)
     many = step_operators(config, ops)
     assert len(many.K.blocks) == sum(
@@ -398,7 +399,7 @@ def test_blocked_step_returns_the_max_over_every_block(nx, ny, rng,
             m = step(st, ops)
             assert m == max(np.abs(st.E_curr).max(), np.abs(st.J_curr).max())
     assert max(np.abs(st.E_curr).argmax(), np.abs(st.J_curr).argmax()) == last
-    assert last >= mesh.n_edges - ops.K.blocks[-1].shape[0]  # last block
+    assert last >= ops.K.blocks[-1].rows.start  # in the last block
 
 
 @pytest.mark.parametrize("field", ["E", "J"])
@@ -413,9 +414,10 @@ def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
     def poisoned(j_coeffs, E, J, E_next, out, scratch):
         real(j_coeffs, E, J, E_next, out=out, scratch=scratch)
         made.append(len(out))
-        # initialize makes J^1; step n updates blocks 1..4 in calls
-        # 4 (n - 2) + 2 .. 4 (n - 1) + 1, so step 5's last block is call 17
-        if len(made) == 17:
+        # initialize makes J^1 in slices of 64, 64 and 16 edges; step n
+        # updates blocks 1..4 in calls 4 (n - 2) + 4 .. 4 (n - 1) + 3, so
+        # step 5's last block is call 19
+        if len(made) == 19:
             (E_next if field == "E" else out)[-1] = np.nan
         return out
 
@@ -423,7 +425,7 @@ def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
     with pytest.raises(UnstableSimulationError, match="at step 5 "):
         run(config, *_exact_initial(mesh, sol, config.dt))
     # horizontal lines 4 + 5 of 8 edges, vertical lines 4 + 4 of 9
-    assert made == [144] + [32, 40, 36, 36] * 4
+    assert made == [64, 64, 16] + [32, 40, 36, 36] * 4
 
 
 def test_step_allocates_no_edge_sized_array(rng):
@@ -439,7 +441,7 @@ def test_step_allocates_no_edge_sized_array(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # z is block-sized; C @ E, its scratch and the padded faces live in ops
+    # z and the stencil's buffers are block-sized, C E lives in ops
     assert peak < mesh.n_faces * 8 / 2
 
 
