@@ -12,7 +12,7 @@ from .operators import (MfdParams, SingularLocalWError,
                         optimal_params, params_for_scheme, yee_params)
 from .plasma import (ExpOperators, Medium, RegimeError, coupling_matrix,
                      exp_operators)
-from .stepper import (RunResult, SimConfig, SimState, Snapshot, StepOperators,
+from .stepper import (SimConfig, SimState, StepOperators,
                       UnstableSimulationError, initialize, load_snapshot,
                       nu_max, run, save_snapshot, step, step_operators)
 from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,

@@ -1,13 +1,14 @@
 """Exact standing-mode solutions, mimetic error norms, and convergence runs.
 
-The verification solution is a PEC-compatible standing mode on the unit
-square: a divergence-free trigonometric profile times a damped cosine
-whose decay/oscillation pair (a, b) comes from the propagating root of
-the continuous dispersion cubic.  Accuracy is measured two ways: a
-relative L2 error in the mimetic mass-matrix inner product, summed face
-by face from the local block, and a relative dispersion error of the
-decay and frequency read off probe time traces in closed form, from the
-two-term recurrence that a sampled damped cosine obeys.
+The verification solution is a standing mode with a whole number of
+half-waves across a rectangular PEC domain: a divergence-free
+trigonometric profile times a damped cosine whose decay/oscillation pair
+(a, b) comes from the propagating root of the continuous dispersion
+cubic.  Accuracy is measured two ways: a relative L2 error in the
+mimetic mass-matrix inner product, summed face by face from the local
+block, and a relative dispersion error of the decay and frequency read
+off probe time traces in closed form, from the two-term recurrence that
+a sampled damped cosine obeys.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class DegenerateFitError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Standing-mode solution with wave numbers in pi*Z (PEC-compatible)."""
+    """Standing-mode solution of wave numbers (kx, ky) and decay/frequency
+    pair (a, b)."""
     kx: float
     ky: float
     a: float
@@ -48,11 +50,9 @@ class ExactSolution:
 
 
 def make_exact_solution(kx: float, ky: float, medium: Medium) -> ExactSolution:
-    for name, kv in (("kx", kx), ("ky", ky)):
-        m = kv / math.pi
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError(f"{name}={kv} is not an integer multiple of pi")
-    if round(kx / math.pi) == round(ky / math.pi) == 0:
+    """The mode of wave numbers (kx, ky) in `medium`; whether it vanishes
+    on a mesh's PEC walls depends on the domain, which `mode_dofs` checks."""
+    if max(abs(kx), abs(ky)) <= 1e-9 * math.pi:
         raise ValueError("kx = ky = 0 is the zero field: no mode to run")
     w = oscillatory_root(math.hypot(kx, ky), medium)
     # decay on the imaginary axis, oscillation on the real axis
@@ -200,23 +200,43 @@ def pick_probe_edge(mesh, mode: np.ndarray) -> int:
 
 
 def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
-                      T: float, probes=None, snapshot_stride: int = 0,
-                      save=None) -> tuple:
+                      T: float, probes=None, observe=None) -> tuple:
     """Run the standing mode `sol` in `sol.medium` on `mesh` with the
     weights of `scheme`, from `mode_dofs` and the exact time factors;
-    probes=None takes the `pick_probe_edge` probe, `save` is `run`'s.
-    Returns (config, result, mid, j_scale)."""
+    probes=None takes the `pick_probe_edge` probe, and `observe` is
+    `run`'s, called after each step's probe samples are taken.
+
+    Returns (config, state, traces, mid, j_scale): the final state, and
+    for each probe edge its E and J traces over steps 0 .. n_steps."""
     params = params_for_scheme(scheme, nu, mesh.gamma)
     mid, j_scale = mode_dofs(mesh, sol)
     if probes is None:
         probes = (pick_probe_edge(mesh, mid),)
     config = SimConfig(mesh=mesh, medium=sol.medium, params=params, nu=nu,
-                       T=T, probes=tuple(probes),
-                       snapshot_stride=snapshot_stride)
+                       T=T)
+    traces = {}  # one trace pair and one CSV per edge
+    for e in probes:
+        if not isinstance(e, (int, np.integer)):
+            raise ValueError(f"probe edge {e!r} is not an integer index")
+        if not (0 <= e < mesh.n_edges):
+            raise ValueError(f"probe edge {e} out of range")
+        if mesh.boundary_edge_mask[e]:
+            raise ValueError(f"probe edge {e} is a boundary edge")
+        if e in traces:
+            raise ValueError(f"probe edge {e} is listed twice")
+        traces[e] = (np.empty(config.n_steps + 1),
+                     np.empty(config.n_steps + 1))
+
+    def record(n, t, E, J):
+        for e, (trace_E, trace_J) in traces.items():
+            trace_E[n], trace_J[n] = E[e], J[e]
+        if observe is not None:
+            observe(n, t, E, J)
+
     factors = (e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
                j_time_factor(sol, 0.0))
-    result = run(config, mid, j_scale, factors, save)
-    return config, result, mid, j_scale
+    state = run(config, mid, j_scale, factors, record)
+    return config, state, traces, mid, j_scale
 
 
 def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
@@ -256,14 +276,14 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
         meshes.append(mesh)
 
     def one(h, mesh):
-        config, result, mid, j_scale = run_standing_mode(mesh, scheme, sol,
-                                                         nu, T)
-        tf, (probe,) = result.t_final, config.probes
+        config, state, traces, mid, j_scale = run_standing_mode(
+            mesh, scheme, sol, nu, T)
+        tf, [(trace_E, trace_J)] = state.n * config.dt, traces.values()
         M = local_M(config.params, mesh.dx, mesh.dy)
-        err_E = l2_relative_error(result.state.E_curr,
+        err_E = l2_relative_error(state.E_curr,
                                   e_time_factor(sol, tf) * mid, mesh, M)
         J_ref = j_time_factor(sol, tf) * scale_lines(mesh, mid, j_scale)
-        err_J = l2_relative_error(result.state.J_curr, J_ref, mesh, M)
+        err_J = l2_relative_error(state.J_curr, J_ref, mesh, M)
 
         def disp(field, trace):
             try:
@@ -274,8 +294,8 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
                     f"{exc}") from None
             return dispersion_error_metric(fit, sol.a, sol.b)
 
-        return {"E": (err_E, disp("E", result.probe_E[probe])),
-                "J": (err_J, disp("J", result.probe_J[probe]))}
+        return {"E": (err_E, disp("E", trace_E)),
+                "J": (err_J, disp("J", trace_J))}
 
     results = [one(h, mesh) for h, mesh in zip(h_list, meshes)]
 

@@ -241,33 +241,36 @@ def cmd_simulate(args) -> int:
     probes = cfg["probes"]
     if probes != "auto" and not isinstance(probes, list):
         raise CliError(f'probes must be "auto" or a list, got {probes!r}')
+    stride = cfg["snapshot_stride"]
+    if not isinstance(stride, int) or stride < 0:
+        raise CliError(f"snapshot_stride {stride!r} is not an int >= 0")
     saved = []  # each written as it is taken: a failed run leaves these
 
-    def save(snap):
-        os.makedirs(outdir, exist_ok=True)
-        save_snapshot(os.path.join(outdir, f"snapshot_{snap.step:06d}"),
-                      mesh, snap)
-        saved.append(snap.step)
+    def save(n, t, E, J):
+        if stride > 0 and n % stride == 0:
+            os.makedirs(outdir, exist_ok=True)
+            save_snapshot(os.path.join(outdir, f"snapshot_{n:06d}"), mesh,
+                          n, t, E, J)
+            saved.append(n)
 
-    config, result, _, _ = analysis.run_standing_mode(
+    config, state, traces, _, _ = analysis.run_standing_mode(
         mesh, cfg["scheme"], sol, cfg["nu"], cfg["T"],
-        None if probes == "auto" else probes, cfg["snapshot_stride"], save)
+        None if probes == "auto" else probes, save)
 
     os.makedirs(outdir, exist_ok=True)
-    for e in config.probes:
-        rows = zip(result.times, result.probe_E[e], result.probe_J[e])
-        write_csv(os.path.join(outdir, f"probe_{e}.csv"),
-                  ["t", "E", "J"], rows)
-    E = result.state.E_curr  # max |E| without an |E| temporary
-    summary = {"steps": result.state.n, "t_final": result.t_final,
-               "dt": config.dt, "probes": list(config.probes),
+    times = config.dt * np.arange(state.n + 1)
+    for e, (trace_E, trace_J) in traces.items():
+        write_csv(os.path.join(outdir, f"probe_{e}.csv"), ["t", "E", "J"],
+                  zip(times, trace_E, trace_J))
+    E = state.E_curr  # max |E| without an |E| temporary
+    summary = {"steps": state.n, "t_final": state.n * config.dt,
+               "dt": config.dt, "probes": list(traces),
                "snapshots": len(saved),
                "max_abs_E": float(max(E.max(), -E.min()))}
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {outdir} ({result.state.n} steps, "
-          f"{len(saved)} snapshots)")
+    print(f"wrote {outdir} ({state.n} steps, {len(saved)} snapshots)")
     return EXIT_OK
 
 

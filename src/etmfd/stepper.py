@@ -45,8 +45,6 @@ class SimConfig:
     params: MfdParams
     nu: float
     T: float
-    probes: tuple = ()
-    snapshot_stride: int = 0
 
     def __post_init__(self):
         if not 0 < self.nu < math.inf:  # NaN fails both comparisons
@@ -58,19 +56,6 @@ class SimConfig:
                 f"nu_max = {limit:.6g} of aspect ratio {self.mesh.gamma:.6g}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"final time must be finite and > 0, got {self.T}")
-        stride = self.snapshot_stride
-        if not isinstance(stride, (int, np.integer)) or stride < 0:
-            raise ValueError(f"snapshot_stride {stride!r} is not an int >= 0")
-        boundary = self.mesh.boundary_edge_mask
-        for k, e in enumerate(self.probes):
-            if not isinstance(e, (int, np.integer)):
-                raise ValueError(f"probe edge {e!r} is not an integer index")
-            if not (0 <= e < self.mesh.n_edges):
-                raise ValueError(f"probe edge {e} out of range")
-            if boundary[e]:
-                raise ValueError(f"probe edge {e} is a boundary edge")
-            if e in self.probes[:k]:  # one trace and one CSV per edge
-                raise ValueError(f"probe edge {e} is listed twice")
 
     @property
     def dt(self) -> float:
@@ -183,67 +168,33 @@ def step(state: SimState, ops: StepOperators) -> float:
     return float(peaks.max())  # a NaN that Python's max could drop stays
 
 
-@dataclass
-class Snapshot:
-    step: int
-    t: float
-    E: np.ndarray
-    J: np.ndarray
-
-
-@dataclass
-class RunResult:
-    state: SimState
-    times: np.ndarray
-    probe_E: dict
-    probe_J: dict
-
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
-
-
-def run(config: SimConfig, mode, j_scale, factors, save=None) -> RunResult:
+def run(config: SimConfig, mode, j_scale, factors, observe=None) -> SimState:
     """Run from the initial data of `initialize` to the first step at or
-    past T, recording probes every step from the initial two (t = 0, dt).
+    past T and return the final state.
 
-    At every step the stride divides, 0 and 1 too, `save` gets a
-    `Snapshot` of the live buffers, which the next step overwrites: it
-    writes or copies them.  A stride with no `save` is refused up front.
+    `observe(n, t, E, J)` is called for each step n = 0 .. n_steps in
+    order, with t = n dt and the live buffers of step n, which the next
+    step overwrites: it reads or copies them before it returns.
     Raises UnstableSimulationError on NaN or blow-up.
     """
-    stride = config.snapshot_stride
-    if stride > 0 and save is None:
-        raise ValueError(f"snapshot_stride {stride} needs a save sink")
     dt = config.dt
     expops = exp_operators(config.medium, dt)
     ops = step_operators(config, expops)
     state = initialize(config, mode, j_scale, factors, expops)
-
-    n_final = config.n_steps
-    trace_E = {e: np.empty(n_final + 1) for e in config.probes}
-    trace_J = {e: np.empty(n_final + 1) for e in config.probes}
-
-    def record(n, E, J):
-        for e in config.probes:
-            trace_E[e][n], trace_J[e][n] = E[e], J[e]
-        if stride > 0 and n % stride == 0:
-            save(Snapshot(n, n * dt, E, J))
-
-    record(0, state.E_prev, state.J_prev)
-    record(1, state.E_curr, state.J_curr)
+    observe = observe or (lambda n, t, E, J: None)
+    observe(0, 0.0, state.E_prev, state.J_prev)
+    observe(1, dt, state.E_curr, state.J_curr)
 
     E, J = state.E_curr, state.J_curr  # max |x| without an |x| temporary
     blowup_ref = 1.0 + np.max([E.max(), -E.min(), J.max(), -J.min()])
-    while state.n < n_final:
+    while state.n < config.n_steps:
         m = step(state, ops)
         if not np.isfinite(m) or m > 1e12 * blowup_ref:
             raise UnstableSimulationError(
                 f"instability at step {state.n} (t={state.n * dt:.6g}): "
                 f"max |field| = {m:.3e}")
-        record(state.n, state.E_curr, state.J_curr)
-
-    return RunResult(state, dt * np.arange(n_final + 1), trace_E, trace_J)
+        observe(state.n, state.n * dt, state.E_curr, state.J_curr)
+    return state
 
 
 # ---- snapshot persistence ---------------------------------------------------
@@ -253,17 +204,18 @@ def run(config: SimConfig, mode, j_scale, factors, save=None) -> RunResult:
 # step index and time.  The sidecar names the binaries relative to its own
 # directory, so a snapshot loads from any working directory.
 
-def save_snapshot(prefix: str, mesh: RectMesh, snap: Snapshot) -> None:
+def save_snapshot(prefix: str, mesh: RectMesh, step: int, t: float, E,
+                  J) -> None:
     base = os.path.basename(prefix)
     meta = {
         "nx": mesh.nx, "ny": mesh.ny, "Lx": mesh.Lx, "Ly": mesh.Ly,
-        "boundary": "pec", "step": snap.step, "time": snap.t,
+        "boundary": "pec", "step": step, "time": t,
         "n_edges": mesh.n_edges, "dtype": "<f8",
         "order": "global edge index (horizontal edges first)",
         "fields": {"E": base + ".E.bin", "J": base + ".J.bin"},
     }
-    np.asarray(snap.E, "<f8").tofile(prefix + ".E.bin")  # no copy if f8
-    np.asarray(snap.J, "<f8").tofile(prefix + ".J.bin")
+    np.asarray(E, "<f8").tofile(prefix + ".E.bin")  # no copy if f8
+    np.asarray(J, "<f8").tofile(prefix + ".J.bin")
     with open(prefix + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

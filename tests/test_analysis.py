@@ -41,8 +41,18 @@ def test_mode_dofs_refuses_a_mode_not_vanishing_on_the_walls(kx_pi, ky_pi,
 
 
 def test_make_exact_solution_validates_wavenumbers():
-    with pytest.raises(ValueError):
-        make_exact_solution(1.0, np.pi, MEDIUM)
+    # whether a wave number fits is the domain's question: ky = pi/2 is
+    # the half-wave of Ly = 2 and no wave of Ly = 1
+    sol = make_exact_solution(np.pi, 0.5 * np.pi, MEDIUM)
+    mode_dofs(build_mesh(4, 8, 1.0, 2.0), sol)
+    with pytest.raises(ValueError, match="ky Ly / pi = 0.5 is not an int"):
+        mode_dofs(build_mesh(4, 4, 1.0, 1.0), sol)
+    with pytest.raises(ValueError, match="kx Lx / pi = 1.6 is not an int"):
+        mode_dofs(build_mesh(4, 4, 1.6, 1.0), make_exact_solution(
+            1.0 * np.pi, np.pi, MEDIUM))
+    for kx, ky in ((0.0, 0.0), (1e-10, -1e-10)):
+        with pytest.raises(ValueError, match="kx = ky = 0 is the zero field"):
+            make_exact_solution(kx, ky, MEDIUM)
     sol = make_exact_solution(2 * np.pi, -np.pi, MEDIUM)
     assert sol.k == pytest.approx(np.sqrt(5) * np.pi)
 
@@ -309,9 +319,9 @@ def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
     exact = edge_average_oracle(mesh, sol.kx, sol.ky)
     assert np.abs(avg - exact).max() < 1e-10 * np.abs(exact).max()
     # one step: the run starts from the profiles times the exact time factors
-    config, result, mid1, j_scale1 = run_standing_mode(mesh, "etmfd", sol,
-                                                       0.5, 0.01)
-    st, inner = result.state, ~mesh.boundary_edge_mask
+    config, st, _, mid1, j_scale1 = run_standing_mode(mesh, "etmfd", sol,
+                                                      0.5, 0.01)
+    inner = ~mesh.boundary_edge_mask
     assert st.n == 1
     assert np.array_equal(mid1, mid) and j_scale1 == j_scale
     for got, want in ((st.E_prev, e_time_factor(sol, 0.0) * mid),
@@ -333,39 +343,58 @@ def test_mode_dofs_J_rule_is_the_exact_edge_average():
 def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
     # alive while it steps: mid, the four state buffers and the CurlCurl's
     # face vector; the initial data are written into the state buffers,
-    # J^1 takes a block of scratch and each snapshot goes to the sink as
-    # views.  Measured 5.8 edge vectors of traced peak; initial-data
-    # arrays, a (3, n) stack of them or snapshot copies held for the run
-    # take it past 7 (23.3)
+    # J^1 takes a block of scratch and each snapshot is written from the
+    # live buffers.  Measured 5.8 edge vectors of traced peak;
+    # initial-data arrays, a (3, n) stack of them or snapshot copies held
+    # for the run take it past 7 (23.3)
     mesh = build_mesh(512, 512, 1.0, 1.0)
     sol = make_exact_solution(np.pi, 2 * np.pi, MEDIUM)
     T = 19.5 * 0.5 * mesh.dx / MEDIUM.c0  # 20 steps
     probe = 1000  # an interior horizontal edge
     written = []
 
-    def save(snap):
-        save_snapshot(str(tmp_path / f"snap{snap.step}"), mesh, snap)
-        written.append((snap.step, snap.E[probe], snap.J[probe]))
+    def save(n, t, E, J):  # simulate's snapshot writer, every 5 steps
+        if n % 5 == 0:
+            save_snapshot(str(tmp_path / f"snap{n}"), mesh, n, t, E, J)
+            written.append((n, E[probe], J[probe]))
 
     tracemalloc.start()
     try:
-        _, result, _, _ = run_standing_mode(
-            mesh, "etmfd", sol, 0.5, T, (probe,), snapshot_stride=5,
-            save=save)
+        _, state, traces, _, _ = run_standing_mode(
+            mesh, "etmfd", sol, 0.5, T, (probe,), save)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak / (8 * mesh.n_edges) < 7
     # each written snapshot holds the state of its own step
     assert [n for n, _, _ in written] == [0, 5, 10, 15, 20]
+    trace_E, trace_J = traces[probe]
     for n, e, j in written:
         meta, E, J = load_snapshot(str(tmp_path / f"snap{n}"))
         assert meta["step"] == n
-        assert E[probe] == e == result.probe_E[probe][n]
-        assert J[probe] == j == result.probe_J[probe][n]
+        assert E[probe] == e == trace_E[n]
+        assert J[probe] == j == trace_J[n]
     _, E, J = load_snapshot(str(tmp_path / "snap20"))
-    assert np.array_equal(E, result.state.E_curr)
-    assert np.array_equal(J, result.state.J_curr)
+    assert np.array_equal(E, state.E_curr)
+    assert np.array_equal(J, state.J_curr)
+
+
+@pytest.mark.parametrize("probes, message", [
+    pytest.param((0,), "probe edge 0 is a boundary edge", id="boundary"),
+    pytest.param((10 ** 6,), "probe edge 1000000 out of range", id="range"),
+    pytest.param((-1,), "probe edge -1 out of range", id="negative"),
+    pytest.param((3.5,), "probe edge 3.5 is not an integer", id="float"),
+    pytest.param((5, 5), "probe edge 5 is listed twice", id="repeated"),
+    pytest.param((5, 6, np.int64(5)), "probe edge 5 is listed twice",
+                 id="repeated-int64")])
+def test_run_standing_mode_refuses_a_bad_probe_before_any_step(
+        probes, message, monkeypatch):
+    # one trace and one CSV per edge, each on an interior edge
+    mesh = build_mesh(4, 4, 1.0, 1.0)
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    monkeypatch.setattr(analysis, "run", lambda *a: pytest.fail("it ran"))
+    with pytest.raises(ValueError, match=message):
+        run_standing_mode(mesh, "etmfd", sol, 0.5, 1.0, probes)
 
 
 def _count_interpolations(monkeypatch):

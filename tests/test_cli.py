@@ -164,15 +164,15 @@ def test_simulate_command(tmp_path, monkeypatch):
     assert len(rows) == summary["steps"] + 1
     assert float(rows[0]["t"]) == 0.0
     # each snapshot, written as it was taken, holds its own step's fields
-    [probe], [result] = summary["probes"], runs
+    [probe], [state] = summary["probes"], runs
     for n in (0, 4, 8):
         meta, E, J = load_snapshot(str(outdir / f"snapshot_{n:06d}"))
         assert meta["step"] == n
         assert len(E) == len(J) == meta["n_edges"]
         assert (E[probe], J[probe]) == (float(rows[n]["E"]),
                                         float(rows[n]["J"]))
-    assert np.array_equal(E, result.state.E_curr)
-    assert np.array_equal(J, result.state.J_curr)
+    assert np.array_equal(E, state.E_curr)
+    assert np.array_equal(J, state.J_curr)
 
 
 def test_simulate_that_blows_up_keeps_the_snapshots_taken_before(
@@ -222,6 +222,10 @@ def test_simulate_refuses_a_mode_not_vanishing_on_the_walls(entries, message,
 
 @pytest.mark.parametrize("entries", [
     pytest.param({"nx": 8, "ny": 4, "Ly": 0.5, "ky_pi": 2}, id="Ly-half"),
+    # the half-wave of Ly = 2: refused while the mode check ignored the
+    # domain and wanted ky in pi Z
+    pytest.param({"nx": 16, "ny": 32, "Ly": 2.0, "ky_pi": 0.5},
+                 id="Ly-2-half-wave"),
     pytest.param({"nx": 16, "ny": 8, "Lx": 2.0, "kx_pi": 3}, id="Lx-2"),
     pytest.param({"nx": 4, "ny": 8, "Lx": 0.5, "kx_pi": 4, "ky_pi": 3},
                  id="Lx-half")])
@@ -237,6 +241,18 @@ def test_simulate_runs_a_mode_vanishing_on_non_unit_walls(entries, tmp_path):
     mid = mode_dofs(mesh, sol)[0]
     assert np.abs(mid[mesh.boundary_edge_mask]).max() \
         < 1e-13 * np.abs(mid).max()
+
+
+def test_converge_refuses_a_mode_not_vanishing_on_the_unit_square(
+        tmp_path, capsys, monkeypatch):
+    runs = record_runs(monkeypatch)
+    cfg = write_config(tmp_path, "c.json", {"kx_pi": 0.5, "log2_h": [-3]})
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "converge"]) \
+        == EXIT_VALIDATION
+    assert "kx Lx / pi = 0.5 is not an integer" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -256,7 +272,7 @@ def test_auto_probe_on_a_mesh_without_interior_edges_names_the_cause(
 
 
 def record_runs(monkeypatch) -> list:
-    """The RunResult of every run a command starts, in order."""
+    """The final state of every run a command starts, in order."""
     results = []
     real = analysis.run
 
@@ -335,17 +351,24 @@ def test_unusable_runs_are_refused_before_any_run(
 def test_simulate_and_converge_run_the_mode_to_the_same_bits(tmp_path,
                                                             monkeypatch):
     # the default simulate is the 2^-4 etmfd level of the default converge
-    runs = record_runs(monkeypatch)
+    traces = []
+    real = analysis.run_standing_mode
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        traces.append(out[2])
+        return out
+
+    monkeypatch.setattr(analysis, "run_standing_mode", recorded)
     assert main(["--out", str(tmp_path / "s"), "simulate"]) == EXIT_OK
     cfg = write_config(tmp_path, "c.json",
                        {"log2_h": [-4], "schemes": ["etmfd"]})
     assert main(["--config", cfg, "--out", str(tmp_path / "c"),
                  "converge"]) == EXIT_OK
-    sim, conv = runs
-    assert sim.probe_E.keys() == conv.probe_E.keys()
-    for e in sim.probe_E:
-        assert np.array_equal(sim.probe_E[e], conv.probe_E[e])
-        assert np.array_equal(sim.probe_J[e], conv.probe_J[e])
+    sim, conv = traces
+    assert sim.keys() == conv.keys()
+    for e in sim:
+        assert np.array_equal(sim[e], conv[e])  # the E and J traces
 
 
 def test_simulate_instability_exit_code(tmp_path, monkeypatch):
@@ -629,10 +652,10 @@ def test_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, "<README.md>", "exec"), namespace)
     assert len(namespace["rows"]) == 6
-    snapshots, state = namespace["snapshots"], namespace["result"].state
-    assert [s.step for s in snapshots] == list(range(0, 129, 16))
-    assert np.array_equal(snapshots[-1].E, state.E_curr)
-    assert np.array_equal(snapshots[-1].J, state.J_curr)
+    snapshots, state = namespace["snapshots"], namespace["state"]
+    assert [n for n, _, _, _ in snapshots] == list(range(0, 129, 16))
+    assert np.array_equal(snapshots[-1][2], state.E_curr)
+    assert np.array_equal(snapshots[-1][3], state.J_curr)
 
 
 def test_readme_commands_parse_and_ci_runs_exactly_them():

@@ -358,6 +358,21 @@ def test_step_operators_in_small_blocks_stack_to_one_block(
         assert np.array_equal(stencil_action(m, weights(w, m), -0.7, E), one)
 
 
+@pytest.mark.parametrize("nx, ny", pec_ids([(2, 2), (4, 5), (13, 11),
+                                            (256, 256)]))
+def test_step_operators_kill_gradients(nx, ny, rng):
+    # the production action, as test_curl_curl_kills_gradients checks the
+    # COO oracle: C grad = 0 face by face, whatever the weights.  The
+    # residual is rounding of terms of size |grad| / h^2 (measured at most
+    # 3.9e-16 of that); a wrong sign in one curl term leaves O(1) of it
+    m = build_mesh(nx, ny, 1.0, 1.3)
+    grad = wall_free_gradient(m, rng)
+    size = np.abs(grad).max() / min(m.dx, m.dy) ** 2
+    for w in WEIGHTS:
+        z = stencil_action(m, weights(w, m), -0.7, grad)
+        assert np.abs(z).max() < 1e-14 * size
+
+
 def held_arrays(obj, seen=None) -> dict:
     """The arrays that own the memory of every array an object reaches
     through its attributes, tuples and lists, by id."""

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from etmfd import operators, stepper
+from etmfd import cli, operators, stepper
 from etmfd.analysis import (e_time_factor, exact_E, j_time_factor,
                             make_exact_solution, mode_dofs)
 from etmfd.mesh import build_mesh, interpolate_edge_field
@@ -14,9 +14,9 @@ from etmfd.operators import (MfdParams, optimal_params, params_for_scheme,
                              row_blocks, yee_params)
 from etmfd.plasma import Medium, coupling_matrix, exp_operators
 from etmfd.selftest import dense_step, series_exp_oracle
-from etmfd.stepper import (SimConfig, SimState, Snapshot,
-                           UnstableSimulationError, initialize, load_snapshot,
-                           nu_max, run, save_snapshot, step, step_operators)
+from etmfd.stepper import (SimConfig, SimState, UnstableSimulationError,
+                           initialize, load_snapshot, nu_max, run,
+                           save_snapshot, step, step_operators)
 
 from conftest import (assemble_W, assemble_curl_curl, edge_field,
                       initial_state, pec_ids, wall_free_gradient)
@@ -35,13 +35,6 @@ def test_config_validation():
         make_config(mesh, nu=-0.5)
     with pytest.raises(ValueError):
         SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(), nu=0.5, T=0.0)
-    boundary_edge = int(np.flatnonzero(mesh.boundary_edge_mask)[0])
-    with pytest.raises(ValueError):
-        make_config(mesh, probes=(boundary_edge,))
-    with pytest.raises(ValueError):
-        make_config(mesh, probes=(10 ** 6,))
-    with pytest.raises(ValueError, match="not an integer"):
-        make_config(mesh, probes=(3.5,))
 
 
 @pytest.mark.parametrize("field", ["nu", "T"])
@@ -104,46 +97,61 @@ def test_run_leaves_the_callers_arrays_unchanged():
 @pytest.mark.parametrize("n_steps, stride, want", [
     (5, 1, [0, 1, 2, 3, 4, 5]), (1, 1, [0, 1]), (5, 2, [0, 2, 4]),
     (4, 3, [0, 3])])
-def test_snapshots_at_every_multiple_of_the_stride(n_steps, stride, want):
+def test_snapshots_at_every_multiple_of_the_stride(n_steps, stride, want,
+                                                   tmp_path):
+    # simulate's snapshot cadence, read back from the files it writes
     mesh = build_mesh(4, 4, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dt = 0.5 * mesh.dx / MEDIUM.c0
-    config = make_config(mesh, T=(n_steps - 0.5) * dt, snapshot_stride=stride)
-    assert config.n_steps == n_steps
-    inits = _exact_initial(mesh, sol, dt)
-    snapshots = []
-    run(config, *inits, save=lambda s: snapshots.append(_copied(s)))
-    assert [s.step for s in snapshots] == want
-    assert [s.t for s in snapshots] == [n * dt for n in want]
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"nx": 4, "ny": 4, "T": (n_steps - 0.5) * dt,
+                               "snapshot_stride": stride}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path),
+                     "simulate"]) == cli.EXIT_OK
+    sidecars = sorted((tmp_path / "sim_out").glob("snapshot_*.json"))
+    snaps = [load_snapshot(str(p.with_suffix(""))) for p in sidecars]
+    assert [meta["step"] for meta, _, _ in snaps] == want
+    assert [meta["time"] for meta, _, _ in snaps] == [n * dt for n in want]
     if stride == 1:  # step 1 holds the initial E^1 and the bootstrapped J^1
-        st = initialize(config, *inits)
-        assert np.array_equal(snapshots[1].E, st.E_curr)
-        assert np.array_equal(snapshots[1].J, st.J_curr)
+        st = initialize(make_config(mesh, T=1.0),
+                        *_exact_initial(mesh, sol, dt))
+        assert np.array_equal(snaps[1][1], st.E_curr)
+        assert np.array_equal(snaps[1][2], st.J_curr)
 
 
-def _copied(snap):
-    """A snapshot that outlives the step: run passes the live buffers."""
-    return Snapshot(snap.step, snap.t, snap.E.copy(), snap.J.copy())
+def _kept(seen):
+    """An observer that keeps (n, t, E, J) copies: run passes the live
+    buffers, which the next step overwrites."""
+    return lambda n, t, E, J: seen.append((n, t, E.copy(), J.copy()))
 
 
-@pytest.mark.parametrize("probes", [(5, 5), (5, 6, np.int64(5))])
-def test_config_refuses_a_repeated_probe_edge(probes):
-    # one trace and one CSV per edge: a repeat would be listed twice
-    mesh = build_mesh(4, 4, 1.0, 1.0)
-    with pytest.raises(ValueError, match="probe edge 5 is listed twice"):
-        make_config(mesh, probes=probes)
-
-
-def test_run_refuses_a_stride_with_no_sink_before_any_step(monkeypatch):
-    mesh = build_mesh(4, 4, 1.0, 1.0)
+@pytest.mark.parametrize("n_steps", [1, 2, 12])
+def test_observe_sees_every_step_once_in_order(n_steps):
+    mesh = build_mesh(6, 5, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    config = make_config(mesh, snapshot_stride=2)
-    calls = []
-    monkeypatch.setattr(stepper, "initialize", lambda *a: calls.append(a))
-    monkeypatch.setattr(stepper, "step", lambda *a: calls.append(a))
-    with pytest.raises(ValueError, match="snapshot_stride 2 needs a save"):
-        run(config, *_exact_initial(mesh, sol, config.dt))
-    assert calls == []
+    dt = 0.5 * mesh.dx / MEDIUM.c0
+    config = make_config(mesh, T=(n_steps - 0.5) * dt)
+    inits = _exact_initial(mesh, sol, config.dt)
+    # the reference: initialize and step by hand, copying every step
+    st = initialize(config, *inits)
+    ops = step_operators(config, exp_operators(MEDIUM, config.dt))
+    ref = [(st.E_prev.copy(), st.J_prev.copy()),
+           (st.E_curr.copy(), st.J_curr.copy())]
+    for _ in range(2, n_steps + 1):
+        step(st, ops)
+        ref.append((st.E_curr.copy(), st.J_curr.copy()))
+    seen = []
+    final = run(config, *inits, _kept(seen))
+    assert [n for n, _, _, _ in seen] == list(range(n_steps + 1))
+    assert [t for _, t, _, _ in seen] == [n * config.dt
+                                          for n in range(n_steps + 1)]
+    for (_, _, E, J), (E_ref, J_ref) in zip(seen, ref):
+        assert np.array_equal(E, E_ref) and np.array_equal(J, J_ref)
+    # observing changes nothing: the same final state bit for bit
+    plain = run(config, *inits)
+    assert final.n == plain.n == n_steps
+    for field in ("E_curr", "E_prev", "J_curr", "J_prev"):
+        assert np.array_equal(getattr(final, field), getattr(plain, field))
 
 
 def test_step_zero_state():
@@ -199,27 +207,27 @@ def _exact_initial(mesh, sol, dt):
 
 def test_run_shorter_than_one_step():
     mesh = build_mesh(4, 4, 1.0, 1.0)
-    probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[0])
-    config = make_config(mesh, T=1e-4, probes=(probe,))
+    config = make_config(mesh, T=1e-4)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    res = run(config, *_exact_initial(mesh, sol, config.dt))
-    assert res.state.n == 1
-    assert len(res.times) == 2
-    assert res.probe_E[probe].shape == (2,)
+    seen = []
+    state = run(config, *_exact_initial(mesh, sol, config.dt), _kept(seen))
+    assert state.n == 1
+    assert [(n, t) for n, t, _, _ in seen] == [(0, 0.0), (1, config.dt)]
 
 
 def test_run_probe_traces_start_with_initial_data():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[7])
-    config = make_config(mesh, T=0.5, probes=(probe,))
-    res = run(config, *_exact_initial(mesh, sol, config.dt))
+    config = make_config(mesh, T=0.5)
+    seen = []
+    run(config, *_exact_initial(mesh, sol, config.dt),
+        lambda n, t, E, J: seen.append((t, E[probe], J[probe])))
     st0 = initialize(config, *_exact_initial(mesh, sol, config.dt))
-    assert res.probe_E[probe][0] == st0.E_prev[probe]
-    assert res.probe_E[probe][1] == st0.E_curr[probe]
-    assert res.probe_J[probe][0] == st0.J_prev[probe]
-    assert len(res.probe_E[probe]) == config.n_steps + 1
-    assert res.t_final >= config.T
+    assert seen[0][1:] == (st0.E_prev[probe], st0.J_prev[probe])
+    assert seen[1][1:] == (st0.E_curr[probe], st0.J_curr[probe])
+    assert len(seen) == config.n_steps + 1
+    assert seen[-1][0] >= config.T
 
 
 def test_pec_boundary_invariance_long_run():
@@ -228,12 +236,12 @@ def test_pec_boundary_invariance_long_run():
     nu = 0.5
     T = 10_000 * nu * mesh.dx / MEDIUM.c0  # 10^4 steps
     config = make_config(mesh, nu=nu, T=T)
-    res = run(config, *_exact_initial(mesh, sol, config.dt))
-    assert res.state.n == 10_000
+    state = run(config, *_exact_initial(mesh, sol, config.dt))
+    assert state.n == 10_000
     b = mesh.boundary_edge_mask
-    assert np.abs(res.state.E_curr[b]).max() == 0.0
-    assert np.abs(res.state.J_curr[b]).max() == 0.0
-    assert np.isfinite(res.state.E_curr).all()
+    assert np.abs(state.E_curr[b]).max() == 0.0
+    assert np.abs(state.J_curr[b]).max() == 0.0
+    assert np.isfinite(state.E_curr).all()
 
 
 def test_instability_detected():
@@ -261,10 +269,10 @@ def test_ode_limit_exactness(dt):
     u1 = series_exp_oracle(X, dt) @ u0
     config = SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(),
                        nu=dt * MEDIUM.c0 / mesh.dx, T=1.0)
-    res = run(config, mode, (1.0, 1.0), (u0[0], u1[0], u0[1]))
-    ref = series_exp_oracle(X, res.t_final) @ u0
-    assert abs(res.state.E_curr[e] - ref[0]) < 1e-12
-    assert abs(res.state.J_curr[e] - ref[1]) < 1e-12
+    state = run(config, mode, (1.0, 1.0), (u0[0], u1[0], u0[1]))
+    ref = series_exp_oracle(X, state.n * config.dt) @ u0
+    assert abs(state.E_curr[e] - ref[0]) < 1e-12
+    assert abs(state.J_curr[e] - ref[1]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [64, 256])  # one block of rows, and five
@@ -288,14 +296,12 @@ def test_step_matches_the_unfactored_pair(n, rng):
 
 
 def test_run_keeps_no_view_of_a_reused_buffer():
-    # step overwrites the step n-1 buffers: snapshots, probe samples and
-    # the final state must hold the values of their own step
+    # step overwrites the step n-1 buffers: each observed step and the
+    # final state must hold the values of their own step
     mesh = build_mesh(6, 5, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[9])
     dt = 0.5 * mesh.dx / MEDIUM.c0
-    config = make_config(mesh, T=11.5 * dt, probes=(probe,),
-                         snapshot_stride=3)
+    config = make_config(mesh, T=11.5 * dt)
     inits = _exact_initial(mesh, sol, config.dt)
     ops = exp_operators(MEDIUM, config.dt)
     st = initialize(config, *inits, ops)
@@ -305,17 +311,13 @@ def test_run_keeps_no_view_of_a_reused_buffer():
         st = SimState(E, st.E_curr, J, st.J_curr, n)
         ref.append((E, J))
 
-    snapshots = []
-    res = run(config, *inits, save=lambda s: snapshots.append(_copied(s)))
-    assert config.n_steps == res.state.n == 12
-    assert [s.step for s in snapshots] == [0, 3, 6, 9, 12]
-    for s in snapshots:
-        assert np.abs(s.E - ref[s.step][0]).max() < 1e-13
-        assert np.abs(s.J - ref[s.step][1]).max() < 1e-13
-    for n, (E, J) in enumerate(ref):
-        assert abs(res.probe_E[probe][n] - E[probe]) < 1e-13
-        assert abs(res.probe_J[probe][n] - J[probe]) < 1e-13
-    final = res.state
+    seen = []
+    final = run(config, *inits, _kept(seen))
+    assert config.n_steps == final.n == 12
+    assert [n for n, _, _, _ in seen] == list(range(13))
+    for (_, _, E, J), (E_ref, J_ref) in zip(seen, ref):
+        assert np.abs(E - E_ref).max() < 1e-13
+        assert np.abs(J - J_ref).max() < 1e-13
     for got, want in ((final.E_curr, ref[12][0]), (final.J_curr, ref[12][1]),
                       (final.E_prev, ref[11][0]), (final.J_prev, ref[11][1])):
         assert np.abs(got - want).max() < 1e-13
@@ -475,7 +477,7 @@ def test_blowup_caught_at_first_step_past_the_bound(weights, nu, n_fail,
 
     monkeypatch.setattr(stepper, "step", checked)
     if n_fail is None:
-        assert run(config, *inits).state.n == config.n_steps == 366
+        assert run(config, *inits).n == config.n_steps == 366
         assert max(seen) <= bound
     else:
         with pytest.raises(UnstableSimulationError, match=f"at step {n_fail} "):
@@ -511,7 +513,7 @@ def test_nu_max_is_where_random_data_starts_to_blow_up(gamma, scheme, rng,
         inits = (rng.standard_normal(mesh.n_edges), rng.standard_normal(2),
                  rng.standard_normal(3))
         if stable:
-            assert run(config, *inits).state.n == config.n_steps
+            assert run(config, *inits).n == config.n_steps
         else:
             with pytest.raises(UnstableSimulationError):
                 run(config, *inits)
@@ -573,28 +575,29 @@ def test_hybrid_equivalent_to_second_order_form():
 def test_snapshot_roundtrip(tmp_path):
     mesh = build_mesh(6, 5, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    config = make_config(mesh, T=0.5, snapshot_stride=2)
-    snapshots = []
+    config = make_config(mesh, T=0.5)
+    kept = []
 
-    def save(snap):  # written as it is taken, then read back at the end
-        save_snapshot(str(tmp_path / f"snap{snap.step}"), mesh, snap)
-        snapshots.append(_copied(snap))
+    def save(n, t, E, J):  # written as it is taken, then read back at the end
+        if n % 2 == 0:
+            save_snapshot(str(tmp_path / f"snap{n}"), mesh, n, t, E, J)
+            kept.append((n, t, E.copy(), J.copy()))
 
-    run(config, *_exact_initial(mesh, sol, config.dt), save=save)
-    assert [s.step for s in snapshots] == [0, 2, 4, 6]
-    for snap in snapshots:
-        meta, E, J = load_snapshot(str(tmp_path / f"snap{snap.step}"))
-        assert meta["step"] == snap.step and meta["time"] == snap.t
+    run(config, *_exact_initial(mesh, sol, config.dt), save)
+    assert [n for n, _, _, _ in kept] == [0, 2, 4, 6]
+    for n, t, E_kept, J_kept in kept:
+        meta, E, J = load_snapshot(str(tmp_path / f"snap{n}"))
+        assert meta["step"] == n and meta["time"] == t
         assert meta["nx"] == mesh.nx and meta["ny"] == mesh.ny
-        assert np.array_equal(E, snap.E)
-        assert np.array_equal(J, snap.J)
+        assert np.array_equal(E, E_kept)
+        assert np.array_equal(J, J_kept)
 
 
 def test_snapshot_sidecar_holds_exactly_its_keys(tmp_path):
     # the format readers rely on, "boundary" included: every mesh is PEC
     mesh = build_mesh(3, 2, 1.5, 1.0)
     z = np.zeros(mesh.n_edges)
-    save_snapshot(str(tmp_path / "s"), mesh, Snapshot(4, 0.25, z, z))
+    save_snapshot(str(tmp_path / "s"), mesh, 4, 0.25, z, z)
     meta = json.loads((tmp_path / "s.json").read_text())
     assert meta == {
         "nx": 3, "ny": 2, "Lx": 1.5, "Ly": 1.0, "boundary": "pec",
@@ -605,46 +608,45 @@ def test_snapshot_sidecar_holds_exactly_its_keys(tmp_path):
 
 def test_snapshot_loads_from_another_cwd(tmp_path, monkeypatch):
     mesh = build_mesh(3, 2, 1.0, 1.0)
-    snap = Snapshot(4, 0.25, np.arange(mesh.n_edges, dtype=float),
-                    -np.arange(mesh.n_edges, dtype=float))
+    E0 = np.arange(mesh.n_edges, dtype=float)
     (tmp_path / "run" / "out").mkdir(parents=True)
     monkeypatch.chdir(tmp_path / "run")
-    save_snapshot("out/snap", mesh, snap)  # relative prefix
+    save_snapshot("out/snap", mesh, 4, 0.25, E0, -E0)  # relative prefix
     monkeypatch.chdir(tmp_path)
     meta, E, J = load_snapshot(str(tmp_path / "run" / "out" / "snap"))
     assert meta["fields"] == {"E": "snap.E.bin", "J": "snap.J.bin"}
-    assert np.array_equal(E, snap.E) and np.array_equal(J, snap.J)
+    assert np.array_equal(E, E0) and np.array_equal(J, -E0)
 
 
 def test_snapshot_old_sidecar_with_absolute_paths(tmp_path):
     mesh = build_mesh(2, 2, 1.0, 1.0)
-    snap = Snapshot(0, 0.0, np.ones(mesh.n_edges), np.zeros(mesh.n_edges))
+    E0, J0 = np.ones(mesh.n_edges), np.zeros(mesh.n_edges)
     prefix = str(tmp_path / "snap")
-    save_snapshot(prefix, mesh, snap)
+    save_snapshot(prefix, mesh, 0, 0.0, E0, J0)
     # an older sidecar, moved away from its binaries, names them absolutely
     meta = json.loads((tmp_path / "snap.json").read_text())
     meta["fields"] = {f: prefix + f".{f}.bin" for f in ("E", "J")}
     (tmp_path / "moved").mkdir()
     (tmp_path / "moved" / "snap.json").write_text(json.dumps(meta))
     _, E, J = load_snapshot(str(tmp_path / "moved" / "snap"))
-    assert np.array_equal(E, snap.E) and np.array_equal(J, snap.J)
+    assert np.array_equal(E, E0) and np.array_equal(J, J0)
 
 
 def test_save_snapshot_writes_without_an_edge_sized_copy(tmp_path):
     mesh = build_mesh(512, 512, 1.0, 1.0)  # 525 312 edges
     rng = np.random.default_rng(7)
-    snap = Snapshot(3, 0.5, *rng.standard_normal((2, mesh.n_edges)))
+    E0, J0 = rng.standard_normal((2, mesh.n_edges))
     prefix = str(tmp_path / "snap")
-    save_snapshot(prefix, mesh, snap)  # warm
+    save_snapshot(prefix, mesh, 3, 0.5, E0, J0)  # warm
     tracemalloc.start()
     try:
-        save_snapshot(prefix, mesh, snap)
+        save_snapshot(prefix, mesh, 3, 0.5, E0, J0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < mesh.n_edges * 8 / 4
     # the bytes are the little-endian float64 values, in edge order
-    for name, v in (("E", snap.E), ("J", snap.J)):
+    for name, v in (("E", E0), ("J", J0)):
         assert (tmp_path / f"snap.{name}.bin").read_bytes() \
             == v.astype("<f8").tobytes()
 
@@ -653,6 +655,7 @@ def test_run_builds_no_face_edge_table():
     # the step's curl reads edge lines: only norms and oracles need it
     mesh = build_mesh(8, 6, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    config = make_config(mesh, T=0.25, snapshot_stride=2)
-    run(config, *_exact_initial(mesh, sol, config.dt), save=lambda s: None)
+    config = make_config(mesh, T=0.25)
+    run(config, *_exact_initial(mesh, sol, config.dt),
+        lambda n, t, E, J: None)
     assert "face_edge_table" not in mesh.__dict__
