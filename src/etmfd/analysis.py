@@ -20,7 +20,7 @@ import numpy as np
 
 from .dispersion import oscillatory_root
 from .mesh import build_mesh, interpolate_edge_field, scale_lines
-from .operators import local_M, params_for_scheme
+from .operators import local_M
 from .plasma import Medium
 from .stepper import SimConfig, run
 
@@ -208,12 +208,11 @@ def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
 
     Returns (config, state, traces, mid, j_scale): the final state, and
     for each probe edge its E and J traces over steps 0 .. n_steps."""
-    params = params_for_scheme(scheme, nu, mesh.gamma)
+    config = SimConfig(mesh=mesh, medium=sol.medium, scheme=scheme, nu=nu,
+                       T=T)
     mid, j_scale = mode_dofs(mesh, sol)
     if probes is None:
         probes = (pick_probe_edge(mesh, mid),)
-    config = SimConfig(mesh=mesh, medium=sol.medium, params=params, nu=nu,
-                       T=T)
     traces = {}  # one trace pair and one CSV per edge
     for e in probes:
         if not isinstance(e, (int, np.integer)):
@@ -266,9 +265,8 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
             raise ValueError(f"h={h}: the 1x1 PEC mesh has no interior "
                              "edge to probe")
         mesh = build_mesh(n, n, 1.0, 1.0)
-        samples = 1 + SimConfig(
-            mesh=mesh, medium=sol.medium, nu=nu, T=T,
-            params=params_for_scheme(scheme, nu, mesh.gamma)).n_steps
+        samples = 1 + SimConfig(mesh=mesh, medium=sol.medium, scheme=scheme,
+                                nu=nu, T=T).n_steps
         if samples < MIN_FIT_SAMPLES:
             raise ValueError(f"T={T:g} leaves {samples} probe samples at "
                              f"h={h:g}, fewer than the {MIN_FIT_SAMPLES} a "

@@ -210,21 +210,21 @@ def cmd_anisotropy(args) -> int:
     theta = np.linspace(0.0, 2.0 * np.pi, int(n_theta), endpoint=False)
     header = ["theta", "k", "ppw", "scheme", "abs_err", "re_err", "im_err"]
     base = output_path(args, cfg)
-    for gamma in gammas:
+    stem, ext = os.path.splitext(base)
+    outs = [base] if len(gammas) == 1 else [
+        f"{stem}_gamma{g:g}{ext}" for g in gammas]
+    if len(set(outs)) < len(outs):  # one file would overwrite another
+        raise CliError(f"gammas {gammas} give repeated output names {outs}")
+    for gamma, out in zip(gammas, outs):
         if cfg["nu_rule"] == "gamma_cubed":
             nu = cfg["nu"] * min(gamma ** 3, 1.0)
         elif cfg["nu_rule"] == "fixed":
             nu = cfg["nu"]
         else:
             raise CliError(f"unknown nu_rule {cfg['nu_rule']!r}")
-        schemes = [(s, params_for_scheme(s, nu, gamma))
-                   for s in cfg["schemes"]]
         rows = dispersion.anisotropy_sweep(theta, k, ppw, nu, gamma, medium,
-                                           schemes, cfg["fixed_cell_area"])
-        out = base
-        if len(gammas) > 1:
-            stem, ext = os.path.splitext(base)
-            out = f"{stem}_gamma{gamma:g}{ext}"
+                                           cfg["schemes"],
+                                           cfg["fixed_cell_area"])
         write_csv(out, header, rows)
         print(f"wrote {out} ({len(rows)} rows, gamma={gamma:g}, "
               f"nu={_fmt6(nu)})")

@@ -15,7 +15,7 @@ from itertools import cycle, repeat
 
 import numpy as np
 
-from .operators import MfdParams, local_W, local_curl
+from .operators import MfdParams, local_W, local_curl, params_for_scheme
 from .plasma import Medium, exp_operators
 
 P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -152,16 +152,16 @@ def oscillatory_root(k: float, medium: Medium) -> complex:
 
 def relative_dispersion_error(omega: complex, wv: WaveVec, medium: Medium,
                               dt: float, h: float, gamma: float,
-                              params: MfdParams,
-                              c0: float) -> complex | np.ndarray:
-    """det(T(omega) - S_h(k) P1) / |omega|, a local-truncation-style error.
+                              params: MfdParams) -> complex | np.ndarray:
+    """det(T(omega) - S_h(k) P1) / |omega|, a local-truncation-style error,
+    with S_h at the medium's c0.
 
     A complex scalar, or a complex array over an array of angles in wv.
     The determinant (T00 - S) T11 - T01 T10 is written out in real
     arithmetic, so every angle of an array rounds exactly as a scalar call.
     """
     T = temporal_symbol(omega, medium, dt)
-    S = spatial_symbol(wv, h, gamma, params, c0)
+    S = spatial_symbol(wv, h, gamma, params, medium.c0)
     a_re, a_im = T[0, 0].real - S, T[0, 0].imag
     b_re, b_im = T[1, 1].real, T[1, 1].imag
     c = T[0, 1] * T[1, 0]
@@ -172,7 +172,7 @@ def relative_dispersion_error(omega: complex, wv: WaveVec, medium: Medium,
 
 
 def discrete_root_polish(wv: WaveVec, medium: Medium, dt: float, h: float,
-                         gamma: float, params: MfdParams, c0: float,
+                         gamma: float, params: MfdParams,
                          omega_guess: complex, max_iter: int = 100) -> complex:
     """Newton-polish the discrete dispersion root starting from omega_guess.
 
@@ -185,7 +185,7 @@ def discrete_root_polish(wv: WaveVec, medium: Medium, dt: float, h: float,
     """
     def f(w):
         return relative_dispersion_error(w, wv, medium, dt, h, gamma,
-                                         params, c0) * abs(w)
+                                         params) * abs(w)
 
     w = complex(omega_guess)
     for _ in range(max_iter):
@@ -208,7 +208,8 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
     """Relative dispersion error over propagation angles.
 
     For each ppw the cell size is h = 2*pi/(k*ppw); dt = nu*h/c0.
-    schemes is an iterable of (label, MfdParams).
+    schemes is an iterable of labels, each resolved to its weights at
+    (nu, gamma) by `params_for_scheme` before any row is computed.
     Returns rows (theta, k, ppw, scheme, abs_err, re_err, im_err), ppw
     outermost and scheme innermost; each (ppw, scheme) pair is one
     relative_dispersion_error call over the whole angle grid.
@@ -221,9 +222,9 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
     if not all(0 < v < np.inf for v in (k, gamma, *ppw_list)):  # NaN fails
         raise ValueError(f"k, gamma and ppw must be finite and > 0, got "
                          f"k={k}, gamma={gamma}, ppw={ppw_list}")
+    params = [params_for_scheme(label, nu, gamma) for label in schemes]
     omega = oscillatory_root(k, medium)
     wv = WaveVec(k, np.asarray(theta_grid, dtype=float))
-    labels = [label for label, _ in schemes]
     theta_col = np.repeat(wv.theta, len(schemes)).tolist()
     rows = []
     for ppw in ppw_list:
@@ -231,36 +232,28 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
              else 2.0 * np.pi / (k * ppw_list[0]) / np.sqrt(gamma))
         dt = nu * h / medium.c0
         err = np.empty((wv.theta.size, len(schemes)), dtype=complex)
-        for j, (_, params) in enumerate(schemes):
-            err[:, j] = relative_dispersion_error(
-                omega, wv, medium, dt, h, gamma, params, medium.c0)
+        for j, p in enumerate(params):
+            err[:, j] = relative_dispersion_error(omega, wv, medium, dt, h,
+                                                  gamma, p)
         re, im = err.real.ravel(), err.imag.ravel()  # scheme innermost
-        rows += zip(theta_col, repeat(k), repeat(ppw), cycle(labels),
+        rows += zip(theta_col, repeat(k), repeat(ppw), cycle(schemes),
                     np.hypot(re, im).tolist(), re.tolist(), im.tolist())
     return rows
 
 
-def symbol_error_slope(k: float, nu: float, medium: Medium,
-                       params_for_h, ppw_list=(12, 24, 48),
-                       theta: float = 0.0, gamma: float = 1.0):
-    """Least-squares slope of log|E| vs log h along the continuous root.
-
-    params_for_h maps (nu, gamma) -> MfdParams per refinement level (the
-    weights may depend on the Courant setup but not on h itself here).
+def symbol_error_slope(k: float, nu: float, medium: Medium, scheme: str,
+                       ppw_list=(12, 24, 48), theta: float = 0.0,
+                       gamma: float = 1.0):
+    """Least-squares slope of log|E| vs log h along the continuous root,
+    for the weights of `scheme` at (nu, gamma), the same on every level.
     Returns (slope, errors) with one |E| per entry of ppw_list.
     """
-    omega = oscillatory_root(k, medium)
-    hs, errs = [], []
-    for ppw in ppw_list:
-        h = 2.0 * np.pi / (k * ppw)
-        dt = nu * h / medium.c0
-        params = params_for_h(nu, gamma)
-        err = relative_dispersion_error(omega, WaveVec(k, theta), medium,
-                                        dt, h, gamma, params, medium.c0)
-        hs.append(h)
-        errs.append(abs(err))
-    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    return slope, np.array(errs)
+    params = params_for_scheme(scheme, nu, gamma)
+    omega, wv = oscillatory_root(k, medium), WaveVec(k, theta)
+    hs = [2.0 * np.pi / (k * ppw) for ppw in ppw_list]
+    errs = np.array([abs(relative_dispersion_error(
+        omega, wv, medium, nu * h / medium.c0, h, gamma, params)) for h in hs])
+    return np.polyfit(np.log(hs), np.log(errs), 1)[0], errs
 
 
 def leapfrog_zeroing_w2(omega: complex, tau: float, nu: float,

@@ -285,7 +285,7 @@ def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:
     "etmfd" is the dispersion-optimal member for (nu, gamma); "et-yee"
     is the Yee member (weights independent of nu, gamma).
     """
-    key = scheme.lower()
+    key = scheme.lower() if isinstance(scheme, str) else None
     if key == "etmfd":
         return optimal_params(nu, gamma)
     if key == "et-yee":

@@ -64,7 +64,6 @@ class ExpOperators:
     alpha4: float
     beta3: float
     beta4: float
-    dt: float
 
     @property
     def exp_matrix(self) -> np.ndarray:
@@ -106,5 +105,5 @@ def exp_operators(medium: Medium, dt: float) -> ExpOperators:
     beta4 = e * s / b
 
     return ExpOperators(alpha1, alpha2, beta1, beta2,
-                        alpha3, alpha4, beta3, beta4, dt)
+                        alpha3, alpha4, beta3, beta4)
 

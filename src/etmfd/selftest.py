@@ -151,8 +151,7 @@ def one_step_dense_deviation():
     medium = plasma.Medium()
     worst = 0.0
     for mesh in (build_mesh(3, 3, 1.0, 1.0), build_mesh(3, 4, 1.0, 2.0)):
-        params = operators.optimal_params(0.5, mesh.gamma)
-        config = stepper.SimConfig(mesh=mesh, medium=medium, params=params,
+        config = stepper.SimConfig(mesh=mesh, medium=medium, scheme="etmfd",
                                    nu=0.5, T=1.0)
         ops = plasma.exp_operators(medium, config.dt)
         st = stepper.SimState(*rng.standard_normal((4, mesh.n_edges)), n=1)
@@ -231,8 +230,7 @@ def ode_exactness_deviation(dts=(0.1, 0.01)):
     worst = 0.0
     for dt in dts:
         u1 = series_exp_oracle(X, dt) @ u0
-        config = stepper.SimConfig(mesh=mesh, medium=medium,
-                                   params=operators.yee_params(),
+        config = stepper.SimConfig(mesh=mesh, medium=medium, scheme="et-yee",
                                    nu=dt * medium.c0 / mesh.dx, T=1.0)
         state = stepper.run(config, mode, (1, 1), (u0[0], u1[0], u0[1]))
         ref = series_exp_oracle(X, state.n * config.dt) @ u0
@@ -241,13 +239,13 @@ def ode_exactness_deviation(dts=(0.1, 0.01)):
     return worst
 
 
-def fourth_order_slope(params_fn=operators.optimal_params):
+def fourth_order_slope():
     """Slope of |det(T - S P1)|/|w| vs h; reaches 4 for optimal weights.
 
     Run off-axis so every weight (including the cross term w2) is live.
     """
     slope, _ = dispersion.symbol_error_slope(4.0, 0.5, plasma.Medium(),
-                                             params_fn, theta=0.4)
+                                             "etmfd", theta=0.4)
     return slope
 
 

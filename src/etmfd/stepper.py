@@ -18,7 +18,8 @@ import numpy as np
 
 from .mesh import RectMesh, scale_lines
 from . import operators
-from .operators import CurlCurl, MfdParams, assemble_step_operators
+from .operators import (CurlCurl, MfdParams, assemble_step_operators,
+                        params_for_scheme)
 from .plasma import ExpOperators, Medium, exp_operators
 
 
@@ -36,13 +37,13 @@ def nu_max(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A run's inputs, checked on construction.  nu above `nu_max` is
-    refused, a limit that holds only for the Yee and dispersion-optimal
-    weights: MfdParams(0.6, 0, 0.6) passes at nu = 0.5 and blows up at
-    step 80 on a 32^2 PEC mesh."""
+    """A run's inputs, checked on construction.  The weights follow from
+    the scheme label ("etmfd" or "et-yee") by `params_for_scheme`, which
+    refuses any other, so `nu_max`, a limit of both weight sets, bounds
+    every config: nu above it is refused."""
     mesh: RectMesh
     medium: Medium
-    params: MfdParams
+    scheme: str
     nu: float
     T: float
 
@@ -56,6 +57,11 @@ class SimConfig:
                 f"nu_max = {limit:.6g} of aspect ratio {self.mesh.gamma:.6g}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"final time must be finite and > 0, got {self.T}")
+        self.params  # an unknown label is refused here, before any step
+
+    @property
+    def params(self) -> MfdParams:
+        return params_for_scheme(self.scheme, self.nu, self.mesh.gamma)
 
     @property
     def dt(self) -> float:

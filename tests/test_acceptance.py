@@ -32,7 +32,6 @@ import pytest
 from etmfd import selftest
 from etmfd.analysis import convergence_study, make_exact_solution
 from etmfd.dispersion import symbol_error_slope
-from etmfd.operators import optimal_params, yee_params
 from etmfd.plasma import Medium
 
 MEDIUM = Medium(eps0=1.0, c0=1.0, omega_i=1.0, omega_p=1.0)
@@ -98,9 +97,8 @@ def test_criterion_2_dispersion_fit_rates(experiment2):
 
 
 def test_criterion_3_symbol_fourth_order():
-    slope_opt, errs_opt = symbol_error_slope(4.0, 0.5, MEDIUM, optimal_params)
-    slope_yee, errs_yee = symbol_error_slope(4.0, 0.5, MEDIUM,
-                                             lambda nu, g: yee_params())
+    slope_opt, errs_opt = symbol_error_slope(4.0, 0.5, MEDIUM, "etmfd")
+    slope_yee, errs_yee = symbol_error_slope(4.0, 0.5, MEDIUM, "et-yee")
     assert slope_opt >= 3.8
     assert abs(slope_yee - 2.0) <= 0.15
     assert errs_opt[0] * 10.0 <= errs_yee[0]

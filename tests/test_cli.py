@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from etmfd import analysis, cli, selftest, stepper
+from etmfd import analysis, cli, operators, selftest, stepper
 from etmfd.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, CliError, main
 from etmfd.analysis import make_exact_solution, mode_dofs
 from etmfd.mesh import build_mesh
@@ -471,16 +471,18 @@ def test_commands_step_through_the_benchmark_call_sites(command, payload,
     assert len(steps) == runs[0][0].n_steps - 1  # steps 2 .. n_steps
 
 
-def test_selftest_mutation_detected():
+def test_selftest_mutation_detected(monkeypatch):
     # a sign flip in w2 must break the fourth-order symbol check
+    assert selftest.passes("fourth-order-symbol",
+                           selftest.fourth_order_slope())
+
     def flipped(nu, gamma):
         p = optimal_params(nu, gamma)
         return MfdParams(p.w1, -p.w2, p.w3)
 
+    monkeypatch.setattr(operators, "optimal_params", flipped)
     assert not selftest.passes("fourth-order-symbol",
-                               selftest.fourth_order_slope(flipped))
-    assert selftest.passes("fourth-order-symbol",
-                           selftest.fourth_order_slope())
+                               selftest.fourth_order_slope())
 
 
 # one case per row of the exit-code table in cli.EXIT_CODES and the README
@@ -563,6 +565,16 @@ def test_malformed_simulate_config_is_invalid_input(entries, message,
                  id="anisotropy-no-gammas"),
     pytest.param("anisotropy", {"schemes": []},
                  "schemes list must not be empty", id="anisotropy-no-schemes"),
+    # the second gamma's CSV overwrote the first one's, and exit 0
+    pytest.param("anisotropy", {"gammas": [1.0, 1.0000001], "n_theta": 4},
+                 "repeated output names", id="anisotropy-gamma-names-collide"),
+    pytest.param("anisotropy", {"gammas": [0.5, 0.5], "n_theta": 4},
+                 "repeated output names", id="anisotropy-gamma-repeated"),
+    pytest.param("anisotropy", {"schemes": ["etmfd", "yee"]},
+                 "unknown scheme 'yee'", id="anisotropy-unknown-scheme"),
+    # a traceback from str.lower
+    pytest.param("simulate", {"scheme": 5}, "unknown scheme 5",
+                 id="simulate-scheme-not-a-string"),
     pytest.param("simulate", {"params": [0.25, 0.0, 0.25]},
                  "unknown config keys for 'simulate': ['params']",
                  id="simulate-raw-weights"),

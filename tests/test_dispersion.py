@@ -222,8 +222,8 @@ def test_error_vanishes_at_polished_root():
     wv = WaveVec(k, 0.4)
     pars = optimal_params(nu, 1.0)
     w0 = oscillatory_root(k, MEDIUM)
-    w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, MEDIUM.c0, w0)
-    err = relative_dispersion_error(w, wv, MEDIUM, dt, h, 1.0, pars, MEDIUM.c0)
+    w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, w0)
+    err = relative_dispersion_error(w, wv, MEDIUM, dt, h, 1.0, pars)
     assert abs(err) < 1e-12
 
 
@@ -233,9 +233,9 @@ def test_optimal_beats_yee_by_10x():
     w = oscillatory_root(k, MEDIUM)
     wv = WaveVec(k, 0.0)
     e_opt = abs(relative_dispersion_error(w, wv, MEDIUM, dt, h, 1.0,
-                                          optimal_params(nu, 1.0), MEDIUM.c0))
+                                          optimal_params(nu, 1.0)))
     e_yee = abs(relative_dispersion_error(w, wv, MEDIUM, dt, h, 1.0,
-                                          yee_params(), MEDIUM.c0))
+                                          yee_params()))
     assert e_opt * 10.0 <= e_yee
 
 
@@ -250,7 +250,7 @@ def test_refinement_ratios():
         for ppw in (12, 24):
             h, dt = _setup(ppw)
             errs.append(abs(relative_dispersion_error(
-                w, wv, MEDIUM, dt, h, 1.0, pars, MEDIUM.c0)))
+                w, wv, MEDIUM, dt, h, 1.0, pars)))
         vals[label] = errs[0] / errs[1]
     assert 16.0 * 0.7 < vals["opt"] < 16.0 * 1.3
     assert 4.0 * 0.7 < vals["yee"] < 4.0 * 1.3
@@ -264,7 +264,7 @@ def test_polish_converges_quickly_for_weak_damping():
     h, dt = _setup(ppw)
     w0 = oscillatory_root(k, med)
     w = discrete_root_polish(WaveVec(k, 0.2), med, dt, h, 1.0,
-                             optimal_params(nu, 1.0), med.c0, w0, max_iter=10)
+                             optimal_params(nu, 1.0), w0, max_iter=10)
     assert np.isfinite(w.real) and np.isfinite(w.imag)
 
 
@@ -274,8 +274,8 @@ def test_polish_returns_root_unchanged():
     pars = optimal_params(nu, 1.0)
     wv = WaveVec(k, 0.4)
     w0 = oscillatory_root(k, MEDIUM)
-    w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, MEDIUM.c0, w0)
-    w_again = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, MEDIUM.c0, w)
+    w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, w0)
+    w_again = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, w)
     assert abs(w_again - w) < 1e-9 * abs(w)
 
 
@@ -290,8 +290,7 @@ def test_polished_minus_continuous_scaling():
         hs.append(h)
         for label, pars in (("opt", optimal_params(nu, 1.0)),
                             ("yee", yee_params())):
-            w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars,
-                                     MEDIUM.c0, w0)
+            w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, w0)
             diffs[label].append(abs(w - w0))
     slope_opt = np.polyfit(np.log(hs), np.log(diffs["opt"]), 1)[0]
     slope_yee = np.polyfit(np.log(hs), np.log(diffs["yee"]), 1)[0]
@@ -311,10 +310,9 @@ def test_polish_reaches_round_off_on_fine_meshes(n, nu, scheme):
     pars = params_for_scheme(scheme, nu, 1.0)
 
     def err(w):
-        return relative_dispersion_error(w, wv, MEDIUM, dt, h, 1.0, pars,
-                                         MEDIUM.c0)
+        return relative_dispersion_error(w, wv, MEDIUM, dt, h, 1.0, pars)
 
-    w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars, MEDIUM.c0,
+    w = discrete_root_polish(wv, MEDIUM, dt, h, 1.0, pars,
                              oscillatory_root(k, MEDIUM))
     # the residual of a root off by 4 eps / (|w| dt)^2 relative, the
     # rounding of T's terms; measured at most 0.95 of that
@@ -326,10 +324,12 @@ def test_polish_reaches_round_off_on_fine_meshes(n, nu, scheme):
 
 # ---- anisotropy sweep ------------------------------------------------------------
 
+SCHEMES = ("etmfd", "et-yee")
+
+
 def test_sweep_symmetry_square_mesh():
     theta = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    rows = anisotropy_sweep(theta, 4.0, [12], 0.5, 1.0, MEDIUM,
-                            [("etmfd", optimal_params(0.5, 1.0))])
+    rows = anisotropy_sweep(theta, 4.0, [12], 0.5, 1.0, MEDIUM, ["etmfd"])
     errs = {round(r[0], 12): r[4] for r in rows}
     for t in theta[:4]:
         a = errs[round(t, 12)]
@@ -339,8 +339,7 @@ def test_sweep_symmetry_square_mesh():
 
 def test_sweep_yee_is_anisotropic():
     theta = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-    rows = anisotropy_sweep(theta, 4.0, [12], 0.5, 1.0, MEDIUM,
-                            [("et-yee", yee_params())])
+    rows = anisotropy_sweep(theta, 4.0, [12], 0.5, 1.0, MEDIUM, ["et-yee"])
     errs = [r[4] for r in rows]
     assert max(errs) / min(errs) > 1.0001
 
@@ -358,14 +357,21 @@ def test_continuous_roots_rejects_non_finite_k(k):
 ])
 def test_sweep_rejects_degenerate_inputs(k, ppw, gamma):
     with pytest.raises(ValueError, match="must be finite and > 0"):
-        anisotropy_sweep([0.0], k, ppw, 0.5, gamma, MEDIUM,
-                         [("et-yee", yee_params())])
+        anisotropy_sweep([0.0], k, ppw, 0.5, gamma, MEDIUM, ["et-yee"])
+
+
+def test_sweep_refuses_an_unknown_label_before_any_error_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dispersion, "relative_dispersion_error",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="unknown scheme 'yee'"):
+        anisotropy_sweep([0.0], 4.0, [12], 0.5, 1.0, MEDIUM, ["etmfd", "yee"])
+    assert calls == []
 
 
 def test_sweep_row_count_and_schemes():
     theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-    schemes = [("etmfd", optimal_params(0.5, 1.0)), ("et-yee", yee_params())]
-    rows = anisotropy_sweep(theta, 4.0, [12, 24], 0.5, 1.0, MEDIUM, schemes)
+    rows = anisotropy_sweep(theta, 4.0, [12, 24], 0.5, 1.0, MEDIUM, SCHEMES)
     assert len(rows) == 8 * 2 * 2
 
 
@@ -374,9 +380,8 @@ def test_sweep_aspect_ratio_tradeoff():
     k = 4.0
     for gamma in (0.25, 4.0):
         nu = 0.5 * min(gamma ** 3, 1.0)
-        pars = optimal_params(nu, gamma)
         rows = anisotropy_sweep([0.0, np.pi / 2], k, [12], nu, gamma, MEDIUM,
-                                [("etmfd", pars)], fixed_cell_area=True)
+                                ["etmfd"], fixed_cell_area=True)
         err_x, err_y = rows[0][4], rows[1][4]
         if gamma > 1:  # dy > dx: x-direction better resolved
             assert err_x < err_y
@@ -384,7 +389,6 @@ def test_sweep_aspect_ratio_tradeoff():
             assert err_y < err_x
 
 
-SCHEMES = ("etmfd", "et-yee")
 SWEEP_MEDIA = [Medium(), Medium(c0=1.5, omega_i=0.7, omega_p=1.3)]
 
 
@@ -403,9 +407,9 @@ def test_error_over_an_angle_array_is_the_scalar_calls(scheme, gamma, medium):
         h = 2 * np.pi / (k * ppw)
         dt = nu * h / medium.c0
         got = relative_dispersion_error(omega, WaveVec(k, theta), medium, dt,
-                                        h, gamma, params, medium.c0)
+                                        h, gamma, params)
         want = [relative_dispersion_error(omega, WaveVec(k, t), medium, dt,
-                                          h, gamma, params, medium.c0)
+                                          h, gamma, params)
                 for t in theta]
         assert got.shape == theta.shape
         assert got.tobytes() == np.array(want).tobytes()  # bit for bit
@@ -435,7 +439,8 @@ def sweep_oracle(theta_grid, k, ppw_list, nu, gamma, medium, schemes,
         dt = nu * h / medium.c0
         for theta in theta_grid:
             wv = WaveVec(k, theta)
-            for label, params in schemes:
+            for label in schemes:
+                params = params_for_scheme(label, nu, gamma)
                 T = temporal_symbol(omega, medium, dt)
                 M = T - spatial_symbol(wv, h, gamma, params, medium.c0) * P1
                 err = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) / abs(omega)
@@ -451,10 +456,9 @@ def sweep_oracle(theta_grid, k, ppw_list, nu, gamma, medium, schemes,
 def test_sweep_rows_are_the_per_row_oracle(gamma, h_ref, medium):
     k, ppw, nu = 3.7, [8, 12, 33], 0.4
     theta = np.linspace(0, 2 * np.pi, 129, endpoint=False)
-    schemes = [(s, params_for_scheme(s, nu, gamma)) for s in SCHEMES]
-    rows = anisotropy_sweep(theta, k, ppw, nu, gamma, medium, schemes,
+    rows = anisotropy_sweep(theta, k, ppw, nu, gamma, medium, SCHEMES,
                             fixed_cell_area=h_ref is not None)
-    want = sweep_oracle(theta, k, ppw, nu, gamma, medium, schemes, h_ref)
+    want = sweep_oracle(theta, k, ppw, nu, gamma, medium, SCHEMES, h_ref)
 
     def cells(rs):  # what write_csv puts in the file
         return [",".join(map(cli._cell, r)) for r in rs]
@@ -462,7 +466,7 @@ def test_sweep_rows_are_the_per_row_oracle(gamma, h_ref, medium):
     assert cells(rows) == cells(want)
     if h_ref is not None:
         # one h for every ppw: each ppw block repeats the first one's errors
-        block = len(theta) * len(schemes)
+        block = len(theta) * len(SCHEMES)
         errs = [r[4:] for r in rows]
         assert errs == errs[:block] * len(ppw)
 
@@ -477,9 +481,8 @@ def test_sweep_one_error_call_per_ppw_and_scheme(monkeypatch):
 
     monkeypatch.setattr(dispersion, "relative_dispersion_error", counted)
     theta = np.linspace(0, 2 * np.pi, 33, endpoint=False)
-    schemes = [(s, params_for_scheme(s, 0.5, 1.0)) for s in SCHEMES]
     rows = anisotropy_sweep(theta, 4.0, [12, 24, 48], 0.5, 1.0, MEDIUM,
-                            schemes)
+                            SCHEMES)
     assert len(calls) == 3 * 2
     assert all(np.array_equal(wv.theta, theta) for wv in calls)
     assert len(rows) == 33 * 3 * 2

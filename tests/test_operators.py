@@ -195,7 +195,8 @@ def test_assemble_M_spd():
 def test_params_for_scheme():
     assert params_for_scheme("et-yee", 0.5, 1.0) == yee_params()
     assert params_for_scheme("etmfd", 0.5, 2.0) == optimal_params(0.5, 2.0)
-    for label in ("leapfrog", "optimal", "yee"):  # one spelling per scheme
+    # one spelling per scheme, and a label is a string
+    for label in ("leapfrog", "optimal", "yee", 5, None, ["etmfd"]):
         with pytest.raises(ValueError, match="unknown scheme"):
             params_for_scheme(label, 0.5, 1.0)
 

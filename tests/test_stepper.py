@@ -8,10 +8,10 @@ import pytest
 
 from etmfd import cli, operators, stepper
 from etmfd.analysis import (e_time_factor, exact_E, j_time_factor,
-                            make_exact_solution, mode_dofs)
+                            make_exact_solution, mode_dofs,
+                            run_standing_mode)
 from etmfd.mesh import build_mesh, interpolate_edge_field
-from etmfd.operators import (MfdParams, optimal_params, params_for_scheme,
-                             row_blocks, yee_params)
+from etmfd.operators import params_for_scheme, row_blocks, yee_params
 from etmfd.plasma import Medium, coupling_matrix, exp_operators
 from etmfd.selftest import dense_step, series_exp_oracle
 from etmfd.stepper import (SimConfig, SimState, UnstableSimulationError,
@@ -24,9 +24,8 @@ from conftest import (assemble_W, assemble_curl_curl, edge_field,
 MEDIUM = Medium()
 
 
-def make_config(mesh, nu=0.5, T=1.0, **kw):
-    return SimConfig(mesh=mesh, medium=MEDIUM,
-                     params=optimal_params(nu, mesh.gamma), nu=nu, T=T, **kw)
+def make_config(mesh, nu=0.5, T=1.0, scheme="etmfd"):
+    return SimConfig(mesh=mesh, medium=MEDIUM, scheme=scheme, nu=nu, T=T)
 
 
 def test_config_validation():
@@ -34,7 +33,36 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_config(mesh, nu=-0.5)
     with pytest.raises(ValueError):
-        SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(), nu=0.5, T=0.0)
+        make_config(mesh, T=0.0, scheme="et-yee")
+
+
+@pytest.mark.parametrize("scheme", ["yee", "optimal", "", 5, None])
+def test_config_refuses_an_unknown_scheme_before_any_step(scheme,
+                                                          monkeypatch):
+    mesh = build_mesh(4, 4, 1.0, 1.0)
+    steps = []
+    monkeypatch.setattr(stepper, "step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="unknown scheme"):
+        make_config(mesh, scheme=scheme)
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        run_standing_mode(mesh, scheme, sol, 0.5, 1.0)
+    assert steps == []
+
+
+def test_config_takes_no_weights():
+    mesh = build_mesh(4, 4, 1.0, 1.0)
+    with pytest.raises(TypeError):
+        SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(), nu=0.5,
+                  T=1.0)
+
+
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_config_weights_are_the_schemes(gamma, scheme):
+    mesh = build_mesh(8, 8, 1.0, gamma)
+    config = make_config(mesh, nu=0.4, scheme=scheme)
+    assert config.params == params_for_scheme(scheme, 0.4, gamma)
 
 
 @pytest.mark.parametrize("field", ["nu", "T"])
@@ -244,12 +272,12 @@ def test_pec_boundary_invariance_long_run():
     assert np.isfinite(state.E_curr).all()
 
 
-def test_instability_detected():
+def test_instability_detected(monkeypatch):
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    # weights unstable at a Courant number the Yee limit admits
-    config = SimConfig(mesh=mesh, medium=MEDIUM,
-                       params=MfdParams(0.6, 0.0, 0.6), nu=0.5, T=100.0)
+    # a Courant number past the limit, which SimConfig would refuse
+    monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
+    config = make_config(mesh, nu=0.75, T=100.0)
     with pytest.raises(UnstableSimulationError):
         run(config, *_exact_initial(mesh, sol, config.dt))
 
@@ -267,8 +295,8 @@ def test_ode_limit_exactness(dt):
     X = coupling_matrix(MEDIUM)
     u0 = np.array([0.7, -0.3])
     u1 = series_exp_oracle(X, dt) @ u0
-    config = SimConfig(mesh=mesh, medium=MEDIUM, params=yee_params(),
-                       nu=dt * MEDIUM.c0 / mesh.dx, T=1.0)
+    config = make_config(mesh, nu=dt * MEDIUM.c0 / mesh.dx, T=1.0,
+                         scheme="et-yee")
     state = run(config, mode, (1.0, 1.0), (u0[0], u1[0], u0[1]))
     ref = series_exp_oracle(X, state.n * config.dt) @ u0
     assert abs(state.E_curr[e] - ref[0]) < 1e-12
@@ -362,9 +390,7 @@ def _random_state(config, rng):
 def test_blocked_step_is_bit_identical_to_one_block(nx, ny, scheme, block,
                                                     rng, monkeypatch):
     mesh = build_mesh(nx, ny, 1.0, 1.3)
-    config = make_config(mesh)
-    config = dataclasses.replace(
-        config, params=params_for_scheme(scheme, config.nu, mesh.gamma))
+    config = make_config(mesh, scheme=scheme)
     ops = exp_operators(MEDIUM, config.dt)
     one = step_operators(config, ops)
     assert len(one.K.blocks) == 1  # the whole mesh, both orientations
@@ -448,20 +474,19 @@ def test_step_allocates_no_edge_sized_array(rng):
 
 
 # 32^2 PEC, kx = ky = pi: ETMFD at nu = 0.7, below nu_max = 0.7071, and
-# two weight sets unstable at nu = 0.5.  The unstable mode grows from
-# rounding noise, so the step past the bound moves with the order of the
-# update's floating-point operations
-@pytest.mark.parametrize("weights, nu, n_fail", [
-    pytest.param(None, 0.7, None, id="0.7-None"),
-    pytest.param((0.6, 0.0, 0.6), 0.5, 80, id="w1-w3-0.6-80"),
-    pytest.param((0.25, -0.3, 0.25), 0.5, 113, id="w2--0.3-113")])
-def test_blowup_caught_at_first_step_past_the_bound(weights, nu, n_fail,
+# both schemes at nu = 0.75, past it (nu_max lifted so SimConfig admits
+# it).  The unstable mode grows from rounding noise, so the step past the
+# bound moves with the order of the update's floating-point operations
+@pytest.mark.parametrize("scheme, nu, n_fail", [
+    pytest.param("etmfd", 0.7, None, id="0.7-None"),
+    pytest.param("etmfd", 0.75, 125, id="etmfd-0.75-125"),
+    pytest.param("et-yee", 0.75, 100, id="et-yee-0.75-100")])
+def test_blowup_caught_at_first_step_past_the_bound(scheme, nu, n_fail,
                                                     monkeypatch):
     mesh = build_mesh(32, 32, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    config = make_config(mesh, nu=nu, T=8.0)
-    if weights is not None:
-        config = dataclasses.replace(config, params=MfdParams(*weights))
+    monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
+    config = make_config(mesh, nu=nu, T=8.0, scheme=scheme)
     inits = _exact_initial(mesh, sol, config.dt)
     st0 = initialize(config, *inits)
     bound = 1e12 * (1.0 + max(np.abs(st0.E_curr).max(),
@@ -507,9 +532,7 @@ def test_nu_max_is_where_random_data_starts_to_blow_up(gamma, scheme, rng,
     monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     for factor, stable in ((0.99, True), (1.01, False)):
         nu = factor * gamma / math.sqrt(1.0 + gamma * gamma)
-        config = dataclasses.replace(
-            make_config(mesh, nu=nu, T=30.0),
-            params=params_for_scheme(scheme, nu, mesh.gamma))
+        config = make_config(mesh, nu=nu, T=30.0, scheme=scheme)
         inits = (rng.standard_normal(mesh.n_edges), rng.standard_normal(2),
                  rng.standard_normal(3))
         if stable:
