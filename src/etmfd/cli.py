@@ -128,19 +128,30 @@ def _fmt6(x: float) -> str:
 
 
 def _cell(v) -> str:
-    if type(v) is float:  # the common cell, tested first
-        return repr(v)  # full precision, byte-stable
     if isinstance(v, (float, np.floating)):
-        return repr(float(v))
+        return repr(float(v))  # full precision, byte-stable
     return str(v)
 
 
+def _column_cells(col):
+    """The cells of one column, as `_cell` formats them.  A column of
+    exact floats reprs each distinct bit pattern once: bits, not values,
+    keep 0.0 apart from -0.0."""
+    if not all(type(v) is float for v in col):
+        return map(_cell, col)
+    bits, inverse = np.unique(np.array(col).view(np.int64),
+                              return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inverse]  # references, not copies
+
+
 def write_csv(path: str, header, rows) -> None:
+    cols = list(zip(*rows, strict=True))  # ragged rows: ValueError
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+        fh.writelines(",".join(cells) + "\n"
+                      for cells in zip(*map(_column_cells, cols)))
 
 
 # ---- commands ---------------------------------------------------------------
@@ -210,9 +221,9 @@ def cmd_anisotropy(args) -> int:
     theta = np.linspace(0.0, 2.0 * np.pi, int(n_theta), endpoint=False)
     header = ["theta", "k", "ppw", "scheme", "abs_err", "re_err", "im_err"]
     base = output_path(args, cfg)
-    stem, ext = os.path.splitext(base)
+    stem, ext = os.path.splitext(cfg["out"])  # each name checked like base
     outs = [base] if len(gammas) == 1 else [
-        f"{stem}_gamma{g:g}{ext}" for g in gammas]
+        output_path(args, {"out": f"{stem}_gamma{g:g}{ext}"}) for g in gammas]
     if len(set(outs)) < len(outs):  # one file would overwrite another
         raise CliError(f"gammas {gammas} give repeated output names {outs}")
     for gamma, out in zip(gammas, outs):

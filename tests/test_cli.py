@@ -104,7 +104,7 @@ def test_converge_byte_stable(tmp_path):
 
 
 def test_write_csv_is_the_per_cell_join(tmp_path):
-    def cell(v):  # the cell format before its Python-float fast path
+    def cell(v):  # each cell on its own, floats at full precision
         if isinstance(v, (float, np.floating)):
             return repr(float(v))
         return str(v)
@@ -112,12 +112,38 @@ def test_write_csv_is_the_per_cell_join(tmp_path):
     def per_cell_join(row):
         return ",".join(cell(v) for v in row) + "\n"
 
-    rows = [(0.1, np.float64(2.5), 3, "etmfd", -0.0),
-            (np.float64(-0.0), 1e-300, np.int64(7), True, float("nan")),
-            (1 / 3, np.float32(0.1), -2, "et-yee", 12.0)]
-    path = tmp_path / "x.csv"
-    cli.write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
-    assert path.read_text() == "a,b,c,d,e\n" + "".join(map(per_cell_join, rows))
+    nan, inf = float("nan"), float("inf")
+    pool = [0.0, -0.0, 0.1, 1 / 3, 1e-300, -2.5, nan, -nan, inf, -inf]
+    draw = np.random.default_rng(5).integers(len(pool), size=(200, 3))
+    probe = [np.arange(4) / 3, -np.arange(4) * 0.5, np.float32([0.1] * 4)]
+    cases = {
+        "mixed": [(0.1, np.float64(2.5), 3, "etmfd", -0.0),
+                  (np.float64(-0.0), 1e-300, np.int64(7), True, nan),
+                  (1 / 3, np.float32(0.1), -2, "et-yee", 12.0)],
+        # one float column holding both zeros: keyed on bits, not values
+        "signed-zeros": [(0.0,), (-0.0,), (0.0,), (-0.0,)],
+        "nan-inf": [(nan, inf), (-inf, -nan), (nan, 1.0), (inf, nan)],
+        "repeated": [tuple(pool[i] for i in row) for row in draw],
+        "int-and-bool": [(12, True, 12.0), (12.0, 1, 12.0), (12, 1, -0.0)],
+        "numpy-floats": [(np.float64(0.1), 0.1), (0.1, np.float32(0.1)),
+                         (-0.0, np.float64(-0.0)), (np.float32(-0.0), 0.0)],
+        "empty": [],
+    }
+    for name, rows in cases.items():
+        path = tmp_path / f"{name}.csv"
+        header = [f"c{j}" for j in range(len(rows[0]) if rows else 2)]
+        cli.write_csv(str(path), header, rows)
+        want = ",".join(header) + "\n" + "".join(map(per_cell_join, rows))
+        assert path.read_text() == want, name
+    # simulate passes its probe traces as a zip of numpy arrays
+    cli.write_csv(str(tmp_path / "probe.csv"), ["t", "E", "J"], zip(*probe))
+    assert (tmp_path / "probe.csv").read_text() == "t,E,J\n" + "".join(
+        map(per_cell_join, zip(*probe)))
+    # zip(*rows) would drop the cells past the shortest row
+    with pytest.raises(ValueError):
+        cli.write_csv(str(tmp_path / "ragged.csv"), ["a", "b"],
+                      [(0.5, 1.5), (2.5,)])
+    assert not (tmp_path / "ragged.csv").exists()
 
 
 def test_anisotropy_command(tmp_path):
@@ -145,6 +171,18 @@ def test_anisotropy_gamma_sweep(tmp_path):
     assert main(["--config", cfg, "--out", out, "anisotropy"]) == EXIT_OK
     for g in ("0.25", "1", "4"):
         assert (tmp_path / "out" / f"anisotropy_gamma{g}.csv").exists()
+
+
+def test_anisotropy_checks_every_output_name_before_any_sweep(tmp_path,
+                                                              capsys):
+    # the first gamma's CSV was written, then the second's open failed
+    (tmp_path / "anisotropy_gamma1.csv").mkdir()
+    cfg = write_config(tmp_path, "a.json", {"gammas": [0.25, 1], "n_theta": 4})
+    assert main(["--config", cfg, "--out", str(tmp_path), "anisotropy"]) \
+        == EXIT_VALIDATION
+    assert "gamma1.csv' to be a file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.json", "anisotropy_gamma1.csv"]
 
 
 def test_simulate_command(tmp_path, monkeypatch):
