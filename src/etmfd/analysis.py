@@ -226,11 +226,11 @@ def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
         traces[e] = (np.empty(config.n_steps + 1),
                      np.empty(config.n_steps + 1))
 
-    def record(n, t, E, J):
+    def record(n, t, state):
         for e, (trace_E, trace_J) in traces.items():
-            trace_E[n], trace_J[n] = E[e], J[e]
+            trace_E[n], trace_J[n] = state.E[e], state.J(e)
         if observe is not None:
-            observe(n, t, E, J)
+            observe(n, t, state)
 
     factors = (e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
                j_time_factor(sol, 0.0))
@@ -278,10 +278,10 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
             mesh, scheme, sol, nu, T)
         tf, [(trace_E, trace_J)] = state.n * config.dt, traces.values()
         M = local_M(config.params, mesh.dx, mesh.dy)
-        err_E = l2_relative_error(state.E_curr,
+        err_E = l2_relative_error(state.E,
                                   e_time_factor(sol, tf) * mid, mesh, M)
         J_ref = j_time_factor(sol, tf) * scale_lines(mesh, mid, j_scale)
-        err_J = l2_relative_error(state.J_curr, J_ref, mesh, M)
+        err_J = l2_relative_error(state.J(), J_ref, mesh, M)
 
         def disp(field, trace):
             try:

@@ -257,11 +257,11 @@ def cmd_simulate(args) -> int:
         raise CliError(f"snapshot_stride {stride!r} is not an int >= 0")
     saved = []  # each written as it is taken: a failed run leaves these
 
-    def save(n, t, E, J):
+    def save(n, t, state):
         if stride > 0 and n % stride == 0:
             os.makedirs(outdir, exist_ok=True)
             save_snapshot(os.path.join(outdir, f"snapshot_{n:06d}"), mesh,
-                          n, t, E, J)
+                          n, t, state.E, state.J())
             saved.append(n)
 
     config, state, traces, _, _ = analysis.run_standing_mode(
@@ -273,7 +273,7 @@ def cmd_simulate(args) -> int:
     for e, (trace_E, trace_J) in traces.items():
         write_csv(os.path.join(outdir, f"probe_{e}.csv"), ["t", "E", "J"],
                   zip(times, trace_E, trace_J))
-    E = state.E_curr  # max |E| without an |E| temporary
+    E = state.E  # max |E| without an |E| temporary
     summary = {"steps": state.n, "t_final": state.n * config.dt,
                "dt": config.dt, "probes": list(traces),
                "snapshots": len(saved),

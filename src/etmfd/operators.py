@@ -90,8 +90,8 @@ def local_M(params: MfdParams, dx: float, dy: float) -> np.ndarray:
 
 
 # Rows per block of the step (a mesh of at most BLOCK edges is one
-# block), and faces per block of the curl.  A block's six edge vectors
-# (48 bytes a row, 1.5 MB) fit in a 2 MB L2 cache next to its buffers
+# block), and faces per block of the curl.  A block's five edge vectors
+# (40 bytes a row, 1.25 MB) fit in a 2 MB L2 cache next to its buffers
 BLOCK = 1 << 15
 
 

@@ -2,8 +2,8 @@
 
 The update is hybrid: a two-step update for the electric field followed
 by a one-step update for the polarization current that reuses the freshly
-computed E (so the scheme stays explicit).  Boundary DoF are held at zero
-throughout.
+computed E (so the scheme stays explicit), in increment form on three
+edge vectors (`SimState`).  Boundary DoF are held at zero throughout.
 """
 
 from __future__ import annotations
@@ -75,24 +75,30 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Fields at steps n and n-1 (the E update needs J one step behind);
-    `step` overwrites the n-1 buffers, so copy a field kept for later."""
-    E_curr: np.ndarray
-    E_prev: np.ndarray
-    J_curr: np.ndarray
-    J_prev: np.ndarray
+    """Step n in increment form, updated in place by `step`: E = E^n,
+    W = a1 (E^n - E^{n-1}) + a2 (J^n - J^{n-1}), so E^{n+1} = E + W + z,
+    and V = J^n - cN E^n (at step 0, V = J^0, cN = 0 and W is None)."""
+    E: np.ndarray
+    W: np.ndarray | None
+    V: np.ndarray
+    cN: float
     n: int
+
+    def J(self, at=slice(None)):
+        """J^n = V + cN E at the index `at`: a new array, or a scalar."""
+        E, V = self.E[at], self.V[at]
+        return E * self.cN + V if self.cN else V.copy()  # J^0 exactly
 
 
 class StepOperators(NamedTuple):
     """What `step` applies, built once per run by `step_operators`.
 
-    K is the `CurlCurl` of W A with -(c0^2 dt alpha3) folded in, alphas
-    are (alpha1, alpha2) of the E update and j_coeffs (cJ, cE, cN) of the
-    J update."""
+    K is the `CurlCurl` of W A with -(c0^2 dt alpha3) folded in, coeffs
+    are (cJ - 1, b, lam, a2, max(1, |cN|)) of `step`, and D a block-sized
+    buffer."""
     K: CurlCurl
-    alphas: tuple
-    j_coeffs: tuple
+    coeffs: tuple
+    D: np.ndarray
 
 
 def _j_coefficients(e: ExpOperators) -> tuple:
@@ -103,103 +109,114 @@ def _j_coefficients(e: ExpOperators) -> tuple:
     return e.beta1 - cN * e.alpha2, e.beta2 - cN * e.alpha1, cN
 
 
-def _j_update(j_coeffs: tuple, E, J, E_next, out, scratch) -> np.ndarray:
-    """J' from (E, J) and the new E into out (which may be J)."""
-    cJ, cE, cN = j_coeffs
-    np.multiply(J, cJ, out=out)
-    out += np.multiply(E, cE, out=scratch)
-    out += np.multiply(E_next, cN, out=scratch)
-    return out
-
-
 def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
     """Set-up of the step: the alpha3 guard, then the assembly."""
-    j_coeffs = _j_coefficients(expops)
+    cJ, cE, cN = _j_coefficients(expops)
+    a1, a2 = expops.alpha1, expops.alpha2
     K = assemble_step_operators(
         config.mesh, config.params,
         -(config.medium.c0 ** 2 * config.dt * expops.alpha3))
-    return StepOperators(K, (expops.alpha1, expops.alpha2), j_coeffs)
+    coeffs = cJ - 1.0, cE + cJ * cN, a1 + a2 * cN, a2, max(1.0, abs(cN))
+    return StepOperators(K, coeffs, np.empty(max(len(b.z) for b in K.blocks)))
 
 
-def initialize(config: SimConfig, mode, j_scale, factors,
-               expops: ExpOperators | None = None) -> SimState:
+def initialize(config: SimConfig, mode, j_scale, factors, expops=None,
+               observe=lambda n, t, state: None) -> tuple:
     """Start from one edge profile and scalars (f0, f1, f2) = factors:
     E^0 = f0 mode, E^1 = f1 mode and J^0 = f2 `scale_lines(mesh, mode,
-    j_scale)`, each a new buffer with its PEC boundary entries zeroed.  J^1
-    comes from one hybrid J update, which is exact whenever (E^0, E^1,
-    J^0) lie on an exponential-step trajectory."""
+    j_scale)`, PEC entries zeroed, after non-finite data are refused.
+    `observe(0, 0.0, state)` sees (E^0, J^0); then, in slices of BLOCK
+    edges, V^1 = cJ J^0 + cE E^0 (so J^1 is the hybrid J update) and W^1
+    = (1 + a1) E^1 - a1 E^0 + a2 (J^1 - J^0) - E^1, rounded as the
+    two-step E update (this seeds an unstable mode), overwrite J^0 and
+    E^0.  Returns the step-1 state and max |E^1|, |J^1|."""
     mesh = config.mesh
     if expops is None:
         expops = exp_operators(config.medium, config.dt)
+    (cJ, cE, cN), a1 = _j_coefficients(expops), expops.alpha1
     mode = np.asarray(mode, dtype=float)
     if mode.shape != (mesh.n_edges,):
         raise ValueError(f"mode has shape {mode.shape}, want ({mesh.n_edges},)")
     f0, f1, f2 = factors
+    for name, v in zip("f0 f1 f2 j_scale".split(), ([f0], [f1], [f2], j_scale)):
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"initial data must be finite: {name} holds {v}")
+    if not math.isfinite(mode.sum()) and not np.isfinite(mode).all():
+        raise ValueError("initial data must be finite: mode holds a NaN or inf")
     E0, E1 = np.multiply(mode, f0), np.multiply(mode, f1)
     J0 = scale_lines(mesh, mode, j_scale)
     J0 *= f2
-    for v in (E0, E1, J0):
-        v[mesh.boundary_edge_mask] = 0.0
-    # J^1 in slices of BLOCK edges, with one slice of scratch
-    J1, coeffs = np.empty_like(J0), _j_coefficients(expops)
-    scratch = np.empty(min(operators.BLOCK, len(J0)))
-    for a in range(0, len(J0), len(scratch)):
-        b = slice(a, a + len(scratch))
-        _j_update(coeffs, E0[b], J0[b], E1[b], J1[b], scratch[:len(J1[b])])
-    return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
+    for h, v in map(mesh.edge_lines, (E0, E1, J0)):  # the PEC entries
+        h[[0, -1]], v[:, [0, -1]] = 0.0, 0.0
+    observe(0, 0.0, SimState(E0, None, J0, 0.0, 0))
+    (S, T), peaks = np.empty((2, min(operators.BLOCK, len(E0)))), []
+    for a in range(0, len(E0), len(S)):
+        e0, e1, j0 = (x[a:a + len(S)] for x in (E0, E1, J0))
+        v, j = S[:len(e0)], T[:len(e0)]
+        np.multiply(j0, cJ, out=v)
+        v += np.multiply(e0, cE, out=j)
+        np.add(v, np.multiply(e1, cN, out=j), out=j)  # J^1
+        peaks += e1.max(), -e1.min(), j.max(), -j.min()  # no |x| temporary
+        np.multiply(np.subtract(j, j0, out=j), expops.alpha2, out=j)
+        np.subtract(np.multiply(e1, 1.0 + a1, out=j0),
+                    np.multiply(e0, a1, out=e0), out=e0)
+        np.subtract(np.add(e0, j, out=e0), e1, out=e0)
+        j0[...] = v
+    return SimState(E1, E0, J0, cN, 1), float(np.max(peaks))
 
 
 def step(state: SimState, ops: StepOperators) -> float:
-    """Advance one step in place, E before J so the scheme is explicit.
-    Returns max |field| over the new E and J, NaN if either holds one.
-
-    One pass over the row blocks of K: each block's curl-curl rows, E
-    and J updates and max/min run on its slices while they are in cache.
-    Every entry takes the same operations in the same order as a
-    whole-vector pass."""
-    (a1, a2), E, J = ops.alphas, state.E_prev, state.J_prev
-    peaks = np.empty((len(ops.K.blocks), 4))
-    for k, (r, z) in enumerate(ops.K(state.E_curr)):
-        e, j, e_c, j_c = E[r], J[r], state.E_curr[r], state.J_curr[r]
-        # E' = (1 + a1) E - a1 E_prev + a2 (J - J_prev) + z into E_prev,
-        # then J' into J_prev with z as scratch
-        z += np.multiply(np.subtract(j_c, j, out=j), a2, out=j)
-        z += np.multiply(e, -a1, out=e)
-        np.add(np.multiply(e_c, 1.0 + a1, out=e), z, out=e)
-        _j_update(ops.j_coeffs, e_c, j_c, e, out=j, scratch=z)
-        peaks[k] = e.max(), -e.min(), j.max(), -j.min()  # no |x| temporary
-    state.E_curr, state.E_prev = E, state.E_curr
-    state.J_curr, state.J_prev = J, state.J_curr
+    """Advance one step in place.  With S = W + z, D = (cJ - 1) V + b E,
+    b = cE + cJ cN and lam = a1 + a2 cN, V += D, W = lam S + a2 D and
+    E += S are the hybrid E and J updates: 9 ufunc calls on each row block
+    of K while it is in cache, the same for each entry whatever the blocks.
+    Returns max(1, |cN|) |E| + |V| in the 2-norm, one dot product per
+    vector and block: at least max |E|, |J| but for the dot's rounding,
+    NaN or inf if either holds one."""
+    (c1, b, lam, a2, kE), E, W, V = ops.coeffs, state.E, state.W, state.V
+    sE = sV = 0.0
+    for r, z in ops.K(E):  # C E is taken before the first block's update
+        e, w, v, d = E[r], W[r], V[r], ops.D[:len(z)]
+        z += w
+        np.multiply(e, b, out=d)
+        d += np.multiply(v, c1, out=w)
+        v += d
+        np.multiply(z, lam, out=w)
+        w += np.multiply(d, a2, out=d)
+        e += z
+        sE += np.dot(e, e)
+        sV += np.dot(v, v)
     state.n += 1
-    return float(peaks.max())  # a NaN that Python's max could drop stays
+    return kE * math.sqrt(sE) + math.sqrt(sV)
 
 
 def run(config: SimConfig, mode, j_scale, factors, observe=None) -> SimState:
     """Run from the initial data of `initialize` to the first step at or
     past T and return the final state.
 
-    `observe(n, t, E, J)` is called for each step n = 0 .. n_steps in
-    order, with t = n dt and the live buffers of step n, which the next
-    step overwrites: it reads or copies them before it returns.
-    Raises UnstableSimulationError on NaN or blow-up.
+    `observe(n, t, state)` is called for each step n = 0 .. n_steps in
+    order, with t = n dt and the live state of step n, which the next
+    step overwrites: it reads `state.E` and `state.J(at)` or copies them.
+    Raises UnstableSimulationError on NaN, or when max |E|, |J| (exact
+    where `step`'s bound nears the limit) passes 1e12 (1 + its step-1 value).
     """
     dt = config.dt
     expops = exp_operators(config.medium, dt)
     ops = step_operators(config, expops)
-    state = initialize(config, mode, j_scale, factors, expops)
-    observe = observe or (lambda n, t, E, J: None)
-    observe(0, 0.0, state.E_prev, state.J_prev)
-    observe(1, dt, state.E_curr, state.J_curr)
+    observe = observe or (lambda n, t, state: None)
+    state, peak = initialize(config, mode, j_scale, factors, expops, observe)
+    observe(1, dt, state)
 
-    E, J = state.E_curr, state.J_curr  # max |x| without an |x| temporary
-    blowup_ref = 1.0 + np.max([E.max(), -E.min(), J.max(), -J.min()])
+    limit = 1e12 * (1.0 + peak)
     while state.n < config.n_steps:
         m = step(state, ops)
-        if not np.isfinite(m) or m > 1e12 * blowup_ref:
-            raise UnstableSimulationError(
-                f"instability at step {state.n} (t={state.n * dt:.6g}): "
-                f"max |field| = {m:.3e}")
-        observe(state.n, state.n * dt, state.E_curr, state.J_curr)
+        if not m < (1.0 - 1e-6) * limit:  # margin for the dot's rounding
+            m = np.abs((state.E, state.J())).max()  # NaN if either has one
+            if not m <= limit:
+                raise UnstableSimulationError(
+                    f"instability at step {state.n} (t={state.n * dt:.6g}): "
+                    f"max |field| = {m:.3e}")
+        observe(state.n, state.n * dt, state)
     return state
 
 

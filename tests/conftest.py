@@ -19,20 +19,20 @@ import scipy.sparse as sp
 from etmfd.mesh import interpolate_edge_field
 from etmfd.operators import local_curl, local_W
 from etmfd.plasma import exp_operators
-from etmfd.stepper import SimState, _j_coefficients, _j_update
+from etmfd.selftest import increment_state
+from etmfd.stepper import _j_coefficients
 
 
 def initial_state(config, E0, E1, J0):
-    """A `SimState` from any three edge arrays, E at t = 0 and dt and J at
-    t = 0, as `stepper.initialize` makes one from a profile: copies with
-    their PEC entries zeroed, and J^1 from one hybrid J update."""
+    """The step-1 `SimState` of any three edge arrays, E at t = 0 and dt
+    and J at t = 0, as `stepper.initialize` makes one from a profile:
+    PEC entries zeroed, and J^1 from one hybrid J update."""
     E0, E1, J0 = np.array([E0, E1, J0], dtype=float)
     for v in (E0, E1, J0):
         v[config.mesh.boundary_edge_mask] = 0.0
-    coeffs = _j_coefficients(exp_operators(config.medium, config.dt))
-    J1 = _j_update(coeffs, E0, J0, E1, out=np.empty_like(J0),
-                   scratch=np.empty_like(J0))
-    return SimState(E_curr=E1, E_prev=E0, J_curr=J1, J_prev=J0, n=1)
+    ops = exp_operators(config.medium, config.dt)
+    cJ, cE, cN = _j_coefficients(ops)
+    return increment_state((E1, E0, cJ * J0 + cE * E0 + cN * E1, J0), ops)
 
 
 def pec_ids(shapes):

@@ -319,14 +319,16 @@ def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
     exact = edge_average_oracle(mesh, sol.kx, sol.ky)
     assert np.abs(avg - exact).max() < 1e-10 * np.abs(exact).max()
     # one step: the run starts from the profiles times the exact time factors
-    config, st, _, mid1, j_scale1 = run_standing_mode(mesh, "etmfd", sol,
-                                                      0.5, 0.01)
+    seen = []
+    config, st, _, mid1, j_scale1 = run_standing_mode(
+        mesh, "etmfd", sol, 0.5, 0.01,
+        observe=lambda n, t, state: seen.append((state.E.copy(), state.J())))
     inner = ~mesh.boundary_edge_mask
     assert st.n == 1
     assert np.array_equal(mid1, mid) and j_scale1 == j_scale
-    for got, want in ((st.E_prev, e_time_factor(sol, 0.0) * mid),
-                      (st.E_curr, e_time_factor(sol, config.dt) * mid),
-                      (st.J_prev, j_time_factor(sol, 0.0) * avg)):
+    for got, want in ((seen[0][0], e_time_factor(sol, 0.0) * mid),
+                      (seen[1][0], e_time_factor(sol, config.dt) * mid),
+                      (seen[0][1], j_time_factor(sol, 0.0) * avg)):
         assert np.array_equal(got[inner], want[inner])
 
 
@@ -341,22 +343,24 @@ def test_mode_dofs_J_rule_is_the_exact_edge_average():
 
 
 def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
-    # alive while it steps: mid, the four state buffers and the CurlCurl's
-    # face vector; the initial data are written into the state buffers,
-    # J^1 takes a block of scratch and each snapshot is written from the
-    # live buffers.  Measured 5.8 edge vectors of traced peak;
-    # initial-data arrays, a (3, n) stack of them or snapshot copies held
-    # for the run take it past 7 (23.3)
+    # alive while it steps: mid, the three state vectors and the
+    # CurlCurl's face vector; the initial data are written into the state
+    # buffers, the step-1 state takes two blocks of scratch and each
+    # snapshot is written from E and one formed J.  Measured 5.8 edge
+    # vectors of traced peak, set by the interpolation; initial-data
+    # arrays, a (3, n) stack of them or snapshot copies held for the run
+    # take it past 7 (23.3)
     mesh = build_mesh(512, 512, 1.0, 1.0)
     sol = make_exact_solution(np.pi, 2 * np.pi, MEDIUM)
     T = 19.5 * 0.5 * mesh.dx / MEDIUM.c0  # 20 steps
     probe = 1000  # an interior horizontal edge
     written = []
 
-    def save(n, t, E, J):  # simulate's snapshot writer, every 5 steps
+    def save(n, t, state):  # simulate's snapshot writer, every 5 steps
         if n % 5 == 0:
-            save_snapshot(str(tmp_path / f"snap{n}"), mesh, n, t, E, J)
-            written.append((n, E[probe], J[probe]))
+            save_snapshot(str(tmp_path / f"snap{n}"), mesh, n, t, state.E,
+                          state.J())
+            written.append((n, state.E[probe], state.J(probe)))
 
     tracemalloc.start()
     try:
@@ -375,8 +379,8 @@ def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
         assert E[probe] == e == trace_E[n]
         assert J[probe] == j == trace_J[n]
     _, E, J = load_snapshot(str(tmp_path / "snap20"))
-    assert np.array_equal(E, state.E_curr)
-    assert np.array_equal(J, state.J_curr)
+    assert np.array_equal(E, state.E)
+    assert np.array_equal(J, state.J())
 
 
 @pytest.mark.parametrize("probes, message", [

@@ -209,8 +209,8 @@ def test_simulate_command(tmp_path, monkeypatch):
         assert len(E) == len(J) == meta["n_edges"]
         assert (E[probe], J[probe]) == (float(rows[n]["E"]),
                                         float(rows[n]["J"]))
-    assert np.array_equal(E, state.E_curr)
-    assert np.array_equal(J, state.J_curr)
+    assert np.array_equal(E, state.E)
+    assert np.array_equal(J, state.J())
 
 
 def test_simulate_that_blows_up_keeps_the_snapshots_taken_before(
@@ -219,7 +219,10 @@ def test_simulate_that_blows_up_keeps_the_snapshots_taken_before(
 
     def blows_up_at_step_5(state, ops):
         m = real(state, ops)
-        return math.inf if state.n == 5 else m
+        if state.n == 5:  # an inf bound: run takes the exact max, also inf
+            state.E[:] = math.inf
+            return math.inf
+        return m
 
     monkeypatch.setattr(stepper, "step", blows_up_at_step_5)
     cfg = write_config(tmp_path, "s.json",
@@ -704,8 +707,8 @@ def test_readme_python_blocks_run():
     assert len(namespace["rows"]) == 6
     snapshots, state = namespace["snapshots"], namespace["state"]
     assert [n for n, _, _, _ in snapshots] == list(range(0, 129, 16))
-    assert np.array_equal(snapshots[-1][2], state.E_curr)
-    assert np.array_equal(snapshots[-1][3], state.J_curr)
+    assert np.array_equal(snapshots[-1][2], state.E)
+    assert np.array_equal(snapshots[-1][3], state.J())
 
 
 def test_readme_commands_parse_and_ci_runs_exactly_them():
