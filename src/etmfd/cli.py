@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -261,7 +262,7 @@ def cmd_simulate(args) -> int:
         if stride > 0 and n % stride == 0:
             os.makedirs(outdir, exist_ok=True)
             save_snapshot(os.path.join(outdir, f"snapshot_{n:06d}"), mesh,
-                          n, t, state.E, state.J())
+                          t, state)
             saved.append(n)
 
     config, state, traces, _, _ = analysis.run_standing_mode(
@@ -318,30 +319,28 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1, choices=(1,),
-                        help="single-threaded; kept for callers that pass 1")
+                        help="accepted for callers that pass 1; BLAS threads "
+                        "are set apart, by OPENBLAS_NUM_THREADS")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="optimal MFD weights for (nu, gamma)")
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("converge", help="mesh-refinement study")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("anisotropy", help="dispersion-error angle sweep")
-    p.set_defaults(func=cmd_anisotropy)
-
-    p = sub.add_parser("simulate", help="run one simulation")
-    p.set_defaults(func=cmd_simulate)
+    sub.add_parser("converge", help="mesh-refinement study")
+    sub.add_parser("anisotropy", help="dispersion-error angle sweep")
+    sub.add_parser("simulate", help="run one simulation")
 
     p = sub.add_parser("roots", help="continuous dispersion roots")
     p.add_argument("--k", type=float, default=None)
-    p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("selftest", help="run built-in oracle checks")
-    p.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="run built-in oracle checks")
     return parser
+
+
+# one parser a process: building it costs about as much as a small
+# command's set-up
+_parser = functools.cache(make_parser)
 
 
 # Exception -> exit code, first match wins.  LinAlgError subclasses
@@ -356,12 +355,11 @@ EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.config is not None and not os.path.exists(args.config):
             raise CliError(f"config file not found: {args.config}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:
         for types, code, label in EXIT_CODES:
             if isinstance(exc, types):

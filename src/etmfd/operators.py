@@ -103,51 +103,6 @@ def row_blocks(n: int, line: int) -> np.ndarray:
     return np.arange(nb + 1) * n // nb
 
 
-class Curl:
-    """The curl with the PEC columns dropped, without a matrix: a face
-    sums the terms [bottom, top, left, right] (a CSR row's edge order)
-    from the edge lines of E, one `row_blocks` block of face lines at a
-    time, in cache.  Wall terms are zeroed before they are added."""
-
-    def __init__(self, mesh: RectMesh):
-        self.mesh, nx, ny = mesh, mesh.nx, mesh.ny
-        cb, cr, ct, cl = local_curl(mesh.dx, mesh.dy).tolist()
-        # per block of face lines, its terms in order: (edge lines,
-        # coefficient, source slice, the term's wall faces)
-        self.blocks = []
-        bounds = row_blocks(ny, nx).tolist()
-        for j0, j1 in zip(bounds, bounds[1:]):
-            terms = []
-            for axis, up, c in ((0, 0, cb), (0, 1, ct),
-                                (1, 0, cl), (1, 1, cr)):
-                # the edges `up` lines on from the block's faces a .. b - 1
-                # along the axis, and the wall face among them, if any
-                a, b = (j0, j1) if axis == 0 else (0, nx)
-                w = ((ny, nx)[axis] - 1) * up - a
-                wall = slice(w, w + 1) if 0 <= w < b - a else slice(0)
-                lead, keep = (slice(j0, j1),) * axis, (slice(None),) * axis
-                terms.append((axis, c, lead + (slice(a + up, b + up),),
-                              keep + (wall,)))
-            self.blocks.append((slice(j0, j1), terms))
-
-    def __call__(self, E: np.ndarray, out: np.ndarray,
-                 scratch: np.ndarray) -> np.ndarray:
-        """The curl of E into out, a face vector, which it returns;
-        scratch holds at least one block of faces."""
-        lines = self.mesh.edge_lines(E)
-        y = out.reshape(self.mesh.ny, self.mesh.nx)
-        for rows, terms in self.blocks:
-            yb = y[rows]
-            sb = scratch[:yb.size].reshape(yb.shape)
-            for k, (axis, c, src, wall) in enumerate(terms):
-                term = sb if k else yb
-                np.multiply(lines[axis][src], c, out=term)
-                term[wall] = 0.0
-                if k:
-                    yb += sb
-        return out
-
-
 class Block(NamedTuple):
     """Rows of a `CurlCurl`, their buffer z, and the calls that fill z."""
     rows: slice
@@ -157,23 +112,52 @@ class Block(NamedTuple):
 
 class CurlCurl(NamedTuple):
     """scale W A = scale W C^T diag(|f|) C with the PEC rows and columns
-    dropped, without a matrix: `curl` writes y = C E, then each block's
-    (ufunc, operands) calls, on views fixed when it is built, take the
-    face differences of y on its edges and their five-point stencil
-    (`assemble_step_operators`).  It holds y and block-sized buffers."""
-    curl: Curl
+    dropped, without a matrix, planned on the edge vector E: the `curl`
+    (ufunc, operands) calls write y = C E, then each block's calls take
+    the face differences of y on its edges and their five-point stencil
+    (`assemble_step_operators`), all on views fixed when it is built."""
+    E: np.ndarray
     y: np.ndarray
     scratch: np.ndarray
+    curl: tuple
     blocks: tuple
 
-    def __call__(self, E: np.ndarray):
+    def __call__(self):
         """Yield (rows, z) block by block in row order: z holds the rows
         `rows` of scale W A E until the next block overwrites it."""
-        self.curl(E, self.y, self.scratch)
+        for f, args in self.curl:
+            f(*args)
         for block in self.blocks:
             for f, args in block.calls:
                 f(*args)
             yield block.rows, block.z
+
+
+def _curl(mesh, E, y, scratch) -> list:
+    """The calls y = C E: a face sums the terms [bottom, top, left,
+    right] (a CSR row's edge order) from the edge lines of E, one
+    `row_blocks` block of face lines at a time, in cache: the first into
+    y, each later one into scratch, then added.  A term's wall faces, if
+    any, are zeroed before it is added."""
+    nx, ny = mesh.nx, mesh.ny
+    cb, cr, ct, cl = local_curl(mesh.dx, mesh.dy).tolist()
+    (h, v), y, calls = mesh.edge_lines(E), y.reshape(ny, nx), []
+    bounds = row_blocks(ny, nx).tolist()
+    for j0, j1 in zip(bounds, bounds[1:]):
+        yb = y[j0:j1]
+        sb = scratch[:yb.size].reshape(yb.shape)
+        for k, (src, c, wall) in enumerate((
+                (h[j0:j1], cb, 0 if j0 == 0 else None),
+                (h[j0 + 1:j1 + 1], ct, -1 if j1 == ny else None),
+                (v[j0:j1, :-1], cl, (slice(None), 0)),
+                (v[j0:j1, 1:], cr, (slice(None), -1)))):
+            term = sb if k else yb
+            calls.append((np.multiply, (src, c, term)))
+            if wall is not None:
+                calls.append((np.copyto, (term[wall], 0.0)))
+            if k:
+                calls.append((np.add, (yb, sb, yb)))
+    return calls
 
 
 def _stencil(D, w, z, t, A, B_lines, C_rows, ends=()) -> list:
@@ -232,8 +216,9 @@ def _vertical(y, D, z, t, l0, l1, coeffs) -> list:
 
 
 def assemble_step_operators(mesh: RectMesh, params: MfdParams,
-                            scale: float) -> CurlCurl:
-    """The `CurlCurl` of scale W A, its blocks' calls planned once.
+                            scale: float, E: np.ndarray) -> CurlCurl:
+    """The `CurlCurl` of scale W A on the edge vector E, its calls
+    planned once.
 
     On each edge let d be the difference of y across it, y[j] - y[j-1]
     on horizontal edge (i, j) and y[i-1] - y[i] on vertical edge (i, j):
@@ -276,7 +261,8 @@ def assemble_step_operators(mesh: RectMesh, params: MfdParams,
             blocks.append(Block(slice(a, a + len(zb)), zb, tuple(calls)))
     if one:
         blocks = [Block(slice(0, len(z)), z, blocks[0].calls + blocks[1].calls)]
-    return CurlCurl(Curl(mesh), y, scratch, tuple(blocks))
+    return CurlCurl(E, y, scratch, tuple(_curl(mesh, E, y, scratch)),
+                    tuple(blocks))
 
 
 def params_for_scheme(scheme: str, nu: float, gamma: float) -> MfdParams:

@@ -8,6 +8,7 @@ edge vectors (`SimState`).  Boundary DoF are held at zero throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -67,6 +68,11 @@ class SimConfig:
     def dt(self) -> float:
         return self.nu * self.mesh.dx / self.medium.c0
 
+    @functools.cached_property
+    def expops(self) -> ExpOperators:
+        """The exponentials of one step, computed on first use."""
+        return exp_operators(self.medium, self.dt)
+
     @property
     def n_steps(self) -> int:
         """Final step index: smallest n with n*dt >= T."""
@@ -93,9 +99,9 @@ class SimState:
 class StepOperators(NamedTuple):
     """What `step` applies, built once per run by `step_operators`.
 
-    K is the `CurlCurl` of W A with -(c0^2 dt alpha3) folded in, coeffs
-    are (cJ - 1, b, lam, a2, max(1, |cN|)) of `step`, and D a block-sized
-    buffer."""
+    K is the `CurlCurl` of W A with -(c0^2 dt alpha3) folded in, planned
+    on the state's E, coeffs are (cJ - 1, b, lam, a2, max(1, |cN|)) of
+    `step`, and D a block-sized buffer."""
     K: CurlCurl
     coeffs: tuple
     D: np.ndarray
@@ -109,18 +115,20 @@ def _j_coefficients(e: ExpOperators) -> tuple:
     return e.beta1 - cN * e.alpha2, e.beta2 - cN * e.alpha1, cN
 
 
-def step_operators(config: SimConfig, expops: ExpOperators) -> StepOperators:
-    """Set-up of the step: the alpha3 guard, then the assembly."""
+def step_operators(config: SimConfig, E: np.ndarray) -> StepOperators:
+    """Set-up of the step: the alpha3 guard, then the assembly, planned
+    on the state buffer E."""
+    expops = config.expops
     cJ, cE, cN = _j_coefficients(expops)
     a1, a2 = expops.alpha1, expops.alpha2
     K = assemble_step_operators(
         config.mesh, config.params,
-        -(config.medium.c0 ** 2 * config.dt * expops.alpha3))
+        -(config.medium.c0 ** 2 * config.dt * expops.alpha3), E)
     coeffs = cJ - 1.0, cE + cJ * cN, a1 + a2 * cN, a2, max(1.0, abs(cN))
     return StepOperators(K, coeffs, np.empty(max(len(b.z) for b in K.blocks)))
 
 
-def initialize(config: SimConfig, mode, j_scale, factors, expops=None,
+def initialize(config: SimConfig, mode, j_scale, factors,
                observe=lambda n, t, state: None) -> tuple:
     """Start from one edge profile and scalars (f0, f1, f2) = factors:
     E^0 = f0 mode, E^1 = f1 mode and J^0 = f2 `scale_lines(mesh, mode,
@@ -130,9 +138,7 @@ def initialize(config: SimConfig, mode, j_scale, factors, expops=None,
     = (1 + a1) E^1 - a1 E^0 + a2 (J^1 - J^0) - E^1, rounded as the
     two-step E update (this seeds an unstable mode), overwrite J^0 and
     E^0.  Returns the step-1 state and max |E^1|, |J^1|."""
-    mesh = config.mesh
-    if expops is None:
-        expops = exp_operators(config.medium, config.dt)
+    mesh, expops = config.mesh, config.expops
     (cJ, cE, cN), a1 = _j_coefficients(expops), expops.alpha1
     mode = np.asarray(mode, dtype=float)
     if mode.shape != (mesh.n_edges,):
@@ -166,7 +172,8 @@ def initialize(config: SimConfig, mode, j_scale, factors, expops=None,
 
 
 def step(state: SimState, ops: StepOperators) -> float:
-    """Advance one step in place.  With S = W + z, D = (cJ - 1) V + b E,
+    """Advance one step in place, on a state whose E is the buffer that
+    `ops` was planned on.  With S = W + z, D = (cJ - 1) V + b E,
     b = cE + cJ cN and lam = a1 + a2 cN, V += D, W = lam S + a2 D and
     E += S are the hybrid E and J updates: 9 ufunc calls on each row block
     of K while it is in cache, the same for each entry whatever the blocks.
@@ -174,8 +181,10 @@ def step(state: SimState, ops: StepOperators) -> float:
     vector and block: at least max |E|, |J| but for the dot's rounding,
     NaN or inf if either holds one."""
     (c1, b, lam, a2, kE), E, W, V = ops.coeffs, state.E, state.W, state.V
+    if E is not ops.K.E:
+        raise ValueError("state.E is not the buffer the step was planned on")
     sE = sV = 0.0
-    for r, z in ops.K(E):  # C E is taken before the first block's update
+    for r, z in ops.K():  # C E is taken before the first block's update
         e, w, v, d = E[r], W[r], V[r], ops.D[:len(z)]
         z += w
         np.multiply(e, b, out=d)
@@ -201,10 +210,9 @@ def run(config: SimConfig, mode, j_scale, factors, observe=None) -> SimState:
     where `step`'s bound nears the limit) passes 1e12 (1 + its step-1 value).
     """
     dt = config.dt
-    expops = exp_operators(config.medium, dt)
-    ops = step_operators(config, expops)
     observe = observe or (lambda n, t, state: None)
-    state, peak = initialize(config, mode, j_scale, factors, expops, observe)
+    state, peak = initialize(config, mode, j_scale, factors, observe)
+    ops = step_operators(config, state.E)
     observe(1, dt, state)
 
     limit = 1e12 * (1.0 + peak)
@@ -227,18 +235,22 @@ def run(config: SimConfig, mode, j_scale, factors, observe=None) -> SimState:
 # step index and time.  The sidecar names the binaries relative to its own
 # directory, so a snapshot loads from any working directory.
 
-def save_snapshot(prefix: str, mesh: RectMesh, step: int, t: float, E,
-                  J) -> None:
+def save_snapshot(prefix: str, mesh: RectMesh, t: float,
+                  state: SimState) -> None:
+    """Write the E and J of step state.n at time t, J formed a slice of
+    BLOCK edges at a time."""
     base = os.path.basename(prefix)
     meta = {
         "nx": mesh.nx, "ny": mesh.ny, "Lx": mesh.Lx, "Ly": mesh.Ly,
-        "boundary": "pec", "step": step, "time": t,
+        "boundary": "pec", "step": state.n, "time": t,
         "n_edges": mesh.n_edges, "dtype": "<f8",
         "order": "global edge index (horizontal edges first)",
         "fields": {"E": base + ".E.bin", "J": base + ".J.bin"},
     }
-    np.asarray(E, "<f8").tofile(prefix + ".E.bin")  # no copy if f8
-    np.asarray(J, "<f8").tofile(prefix + ".J.bin")
+    np.asarray(state.E, "<f8").tofile(prefix + ".E.bin")  # no copy if f8
+    with open(prefix + ".J.bin", "wb") as fh:
+        for a in range(0, len(state.E), operators.BLOCK):
+            np.asarray(state.J(slice(a, a + operators.BLOCK)), "<f8").tofile(fh)
     with open(prefix + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -346,10 +346,10 @@ def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
     # alive while it steps: mid, the three state vectors and the
     # CurlCurl's face vector; the initial data are written into the state
     # buffers, the step-1 state takes two blocks of scratch and each
-    # snapshot is written from E and one formed J.  Measured 5.8 edge
-    # vectors of traced peak, set by the interpolation; initial-data
-    # arrays, a (3, n) stack of them or snapshot copies held for the run
-    # take it past 7 (23.3)
+    # snapshot is written from E and from J formed a block at a time.
+    # Measured 4.9 edge vectors of traced peak (5.8 while each snapshot
+    # formed all of J); initial-data arrays, a (3, n) stack of them or
+    # snapshot copies held for the run take it past 7 (23.3)
     mesh = build_mesh(512, 512, 1.0, 1.0)
     sol = make_exact_solution(np.pi, 2 * np.pi, MEDIUM)
     T = 19.5 * 0.5 * mesh.dx / MEDIUM.c0  # 20 steps
@@ -358,8 +358,7 @@ def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
 
     def save(n, t, state):  # simulate's snapshot writer, every 5 steps
         if n % 5 == 0:
-            save_snapshot(str(tmp_path / f"snap{n}"), mesh, n, t, state.E,
-                          state.J())
+            save_snapshot(str(tmp_path / f"snap{n}"), mesh, t, state)
             written.append((n, state.E[probe], state.J(probe)))
 
     tracemalloc.start()

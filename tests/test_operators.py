@@ -268,14 +268,18 @@ def test_curl_acts_as_the_pruned_oracle_curl(nx, ny, oracle, block, rng,
         monkeypatch.setattr(operators, "BLOCK", block)
     m = build_mesh(nx, ny, 1.0, 1.3)
     C_ref = apply_pec(assemble_curl(m), m, rows=False)
-    curl = assemble_step_operators(m, yee_params(), 1.0).curl
-    assert len(curl.blocks) == len(row_blocks(ny, nx)) - 1
+    K = assemble_step_operators(m, yee_params(), 1.0, np.empty(m.n_edges))
+    # four products a block of face lines
+    assert [f for f, _ in K.curl].count(np.multiply) \
+        == 4 * (len(row_blocks(ny, nx)) - 1)
     for E in (rng.standard_normal(m.n_edges), rng.uniform(1, 2, m.n_edges)):
         # NaN-filled buffers: every face is written, whatever they held
-        y = curl(E, np.full(m.n_faces, np.nan), np.full(m.n_faces, np.nan))
+        K.E[:], K.y[:], K.scratch[:] = E, np.nan, np.nan
+        for f, args in K.curl:
+            f(*args)
         # the oracle's sum in the CSR row's order, bit for bit
         ref = C_ref @ E if oracle == "pec" else torus_curl(m, E)
-        assert np.array_equal(y, ref)
+        assert np.array_equal(K.y, ref)
 
 
 @pytest.mark.parametrize("n, sizes", [(1, [1]), (7, [7]), (8, [4, 4]),
@@ -299,10 +303,11 @@ def weights(w, mesh):
 
 
 def stencil_action(mesh, params, scale, E):
-    """scale W A E from the `CurlCurl`, its blocks laid side by side, after
-    checking that their rows tile the edge vector in order."""
+    """scale W A E from the `CurlCurl` planned on a copy of E, its blocks
+    laid side by side, after checking that their rows tile the edge
+    vector in order."""
     out, end = np.full(mesh.n_edges, np.nan), 0
-    for rows, z in assemble_step_operators(mesh, params, scale)(E):
+    for rows, z in assemble_step_operators(mesh, params, scale, E.copy())():
         assert rows.start == end and z.shape == (rows.stop - rows.start,)
         out[rows], end = z, rows.stop
     assert end == mesh.n_edges
@@ -349,10 +354,11 @@ def test_step_operators_in_small_blocks_stack_to_one_block(
     E = rng.standard_normal(m.n_edges)
     ones = []
     for w in WEIGHTS:
-        assert len(assemble_step_operators(m, weights(w, m), 1.0).blocks) == 1
+        assert len(assemble_step_operators(m, weights(w, m), 1.0,
+                                           E).blocks) == 1
         ones.append(stencil_action(m, weights(w, m), -0.7, E))
     monkeypatch.setattr(operators, "BLOCK", block)
-    K = assemble_step_operators(m, yee_params(), 1.0)
+    K = assemble_step_operators(m, yee_params(), 1.0, E)
     sides = len(row_blocks(ny + 1, nx)) + len(row_blocks(ny, nx + 1)) - 2
     assert len(K.blocks) == (1 if m.n_edges <= block else sides)
     for w, one in zip(WEIGHTS, ones):
@@ -397,11 +403,14 @@ def test_step_operators_hold_no_edge_sized_array(scheme):
     # 512^2: nine blocks a side.  Held: the face vector y and block-sized
     # buffers (the result, a scratch and each orientation's face
     # differences with their halo lines); no matrix, padded face copy or
-    # edge vector
+    # edge vector but the E it is planned on, the caller's
     m = build_mesh(512, 512, 1.0, 1.0)
-    K = assemble_step_operators(m, params_for_scheme(scheme, 0.5, 1.0), 1.0)
+    E = np.empty(m.n_edges)
+    K = assemble_step_operators(m, params_for_scheme(scheme, 0.5, 1.0), 1.0,
+                                E)
     assert len(K.blocks) == 18
     arrays = held_arrays(K)
+    assert arrays.pop(id(E)) is E
     sizes = sorted(a.size for a in arrays.values())
     assert sizes[-1] == m.n_faces and id(K.y) in arrays
     assert sum(sizes[:-1]) <= 4 * (operators.BLOCK + 2 * (m.nx + 1))

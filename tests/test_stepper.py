@@ -11,7 +11,7 @@ from etmfd import cli, operators, stepper
 from etmfd.analysis import (e_time_factor, exact_E, j_time_factor,
                             make_exact_solution, mode_dofs,
                             run_standing_mode)
-from etmfd.mesh import build_mesh, interpolate_edge_field
+from etmfd.mesh import RectMesh, build_mesh, interpolate_edge_field
 from etmfd.operators import params_for_scheme, row_blocks, yee_params
 from etmfd.plasma import Medium, coupling_matrix, exp_operators
 from etmfd.selftest import dense_step, increment_state, series_exp_oracle
@@ -116,7 +116,7 @@ def test_initialize_makes_the_hybrid_J1_bit_for_bit(rng):
     mode = rng.standard_normal(mesh.n_edges)
     f0, f1, f2 = 0.9, 0.7, -0.4
     seen = []
-    st, peak = initialize(config, mode, (1.3, 0.8), (f0, f1, f2), ops,
+    st, peak = initialize(config, mode, (1.3, 0.8), (f0, f1, f2),
                           lambda n, t, s: seen.append((s.E.copy(), s.J())))
     [(E0, J0)] = seen
     E1 = np.where(mesh.boundary_edge_mask, 0.0, f1 * mode)
@@ -214,7 +214,7 @@ def test_observe_sees_every_step_once_in_order(n_steps):
     # the reference: initialize and step by hand, copying every step
     ref = []
     st, _ = initialize(config, *inits, observe=_kept(ref))
-    ops = step_operators(config, exp_operators(MEDIUM, config.dt))
+    ops = step_operators(config, st.E)
     ref.append((1, config.dt, st.E.copy(), st.J()))
     for _ in range(2, n_steps + 1):
         step(st, ops)
@@ -237,8 +237,8 @@ def test_observe_sees_every_step_once_in_order(n_steps):
 def test_step_zero_state():
     mesh = build_mesh(3, 3, 1.0, 1.0)
     config = make_config(mesh)
-    ops = step_operators(config, exp_operators(MEDIUM, config.dt))
     st = SimState(*np.zeros((3, mesh.n_edges)), 0.03, 1)
+    ops = step_operators(config, st.E)
     assert step(st, ops) == 0.0
     assert np.abs(st.E).max() == 0.0 and np.abs(st.J()).max() == 0.0
     assert st.n == 2
@@ -253,25 +253,13 @@ def test_step_uniform_mode_matches_scalar_recurrence(rng):
     e_c, e_p, j_c, j_p = 0.8, 0.75, -0.2, -0.25
     g = wall_free_gradient(mesh, rng)
     new = increment_state((e_c * g, e_p * g, j_c * g, j_p * g), ops)
-    step(new, step_operators(config, ops))
+    step(new, step_operators(config, new.E))
     e_next = (1 + ops.alpha1) * e_c + ops.alpha2 * j_c - ops.alpha1 * e_p - ops.alpha2 * j_p
     j_next = ops.beta1 * j_c + ops.beta2 * e_c + ops.beta3 / ops.alpha3 * (
         e_next - ops.alpha1 * e_c - ops.alpha2 * j_c)
     scale = np.abs(g).max()
     assert np.abs(new.E - e_next * g).max() < 1e-14 * scale
     assert np.abs(new.J() - j_next * g).max() < 1e-14 * scale
-
-
-def test_step_matches_dense_oracle(rng):
-    mesh = build_mesh(3, 3, 1.0, 1.0)
-    config = make_config(mesh)
-    ops = exp_operators(MEDIUM, config.dt)
-    fields = rng.standard_normal((4, mesh.n_edges))
-    st = increment_state(fields, ops)
-    step(st, step_operators(config, ops))
-    E_ref, J_ref = dense_step(fields, config, ops)
-    assert np.abs(st.E - E_ref).max() < 1e-13
-    assert np.abs(st.J() - J_ref).max() < 1e-13
 
 
 def _exact_initial(mesh, sol, dt):
@@ -334,27 +322,6 @@ def test_instability_detected(monkeypatch):
         run(config, *_exact_initial(mesh, sol, config.dt))
 
 
-@pytest.mark.parametrize("dt", [0.1, 0.01])
-def test_ode_limit_exactness(dt):
-    # acceptance criterion: a curl-free mode integrates the 2x2 ODE
-    # exactly, here the gradient of the hat at the one interior node of a
-    # 2x2 mesh of unit cells, +-1 on its four edges
-    mesh = build_mesh(2, 2, 2.0, 2.0)
-    e = mesh.hedge_index(0, 1)
-    mode = np.zeros(mesh.n_edges)
-    mode[[e, mesh.hedge_index(1, 1), mesh.vedge_index(1, 0),
-          mesh.vedge_index(1, 1)]] = 1.0, -1.0, 1.0, -1.0
-    X = coupling_matrix(MEDIUM)
-    u0 = np.array([0.7, -0.3])
-    u1 = series_exp_oracle(X, dt) @ u0
-    config = make_config(mesh, nu=dt * MEDIUM.c0 / mesh.dx, T=1.0,
-                         scheme="et-yee")
-    state = run(config, mode, (1.0, 1.0), (u0[0], u1[0], u0[1]))
-    ref = series_exp_oracle(X, state.n * config.dt) @ u0
-    assert abs(state.E[e] - ref[0]) < 1e-12
-    assert abs(state.J(e) - ref[1]) < 1e-12
-
-
 @pytest.mark.parametrize("n", [64, 256])  # one block of rows, and five
 def test_step_matches_the_unfactored_pair(n, rng):
     # G @ (C @ E) and the in-place update against W @ (A @ E) written out
@@ -370,7 +337,7 @@ def test_step_matches_the_unfactored_pair(n, rng):
                                     @ (assemble_curl_curl(mesh) @ E)))
     J_ref = (ops.beta1 * J + ops.beta2 * E + ops.beta3 / ops.alpha3
              * (E_ref - ops.alpha1 * E - ops.alpha2 * J))
-    step(st, step_operators(config, ops))
+    step(st, step_operators(config, st.E))
     assert np.abs(st.E - E_ref).max() <= 1e-15 * np.abs(E_ref).max()
     assert np.abs(st.J() - J_ref).max() <= 1e-15 * np.abs(J_ref).max()
 
@@ -385,7 +352,7 @@ def test_run_keeps_no_view_of_a_reused_buffer():
     inits = _exact_initial(mesh, sol, config.dt)
     ops = exp_operators(MEDIUM, config.dt)
     first = []
-    st, _ = initialize(config, *inits, ops, _kept(first))
+    st, _ = initialize(config, *inits, _kept(first))
     ref = [first[0][2:], (st.E, st.J())]
     for n in range(2, 13):
         (E, J), (E_prev, J_prev) = ref[-1], ref[-2]
@@ -469,17 +436,16 @@ def test_blocked_step_is_bit_identical_to_one_block(nx, ny, scheme, block,
                                                     rng, monkeypatch):
     mesh = build_mesh(nx, ny, 1.0, 1.3)
     config = make_config(mesh, scheme=scheme)
-    ops = exp_operators(MEDIUM, config.dt)
-    one = step_operators(config, ops)
-    assert len(one.K.blocks) == 1  # the whole mesh, both orientations
-    monkeypatch.setattr(operators, "BLOCK", block)
-    many = step_operators(config, ops)
-    assert len(many.K.blocks) == sum(
-        len(row_blocks(*v.shape)) - 1
-        for v in mesh.edge_lines(np.empty(mesh.n_edges))) >= 2
     st_one = _random_state(config, rng)
     st_many = dataclasses.replace(st_one, **{
         f: getattr(st_one, f).copy() for f in STATE_FIELDS})
+    one = step_operators(config, st_one.E)
+    assert len(one.K.blocks) == 1  # the whole mesh, both orientations
+    monkeypatch.setattr(operators, "BLOCK", block)
+    many = step_operators(config, st_many.E)
+    assert len(many.K.blocks) == sum(
+        len(row_blocks(*v.shape)) - 1
+        for v in mesh.edge_lines(np.empty(mesh.n_edges))) >= 2
     for _ in range(20):
         # the bound sums its dot products by block, so only its rounding
         # may differ; the state may not
@@ -499,22 +465,23 @@ def test_blocked_step_returns_the_max_over_every_block(nx, ny, rng,
     monkeypatch.setattr(operators, "BLOCK", 7)
     mesh = build_mesh(nx, ny, 1.0, 1.3)
     config = make_config(mesh)
-    ops = step_operators(config, exp_operators(MEDIUM, config.dt))
-    cN = _j_coefficients(exp_operators(MEDIUM, config.dt))[2]
+    cN = _j_coefficients(config.expops)[2]
     last = int(np.flatnonzero(~mesh.boundary_edge_mask)[-1])
-    assert last >= ops.K.blocks[-1].rows.start  # in the last block
     states = [_random_state(config, rng)]
+    ops = step_operators(config, states[0].E)
+    assert last >= ops.K.blocks[-1].rows.start  # in the last block
     for field, value in (("V", 1e3), ("V", -1e3), ("E", 1e3)):
         states.append(SimState(*np.zeros((3, mesh.n_edges)), cN, 1))
         getattr(states[-1], field)[last] = value
     for st in states:
+        ops = step_operators(config, st.E)
         for _ in range(3):
             assert step(st, ops) >= _peak(st) > 0.0
     for field, value in itertools.product(("E", "V"), (np.nan, np.inf)):
         st = _random_state(config, rng)
         getattr(st, field)[last] = value
         with np.errstate(invalid="ignore"):  # inf - inf on the way
-            assert not math.isfinite(step(st, ops))
+            assert not math.isfinite(step(st, step_operators(config, st.E)))
             assert not math.isfinite(_peak(st))
 
 
@@ -544,9 +511,9 @@ def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
 def test_step_allocates_no_edge_sized_array(rng):
     mesh = build_mesh(512, 512, 1.0, 1.0)  # 525 312 edges, 18 blocks
     config = make_config(mesh)
-    ops = step_operators(config, exp_operators(MEDIUM, config.dt))
-    assert len(ops.K.blocks) == 18
     st = _random_state(config, rng)
+    ops = step_operators(config, st.E)
+    assert len(ops.K.blocks) == 18
     step(st, ops)  # warm: first-call caches stay out of the count
     tracemalloc.start()
     try:
@@ -556,6 +523,63 @@ def test_step_allocates_no_edge_sized_array(rng):
         tracemalloc.stop()
     # z and the stencil's buffers are block-sized, C E lives in ops
     assert peak < mesh.n_faces * 8 / 2
+
+
+def test_step_takes_the_curl_on_views_planned_once(rng, monkeypatch):
+    # the curl's views of E are fixed with the operators: a step slices
+    # no edge line, and steps the same as one that could
+    monkeypatch.setattr(operators, "BLOCK", 64)  # several blocks a side
+    mesh = build_mesh(13, 11, 1.0, 1.3)
+    config = make_config(mesh)
+    planned = _random_state(config, rng)
+    ref = dataclasses.replace(planned, **{
+        f: getattr(planned, f).copy() for f in STATE_FIELDS})
+    ops = step_operators(config, planned.E)
+    step(ref, step_operators(config, ref.E))
+
+    def refused(self, v):
+        raise AssertionError("edge_lines called in a step")
+
+    monkeypatch.setattr(RectMesh, "edge_lines", refused)
+    step(planned, ops)
+    for field in STATE_FIELDS:
+        assert np.array_equal(getattr(planned, field), getattr(ref, field))
+
+
+def test_step_refuses_a_state_whose_E_it_was_not_planned_on(rng):
+    mesh = build_mesh(8, 8, 1.0, 1.0)
+    config = make_config(mesh)
+    planned = _random_state(config, rng)
+    ops = step_operators(config, planned.E)
+    other = dataclasses.replace(planned, **{
+        f: getattr(planned, f).copy() for f in STATE_FIELDS})
+
+    def written():  # both states and the operators' buffers, as bytes
+        return [getattr(st, f).tobytes() for st in (planned, other)
+                for f in STATE_FIELDS] + [ops.K.y.tobytes(), ops.D.tobytes()]
+
+    before = written()
+    with pytest.raises(ValueError, match="not the buffer"):
+        step(other, ops)
+    assert written() == before and planned.n == other.n == 1
+
+
+def test_a_config_computes_its_exponentials_once(monkeypatch):
+    # initialize and the step take them from the config, so a run cannot
+    # be handed a second copy that disagrees with its dt
+    mesh = build_mesh(8, 8, 1.0, 1.0)
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    config = make_config(mesh, T=0.25)
+    real, dts = stepper.exp_operators, []
+    monkeypatch.setattr(stepper, "exp_operators", lambda medium, dt:
+                        dts.append(dt) or real(medium, dt))
+    inits = _exact_initial(mesh, sol, config.dt)
+    first = run(config, *inits)
+    assert dts == [config.dt]
+    again = run(config, *inits)
+    assert dts == [config.dt]
+    for field in STATE_FIELDS:
+        assert np.array_equal(getattr(first, field), getattr(again, field))
 
 
 # 32^2 PEC, kx = ky = pi: ETMFD at nu = 0.7, below nu_max = 0.7071, and
@@ -673,11 +697,12 @@ def test_alpha3_guard_fires_before_the_first_step(monkeypatch):
     real = stepper.exp_operators
     monkeypatch.setattr(stepper, "exp_operators", lambda medium, dt:
                         dataclasses.replace(real(medium, dt), alpha3=0.0))
-    calls = []
+    calls, seen = [], []
     monkeypatch.setattr(stepper, "step", lambda *args: calls.append(args))
     with pytest.raises(ZeroDivisionError, match="alpha3 vanished"):
-        run(config, *_exact_initial(mesh, sol, config.dt))
-    assert calls == []
+        run(config, *_exact_initial(mesh, sol, config.dt),
+            lambda *args: seen.append(args))
+    assert calls == [] and seen == []
 
 
 def second_order_step(fields, W_op, A_op, ops, config):
@@ -700,7 +725,6 @@ def test_hybrid_equivalent_to_second_order_form():
     ops = exp_operators(MEDIUM, config.dt)
     W_op = assemble_W(mesh, config.params)
     A_op = assemble_curl_curl(mesh)
-    step_ops = step_operators(config, ops)
 
     kx = ky = 2 * np.pi  # standing data vanishing on the walls
 
@@ -709,8 +733,8 @@ def test_hybrid_equivalent_to_second_order_form():
                                   lambda x, y: np.sin(kx * x) * np.cos(ky * y))
     first = []
     st_h, _ = initialize(config, mode, (1.0, 1.0),
-                         (1.0, math.cos(2.0 * config.dt), 0.3), ops,
-                         _kept(first))
+                         (1.0, math.cos(2.0 * config.dt), 0.3), _kept(first))
+    step_ops = step_operators(config, st_h.E)
     fields = (st_h.E.copy(), first[0][2], st_h.J(), first[0][3])
     scale = np.abs(st_h.E).max()
     for _ in range(60):
@@ -727,9 +751,8 @@ def test_snapshot_roundtrip(tmp_path):
 
     def save(n, t, state):  # written as it is taken, then read back at the end
         if n % 2 == 0:
-            E, J = state.E, state.J()
-            save_snapshot(str(tmp_path / f"snap{n}"), mesh, n, t, E, J)
-            kept.append((n, t, E.copy(), J))
+            save_snapshot(str(tmp_path / f"snap{n}"), mesh, t, state)
+            kept.append((n, t, state.E.copy(), state.J()))
 
     run(config, *_exact_initial(mesh, sol, config.dt), save)
     assert [n for n, _, _, _ in kept] == [0, 2, 4, 6]
@@ -745,7 +768,8 @@ def test_snapshot_sidecar_holds_exactly_its_keys(tmp_path):
     # the format readers rely on, "boundary" included: every mesh is PEC
     mesh = build_mesh(3, 2, 1.5, 1.0)
     z = np.zeros(mesh.n_edges)
-    save_snapshot(str(tmp_path / "s"), mesh, 4, 0.25, z, z)
+    save_snapshot(str(tmp_path / "s"), mesh, 0.25,
+                  SimState(z, None, z, 0.0, 4))
     meta = json.loads((tmp_path / "s.json").read_text())
     assert meta == {
         "nx": 3, "ny": 2, "Lx": 1.5, "Ly": 1.0, "boundary": "pec",
@@ -759,7 +783,8 @@ def test_snapshot_loads_from_another_cwd(tmp_path, monkeypatch):
     E0 = np.arange(mesh.n_edges, dtype=float)
     (tmp_path / "run" / "out").mkdir(parents=True)
     monkeypatch.chdir(tmp_path / "run")
-    save_snapshot("out/snap", mesh, 4, 0.25, E0, -E0)  # relative prefix
+    # a relative prefix
+    save_snapshot("out/snap", mesh, 0.25, SimState(E0, None, -E0, 0.0, 4))
     monkeypatch.chdir(tmp_path)
     meta, E, J = load_snapshot(str(tmp_path / "run" / "out" / "snap"))
     assert meta["fields"] == {"E": "snap.E.bin", "J": "snap.J.bin"}
@@ -770,7 +795,7 @@ def test_snapshot_old_sidecar_with_absolute_paths(tmp_path):
     mesh = build_mesh(2, 2, 1.0, 1.0)
     E0, J0 = np.ones(mesh.n_edges), np.zeros(mesh.n_edges)
     prefix = str(tmp_path / "snap")
-    save_snapshot(prefix, mesh, 0, 0.0, E0, J0)
+    save_snapshot(prefix, mesh, 0.0, SimState(E0, None, J0, 0.0, 0))
     # an older sidecar, moved away from its binaries, names them absolutely
     meta = json.loads((tmp_path / "snap.json").read_text())
     meta["fields"] = {f: prefix + f".{f}.bin" for f in ("E", "J")}
@@ -781,20 +806,23 @@ def test_snapshot_old_sidecar_with_absolute_paths(tmp_path):
 
 
 def test_save_snapshot_writes_without_an_edge_sized_copy(tmp_path):
+    # a live state, whose J = V + cN E is formed a BLOCK slice at a time
+    # as it is written: a whole J would take 4.2 MB, four times the bound
     mesh = build_mesh(512, 512, 1.0, 1.0)  # 525 312 edges
     rng = np.random.default_rng(7)
-    E0, J0 = rng.standard_normal((2, mesh.n_edges))
+    state = SimState(*rng.standard_normal((3, mesh.n_edges)), -0.3, 3)
     prefix = str(tmp_path / "snap")
-    save_snapshot(prefix, mesh, 3, 0.5, E0, J0)  # warm
+    save_snapshot(prefix, mesh, 0.5, state)  # warm
     tracemalloc.start()
     try:
-        save_snapshot(prefix, mesh, 3, 0.5, E0, J0)
+        save_snapshot(prefix, mesh, 0.5, state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < mesh.n_edges * 8 / 4
+    assert json.loads((tmp_path / "snap.json").read_text())["step"] == 3
     # the bytes are the little-endian float64 values, in edge order
-    for name, v in (("E", E0), ("J", J0)):
+    for name, v in (("E", state.E), ("J", state.J())):
         assert (tmp_path / f"snap.{name}.bin").read_bytes() \
             == v.astype("<f8").tobytes()
 
