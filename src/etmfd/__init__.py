@@ -6,7 +6,7 @@ differencing, its dispersion-optimal (m-adapted) member, and the symbol /
 convergence toolkit used to verify the accuracy claims.
 """
 
-from .mesh import RectMesh, build_mesh, interpolate_edge_field, scale_lines
+from .mesh import RectMesh, build_mesh, interpolate_edge_field
 from .operators import (MfdParams, SingularLocalWError,
                         assemble_step_operators, local_M, local_W, local_curl,
                         optimal_params, params_for_scheme, yee_params)
@@ -16,8 +16,7 @@ from .stepper import (SimConfig, SimState, StepOperators,
                       UnstableSimulationError, initialize, load_snapshot,
                       nu_max, run, save_snapshot, step, step_operators)
 from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
-                         continuous_roots, discrete_root_polish,
-                         leapfrog_zeroing_w2, oscillatory_root,
+                         continuous_roots, oscillatory_root,
                          relative_dispersion_error, s_matrix, spatial_symbol,
                          spatial_symbol_bloch, symbol_error_slope,
                          temporal_symbol)

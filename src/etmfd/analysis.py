@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import oscillatory_root
-from .mesh import build_mesh, interpolate_edge_field, scale_lines
+from .dispersion import WaveVec, oscillatory_root, spatial_symbol
+from .mesh import build_mesh, interpolate_edge_field
 from .operators import local_M
 from .plasma import Medium
 from .stepper import SimConfig, run
@@ -81,27 +81,36 @@ def j_time_factor(sol: ExactSolution, t):
         sol.b * sol.b + aw ** 2)
 
 
-def mode_dofs(mesh, sol: ExactSolution) -> tuple:
-    """(mid, j_scale): the spatial mode's edge DoFs under the E rule
-    (midpoint samples), and (sinc(kx dx / 2), sinc(ky dy / 2)), which take
-    them to the J rule (exact edge averages) on horizontal and vertical
-    edges, the mode being separable.  The exact fields' DoFs at t are mid
-    and `scale_lines(mesh, mid, j_scale)` times the time factors.
+def mode_dofs(config: SimConfig, sol: ExactSolution) -> tuple:
+    """(v, j_ratio): the exact E and J's edge DoFs at t are e(t) v and
+    j(t) j_ratio v.  v, the eigenvector of the step's W A, is the midpoint
+    samples with the horizontal edges scaled by rho = alpha_h / alpha_v:
+    with sx = sin^2(kx dx / 2) and sy = sin^2(ky dy / 2),
+    alpha_h = sinc(ky dy / 2) (1 + (4 w1 - 1) sy + 4 gamma w2 sx) and
+    alpha_v = sinc(kx dx / 2) (1 + (4 w3 - 1) sx + 4 w2 sy / gamma),
+    so rho is 1.0 where kx dx = ky dy on square cells.  j_ratio = 1 - x,
+    x = -dt^2 S_h / 12 with S_h the mode's `spatial_symbol`.
 
     The mode's tangential E must vanish on the PEC walls x = Lx and
     y = Ly, which takes a whole number of half-waves across the domain:
     ValueError otherwise."""
+    mesh, p = config.mesh, config.params
     for k, L in (("kx", "Lx"), ("ky", "Ly")):
         waves = getattr(sol, k) * getattr(mesh, L) / math.pi
         if abs(waves - round(waves)) > 1e-9:
             raise ValueError(
                 f"{k} {L} / pi = {waves:g} is not an integer: the mode "
                 f"does not vanish on the PEC wall at {L}")
-
-    mid = interpolate_edge_field(mesh, *spatial_mode(sol))
+    v, g = interpolate_edge_field(mesh, *spatial_mode(sol)), mesh.gamma
+    S_h = spatial_symbol(WaveVec(sol.k, math.atan2(sol.ky, sol.kx)), mesh.dx,
+                         g, p, config.medium.c0)
+    ux, uy = 0.5 * sol.kx * mesh.dx, 0.5 * sol.ky * mesh.dy
+    sx, sy, c = math.sin(ux) ** 2, math.sin(uy) ** 2, 4 * p.w2
     # np.sinc(u / pi) = sin(u) / u
-    return mid, (np.sinc(sol.kx * mesh.dx / (2.0 * math.pi)),
-                 np.sinc(sol.ky * mesh.dy / (2.0 * math.pi)))
+    mesh.edge_lines(v)[0][...] *= (
+        np.sinc(uy / math.pi) * (1 + (4 * p.w1 - 1) * sy + g * c * sx)
+        / (np.sinc(ux / math.pi) * (1 + (4 * p.w3 - 1) * sx + c * sy / g)))
+    return v, 1.0 + config.dt ** 2 * S_h / 12.0
 
 
 def exact_E(sol: ExactSolution, x, y, t):
@@ -185,7 +194,7 @@ def dispersion_error_metric(fit: FitResult, a_true: float,
 
 def pick_probe_edge(mesh, mode: np.ndarray) -> int:
     """Interior edge with the largest |mode|, ties toward the center;
-    mode is the midpoint DoF vector of `mode_dofs`."""
+    mode is the profile of `mode_dofs`."""
     if mesh.boundary_edge_mask.all():
         raise ValueError(f"{mesh} has no interior edge to probe: every "
                          "edge of a 1x1 PEC mesh is a wall edge")
@@ -206,13 +215,13 @@ def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
     probes=None takes the `pick_probe_edge` probe, and `observe` is
     `run`'s, called after each step's probe samples are taken.
 
-    Returns (config, state, traces, mid, j_scale): the final state, and
+    Returns (config, state, traces, v, j_ratio): the final state, and
     for each probe edge its E and J traces over steps 0 .. n_steps."""
     config = SimConfig(mesh=mesh, medium=sol.medium, scheme=scheme, nu=nu,
                        T=T)
-    mid, j_scale = mode_dofs(mesh, sol)
+    v, j_ratio = mode_dofs(config, sol)
     if probes is None:
-        probes = (pick_probe_edge(mesh, mid),)
+        probes = (pick_probe_edge(mesh, v),)
     traces = {}  # one trace pair and one CSV per edge
     for e in probes:
         if not isinstance(e, (int, np.integer)):
@@ -233,9 +242,9 @@ def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
             observe(n, t, state)
 
     factors = (e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
-               j_time_factor(sol, 0.0))
-    state = run(config, mid, j_scale, factors, record)
-    return config, state, traces, mid, j_scale
+               j_time_factor(sol, 0.0) * j_ratio)
+    state = run(config, v, factors, record)
+    return config, state, traces, v, j_ratio
 
 
 def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
@@ -245,9 +254,9 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
     Returns one row per (h, field) with the relative L2 error at the
     final time and the relative dispersion error from the probe fit;
     rate columns hold log2 ratios between successive mesh sizes.  The
-    L2 references, like the initial data, are the `mode_dofs` profiles
-    scaled by the exact time factors; the fits read (a_h, b_h) off the probe
-    traces alone.  Each level is a `run_standing_mode` in `sol.medium`.
+    L2 references, like the initial data, are the `mode_dofs` pair: E's
+    e(t_f) v and J's j(t_f) j_ratio v; the fits read (a_h, b_h) off the
+    probe traces alone.  Each level is a `run_standing_mode` in `sol.medium`.
     A DegenerateFitError from a probe fit is raised again naming the
     field, the scheme and h.
     """
@@ -274,14 +283,13 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
         meshes.append(mesh)
 
     def one(h, mesh):
-        config, state, traces, mid, j_scale = run_standing_mode(
+        config, state, traces, v, j_ratio = run_standing_mode(
             mesh, scheme, sol, nu, T)
         tf, [(trace_E, trace_J)] = state.n * config.dt, traces.values()
         M = local_M(config.params, mesh.dx, mesh.dy)
-        err_E = l2_relative_error(state.E,
-                                  e_time_factor(sol, tf) * mid, mesh, M)
-        J_ref = j_time_factor(sol, tf) * scale_lines(mesh, mid, j_scale)
-        err_J = l2_relative_error(state.J(), J_ref, mesh, M)
+        e_f, j_f = e_time_factor(sol, tf), j_time_factor(sol, tf) * j_ratio
+        err_E = l2_relative_error(state.E, e_f * v, mesh, M)
+        err_J = l2_relative_error(state.J(), j_f * v, mesh, M)
 
         def disp(field, trace):
             try:

@@ -171,38 +171,6 @@ def relative_dispersion_error(omega: complex, wv: WaveVec, medium: Medium,
     return det / abs(omega)
 
 
-def discrete_root_polish(wv: WaveVec, medium: Medium, dt: float, h: float,
-                         gamma: float, params: MfdParams,
-                         omega_guess: complex, max_iter: int = 100) -> complex:
-    """Newton-polish the discrete dispersion root starting from omega_guess.
-
-    Iterates on f(w) = det(T(w) - S_h P1); the derivative is a complex
-    central difference (f is entire in omega).  T's entries are O(w^2)
-    sums of terms of size 1/dt^2, so rounding leaves the root uncertain
-    by about eps / (|w| dt)^2 relative (eps once |w| dt > 1), whatever
-    the residual: the iteration stops once a Newton step is within 64
-    times that.
-    """
-    def f(w):
-        return relative_dispersion_error(w, wv, medium, dt, h, gamma,
-                                         params) * abs(w)
-
-    w = complex(omega_guess)
-    for _ in range(max_iter):
-        step = 1e-6 * max(1.0, abs(w))
-        dfdw = (f(w + step) - f(w - step)) / (2.0 * step)
-        if dfdw == 0:
-            raise ArithmeticError("vanishing derivative during root polish")
-        dw = f(w) / dfdw
-        w = w - dw
-        tol = 64.0 * np.finfo(float).eps * max(1.0, (abs(w) * dt) ** -2)
-        if abs(dw) <= tol * abs(w):
-            return w
-    raise ArithmeticError(
-        f"root polish did not converge in {max_iter} iterations (last "
-        f"step {abs(dw) / abs(w):.3e} relative, bound {tol:.3e})")
-
-
 def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
                      medium: Medium, schemes, fixed_cell_area: bool = False):
     """Relative dispersion error over propagation angles.
@@ -254,16 +222,3 @@ def symbol_error_slope(k: float, nu: float, medium: Medium, scheme: str,
     errs = np.array([abs(relative_dispersion_error(
         omega, wv, medium, nu * h / medium.c0, h, gamma, params)) for h in hs])
     return np.polyfit(np.log(hs), np.log(errs), 1)[0], errs
-
-
-def leapfrog_zeroing_w2(omega: complex, tau: float, nu: float,
-                        gamma: float) -> complex:
-    """The w2 that zeroes the h^2 coefficient of the leapfrog dispersion
-    residual in a conductor,
-    (nu^2 w^2 (w^2 + 2i w/tau) - 12 gamma w2 (w^2 + i w/tau)^2) / (12 c0^2),
-    at frequency omega.  At finite tau it is complex and depends on omega:
-    no single real w2 zeroes the residual for all omega, which is why
-    leapfrog time stepping cannot be dispersion-optimized in lossy media."""
-    a = omega * omega + 2j * omega / tau
-    b = omega * omega + 1j * omega / tau
-    return nu * nu * omega * omega * a / (12.0 * gamma * b * b)

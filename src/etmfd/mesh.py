@@ -114,12 +114,3 @@ def interpolate_edge_field(mesh: RectMesh, fx, fy) -> np.ndarray:
     out_h += fx(x_mids, y_lines)
     out_v += fy(x_lines, y_mids)
     return out
-
-
-def scale_lines(mesh: RectMesh, v, scales) -> np.ndarray:
-    """A copy of the edge vector v times scales[0] on the horizontal edges
-    and scales[1] on the vertical ones."""
-    out = np.array(v, dtype=float)
-    for line, s in zip(mesh.edge_lines(out), scales, strict=True):
-        line *= s
-    return out

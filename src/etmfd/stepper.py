@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import RectMesh, scale_lines
+from .mesh import RectMesh
 from . import operators
 from .operators import (CurlCurl, MfdParams, assemble_step_operators,
                         params_for_scheme)
@@ -128,11 +128,11 @@ def step_operators(config: SimConfig, E: np.ndarray) -> StepOperators:
     return StepOperators(K, coeffs, np.empty(max(len(b.z) for b in K.blocks)))
 
 
-def initialize(config: SimConfig, mode, j_scale, factors,
+def initialize(config: SimConfig, mode, factors,
                observe=lambda n, t, state: None) -> tuple:
     """Start from one edge profile and scalars (f0, f1, f2) = factors:
-    E^0 = f0 mode, E^1 = f1 mode and J^0 = f2 `scale_lines(mesh, mode,
-    j_scale)`, PEC entries zeroed, after non-finite data are refused.
+    E^0 = f0 mode, E^1 = f1 mode and J^0 = f2 mode, PEC entries zeroed,
+    after non-finite data are refused.
     `observe(0, 0.0, state)` sees (E^0, J^0); then, in slices of BLOCK
     edges, V^1 = cJ J^0 + cE E^0 (so J^1 is the hybrid J update) and W^1
     = (1 + a1) E^1 - a1 E^0 + a2 (J^1 - J^0) - E^1, rounded as the
@@ -144,14 +144,12 @@ def initialize(config: SimConfig, mode, j_scale, factors,
     if mode.shape != (mesh.n_edges,):
         raise ValueError(f"mode has shape {mode.shape}, want ({mesh.n_edges},)")
     f0, f1, f2 = factors
-    for name, v in zip("f0 f1 f2 j_scale".split(), ([f0], [f1], [f2], j_scale)):
-        if not all(map(math.isfinite, v)):
-            raise ValueError(f"initial data must be finite: {name} holds {v}")
+    for name, f in zip(("f0", "f1", "f2"), (f0, f1, f2)):
+        if not math.isfinite(f):
+            raise ValueError(f"initial data must be finite: {name} is {f}")
     if not math.isfinite(mode.sum()) and not np.isfinite(mode).all():
         raise ValueError("initial data must be finite: mode holds a NaN or inf")
-    E0, E1 = np.multiply(mode, f0), np.multiply(mode, f1)
-    J0 = scale_lines(mesh, mode, j_scale)
-    J0 *= f2
+    E0, E1, J0 = (np.multiply(mode, f) for f in (f0, f1, f2))
     for h, v in map(mesh.edge_lines, (E0, E1, J0)):  # the PEC entries
         h[[0, -1]], v[:, [0, -1]] = 0.0, 0.0
     observe(0, 0.0, SimState(E0, None, J0, 0.0, 0))
@@ -199,7 +197,7 @@ def step(state: SimState, ops: StepOperators) -> float:
     return kE * math.sqrt(sE) + math.sqrt(sV)
 
 
-def run(config: SimConfig, mode, j_scale, factors, observe=None) -> SimState:
+def run(config: SimConfig, mode, factors, observe=None) -> SimState:
     """Run from the initial data of `initialize` to the first step at or
     past T and return the final state.
 
@@ -211,7 +209,7 @@ def run(config: SimConfig, mode, j_scale, factors, observe=None) -> SimState:
     """
     dt = config.dt
     observe = observe or (lambda n, t, state: None)
-    state, peak = initialize(config, mode, j_scale, factors, observe)
+    state, peak = initialize(config, mode, factors, observe)
     ops = step_operators(config, state.E)
     observe(1, dt, state)
 

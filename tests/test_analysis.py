@@ -5,9 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (assemble_local_blocks, edge_average_oracle,
-                      edge_field, gauss_edge_field, pec_ids,
-                      pick_probe_reference)
+from conftest import (assemble_local_blocks, edge_field, gauss_edge_field,
+                      pec_ids, pick_probe_reference)
 
 from etmfd import analysis, cli, mesh as mesh_module
 from etmfd.analysis import (DegenerateFitError, FitResult,
@@ -17,12 +16,19 @@ from etmfd.analysis import (DegenerateFitError, FitResult,
                             l2_relative_error, make_exact_solution,
                             mode_dofs, pick_probe_edge, run_standing_mode,
                             spatial_mode)
-from etmfd.mesh import build_mesh, interpolate_edge_field, scale_lines
-from etmfd.operators import local_M, optimal_params, yee_params
+from etmfd.dispersion import WaveVec, spatial_symbol
+from etmfd.mesh import build_mesh, interpolate_edge_field
+from etmfd.operators import (assemble_step_operators, local_M,
+                             optimal_params, yee_params)
 from etmfd.plasma import Medium
-from etmfd.stepper import load_snapshot, save_snapshot
+from etmfd.stepper import SimConfig, load_snapshot, save_snapshot
 
 MEDIUM = Medium()
+
+
+def config_on(mesh, scheme="etmfd"):
+    """A run on `mesh`, at a Courant number stable for gamma >= 1/2."""
+    return SimConfig(mesh=mesh, medium=MEDIUM, scheme=scheme, nu=0.4, T=1.0)
 
 
 @pytest.mark.parametrize("kx_pi, ky_pi, Lx, Ly", [(1, 1, 1.0, 0.5),
@@ -35,20 +41,20 @@ def test_mode_dofs_refuses_a_mode_not_vanishing_on_the_walls(kx_pi, ky_pi,
     mesh = build_mesh(8, 4, Lx, Ly)
     sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
     with pytest.raises(ValueError, match="does not vanish on the PEC wall"):
-        mode_dofs(mesh, sol)
+        mode_dofs(config_on(mesh), sol)
     # a whole number of half-waves passes
-    mode_dofs(build_mesh(8, 4, 2.0, 2.0), sol)
+    mode_dofs(config_on(build_mesh(8, 4, 2.0, 2.0)), sol)
 
 
 def test_make_exact_solution_validates_wavenumbers():
     # whether a wave number fits is the domain's question: ky = pi/2 is
     # the half-wave of Ly = 2 and no wave of Ly = 1
     sol = make_exact_solution(np.pi, 0.5 * np.pi, MEDIUM)
-    mode_dofs(build_mesh(4, 8, 1.0, 2.0), sol)
+    mode_dofs(config_on(build_mesh(4, 8, 1.0, 2.0)), sol)
     with pytest.raises(ValueError, match="ky Ly / pi = 0.5 is not an int"):
-        mode_dofs(build_mesh(4, 4, 1.0, 1.0), sol)
+        mode_dofs(config_on(build_mesh(4, 4, 1.0, 1.0)), sol)
     with pytest.raises(ValueError, match="kx Lx / pi = 1.6 is not an int"):
-        mode_dofs(build_mesh(4, 4, 1.6, 1.0), make_exact_solution(
+        mode_dofs(config_on(build_mesh(4, 4, 1.6, 1.0)), make_exact_solution(
             1.0 * np.pi, np.pi, MEDIUM))
     for kx, ky in ((0.0, 0.0), (1e-10, -1e-10)):
         with pytest.raises(ValueError, match="kx = ky = 0 is the zero field"):
@@ -308,42 +314,94 @@ def test_pick_probe_edge_matches_the_full_table_rule(nx, ny, rng):
 def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
     mesh = build_mesh(16, 32, 1.0, 2.0)
     sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
-    mid, j_scale = mode_dofs(mesh, sol)
-    avg = scale_lines(mesh, mid, j_scale)
-    # E: the exact field sampled at edge midpoints, to the last bit
+    config = config_on(mesh)
+    v, j_ratio = mode_dofs(config, sol)
+    # E: the exact field sampled at edge midpoints, to the last bit on
+    # the vertical edges; the horizontal ones take one ratio rho, 1.0
+    # where kx dx = ky dy (these cells are square)
     t = 0.3
     want = edge_field(mesh, lambda x, y: exact_E(sol, x, y, t), "midpoint")
-    assert np.array_equal(e_time_factor(sol, t) * mid, want)
-    # J: edge averages, against the antiderivative oracle (the midpoint
-    # rule would miss them by O((kh)^2), about 1e-2 here)
-    exact = edge_average_oracle(mesh, sol.kx, sol.ky)
-    assert np.abs(avg - exact).max() < 1e-10 * np.abs(exact).max()
-    # one step: the run starts from the profiles times the exact time factors
+    (gh, gv), (wh, wv) = map(mesh.edge_lines, (e_time_factor(sol, t) * v,
+                                               want))
+    assert np.array_equal(gv, wv)
+    big = np.abs(wh) > 1e-6 * np.abs(wh).max()
+    rho = gh[big] / wh[big]
+    assert np.ptp(rho) <= 1e-14
+    assert (rho[0] == 1.0) == (kx_pi == ky_pi)
+    # J: E's profile times 1 - x, x = -dt^2 S_h / 12
+    S_h = spatial_symbol(WaveVec(sol.k, math.atan2(sol.ky, sol.kx)),
+                         mesh.dx, mesh.gamma, config.params, MEDIUM.c0)
+    assert j_ratio == pytest.approx(1.0 + config.dt ** 2 * S_h / 12.0,
+                                    rel=1e-15)
+    # one step: the run starts from the profile times the exact time
+    # factors, J's with j_ratio folded in, bit for bit
     seen = []
-    config, st, _, mid1, j_scale1 = run_standing_mode(
-        mesh, "etmfd", sol, 0.5, 0.01,
+    config, st, _, v1, j_ratio1 = run_standing_mode(
+        mesh, "etmfd", sol, 0.4, 0.01,
         observe=lambda n, t, state: seen.append((state.E.copy(), state.J())))
     inner = ~mesh.boundary_edge_mask
     assert st.n == 1
-    assert np.array_equal(mid1, mid) and j_scale1 == j_scale
-    for got, want in ((seen[0][0], e_time_factor(sol, 0.0) * mid),
-                      (seen[1][0], e_time_factor(sol, config.dt) * mid),
-                      (seen[0][1], j_time_factor(sol, 0.0) * avg)):
+    assert np.array_equal(v1, v) and j_ratio1 == j_ratio
+    for got, want in ((seen[0][0], e_time_factor(sol, 0.0) * v),
+                      (seen[1][0], e_time_factor(sol, config.dt) * v),
+                      (seen[0][1], (j_time_factor(sol, 0.0) * j_ratio) * v)):
         assert np.array_equal(got[inner], want[inner])
 
 
-def test_mode_dofs_J_rule_is_the_exact_edge_average():
-    # a coarse mesh and a short wave, where 4-point Gauss missed the
-    # averages by 1.8e-7 relative
-    mesh = build_mesh(4, 4, 1.0, 1.0)
-    sol = make_exact_solution(3 * np.pi, np.pi, MEDIUM)
-    exact = edge_average_oracle(mesh, sol.kx, sol.ky)
-    assert np.abs(scale_lines(mesh, *mode_dofs(mesh, sol)) - exact).max() \
-        < 1e-14 * np.abs(exact).max()
+@pytest.mark.parametrize("n", [4, 16, 32, 64, 256])
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+def test_mode_dofs_at_the_tuned_point_are_the_midpoint_samples(n, scheme):
+    # rho is 1.0 at (pi, pi) on square cells: E^0 and E^1 are the
+    # midpoint samples times the time factors, bit for bit
+    mesh = build_mesh(n, n, 1.0, 1.0)
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    v, _ = mode_dofs(config_on(mesh, scheme), sol)
+    assert np.array_equal(v, interpolate_edge_field(mesh, *spatial_mode(sol)))
+
+
+@pytest.mark.parametrize("nx, ny, Ly", [(32, 32, 1.0), (32, 64, 2.0),
+                                        (48, 24, 1.0)])
+@pytest.mark.parametrize("scheme", ["etmfd", "et-yee"])
+@pytest.mark.parametrize("kx_pi, ky_pi", [(1, 1), (1, 2), (2, 3)])
+def test_mode_dofs_profile_is_an_eigenvector_of_the_step(nx, ny, Ly, scheme,
+                                                         kx_pi, ky_pi):
+    # the step's W A (scale 1) takes v to lam v on every interior edge,
+    # lam = -S_h / c0^2; the midpoint samples spread (W A v) / v by up to
+    # 5.7e-3 on these meshes when kx dx != ky dy
+    mesh = build_mesh(nx, ny, 1.0, Ly)
+    sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
+    config = config_on(mesh, scheme)
+    v, _ = mode_dofs(config, sol)
+    K = assemble_step_operators(mesh, config.params, 1.0, v.copy())
+    z = np.empty_like(v)
+    for rows, zb in K():
+        z[rows] = zb
+    inner = ~mesh.boundary_edge_mask & (np.abs(v) > 1e-3 * np.abs(v).max())
+    ratio = z[inner] / v[inner]
+    lam = -spatial_symbol(WaveVec(sol.k, math.atan2(sol.ky, sol.kx)),
+                          mesh.dx, mesh.gamma, config.params, 1.0)
+    assert np.ptp(ratio) <= 1e-10 * abs(lam)
+    assert ratio.mean() == pytest.approx(lam, rel=1e-10)
+    # and on the small entries too, as a residual
+    assert np.abs(z - lam * v).max() <= 1e-10 * abs(lam) * np.abs(v).max()
+
+
+def test_convergence_rates_off_the_tuned_point():
+    # at (pi, 2pi) the initial data are the discrete eigenmode, so E and
+    # J converge at fourth order as at (pi, pi); from midpoint E and
+    # edge-averaged J the E L2 rates read 0.19 and 1.33
+    sol = make_exact_solution(np.pi, 2 * np.pi, MEDIUM)
+    rows = convergence_study([2 ** -4, 2 ** -5, 2 ** -6], "etmfd", sol,
+                             0.5, 4.0)
+    # the L2 rates and the probe fits' dispersion-error rates, E and J
+    rates = [r[c] for r in rows if r["log2_h"] != -4
+             for c in ("rate_l2", "rate_disp")]
+    assert len(rates) == 8
+    assert all(3.8 <= rate <= 4.2 for rate in rates), rates
 
 
 def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
-    # alive while it steps: mid, the three state vectors and the
+    # alive while it steps: v, the three state vectors and the
     # CurlCurl's face vector; the initial data are written into the state
     # buffers, the step-1 state takes two blocks of scratch and each
     # snapshot is written from E and from J formed a block at a time.
@@ -417,7 +475,7 @@ def _count_interpolations(monkeypatch):
 
 
 def test_one_interpolation_per_convergence_level(monkeypatch):
-    # J's edge averages are the midpoint samples times a closed form
+    # J's profile is E's times a scalar
     meshes = _count_interpolations(monkeypatch)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     convergence_study([2 ** -3, 2 ** -4], "etmfd", sol, 0.5, 1.0)

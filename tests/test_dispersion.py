@@ -6,7 +6,6 @@ import pytest
 from etmfd import cli, dispersion
 from etmfd.dispersion import (P1, WaveVec, anisotropy_sweep,
                               continuous_cubic_coeffs, continuous_roots,
-                              discrete_root_polish, leapfrog_zeroing_w2,
                               oscillatory_root, relative_dispersion_error,
                               s_matrix, spatial_symbol, spatial_symbol_bloch,
                               temporal_symbol)
@@ -14,7 +13,8 @@ from etmfd.mesh import build_mesh
 from etmfd.operators import (MfdParams, local_W, local_curl, optimal_params,
                              params_for_scheme, yee_params)
 from etmfd.plasma import Medium, coupling_matrix
-from etmfd.selftest import quad_integral_exp, series_exp_oracle
+from etmfd.selftest import (discrete_root_polish, leapfrog_zeroing_w2,
+                            quad_integral_exp, series_exp_oracle)
 
 from conftest import (assemble_W, assemble_curl_curl, bloch_edge_field,
                       conductive_leapfrog_residual, edge_midpoints)

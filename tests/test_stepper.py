@@ -77,7 +77,7 @@ def test_config_rejects_non_finite(field, value):
 def test_initialize_zero_fields():
     mesh = build_mesh(4, 4, 1.0, 1.0)
     st, peak = initialize(make_config(mesh), np.zeros(mesh.n_edges),
-                          (1.0, 1.0), (1.0, 1.0, 1.0))
+                          (1.0, 1.0, 1.0))
     assert st.n == 1 and peak == 0.0
     for v in (st.E, st.W, st.V):
         assert np.abs(v).max() == 0.0
@@ -95,9 +95,10 @@ def test_exact_solution_boundary_dof_vanish_unclamped():
 def test_initialize_standing_setup():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    mid, j_scale = mode_dofs(mesh, sol)
+    config = make_config(mesh)
+    v, _ = mode_dofs(config, sol)
     seen = []
-    st, _ = initialize(make_config(mesh), mid, j_scale, (1.0, 1.0, 0.0),
+    st, _ = initialize(config, v, (1.0, 1.0, 0.0),
                        observe=lambda n, t, s: seen.append((n, t, s.E.copy(),
                                                             s.J(), s.E)))
     assert st.n == 1
@@ -116,7 +117,7 @@ def test_initialize_makes_the_hybrid_J1_bit_for_bit(rng):
     mode = rng.standard_normal(mesh.n_edges)
     f0, f1, f2 = 0.9, 0.7, -0.4
     seen = []
-    st, peak = initialize(config, mode, (1.3, 0.8), (f0, f1, f2),
+    st, peak = initialize(config, mode, (f0, f1, f2),
                           lambda n, t, s: seen.append((s.E.copy(), s.J())))
     [(E0, J0)] = seen
     E1 = np.where(mesh.boundary_edge_mask, 0.0, f1 * mode)
@@ -129,34 +130,33 @@ def test_initialize_makes_the_hybrid_J1_bit_for_bit(rng):
     assert np.abs(st.W - W1).max() <= 1e-15 * np.abs(W1).max()
 
 
-@pytest.mark.parametrize("bad", ["mode", "f0", "f1", "f2", "j_scale"])
+@pytest.mark.parametrize("bad", ["mode", "f0", "f1", "f2"])
 def test_run_refuses_non_finite_initial_data_before_step_0(bad, monkeypatch):
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh)
-    mode, j_scale, factors = _exact_initial(mesh, sol, config.dt)
-    mode, factors = mode.copy(), list(factors)
+    mode, factors = _exact_initial(config, sol)
+    factors = list(factors)
     if bad == "mode":  # one interior edge
         mode[int(np.flatnonzero(~mesh.boundary_edge_mask)[9])] = np.nan
-    elif bad == "j_scale":
-        j_scale = (j_scale[0], math.inf)
     else:
         factors["f0 f1 f2".split().index(bad)] = math.inf
     steps, seen = [], []
     monkeypatch.setattr(stepper, "step", lambda *args: steps.append(args))
     with pytest.raises(ValueError, match=f"must be finite: {bad} "):
-        run(config, mode, j_scale, factors, lambda *args: seen.append(args))
+        run(config, mode, factors, lambda *args: seen.append(args))
     assert seen == [] and steps == []
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_initialize_rejects_a_wrong_length(which):
-    # the profile, the two J scales and the three time factors
+    # the profile, and three time factors: two or four are refused
     mesh = build_mesh(4, 3, 1.0, 1.0)
-    args = [np.zeros(mesh.n_edges), (1.0, 1.0), (1.0, 1.0, 1.0)]
-    args[which] = [np.zeros(mesh.n_edges - 1), (1.0,), (1.0, 1.0)][which]
-    match = [f"want \\({mesh.n_edges},\\)", "argument 2 is shorter",
-             "expected 3, got 2"][which]
+    args = [np.zeros(mesh.n_edges), (1.0, 1.0, 1.0)]
+    args[min(which, 1)] = [np.zeros(mesh.n_edges - 1), (1.0, 1.0),
+                           (1.0, 1.0, 1.0, 1.0)][which]
+    match = [f"want \\({mesh.n_edges},\\)", "expected 3, got 2",
+             "too many values to unpack"][which]
     with pytest.raises(ValueError, match=match):
         initialize(make_config(mesh), *args)
 
@@ -164,10 +164,11 @@ def test_initialize_rejects_a_wrong_length(which):
 def test_run_leaves_the_callers_arrays_unchanged():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    mid, j_scale = mode_dofs(mesh, sol)
-    kept = mid.copy()
-    run(make_config(mesh, T=0.5), mid, j_scale, (1.0, 0.9, 0.3))
-    assert np.array_equal(mid, kept)
+    config = make_config(mesh, T=0.5)
+    v, _ = mode_dofs(config, sol)
+    kept = v.copy()
+    run(config, v, (1.0, 0.9, 0.3))
+    assert np.array_equal(v, kept)
 
 
 @pytest.mark.parametrize("n_steps, stride, want", [
@@ -189,8 +190,8 @@ def test_snapshots_at_every_multiple_of_the_stride(n_steps, stride, want,
     assert [meta["step"] for meta, _, _ in snaps] == want
     assert [meta["time"] for meta, _, _ in snaps] == [n * dt for n in want]
     if stride == 1:  # step 1 holds the initial E^1 and the bootstrapped J^1
-        st, _ = initialize(make_config(mesh, T=1.0),
-                           *_exact_initial(mesh, sol, dt))
+        config = make_config(mesh, T=1.0)
+        st, _ = initialize(config, *_exact_initial(config, sol))
         assert np.array_equal(snaps[1][1], st.E)
         assert np.array_equal(snaps[1][2], st.J())
 
@@ -210,7 +211,7 @@ def test_observe_sees_every_step_once_in_order(n_steps):
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dt = 0.5 * mesh.dx / MEDIUM.c0
     config = make_config(mesh, T=(n_steps - 0.5) * dt)
-    inits = _exact_initial(mesh, sol, config.dt)
+    inits = _exact_initial(config, sol)
     # the reference: initialize and step by hand, copying every step
     ref = []
     st, _ = initialize(config, *inits, observe=_kept(ref))
@@ -262,12 +263,11 @@ def test_step_uniform_mode_matches_scalar_recurrence(rng):
     assert np.abs(new.J() - j_next * g).max() < 1e-14 * scale
 
 
-def _exact_initial(mesh, sol, dt):
-    """(mode, j_scale, factors) of the exact E at t = 0 and dt and J at
-    t = 0."""
-    mid, j_scale = mode_dofs(mesh, sol)
-    return mid, j_scale, (e_time_factor(sol, 0.0), e_time_factor(sol, dt),
-                          j_time_factor(sol, 0.0))
+def _exact_initial(config, sol):
+    """(mode, factors) of the exact E at t = 0 and dt and J at t = 0."""
+    v, j_ratio = mode_dofs(config, sol)
+    return v, (e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
+               j_time_factor(sol, 0.0) * j_ratio)
 
 
 def test_run_shorter_than_one_step():
@@ -275,7 +275,7 @@ def test_run_shorter_than_one_step():
     config = make_config(mesh, T=1e-4)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     seen = []
-    state = run(config, *_exact_initial(mesh, sol, config.dt), _kept(seen))
+    state = run(config, *_exact_initial(config, sol), _kept(seen))
     assert state.n == 1
     assert [(n, t) for n, t, _, _ in seen] == [(0, 0.0), (1, config.dt)]
 
@@ -286,11 +286,11 @@ def test_run_probe_traces_start_with_initial_data():
     probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[7])
     config = make_config(mesh, T=0.5)
     seen = []
-    run(config, *_exact_initial(mesh, sol, config.dt),
+    run(config, *_exact_initial(config, sol),
         lambda n, t, state: seen.append((t, state.E[probe],
                                          state.J(probe))))
     first = []
-    st1, _ = initialize(config, *_exact_initial(mesh, sol, config.dt),
+    st1, _ = initialize(config, *_exact_initial(config, sol),
                         observe=_kept(first))
     assert seen[0][1:] == (first[0][2][probe], first[0][3][probe])
     assert seen[1][1:] == (st1.E[probe], st1.J(probe))
@@ -304,7 +304,7 @@ def test_pec_boundary_invariance_long_run():
     nu = 0.5
     T = 10_000 * nu * mesh.dx / MEDIUM.c0  # 10^4 steps
     config = make_config(mesh, nu=nu, T=T)
-    state = run(config, *_exact_initial(mesh, sol, config.dt))
+    state = run(config, *_exact_initial(config, sol))
     assert state.n == 10_000
     b = mesh.boundary_edge_mask
     assert np.abs(state.E[b]).max() == 0.0
@@ -319,7 +319,7 @@ def test_instability_detected(monkeypatch):
     monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     config = make_config(mesh, nu=0.75, T=100.0)
     with pytest.raises(UnstableSimulationError):
-        run(config, *_exact_initial(mesh, sol, config.dt))
+        run(config, *_exact_initial(config, sol))
 
 
 @pytest.mark.parametrize("n", [64, 256])  # one block of rows, and five
@@ -349,7 +349,7 @@ def test_run_keeps_no_view_of_a_reused_buffer():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dt = 0.5 * mesh.dx / MEDIUM.c0
     config = make_config(mesh, T=11.5 * dt)
-    inits = _exact_initial(mesh, sol, config.dt)
+    inits = _exact_initial(config, sol)
     ops = exp_operators(MEDIUM, config.dt)
     first = []
     st, _ = initialize(config, *inits, _kept(first))
@@ -380,7 +380,7 @@ def test_a_bound_past_the_limit_alone_does_not_stop_the_run(bound,
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.5)
-    inits = _exact_initial(mesh, sol, config.dt)
+    inits = _exact_initial(config, sol)
     plain = run(config, *inits)
     real = stepper.step
     monkeypatch.setattr(stepper, "step", lambda state, ops:
@@ -409,7 +409,7 @@ def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
 
     monkeypatch.setattr(stepper, "step", poisoned)
     with pytest.raises(UnstableSimulationError, match="at step 5 "):
-        run(config, *_exact_initial(mesh, sol, config.dt))
+        run(config, *_exact_initial(config, sol))
     [state] = last
     assert state.n == 5 and np.isfinite(state.E).all()
     assert np.isnan(state.V[edge])
@@ -503,7 +503,7 @@ def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
 
     monkeypatch.setattr(stepper, "step", poisoned)
     with pytest.raises(UnstableSimulationError, match="at step 5 "):
-        run(config, *_exact_initial(mesh, sol, config.dt))
+        run(config, *_exact_initial(config, sol))
     # horizontal lines 4 + 5 of 8 edges, vertical lines 4 + 4 of 9
     assert blocks == [32, 40, 36, 36]
 
@@ -573,7 +573,7 @@ def test_a_config_computes_its_exponentials_once(monkeypatch):
     real, dts = stepper.exp_operators, []
     monkeypatch.setattr(stepper, "exp_operators", lambda medium, dt:
                         dts.append(dt) or real(medium, dt))
-    inits = _exact_initial(mesh, sol, config.dt)
+    inits = _exact_initial(config, sol)
     first = run(config, *inits)
     assert dts == [config.dt]
     again = run(config, *inits)
@@ -588,7 +588,7 @@ def test_a_config_computes_its_exponentials_once(monkeypatch):
 # bound moves with the order of the update's floating-point operations
 @pytest.mark.parametrize("scheme, nu, n_fail", [
     pytest.param("etmfd", 0.7, None, id="0.7-None"),
-    pytest.param("etmfd", 0.75, 125, id="etmfd-0.75-125"),
+    pytest.param("etmfd", 0.75, 126, id="etmfd-0.75-126"),
     pytest.param("et-yee", 0.75, 100, id="et-yee-0.75-100")])
 def test_blowup_caught_at_first_step_past_the_bound(scheme, nu, n_fail,
                                                     monkeypatch):
@@ -596,7 +596,7 @@ def test_blowup_caught_at_first_step_past_the_bound(scheme, nu, n_fail,
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     config = make_config(mesh, nu=nu, T=8.0, scheme=scheme)
-    inits = _exact_initial(mesh, sol, config.dt)
+    inits = _exact_initial(config, sol)
     st1, _ = initialize(config, *inits)
     bound = 1e12 * (1.0 + _peak(st1))
     real = stepper.step
@@ -635,7 +635,7 @@ def test_rounding_drift_against_a_longdouble_oracle(scheme):
                        T=4.0)
     sol = make_exact_solution(np.pi, np.pi, medium)
     first = []
-    state = run(config, *_exact_initial(mesh, sol, config.dt),
+    state = run(config, *_exact_initial(config, sol),
                 lambda n, t, s: first.append(
                     (s.E.astype(ld), s.J().astype(ld))) if n < 2 else None)
     assert state.n == 256
@@ -681,8 +681,7 @@ def test_nu_max_is_where_random_data_starts_to_blow_up(gamma, scheme, rng,
     for factor, stable in ((0.99, True), (1.01, False)):
         nu = factor * gamma / math.sqrt(1.0 + gamma * gamma)
         config = make_config(mesh, nu=nu, T=30.0, scheme=scheme)
-        inits = (rng.standard_normal(mesh.n_edges), rng.standard_normal(2),
-                 rng.standard_normal(3))
+        inits = rng.standard_normal(mesh.n_edges), rng.standard_normal(3)
         if stable:
             assert run(config, *inits).n == config.n_steps
         else:
@@ -700,7 +699,7 @@ def test_alpha3_guard_fires_before_the_first_step(monkeypatch):
     calls, seen = [], []
     monkeypatch.setattr(stepper, "step", lambda *args: calls.append(args))
     with pytest.raises(ZeroDivisionError, match="alpha3 vanished"):
-        run(config, *_exact_initial(mesh, sol, config.dt),
+        run(config, *_exact_initial(config, sol),
             lambda *args: seen.append(args))
     assert calls == [] and seen == []
 
@@ -732,8 +731,8 @@ def test_hybrid_equivalent_to_second_order_form():
                                   lambda x, y: np.cos(kx * x) * np.sin(ky * y),
                                   lambda x, y: np.sin(kx * x) * np.cos(ky * y))
     first = []
-    st_h, _ = initialize(config, mode, (1.0, 1.0),
-                         (1.0, math.cos(2.0 * config.dt), 0.3), _kept(first))
+    st_h, _ = initialize(config, mode, (1.0, math.cos(2.0 * config.dt), 0.3),
+                         _kept(first))
     step_ops = step_operators(config, st_h.E)
     fields = (st_h.E.copy(), first[0][2], st_h.J(), first[0][3])
     scale = np.abs(st_h.E).max()
@@ -754,7 +753,7 @@ def test_snapshot_roundtrip(tmp_path):
             save_snapshot(str(tmp_path / f"snap{n}"), mesh, t, state)
             kept.append((n, t, state.E.copy(), state.J()))
 
-    run(config, *_exact_initial(mesh, sol, config.dt), save)
+    run(config, *_exact_initial(config, sol), save)
     assert [n for n, _, _, _ in kept] == [0, 2, 4, 6]
     for n, t, E_kept, J_kept in kept:
         meta, E, J = load_snapshot(str(tmp_path / f"snap{n}"))
@@ -832,6 +831,6 @@ def test_run_builds_no_face_edge_table():
     mesh = build_mesh(8, 6, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.25)
-    run(config, *_exact_initial(mesh, sol, config.dt),
+    run(config, *_exact_initial(config, sol),
         lambda n, t, state: None)
     assert "face_edge_table" not in mesh.__dict__
