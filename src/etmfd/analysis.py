@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import WaveVec, oscillatory_root, spatial_symbol
-from .mesh import build_mesh, interpolate_edge_field
+from .mesh import interpolate_edge_field
 from .operators import local_M
 from .plasma import Medium
 from .stepper import SimConfig, run
@@ -247,42 +247,41 @@ def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
     return config, state, traces, v, j_ratio
 
 
-def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
+def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
                       T: float) -> list[dict]:
-    """Run the standing-mode experiment over a mesh-size sweep, in order.
+    """Run the standing-mode experiment on each mesh, in the order given,
+    for each scheme label, in the order given; h is `mesh.dx`.
 
-    Returns one row per (h, field) with the relative L2 error at the
-    final time and the relative dispersion error from the probe fit;
-    rate columns hold log2 ratios between successive mesh sizes.  The
-    L2 references, like the initial data, are the `mode_dofs` pair: E's
-    e(t_f) v and J's j(t_f) j_ratio v; the fits read (a_h, b_h) off the
-    probe traces alone.  Each level is a `run_standing_mode` in `sol.medium`.
-    A DegenerateFitError from a probe fit is raised again naming the
-    field, the scheme and h.
+    Returns, scheme by scheme, one row per (field, mesh) with the relative
+    L2 error at the final time and the relative dispersion error from the
+    probe fit; rate columns hold log2 ratios between successive meshes.
+    The L2 references, like the initial data, are the `mode_dofs` pair:
+    E's e(t_f) v and J's j(t_f) j_ratio v; the fits read (a_h, b_h) off
+    the probe traces alone.  Each run is a `run_standing_mode` in
+    `sol.medium`, and every (scheme, mesh) run is checked before the first
+    one starts.  A DegenerateFitError from a probe fit is raised again
+    naming the field, the scheme and h.
     """
-    h_list = list(h_list)
+    meshes, schemes = list(meshes), list(schemes)
+    h_list = [mesh.dx for mesh in meshes]
     # a repeated h would leave a rate dividing by log2(h_prev / h) = 0
-    if not h_list or len(set(h_list)) < len(h_list):
-        raise ValueError(f"h_list must be non-empty, no h repeated: {h_list}")
-    # every level is checked before the first one runs
-    meshes = []
-    for h in h_list:
-        n = round(1.0 / h) if 0 < h <= 1 else 0  # NaN: 0
-        if n < 1 or abs(n * h - 1.0) > 1e-9:
-            raise ValueError(f"1/h must be an integer, got h={h}")
-        if n == 1:  # every edge of a 1x1 PEC mesh is a wall edge
-            raise ValueError(f"h={h}: the 1x1 PEC mesh has no interior "
-                             "edge to probe")
-        mesh = build_mesh(n, n, 1.0, 1.0)
-        samples = 1 + SimConfig(mesh=mesh, medium=sol.medium, scheme=scheme,
-                                nu=nu, T=T).n_steps
-        if samples < MIN_FIT_SAMPLES:
-            raise ValueError(f"T={T:g} leaves {samples} probe samples at "
-                             f"h={h:g}, fewer than the {MIN_FIT_SAMPLES} a "
-                             "fit needs")
-        meshes.append(mesh)
+    if not meshes or not schemes or len(set(h_list)) < len(h_list):
+        raise ValueError(f"meshes and schemes must be non-empty, no h "
+                         f"repeated: h = {h_list}, schemes = {schemes}")
+    for scheme in schemes:
+        for h, mesh in zip(h_list, meshes):
+            if mesh.boundary_edge_mask.all():  # only the 1x1 PEC mesh
+                raise ValueError(f"h={h:g}: {mesh} has no interior edge "
+                                 "to probe")
+            # the label, nu and T are checked here
+            samples = 1 + SimConfig(mesh=mesh, medium=sol.medium,
+                                    scheme=scheme, nu=nu, T=T).n_steps
+            if samples < MIN_FIT_SAMPLES:
+                raise ValueError(f"T={T:g} leaves {samples} probe samples "
+                                 f"at h={h:g}, fewer than the "
+                                 f"{MIN_FIT_SAMPLES} a fit needs")
 
-    def one(h, mesh):
+    def one(scheme, h, mesh):
         config, state, traces, v, j_ratio = run_standing_mode(
             mesh, scheme, sol, nu, T)
         tf, [(trace_E, trace_J)] = state.n * config.dt, traces.values()
@@ -303,22 +302,22 @@ def convergence_study(h_list, scheme: str, sol: ExactSolution, nu: float,
         return {"E": (err_E, disp("E", trace_E)),
                 "J": (err_J, disp("J", trace_J))}
 
-    results = [one(h, mesh) for h, mesh in zip(h_list, meshes)]
-
     rows = []
-    for field in ("E", "J"):
-        prev = None
-        for h, res in zip(h_list, results):
-            err_l2, err_disp = res[field]
-            rate_l2 = rate_disp = float("nan")
-            if prev is not None:
-                h_prev, l2_prev, disp_prev = prev
-                factor = math.log2(h_prev / h)
-                rate_l2 = math.log2(l2_prev / err_l2) / factor
-                rate_disp = math.log2(disp_prev / err_disp) / factor
-            rows.append({"log2_h": math.log2(h), "scheme": scheme,
-                         "field": field, "err_l2": err_l2,
-                         "rate_l2": rate_l2, "err_disp": err_disp,
-                         "rate_disp": rate_disp})
-            prev = (h, err_l2, err_disp)
+    for scheme in schemes:
+        results = [one(scheme, h, mesh) for h, mesh in zip(h_list, meshes)]
+        for field in ("E", "J"):
+            prev = None
+            for h, res in zip(h_list, results):
+                err_l2, err_disp = res[field]
+                rate_l2 = rate_disp = float("nan")
+                if prev is not None:
+                    h_prev, l2_prev, disp_prev = prev
+                    factor = math.log2(h_prev / h)
+                    rate_l2 = math.log2(l2_prev / err_l2) / factor
+                    rate_disp = math.log2(disp_prev / err_disp) / factor
+                rows.append({"log2_h": math.log2(h), "scheme": scheme,
+                             "field": field, "err_l2": err_l2,
+                             "rate_l2": rate_l2, "err_disp": err_disp,
+                             "rate_disp": rate_disp})
+                prev = (h, err_l2, err_disp)
     return rows

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analysis, dispersion, selftest
 from .mesh import build_mesh
-from .operators import local_W, optimal_params, params_for_scheme
+from .operators import local_W, optimal_params
 from .plasma import Medium, RegimeError
 from .stepper import UnstableSimulationError, nu_max, save_snapshot
 
@@ -92,6 +92,11 @@ def load_config(path: str | None, command: str) -> dict:
                 f"unknown config keys for '{command}': {sorted(unknown)} "
                 f"(allowed: {sorted(allowed)})")
         cfg.update(user)
+    for key, default in DEFAULTS[command].items():
+        if isinstance(default, list) and not isinstance(cfg[key], list):
+            raise CliError(f"{key} must be a list, got {cfg[key]!r}")
+        if cfg[key] == []:
+            raise CliError(f"{key} list must not be empty")
     return cfg
 
 
@@ -177,28 +182,24 @@ def cmd_params(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = load_config(args.config, "converge")
-    for key in ("log2_h", "schemes"):
-        if not cfg[key]:
-            raise CliError(f"{key} list must not be empty")
-    for scheme in cfg["schemes"]:  # a bad label is refused before any sweep
-        params_for_scheme(scheme, cfg["nu"], 1.0)  # the unit square's gamma
+    levels = cfg["log2_h"]  # 2^31 cells a side overflow the edge index
+    if not all(-31 < p < 0 and p % 1 == 0 for p in levels):
+        raise CliError(f"log2_h {levels}: each must be an integer in [-30, -1]"
+                       "; 0, the 1x1 mesh, has no interior edge to probe")
     medium = medium_from_config(cfg)
     sol = analysis.make_exact_solution(cfg["kx_pi"] * math.pi,
                                        cfg["ky_pi"] * math.pi, medium)
     out = output_path(args, cfg)
-    h_list = [2.0 ** p for p in cfg["log2_h"]]
-    all_rows = []
-    for scheme in cfg["schemes"]:
-        rows = analysis.convergence_study(h_list, scheme, sol,
-                                          nu=cfg["nu"], T=cfg["T"])
-        all_rows.extend(rows)
+    meshes = [build_mesh(2 ** -p, 2 ** -p, 1.0, 1.0) for p in levels]
+    rows = analysis.convergence_study(meshes, cfg["schemes"], sol,
+                                      nu=cfg["nu"], T=cfg["T"])
     header = ["log2_h", "scheme", "field", "err_l2", "rate_l2",
               "err_disp", "rate_disp"]
-    write_csv(out, header, [[r[k] for k in header] for r in all_rows])
+    write_csv(out, header, [[r[k] for k in header] for r in rows])
     print(f"wrote {out}")
     print(f"{'log2_h':>7} {'scheme':>8} {'field':>5} {'err_l2':>12} "
           f"{'rate':>8} {'err_disp':>12} {'rate':>8}")
-    for r in all_rows:
+    for r in rows:
         print(f"{r['log2_h']:>7.0f} {r['scheme']:>8} {r['field']:>5} "
               f"{r['err_l2']:>12.6g} {r['rate_l2']:>8.4g} "
               f"{r['err_disp']:>12.6g} {r['rate_disp']:>8.4g}")
@@ -207,12 +208,11 @@ def cmd_converge(args) -> int:
 
 def cmd_anisotropy(args) -> int:
     cfg = load_config(args.config, "anisotropy")
-    for key in ("ppw", "gammas", "schemes"):
-        if not cfg[key]:
-            raise CliError(f"{key} list must not be empty")
     n_theta = cfg["n_theta"]
     if n_theta < 1 or n_theta % 1:  # NaN and inf leave a NaN remainder
         raise CliError(f"n_theta must be an integer >= 1, got {n_theta!r}")
+    if not isinstance(cfg["k"], (int, float)):  # float() takes a string
+        raise CliError(f"k must be a number, got {cfg['k']!r}")
     k, ppw, gammas = float(cfg["k"]), cfg["ppw"], cfg["gammas"]
     # the sweep checks them too, but meets a later gamma after files exist
     if not all(0 < v < math.inf for v in (k, *ppw, *gammas)):
@@ -349,7 +349,7 @@ _parser = functools.cache(make_parser)
 EXIT_CODES = (
     ((UnstableSimulationError, np.linalg.LinAlgError, ArithmeticError),
      EXIT_NUMERICAL, "numerical failure"),
-    ((CliError, RegimeError, ValueError, TypeError, OSError),
+    ((CliError, RegimeError, ValueError, TypeError, OSError, MemoryError),
      EXIT_VALIDATION, "error"),
 )
 

@@ -391,13 +391,33 @@ def test_convergence_rates_off_the_tuned_point():
     # J converge at fourth order as at (pi, pi); from midpoint E and
     # edge-averaged J the E L2 rates read 0.19 and 1.33
     sol = make_exact_solution(np.pi, 2 * np.pi, MEDIUM)
-    rows = convergence_study([2 ** -4, 2 ** -5, 2 ** -6], "etmfd", sol,
-                             0.5, 4.0)
+    meshes = [build_mesh(n, n, 1.0, 1.0) for n in (16, 32, 64)]
+    rows = convergence_study(meshes, ["etmfd"], sol, 0.5, 4.0)
     # the L2 rates and the probe fits' dispersion-error rates, E and J
     rates = [r[c] for r in rows if r["log2_h"] != -4
              for c in ("rate_l2", "rate_disp")]
     assert len(rates) == 8
     assert all(3.8 <= rate <= 4.2 for rate in rates), rates
+
+
+@pytest.mark.parametrize("Lx, Ly, nu", [(1.0, 2.0, 0.5), (2.0, 1.0, 0.4)],
+                         ids=["gamma2", "gamma0.5"])
+def test_convergence_rates_off_the_unit_square(Lx, Ly, nu):
+    # n x n cells on [0, Lx] x [0, Ly]: gamma = dy / dx = Ly / Lx, h = dx
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    meshes = [build_mesh(n, n, Lx, Ly) for n in (16, 32, 64)]
+    rows = convergence_study(meshes, ["etmfd", "et-yee"], sol, nu, 4.0)
+    # scheme by scheme, then field by field, each mesh in the order given
+    assert [(r["scheme"], r["field"], r["log2_h"]) for r in rows] == [
+        (scheme, field, math.log2(mesh.dx)) for scheme in ("etmfd", "et-yee")
+        for field in ("E", "J") for mesh in meshes]
+    windows = {"etmfd": (3.8, 4.2), "et-yee": (1.9, 2.1)}
+    rates = [(r["scheme"], r[c]) for r in rows if r["log2_h"] != rows[0][
+        "log2_h"] for c in ("rate_l2", "rate_disp")]
+    assert len(rates) == 16
+    for scheme, rate in rates:
+        lo, hi = windows[scheme]
+        assert lo <= rate <= hi, (scheme, rate)
 
 
 def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
@@ -478,7 +498,8 @@ def test_one_interpolation_per_convergence_level(monkeypatch):
     # J's profile is E's times a scalar
     meshes = _count_interpolations(monkeypatch)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    convergence_study([2 ** -3, 2 ** -4], "etmfd", sol, 0.5, 1.0)
+    convergence_study([build_mesh(n, n, 1.0, 1.0) for n in (8, 16)],
+                      ["etmfd"], sol, 0.5, 1.0)
     assert [m.nx for m in meshes] == [8, 16]
 
 
@@ -494,12 +515,28 @@ def test_one_interpolation_per_simulate(monkeypatch, tmp_path):
 def test_convergence_study_validation():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     with pytest.raises(ValueError):
-        convergence_study([], "etmfd", sol, 0.5, 1.0)
+        convergence_study([], ["etmfd"], sol, 0.5, 1.0)
     with pytest.raises(ValueError):
-        convergence_study([0.3], "etmfd", sol, 0.5, 1.0)
+        convergence_study([build_mesh(1, 1, 1.0, 1.0)], ["etmfd"], sol, 0.5,
+                          1.0)
     # a repeated h leaves no step to take a rate over; refused up front
     with pytest.raises(ValueError, match="no h repeated"):
-        convergence_study([2 ** -3, 2 ** -3], "etmfd", sol, 0.5, 1.0)
+        convergence_study([build_mesh(8, 8, 1.0, 1.0)] * 2, ["etmfd"], sol,
+                          0.5, 1.0)
+
+
+def test_convergence_study_checks_every_run_before_the_first(monkeypatch):
+    # the second label, and the second mesh's gamma = 0.5 limit on nu, are
+    # refused before the first (scheme, mesh) run starts
+    monkeypatch.setattr(analysis, "run", lambda *a: pytest.fail("it ran"))
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    meshes = [build_mesh(8, 8, 1.0, 1.0), build_mesh(32, 32, 2.0, 1.0)]
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        convergence_study(meshes[:1], ["etmfd", "bogus"], sol, 0.4, 1.0)
+    with pytest.raises(ValueError, match="above the stability limit"):
+        convergence_study(meshes, ["et-yee"], sol, 0.6, 1.0)
+    with pytest.raises(ValueError, match="must be non-empty"):
+        convergence_study(meshes, [], sol, 0.4, 1.0)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1, float("nan"), float("-inf"), 0])
@@ -525,7 +562,8 @@ def test_converge_refuses_a_bad_h_before_any_level(bad, monkeypatch, tmp_path):
 
 def test_convergence_study_rows():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    rows = convergence_study([2 ** -3, 2 ** -4], "etmfd", sol, 0.5, 1.0)
+    rows = convergence_study([build_mesh(n, n, 1.0, 1.0) for n in (8, 16)],
+                             ["etmfd"], sol, 0.5, 1.0)
     assert len(rows) == 4
     assert {r["field"] for r in rows} == {"E", "J"}
     first_e = [r for r in rows if r["field"] == "E"][0]
@@ -543,4 +581,5 @@ def test_convergence_study_names_the_failed_fit(monkeypatch):
     with pytest.raises(DegenerateFitError,
                        match=r"^E probe fit failed for etmfd at h=0\.125: "
                              r"zero, constant or linear trace$"):
-        convergence_study([2 ** -3], "etmfd", sol, 0.5, 1.0)
+        convergence_study([build_mesh(8, 8, 1.0, 1.0)], ["etmfd"], sol, 0.5,
+                          1.0)

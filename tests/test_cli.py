@@ -536,6 +536,7 @@ def test_selftest_mutation_detected(monkeypatch):
     (np.linalg.LinAlgError, EXIT_NUMERICAL),
     (ArithmeticError, EXIT_NUMERICAL),
     (OSError, EXIT_VALIDATION),
+    (MemoryError, EXIT_VALIDATION),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_exit_code_table(exc_type, code, monkeypatch, capsys):
     def fail(args):
@@ -613,6 +614,34 @@ def test_malformed_simulate_config_is_invalid_input(entries, message,
                  "repeated output names", id="anisotropy-gamma-repeated"),
     pytest.param("anisotropy", {"schemes": ["etmfd", "yee"]},
                  "unknown scheme 'yee'", id="anisotropy-unknown-scheme"),
+    # a string was iterated: "unknown scheme 'e'"
+    pytest.param("converge", {"schemes": "etmfd"},
+                 "schemes must be a list, got 'etmfd'",
+                 id="converge-schemes-a-string"),
+    pytest.param("anisotropy", {"schemes": "etmfd"},
+                 "schemes must be a list, got 'etmfd'",
+                 id="anisotropy-schemes-a-string"),
+    # "'int' object is not iterable" and "Value after * must be an iterable"
+    pytest.param("converge", {"log2_h": -4},
+                 "log2_h must be a list, got -4",
+                 id="converge-log2_h-a-number"),
+    pytest.param("anisotropy", {"ppw": 12},
+                 "ppw must be a list, got 12",
+                 id="anisotropy-ppw-a-number"),
+    pytest.param("anisotropy", {"gammas": 1.0},
+                 "gammas must be a list, got 1.0",
+                 id="anisotropy-gammas-a-number"),
+    # float() took the string, and exit 0
+    pytest.param("anisotropy", {"k": "4"},
+                 "k must be a number, got '4'",
+                 id="anisotropy-k-a-string"),
+    # 2^31 cells a side overflow the edge index; 2 ** 1e300 overflowed
+    pytest.param("converge", {"log2_h": [-3, -31]},
+                 "each must be an integer in [-30, -1]",
+                 id="converge-log2_h-too-fine"),
+    pytest.param("converge", {"log2_h": [-1e300]},
+                 "each must be an integer in [-30, -1]",
+                 id="converge-log2_h-overflows"),
     # a traceback from str.lower
     pytest.param("simulate", {"scheme": 5}, "unknown scheme 5",
                  id="simulate-scheme-not-a-string"),
