@@ -211,7 +211,7 @@ def pick_probe_edge(mesh, mode: np.ndarray) -> int:
 def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
                       T: float, probes=None, observe=None) -> tuple:
     """Run the standing mode `sol` in `sol.medium` on `mesh` with the
-    weights of `scheme`, from `mode_dofs` and the exact time factors;
+    weights of `scheme`, from `mode_dofs`'s v times each exact time factor;
     probes=None takes the `pick_probe_edge` probe, and `observe` is
     `run`'s, called after each step's probe samples are taken.
 
@@ -241,9 +241,9 @@ def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
         if observe is not None:
             observe(n, t, state)
 
-    factors = (e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
-               j_time_factor(sol, 0.0) * j_ratio)
-    state = run(config, v, factors, record)
+    state = run(config, *(np.multiply(v, f) for f in (
+        e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
+        j_time_factor(sol, 0.0) * j_ratio)), record)
     return config, state, traces, v, j_ratio
 
 
@@ -262,6 +262,8 @@ def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
     one starts.  A DegenerateFitError from a probe fit is raised again
     naming the field, the scheme and h.
     """
+    if isinstance(schemes, str):  # would iterate as one-letter labels
+        raise ValueError(f"schemes must be a list of labels, not {schemes!r}")
     meshes, schemes = list(meshes), list(schemes)
     h_list = [mesh.dx for mesh in meshes]
     # a repeated h would leave a rate dividing by log2(h_prev / h) = 0

@@ -186,6 +186,8 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
     which fixes the cell area across aspect ratios; ppw then only labels
     the rows, and each ppw block repeats the same errors.
     """
+    if isinstance(schemes, str):  # would iterate as one-letter labels
+        raise ValueError(f"schemes must be a list of labels, not {schemes!r}")
     ppw_list, schemes = list(ppw_list), list(schemes)
     if not all(0 < v < np.inf for v in (k, gamma, *ppw_list)):  # NaN fails
         raise ValueError(f"k, gamma and ppw must be finite and > 0, got "

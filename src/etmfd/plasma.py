@@ -87,8 +87,7 @@ def exp_operators(medium: Medium, dt: float) -> ExpOperators:
     """Closed-form exp(X*dt) and its integral for an underdamped medium."""
     if not 0 < dt < math.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    a, b = medium.alpha, medium.beta
-    eps0 = medium.eps0
+    a, b, eps0 = medium.alpha, medium.beta, medium.eps0
     e = math.exp(a * dt)
     c, s = math.cos(b * dt), math.sin(b * dt)
     w2 = a * a + b * b  # = omega_p^2

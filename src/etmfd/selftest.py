@@ -287,7 +287,7 @@ def ode_exactness_deviation(dts=(0.1, 0.01)):
         u1 = series_exp_oracle(X, dt) @ u0
         config = stepper.SimConfig(mesh=mesh, medium=medium, scheme="et-yee",
                                    nu=dt * medium.c0 / mesh.dx, T=1.0)
-        state = stepper.run(config, mode, (u0[0], u1[0], u0[1]))
+        state = stepper.run(config, mode * u0[0], mode * u1[0], mode * u0[1])
         ref = series_exp_oracle(X, state.n * config.dt) @ u0
         worst = max(worst, abs(state.E[e] - ref[0]),
                     abs(state.J(e) - ref[1]))

@@ -29,10 +29,9 @@ class UnstableSimulationError(RuntimeError):
 
 
 def nu_max(gamma: float) -> float:
-    """Largest stable Courant number nu = c0 dt / dx on cells of aspect
-    ratio gamma = dy / dx: gamma / sqrt(1 + gamma^2), where the vacuum
-    symbol reaches |S_h| dt^2 = 4 at the corner of the zone.  It holds
-    for the Yee and the dispersion-optimal weights alike."""
+    """The vacuum limit gamma / sqrt(1 + gamma^2) of nu = c0 dt / dx on
+    cells gamma = dy / dx, where |S_h| dt^2 <= 4 with either weight set;
+    in a plasma the step's limit is lower: a nu under nu_max may grow."""
     return gamma / math.sqrt(1.0 + gamma * gamma)
 
 
@@ -40,8 +39,8 @@ def nu_max(gamma: float) -> float:
 class SimConfig:
     """A run's inputs, checked on construction.  The weights follow from
     the scheme label ("etmfd" or "et-yee") by `params_for_scheme`, which
-    refuses any other, so `nu_max`, a limit of both weight sets, bounds
-    every config: nu above it is refused."""
+    refuses any other.  nu above `nu_max`, the vacuum limit |S_h| dt^2
+    <= 4 of both weight sets, is refused; a plasma's lower one is not."""
     mesh: RectMesh
     medium: Medium
     scheme: str
@@ -128,29 +127,27 @@ def step_operators(config: SimConfig, E: np.ndarray) -> StepOperators:
     return StepOperators(K, coeffs, np.empty(max(len(b.z) for b in K.blocks)))
 
 
-def initialize(config: SimConfig, mode, factors,
+def initialize(config: SimConfig, E0, E1, J0,
                observe=lambda n, t, state: None) -> tuple:
-    """Start from one edge profile and scalars (f0, f1, f2) = factors:
-    E^0 = f0 mode, E^1 = f1 mode and J^0 = f2 mode, PEC entries zeroed,
-    after non-finite data are refused.
-    `observe(0, 0.0, state)` sees (E^0, J^0); then, in slices of BLOCK
-    edges, V^1 = cJ J^0 + cE E^0 (so J^1 is the hybrid J update) and W^1
-    = (1 + a1) E^1 - a1 E^0 + a2 (J^1 - J^0) - E^1, rounded as the
-    two-step E update (this seeds an unstable mode), overwrite J^0 and
-    E^0.  Returns the step-1 state and max |E^1|, |J^1|."""
+    """Start from three edge vectors E^0 = E0, E^1 = E1 and J^0 = J0, the
+    state's buffers (a float64 array is not copied), once a wrong shape,
+    a NaN or inf and shared memory are refused; their PEC entries are
+    zeroed.  `observe(0, 0.0, state)` sees (E^0, J^0); then, in slices of
+    BLOCK edges, V^1 = cJ J^0 + cE E^0 (so J^1 is the hybrid J update) and
+    W^1 = (1 + a1) E^1 - a1 E^0 + a2 (J^1 - J^0) - E^1, rounded as the
+    two-step E update (this seeds an unstable mode), overwrite J0 and E0.
+    Returns the step-1 state, whose E is E1, and max |E^1|, |J^1|."""
     mesh, expops = config.mesh, config.expops
     (cJ, cE, cN), a1 = _j_coefficients(expops), expops.alpha1
-    mode = np.asarray(mode, dtype=float)
-    if mode.shape != (mesh.n_edges,):
-        raise ValueError(f"mode has shape {mode.shape}, want ({mesh.n_edges},)")
-    f0, f1, f2 = factors
-    for name, f in zip(("f0", "f1", "f2"), (f0, f1, f2)):
-        if not math.isfinite(f):
-            raise ValueError(f"initial data must be finite: {name} is {f}")
-    if not math.isfinite(mode.sum()) and not np.isfinite(mode).all():
-        raise ValueError("initial data must be finite: mode holds a NaN or inf")
-    E0, E1, J0 = (np.multiply(mode, f) for f in (f0, f1, f2))
-    for h, v in map(mesh.edge_lines, (E0, E1, J0)):  # the PEC entries
+    fields = E0, E1, J0 = [np.asarray(x, dtype=float) for x in (E0, E1, J0)]
+    for name, x in zip(("E0", "E1", "J0"), fields):
+        if x.shape != (mesh.n_edges,):
+            raise ValueError(f"{name} has shape {x.shape}, want ({mesh.n_edges},)")
+        if not math.isfinite(x.sum()) and not np.isfinite(x).all():
+            raise ValueError(f"initial data must be finite: {name} holds a NaN or inf")
+    if any(map(np.may_share_memory, (E0, E0, E1), (E1, J0, J0))):
+        raise ValueError("E0, E1 and J0 may share memory: each becomes a state buffer")
+    for h, v in map(mesh.edge_lines, fields):  # the PEC entries
         h[[0, -1]], v[:, [0, -1]] = 0.0, 0.0
     observe(0, 0.0, SimState(E0, None, J0, 0.0, 0))
     (S, T), peaks = np.empty((2, min(operators.BLOCK, len(E0)))), []
@@ -197,9 +194,9 @@ def step(state: SimState, ops: StepOperators) -> float:
     return kE * math.sqrt(sE) + math.sqrt(sV)
 
 
-def run(config: SimConfig, mode, factors, observe=None) -> SimState:
-    """Run from the initial data of `initialize` to the first step at or
-    past T and return the final state.
+def run(config: SimConfig, E0, E1, J0, observe=None) -> SimState:
+    """Run from `initialize(config, E0, E1, J0)`, in its buffers, to the
+    first step at or past T and return the final state.
 
     `observe(n, t, state)` is called for each step n = 0 .. n_steps in
     order, with t = n dt and the live state of step n, which the next
@@ -209,7 +206,7 @@ def run(config: SimConfig, mode, factors, observe=None) -> SimState:
     """
     dt = config.dt
     observe = observe or (lambda n, t, state: None)
-    state, peak = initialize(config, mode, factors, observe)
+    state, peak = initialize(config, E0, E1, J0, observe)
     ops = step_operators(config, state.E)
     observe(1, dt, state)
 

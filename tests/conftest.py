@@ -3,8 +3,7 @@
 The oracles the acceptance suite and `etmfd selftest` share (dense
 assembly, series and quadrature exponentials) live in `etmfd.selftest`.
 These recompute the rest through routes the production code does not
-take: a state built from any three edge arrays for the random-data
-tests, COO assembly (of W and the curl-curl, whose product the
+take: COO assembly (of W and the curl-curl, whose product the
 matrix-free step operators must apply, and of the global mass matrix,
 which the face-by-face error norm must match), Bloch phase fields, Gauss-Legendre edge and face
 averages and analytic antiderivatives for the commuting-diagram and
@@ -18,21 +17,6 @@ import scipy.sparse as sp
 
 from etmfd.mesh import interpolate_edge_field
 from etmfd.operators import local_curl, local_W
-from etmfd.plasma import exp_operators
-from etmfd.selftest import increment_state
-from etmfd.stepper import _j_coefficients
-
-
-def initial_state(config, E0, E1, J0):
-    """The step-1 `SimState` of any three edge arrays, E at t = 0 and dt
-    and J at t = 0, as `stepper.initialize` makes one from a profile:
-    PEC entries zeroed, and J^1 from one hybrid J update."""
-    E0, E1, J0 = np.array([E0, E1, J0], dtype=float)
-    for v in (E0, E1, J0):
-        v[config.mesh.boundary_edge_mask] = 0.0
-    ops = exp_operators(config.medium, config.dt)
-    cJ, cE, cN = _j_coefficients(ops)
-    return increment_state((E1, E0, cJ * J0 + cE * E0 + cN * E1, J0), ops)
 
 
 def pec_ids(shapes):

@@ -16,7 +16,7 @@ from etmfd.analysis import (DegenerateFitError, FitResult,
                             l2_relative_error, make_exact_solution,
                             mode_dofs, pick_probe_edge, run_standing_mode,
                             spatial_mode)
-from etmfd.dispersion import WaveVec, spatial_symbol
+from etmfd.dispersion import WaveVec, anisotropy_sweep, spatial_symbol
 from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import (assemble_step_operators, local_M,
                              optimal_params, yee_params)
@@ -537,6 +537,19 @@ def test_convergence_study_checks_every_run_before_the_first(monkeypatch):
         convergence_study(meshes, ["et-yee"], sol, 0.6, 1.0)
     with pytest.raises(ValueError, match="must be non-empty"):
         convergence_study(meshes, [], sol, 0.4, 1.0)
+
+
+@pytest.mark.parametrize("study", [
+    lambda schemes: convergence_study(
+        [build_mesh(8, 8, 1.0, 1.0)], schemes,
+        make_exact_solution(np.pi, np.pi, MEDIUM), 0.4, 1.0),
+    lambda schemes: anisotropy_sweep(np.zeros(4), 4.0, [12], 0.5, 1.0,
+                                     MEDIUM, schemes)],
+    ids=["convergence_study", "anisotropy_sweep"])
+def test_a_string_of_schemes_is_refused(study):
+    # one label where a list belongs would iterate as "e", "t", ...
+    with pytest.raises(ValueError, match="list of labels, not 'etmfd'"):
+        study("etmfd")
 
 
 @pytest.mark.parametrize("bad", [0.5, 1, float("nan"), float("-inf"), 0])

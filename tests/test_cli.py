@@ -726,10 +726,10 @@ def ci_readme_step():
 
 
 def test_readme_python_blocks_run():
-    # the second block reuses the first one's medium and solution
+    # each block reuses the names of the blocks before it
     blocks = re.findall(r"```python\n(.*?)```",
                         (ROOT / "README.md").read_text(), re.S)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     namespace = {}
     for block in blocks:
         exec(compile(block, "<README.md>", "exec"), namespace)
@@ -738,6 +738,7 @@ def test_readme_python_blocks_run():
     assert [n for n, _, _, _ in snapshots] == list(range(0, 129, 16))
     assert np.array_equal(snapshots[-1][2], state.E)
     assert np.array_equal(snapshots[-1][3], state.J())
+    assert namespace["final"].E is namespace["E1"]  # the third block's
 
 
 def test_readme_commands_parse_and_ci_runs_exactly_them():

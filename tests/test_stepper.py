@@ -19,8 +19,8 @@ from etmfd.stepper import (SimConfig, SimState, UnstableSimulationError,
                            _j_coefficients, initialize, load_snapshot,
                            nu_max, run, save_snapshot, step, step_operators)
 
-from conftest import (assemble_W, assemble_curl_curl, edge_field,
-                      initial_state, pec_ids, wall_free_gradient)
+from conftest import (assemble_W, assemble_curl_curl, edge_field, pec_ids,
+                      wall_free_gradient)
 
 MEDIUM = Medium()
 
@@ -76,8 +76,7 @@ def test_config_rejects_non_finite(field, value):
 
 def test_initialize_zero_fields():
     mesh = build_mesh(4, 4, 1.0, 1.0)
-    st, peak = initialize(make_config(mesh), np.zeros(mesh.n_edges),
-                          (1.0, 1.0, 1.0))
+    st, peak = initialize(make_config(mesh), *np.zeros((3, mesh.n_edges)))
     assert st.n == 1 and peak == 0.0
     for v in (st.E, st.W, st.V):
         assert np.abs(v).max() == 0.0
@@ -98,7 +97,7 @@ def test_initialize_standing_setup():
     config = make_config(mesh)
     v, _ = mode_dofs(config, sol)
     seen = []
-    st, _ = initialize(config, v, (1.0, 1.0, 0.0),
+    st, _ = initialize(config, v.copy(), v, np.zeros_like(v),
                        observe=lambda n, t, s: seen.append((n, t, s.E.copy(),
                                                             s.J(), s.E)))
     assert st.n == 1
@@ -109,66 +108,98 @@ def test_initialize_standing_setup():
 
 
 def test_initialize_makes_the_hybrid_J1_bit_for_bit(rng):
-    # V^1 = cJ J^0 + cE E^0, so J^1 = V^1 + cN E^1 takes the hybrid J
-    # update's operations in its order
+    # from three independent vectors, which no profile times scalars
+    # makes: V^1 = cJ J^0 + cE E^0, so J^1 = V^1 + cN E^1 takes the hybrid
+    # J update's operations in its order, and W^1 the two-step E update's;
+    # the state's buffers are the three arrays, PEC entries zeroed
     mesh = build_mesh(13, 11, 1.0, 1.0)
     config = make_config(mesh)
     ops = exp_operators(MEDIUM, config.dt)
-    mode = rng.standard_normal(mesh.n_edges)
-    f0, f1, f2 = 0.9, 0.7, -0.4
+    fields = E0_in, E1_in, J0_in = rng.standard_normal((3, mesh.n_edges))
+    E0, E1, J0 = np.where(mesh.boundary_edge_mask, 0.0, fields)
     seen = []
-    st, peak = initialize(config, mode, (f0, f1, f2),
+    st, peak = initialize(config, E0_in, E1_in, J0_in,
                           lambda n, t, s: seen.append((s.E.copy(), s.J())))
-    [(E0, J0)] = seen
-    E1 = np.where(mesh.boundary_edge_mask, 0.0, f1 * mode)
+    assert st.E is E1_in and st.V is J0_in and st.W is E0_in
+    [(E0_seen, J0_seen)] = seen
+    assert np.array_equal(E0_seen, E0) and np.array_equal(J0_seen, J0)
     cJ, cE, cN = _j_coefficients(ops)
     J1 = cJ * J0 + cE * E0 + cN * E1
     assert np.array_equal(st.E, E1) and np.array_equal(st.J(), J1)
     assert np.array_equal(st.V, cJ * J0 + cE * E0)
     assert peak == max(np.abs(E1).max(), np.abs(J1).max())
-    W1 = ops.alpha1 * (E1 - E0) + ops.alpha2 * (J1 - J0)
-    assert np.abs(st.W - W1).max() <= 1e-15 * np.abs(W1).max()
+    W1 = (E1 * (1.0 + ops.alpha1) - E0 * ops.alpha1
+          + (J1 - J0) * ops.alpha2) - E1
+    assert np.array_equal(st.W, W1)
 
 
-@pytest.mark.parametrize("bad", ["mode", "f0", "f1", "f2"])
+INITIAL = ("E0", "E1", "J0")
+
+
+def _refused_before_step_0(config, args, match, monkeypatch):
+    """run(config, *args) raises a ValueError matching `match` before it
+    observes step 0, steps or writes to any of the arrays."""
+    before = [np.array(a, copy=True) for a in args]
+    steps, seen = [], []
+    monkeypatch.setattr(stepper, "step", lambda *a: steps.append(a))
+    with pytest.raises(ValueError, match=match):
+        run(config, *args, lambda *a: seen.append(a))
+    assert seen == [] and steps == []
+    for a, b in zip(args, before):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", INITIAL)
 def test_run_refuses_non_finite_initial_data_before_step_0(bad, monkeypatch):
+    # a NaN, an inf or a -inf on one interior edge
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh)
-    mode, factors = _exact_initial(config, sol)
-    factors = list(factors)
-    if bad == "mode":  # one interior edge
-        mode[int(np.flatnonzero(~mesh.boundary_edge_mask)[9])] = np.nan
-    else:
-        factors["f0 f1 f2".split().index(bad)] = math.inf
-    steps, seen = [], []
-    monkeypatch.setattr(stepper, "step", lambda *args: steps.append(args))
-    with pytest.raises(ValueError, match=f"must be finite: {bad} "):
-        run(config, mode, factors, lambda *args: seen.append(args))
-    assert seen == [] and steps == []
+    args = _exact_initial(config, sol)
+    k = INITIAL.index(bad)
+    args[k][np.flatnonzero(~mesh.boundary_edge_mask)[9]] = (
+        np.nan, np.inf, -np.inf)[k]
+    _refused_before_step_0(config, args, f"must be finite: {bad} ",
+                           monkeypatch)
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
-def test_initialize_rejects_a_wrong_length(which):
-    # the profile, and three time factors: two or four are refused
+def test_initialize_rejects_a_wrong_length(which, monkeypatch):
+    # one edge short, a column, a scalar: each in place of E0, E1 or J0
     mesh = build_mesh(4, 3, 1.0, 1.0)
-    args = [np.zeros(mesh.n_edges), (1.0, 1.0, 1.0)]
-    args[min(which, 1)] = [np.zeros(mesh.n_edges - 1), (1.0, 1.0),
-                           (1.0, 1.0, 1.0, 1.0)][which]
-    match = [f"want \\({mesh.n_edges},\\)", "expected 3, got 2",
-             "too many values to unpack"][which]
-    with pytest.raises(ValueError, match=match):
-        initialize(make_config(mesh), *args)
+    n = mesh.n_edges
+    args = list(np.ones((3, n)))
+    args[which] = [np.ones(n - 1), np.ones((n, 1)), np.float64(1.0)][which]
+    shape = ["\\(%d,\\)" % (n - 1), "\\(%d, 1\\)" % n, "\\(\\)"][which]
+    _refused_before_step_0(make_config(mesh), args,
+                           f"{INITIAL[which]} has shape {shape}, "
+                           f"want \\({n},\\)", monkeypatch)
 
 
-def test_run_leaves_the_callers_arrays_unchanged():
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)],
+                         ids=["E0-E1", "E0-J0", "E1-J0"])
+def test_run_refuses_arrays_that_share_memory(i, j, monkeypatch):
+    # each array becomes a state buffer: two views one entry apart, or one
+    # array passed three times, would be written over each other
     mesh = build_mesh(8, 8, 1.0, 1.0)
-    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    n = mesh.n_edges
+    args, shared = list(np.ones((3, n))), np.arange(n + 1.0)
+    args[i], args[j] = shared[:-1], shared[1:]
+    for case in (args, [args[j]] * 3):
+        _refused_before_step_0(make_config(mesh), case, "may share memory",
+                               monkeypatch)
+
+
+def test_run_steps_in_the_callers_arrays():
+    # float64 arrays are the state's buffers, not copies: E1 is the final
+    # E, and E0 and J0 hold W and V
+    mesh = build_mesh(8, 8, 1.0, 1.0)
     config = make_config(mesh, T=0.5)
-    v, _ = mode_dofs(config, sol)
-    kept = v.copy()
-    run(config, v, (1.0, 0.9, 0.3))
-    assert np.array_equal(v, kept)
+    E0, E1, J0 = _exact_initial(config,
+                                make_exact_solution(np.pi, np.pi, MEDIUM))
+    final = run(config, E0, E1, J0)
+    assert final.n == config.n_steps
+    assert final.E is E1 and final.W is E0 and final.V is J0
 
 
 @pytest.mark.parametrize("n_steps, stride, want", [
@@ -211,10 +242,10 @@ def test_observe_sees_every_step_once_in_order(n_steps):
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dt = 0.5 * mesh.dx / MEDIUM.c0
     config = make_config(mesh, T=(n_steps - 0.5) * dt)
-    inits = _exact_initial(config, sol)
     # the reference: initialize and step by hand, copying every step
     ref = []
-    st, _ = initialize(config, *inits, observe=_kept(ref))
+    st, _ = initialize(config, *_exact_initial(config, sol),
+                       observe=_kept(ref))
     ops = step_operators(config, st.E)
     ref.append((1, config.dt, st.E.copy(), st.J()))
     for _ in range(2, n_steps + 1):
@@ -222,14 +253,14 @@ def test_observe_sees_every_step_once_in_order(n_steps):
         ref.append((st.n, st.n * config.dt, st.E.copy(), st.J()))
     ref = [(E, J) for _, _, E, J in ref]
     seen = []
-    final = run(config, *inits, _kept(seen))
+    final = run(config, *_exact_initial(config, sol), _kept(seen))
     assert [n for n, _, _, _ in seen] == list(range(n_steps + 1))
     assert [t for _, t, _, _ in seen] == [n * config.dt
                                           for n in range(n_steps + 1)]
     for (_, _, E, J), (E_ref, J_ref) in zip(seen, ref):
         assert np.array_equal(E, E_ref) and np.array_equal(J, J_ref)
     # observing changes nothing: the same final state bit for bit
-    plain = run(config, *inits)
+    plain = run(config, *_exact_initial(config, sol))
     assert final.n == plain.n == n_steps
     for field in STATE_FIELDS:
         assert np.array_equal(getattr(final, field), getattr(plain, field))
@@ -264,10 +295,12 @@ def test_step_uniform_mode_matches_scalar_recurrence(rng):
 
 
 def _exact_initial(config, sol):
-    """(mode, factors) of the exact E at t = 0 and dt and J at t = 0."""
+    """[E0, E1, J0], the exact E at t = 0 and dt and J at t = 0: new
+    arrays on each call, since a run steps in them."""
     v, j_ratio = mode_dofs(config, sol)
-    return v, (e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
-               j_time_factor(sol, 0.0) * j_ratio)
+    return [np.multiply(v, f) for f in (
+        e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
+        j_time_factor(sol, 0.0) * j_ratio)]
 
 
 def test_run_shorter_than_one_step():
@@ -349,17 +382,16 @@ def test_run_keeps_no_view_of_a_reused_buffer():
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     dt = 0.5 * mesh.dx / MEDIUM.c0
     config = make_config(mesh, T=11.5 * dt)
-    inits = _exact_initial(config, sol)
     ops = exp_operators(MEDIUM, config.dt)
     first = []
-    st, _ = initialize(config, *inits, _kept(first))
+    st, _ = initialize(config, *_exact_initial(config, sol), _kept(first))
     ref = [first[0][2:], (st.E, st.J())]
     for n in range(2, 13):
         (E, J), (E_prev, J_prev) = ref[-1], ref[-2]
         ref.append(dense_step((E, E_prev, J, J_prev), config, ops))
 
     seen = []
-    final = run(config, *inits, _kept(seen))
+    final = run(config, *_exact_initial(config, sol), _kept(seen))
     assert config.n_steps == final.n == 12
     assert [n for n, _, _, _ in seen] == list(range(13))
     for (_, _, E, J), (E_ref, J_ref) in zip(seen, ref):
@@ -380,12 +412,11 @@ def test_a_bound_past_the_limit_alone_does_not_stop_the_run(bound,
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.5)
-    inits = _exact_initial(config, sol)
-    plain = run(config, *inits)
+    plain = run(config, *_exact_initial(config, sol))
     real = stepper.step
     monkeypatch.setattr(stepper, "step", lambda state, ops:
                         real(state, ops) * 0.0 + bound)
-    final = run(config, *inits)
+    final = run(config, *_exact_initial(config, sol))
     assert final.n == plain.n == config.n_steps
     for field in STATE_FIELDS:
         assert np.array_equal(getattr(final, field), getattr(plain, field))
@@ -421,7 +452,7 @@ BLOCKED_MESHES = pec_ids([(13, 11), (8, 8)])
 
 
 def _random_state(config, rng):
-    return initial_state(config, *rng.standard_normal((3, config.mesh.n_edges)))
+    return initialize(config, *rng.standard_normal((3, config.mesh.n_edges)))[0]
 
 
 def _peak(state):
@@ -573,10 +604,9 @@ def test_a_config_computes_its_exponentials_once(monkeypatch):
     real, dts = stepper.exp_operators, []
     monkeypatch.setattr(stepper, "exp_operators", lambda medium, dt:
                         dts.append(dt) or real(medium, dt))
-    inits = _exact_initial(config, sol)
-    first = run(config, *inits)
+    first = run(config, *_exact_initial(config, sol))
     assert dts == [config.dt]
-    again = run(config, *inits)
+    again = run(config, *_exact_initial(config, sol))
     assert dts == [config.dt]
     for field in STATE_FIELDS:
         assert np.array_equal(getattr(first, field), getattr(again, field))
@@ -596,8 +626,7 @@ def test_blowup_caught_at_first_step_past_the_bound(scheme, nu, n_fail,
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     config = make_config(mesh, nu=nu, T=8.0, scheme=scheme)
-    inits = _exact_initial(config, sol)
-    st1, _ = initialize(config, *inits)
+    st1, _ = initialize(config, *_exact_initial(config, sol))
     bound = 1e12 * (1.0 + _peak(st1))
     real = stepper.step
     seen = []
@@ -610,11 +639,12 @@ def test_blowup_caught_at_first_step_past_the_bound(scheme, nu, n_fail,
 
     monkeypatch.setattr(stepper, "step", checked)
     if n_fail is None:
-        assert run(config, *inits).n == config.n_steps == 366
+        final = run(config, *_exact_initial(config, sol))
+        assert final.n == config.n_steps == 366
         assert max(seen) <= bound
     else:
         with pytest.raises(UnstableSimulationError, match=f"at step {n_fail} "):
-            run(config, *inits)
+            run(config, *_exact_initial(config, sol))
         assert len(seen) == n_fail - 1  # steps 2 .. n_fail
         assert max(seen[:-1]) <= bound < seen[-1]
 
@@ -681,7 +711,8 @@ def test_nu_max_is_where_random_data_starts_to_blow_up(gamma, scheme, rng,
     for factor, stable in ((0.99, True), (1.01, False)):
         nu = factor * gamma / math.sqrt(1.0 + gamma * gamma)
         config = make_config(mesh, nu=nu, T=30.0, scheme=scheme)
-        inits = rng.standard_normal(mesh.n_edges), rng.standard_normal(3)
+        v, f = rng.standard_normal(mesh.n_edges), rng.standard_normal(3)
+        inits = f[:, None] * v  # one random profile times three factors
         if stable:
             assert run(config, *inits).n == config.n_steps
         else:
@@ -731,7 +762,8 @@ def test_hybrid_equivalent_to_second_order_form():
                                   lambda x, y: np.cos(kx * x) * np.sin(ky * y),
                                   lambda x, y: np.sin(kx * x) * np.cos(ky * y))
     first = []
-    st_h, _ = initialize(config, mode, (1.0, math.cos(2.0 * config.dt), 0.3),
+    st_h, _ = initialize(config, mode * 1.0,
+                         mode * math.cos(2.0 * config.dt), mode * 0.3,
                          _kept(first))
     step_ops = step_operators(config, st_h.E)
     fields = (st_h.E.copy(), first[0][2], st_h.J(), first[0][3])
