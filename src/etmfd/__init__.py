@@ -15,7 +15,7 @@ from .plasma import (ExpOperators, Medium, RegimeError, coupling_matrix,
 from .stepper import (SimConfig, SimState, StepOperators,
                       UnstableSimulationError, initialize, load_snapshot,
                       nu_max, run, save_snapshot, step, step_operators)
-from .dispersion import (P1, WaveVec, anisotropy_sweep, bloch_reduce,
+from .dispersion import (WaveVec, anisotropy_sweep, bloch_reduce,
                          continuous_roots, oscillatory_root,
                          relative_dispersion_error, s_matrix, spatial_symbol,
                          spatial_symbol_bloch, symbol_error_slope,

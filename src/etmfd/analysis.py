@@ -123,10 +123,10 @@ def exact_E(sol: ExactSolution, x, y, t):
 def l2_relative_error(F_h: np.ndarray, F_ref: np.ndarray, mesh,
                       M: np.ndarray) -> float:
     """sqrt(d^T M d / F_ref^T M F_ref) with d = F_h - F_ref and M the 4x4
-    local block: v^T M v sums V_f M V_f^T over the faces f, with
-    V = v[mesh.face_edge_table]."""
+    local block: v^T M v sums V_f M V_f^T over the faces f, V_f the
+    row f of V, `mesh.face_edges(v)` stacked to (n_faces, 4)."""
     def norm2(v):
-        V = v[mesh.face_edge_table]
+        V = np.stack(mesh.face_edges(v), axis=-1).reshape(-1, 4)
         return float(((V @ M) * V).sum())
 
     den2 = norm2(F_ref)

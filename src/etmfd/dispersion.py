@@ -4,8 +4,9 @@ The spatial symbol S_h is the single nonzero eigenvalue (= trace) of the
 Bloch-reduced discrete curl-curl W_bar * A_bar; the temporal symbol T is
 the 2x2 matrix by which the exponential two-step update acts on a
 time-harmonic (E, J) amplitude pair.  The relative dispersion error of a
-scheme at a frequency omega is det(T(omega) - S_h(k) * P1) / |omega|,
-which vanishes exactly on roots of the discrete dispersion relation.
+scheme at a frequency omega is det(T(omega) - S_h(k) * P1) / |omega|
+with P1 = diag(1, 0); it vanishes exactly on roots of the discrete
+dispersion relation.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 
 from .operators import MfdParams, local_W, local_curl, params_for_scheme
 from .plasma import Medium, exp_operators
-
-P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 
 
 @dataclass(frozen=True)

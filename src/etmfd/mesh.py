@@ -6,16 +6,15 @@ horizontal edges and +y for vertical ones.  A scalar field carries one DoF
 per face: its cell average.  Per-face orientation signs (counter-clockwise
 circulation) live in the local curl vector, not in the DoF.
 
-Edges are indexed horizontally-first.  The horizontal edge (i, j) sits
-on the line y = j*dy spanning cells i, i in [0, nx), j in [0, ny];
-vertical edges follow, (i, j) on x = i*dx with i in [0, nx], j in
-[0, ny).  The domain's walls are perfect conductors (PEC): the edges on
-them are boundary edges, whose tangential field is held at zero.
+Edges are indexed horizontally-first: the horizontal edge (i, j), on
+y = j*dy spanning cell column i, i in [0, nx), j in [0, ny], is edge
+j*nx + i; the vertical edge (i, j), on x = i*dx with i in [0, nx], j in
+[0, ny), is edge n_hedges + j*(nx + 1) + i.  Face (i, j) is j*nx + i.
+The domain's walls are perfect conductors (PEC): the edges on them are
+boundary edges, whose tangential field is held at zero.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -47,26 +46,6 @@ class RectMesh:
         h[[0, -1]], v[:, [0, -1]] = True, True
 
     # ---- indexing ---------------------------------------------------------
-    # the only encoding of the edge numbering; ints or integer arrays alike
-
-    def hedge_index(self, i, j):
-        """Horizontal edge on y = j*dy spanning cell column i."""
-        return j * self.nx + i
-
-    def vedge_index(self, i, j):
-        """Vertical edge on x = i*dx spanning cell row j."""
-        return self.n_hedges + j * (self.nx + 1) + i
-
-    @functools.cached_property
-    def face_edge_table(self) -> np.ndarray:
-        """(n_faces, 4) edge indices, columns [bottom, right, top, left],
-        built on first use: the step never reads it."""
-        # face f = j*nx + i is cell (i, j); int32 is scipy's CSR index type,
-        # so the oracles' COO indices need no int64 copies
-        j, i = np.divmod(np.arange(self.n_faces, dtype=np.int32), self.nx)
-        return np.stack([self.hedge_index(i, j), self.vedge_index(i + 1, j),
-                         self.hedge_index(i, j + 1), self.vedge_index(i, j)],
-                        axis=1)
 
     def edge_lines(self, v) -> tuple:
         """Views (vh, vv) of an edge vector v as its horizontal edge lines,
@@ -75,11 +54,18 @@ class RectMesh:
         return (v[:self.n_hedges].reshape(-1, self.nx),
                 v[self.n_hedges:].reshape(self.ny, -1))
 
+    def face_edges(self, v) -> tuple:
+        """Views (bottom, right, top, left) of an edge vector v, each
+        (ny, nx), in the order of `local_curl` and `local_W`: entry [j, i]
+        is on face (i, j), edges h(i, j), v(i + 1, j), h(i, j + 1), v(i, j)."""
+        vh, vv = self.edge_lines(v)
+        return vh[:-1], vv[:, 1:], vh[1:], vv[:, :-1]
+
     # ---- geometry ---------------------------------------------------------
 
     def edge_midpoint(self, e):
         """(x, y) of the midpoint of edge e, ints or integer arrays alike:
-        the inverse of hedge_index and vedge_index."""
+        the inverse of the edge numbering in the module docstring."""
         e = np.asarray(e)
         jh, ih = np.divmod(e, self.nx)
         jv, iv = np.divmod(e - self.n_hedges, self.nx + 1)

@@ -135,22 +135,23 @@ class CurlCurl(NamedTuple):
 
 def _curl(mesh, E, y, scratch) -> list:
     """The calls y = C E: a face sums the terms [bottom, top, left,
-    right] (a CSR row's edge order) from the edge lines of E, one
+    right] (a CSR row's edge order) from `face_edges` of E, one
     `row_blocks` block of face lines at a time, in cache: the first into
     y, each later one into scratch, then added.  A term's wall faces, if
     any, are zeroed before it is added."""
     nx, ny = mesh.nx, mesh.ny
     cb, cr, ct, cl = local_curl(mesh.dx, mesh.dy).tolist()
-    (h, v), y, calls = mesh.edge_lines(E), y.reshape(ny, nx), []
+    bottom, right, top, left = mesh.face_edges(E)
+    y, calls = y.reshape(ny, nx), []
     bounds = row_blocks(ny, nx).tolist()
     for j0, j1 in zip(bounds, bounds[1:]):
         yb = y[j0:j1]
         sb = scratch[:yb.size].reshape(yb.shape)
         for k, (src, c, wall) in enumerate((
-                (h[j0:j1], cb, 0 if j0 == 0 else None),
-                (h[j0 + 1:j1 + 1], ct, -1 if j1 == ny else None),
-                (v[j0:j1, :-1], cl, (slice(None), 0)),
-                (v[j0:j1, 1:], cr, (slice(None), -1)))):
+                (bottom[j0:j1], cb, 0 if j0 == 0 else None),
+                (top[j0:j1], ct, -1 if j1 == ny else None),
+                (left[j0:j1], cl, (slice(None), 0)),
+                (right[j0:j1], cr, (slice(None), -1)))):
             term = sb if k else yb
             calls.append((np.multiply, (src, c, term)))
             if wall is not None:

@@ -1,7 +1,8 @@
 """Independent oracles and the checks built on them.
 
 Each oracle recomputes a core quantity through a route the production
-code does not take: plain-loop dense assembly, a scaled Taylor series
+code does not take: the face-to-edge numbering written from its
+formula, plain-loop dense assembly on it, a scaled Taylor series
 and Gauss quadrature of the matrix exponential, Bloch reduction of the
 local blocks, the optimal local W written in Courant numbers, the
 exact solution of a curl-free mode, the w2 that would zero leapfrog's
@@ -83,6 +84,15 @@ def quad_integral_exp(X, dt):
     return out
 
 
+def face_edge_table(mesh) -> np.ndarray:
+    """(n_faces, 4) edge indices of face f = j*nx + i, columns [bottom,
+    right, top, left], from the numbering in the `mesh` docstring alone."""
+    # int32 is scipy's CSR index type: COO oracles need no int64 copies
+    j, i = np.divmod(np.arange(mesh.n_faces, dtype=np.int32), mesh.nx)
+    h, v = j * mesh.nx + i, mesh.n_hedges + j * (mesh.nx + 1) + i
+    return np.stack([h, v + 1, h + mesh.nx, v], axis=1)
+
+
 def dense_operators(mesh, params):
     """Dense W and curl-curl assembled by explicit local-to-global loops,
     the PEC rows and columns zeroed."""
@@ -92,8 +102,7 @@ def dense_operators(mesh, params):
     Wl = operators.local_W(params, mesh.dx, mesh.dy)
     c = operators.local_curl(mesh.dx, mesh.dy)
     Al = np.outer(c, c) * mesh.dx * mesh.dy
-    for f in range(mesh.n_faces):
-        ed = mesh.face_edge_table[f]
+    for ed in face_edge_table(mesh):
         for i in range(4):
             for j in range(4):
                 Wd[ed[i], ed[j]] += Wl[i, j]
@@ -279,9 +288,9 @@ def ode_exactness_deviation(dts=(0.1, 0.01)):
     u0 = np.array([0.9, -0.4])
     mesh = build_mesh(2, 2, 2.0, 2.0)
     mode = np.zeros(mesh.n_edges)
-    e = mesh.hedge_index(0, 1)  # the hat rises along it: +1
-    mode[[e, mesh.hedge_index(1, 1), mesh.vedge_index(1, 0),
-          mesh.vedge_index(1, 1)]] = 1.0, -1.0, 1.0, -1.0
+    h, v = mesh.edge_lines(mode)
+    h[1], v[:, 1] = (1.0, -1.0), (1.0, -1.0)
+    e = face_edge_table(mesh)[0, 2]  # h[1, 0]: the hat rises along it, +1
     worst = 0.0
     for dt in dts:
         u1 = series_exp_oracle(X, dt) @ u0

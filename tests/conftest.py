@@ -1,14 +1,15 @@
 """Shared independent oracles for the test suite.
 
-The oracles the acceptance suite and `etmfd selftest` share (dense
-assembly, series and quadrature exponentials) live in `etmfd.selftest`.
-These recompute the rest through routes the production code does not
-take: COO assembly (of W and the curl-curl, whose product the
-matrix-free step operators must apply, and of the global mass matrix,
-which the face-by-face error norm must match), Bloch phase fields, Gauss-Legendre edge and face
-averages and analytic antiderivatives for the commuting-diagram and
-exactness tests, the probe rule scored on every edge, and the leapfrog
-dispersion residual in a conductor.
+The oracles the acceptance suite and `etmfd selftest` share (the edge
+numbering, dense assembly, series and quadrature exponentials) live in
+`etmfd.selftest`.  These recompute the rest through routes the
+production code does not take: COO assembly on that numbering (of W and
+the curl-curl, whose product the matrix-free step operators must apply,
+and of the global mass matrix, which the face-by-face error norm must
+match), Bloch phase fields, Gauss-Legendre edge and face averages and
+analytic antiderivatives for the commuting-diagram and exactness tests,
+the probe rule scored on every edge, and the leapfrog dispersion
+residual in a conductor.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 
 from etmfd.mesh import interpolate_edge_field
 from etmfd.operators import local_curl, local_W
+from etmfd.selftest import face_edge_table
 
 
 def pec_ids(shapes):
@@ -54,7 +56,7 @@ def apply_pec(op, mesh, rows=True):
 
 def assemble_local_blocks(mesh, block):
     """Global operator through COO, every face adding the same 4x4 block."""
-    fe = mesh.face_edge_table
+    fe = face_edge_table(mesh)
     rows = np.repeat(fe, 4, axis=1).ravel()
     cols = np.tile(fe, (1, 4)).ravel()
     vals = np.tile(block.ravel(), mesh.n_faces)
@@ -66,7 +68,7 @@ def assemble_curl(mesh):
     """Global curl, edge DoF -> face DoF, through COO."""
     vals = np.tile(local_curl(mesh.dx, mesh.dy), mesh.n_faces)
     rows = np.repeat(np.arange(mesh.n_faces), 4)
-    return sp.coo_matrix((vals, (rows, mesh.face_edge_table.ravel())),
+    return sp.coo_matrix((vals, (rows, face_edge_table(mesh).ravel())),
                          shape=(mesh.n_faces, mesh.n_edges)).tocsr()
 
 
@@ -157,8 +159,7 @@ def bloch_edge_field(mesh, kx, ky, U1, U2):
     touch no wall edge acts on it as the Bloch reduction predicts.
     """
     mids = edge_midpoints(mesh)
-    m1 = mids[mesh.hedge_index(0, 0)]
-    m2 = mids[mesh.vedge_index(1, 0)]
+    m1, m2 = mids[face_edge_table(mesh)[0, :2]]
     out = np.empty(mesh.n_edges, dtype=complex)
     nh = mesh.n_hedges
     out[:nh] = U1 * np.exp(1j * (kx * (mids[:nh, 0] - m1[0])

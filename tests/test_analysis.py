@@ -21,6 +21,7 @@ from etmfd.mesh import build_mesh, interpolate_edge_field
 from etmfd.operators import (assemble_step_operators, local_M,
                              optimal_params, yee_params)
 from etmfd.plasma import Medium
+from etmfd.selftest import face_edge_table
 from etmfd.stepper import SimConfig, load_snapshot, save_snapshot
 
 MEDIUM = Medium()
@@ -181,6 +182,24 @@ def test_l2_face_sum_matches_the_assembled_form(nx, ny, scheme, rng):
     expect = math.sqrt((d @ (M_glob @ d)) / (ref @ (M_glob @ ref)))
     got = l2_relative_error(ref + d, ref, mesh, M)
     assert abs(got - expect) <= 1e-14 * expect
+
+
+@pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 5), (5, 1), (3, 4),
+                                             (37, 11)]))
+def test_l2_face_views_are_the_oracle_gather_bit_for_bit(nx, ny, rng):
+    mesh = build_mesh(nx, ny, 1.0, 1.3)
+    B = rng.standard_normal((4, 4))
+    M = B @ B.T  # symmetric, and no two slots alike: a swapped view shows
+    ref, F_h = rng.standard_normal((2, mesh.n_edges))
+    for v in (ref, F_h):
+        assert all(np.shares_memory(w, v) for w in mesh.face_edges(v))
+
+    def norm2(v):  # the face sum on the oracle's numbering
+        V = v[face_edge_table(mesh)]
+        return float(((V @ M) * V).sum())
+
+    expect = math.sqrt(norm2(F_h - ref)) / math.sqrt(norm2(ref))
+    assert l2_relative_error(F_h, ref, mesh, M) == expect
 
 
 # ---- fitting -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from etmfd import cli, dispersion
-from etmfd.dispersion import (P1, WaveVec, anisotropy_sweep,
+from etmfd.dispersion import (WaveVec, anisotropy_sweep,
                               continuous_cubic_coeffs, continuous_roots,
                               oscillatory_root, relative_dispersion_error,
                               s_matrix, spatial_symbol, spatial_symbol_bloch,
@@ -13,13 +13,15 @@ from etmfd.mesh import build_mesh
 from etmfd.operators import (MfdParams, local_W, local_curl, optimal_params,
                              params_for_scheme, yee_params)
 from etmfd.plasma import Medium, coupling_matrix
-from etmfd.selftest import (discrete_root_polish, leapfrog_zeroing_w2,
-                            quad_integral_exp, series_exp_oracle)
+from etmfd.selftest import (discrete_root_polish, face_edge_table,
+                            leapfrog_zeroing_w2, quad_integral_exp,
+                            series_exp_oracle)
 
 from conftest import (assemble_W, assemble_curl_curl, bloch_edge_field,
-                      conductive_leapfrog_residual, edge_midpoints)
+                      conductive_leapfrog_residual)
 
 MEDIUM = Medium()
+P1 = np.array([[1.0, 0.0], [0.0, 0.0]])  # the projection on E
 
 
 def test_wavevec():
@@ -28,10 +30,6 @@ def test_wavevec():
     assert abs(wv.ky - 1.0) < 1e-15
     with pytest.raises(ValueError):
         WaveVec(-1.0, 0.0)
-
-
-def test_p1_idempotent():
-    assert np.array_equal(P1 @ P1, P1)
 
 
 # ---- spatial symbol -----------------------------------------------------------
@@ -99,7 +97,7 @@ def test_lemma1_assembled_operator_action(rng):
     # PEC drops the wall rows and columns: compare the rows whose two
     # faces touch no wall edge, where no term is dropped
     mesh = build_mesh(8, 8, 1.0, 1.0)
-    fe = mesh.face_edge_table
+    fe = face_edge_table(mesh)
     touched = np.zeros(mesh.n_edges, dtype=bool)
     touched[fe[mesh.boundary_edge_mask[fe].any(axis=1)]] = True
     rows = ~touched
@@ -109,10 +107,6 @@ def test_lemma1_assembled_operator_action(rng):
     Wl = local_W(pars, mesh.dx, mesh.dy)
     c = local_curl(mesh.dx, mesh.dy)
     Al = np.outer(c, c) * mesh.dx * mesh.dy
-    mids = edge_midpoints(mesh)
-    m1 = mids[mesh.hedge_index(0, 0)]
-    m2 = mids[mesh.vedge_index(1, 0)]
-    nh = mesh.n_hedges
     for _ in range(20):
         kx, ky = rng.uniform(-np.pi / mesh.dx, np.pi / mesh.dx, 2)
         U1, U2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -121,11 +115,7 @@ def test_lemma1_assembled_operator_action(rng):
         for op, Zl in ((W_op, Wl), (A_op, Al)):
             V = op @ U
             V12 = S.conj().T @ Zl @ S @ np.array([U1, U2])
-            ref = np.empty(mesh.n_edges, dtype=complex)
-            ref[:nh] = V12[0] * np.exp(1j * (kx * (mids[:nh, 0] - m1[0])
-                                             + ky * (mids[:nh, 1] - m1[1])))
-            ref[nh:] = V12[1] * np.exp(1j * (kx * (mids[nh:, 0] - m2[0])
-                                             + ky * (mids[nh:, 1] - m2[1])))
+            ref = bloch_edge_field(mesh, kx, ky, *V12)
             scale = max(1.0, np.abs(V).max())
             assert np.abs(V - ref)[rows].max() < 1e-12 * scale
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from etmfd.mesh import build_mesh
+from etmfd.selftest import face_edge_table
 
 from conftest import (edge_average_oracle, edge_field, edge_midpoints,
                       gauss_edge_field, interpolate_face_field, pec_ids)
@@ -42,10 +43,16 @@ def test_counting_formulas_exhaustive(nx, ny):
 def test_face_edge_shift_vectors(nx, ny):
     m = build_mesh(nx, ny, 1.5, 2.0)
     mids = edge_midpoints(m)
-    # int32, scipy's CSR index type: the operators' COO indices need no
-    # int64 copies
-    assert m.face_edge_table.dtype == np.int32
-    bottom, right, top, left = m.face_edge_table.T
+    # the views of the edge numbers, face by face, are the oracle's table
+    views = m.face_edges(np.arange(m.n_edges))
+    assert all(v.shape == (ny, nx) for v in views)
+    table = np.stack(views, axis=-1).reshape(-1, 4)
+    assert np.array_equal(table, face_edge_table(m))
+    bottom, right, top, left = table.T
+    # face (i, j) is the cell [i dx, (i + 1) dx] x [j dy, (j + 1) dy]
+    j, i = np.divmod(np.arange(m.n_faces), nx)
+    assert np.allclose(mids[bottom], np.stack([(i + 0.5) * m.dx, j * m.dy], 1))
+    assert np.allclose(mids[left], np.stack([i * m.dx, (j + 0.5) * m.dy], 1))
     assert np.allclose(mids[top] - mids[bottom] - [0.0, m.dy], 0.0)
     assert np.allclose(mids[left] - mids[right] + [m.dx, 0.0], 0.0)
     # orientation of the four slots
@@ -58,25 +65,28 @@ def test_face_edge_shift_vectors(nx, ny):
                    | np.isclose(y, 0.0) | np.isclose(y, m.Ly))
     assert (m.boundary_edge_mask == on_boundary).all()
     # every edge borders two faces, a boundary edge only one
-    uses = np.bincount(m.face_edge_table.ravel(), minlength=m.n_edges)
+    uses = np.bincount(table.ravel(), minlength=m.n_edges)
     assert (uses == np.where(m.boundary_edge_mask, 1, 2)).all()
 
 
 @pytest.mark.parametrize("nx, ny", pec_ids([(1, 1), (1, 5), (5, 1), (3, 4),
                                              (16, 16)]))
 def test_edge_midpoint_inverts_the_index_maps(nx, ny):
+    # the index maps: the edge lines of the edge numbers, edge (i, j)
+    # at entry [j, i]
     m = build_mesh(nx, ny, 1.5, 2.0)
-    j, i = np.divmod(np.arange(nx * (ny + 1)), nx)
-    x, y = m.edge_midpoint(m.hedge_index(i, j))
+    eh, ev = m.edge_lines(np.arange(m.n_edges))
+    j, i = np.indices(eh.shape)
+    x, y = m.edge_midpoint(eh)
     assert np.array_equal(x, (i + 0.5) * m.dx)
     assert np.array_equal(y, j * m.dy)
-    j, i = np.divmod(np.arange((nx + 1) * ny), nx + 1)
-    x, y = m.edge_midpoint(m.vedge_index(i, j))
+    j, i = np.indices(ev.shape)
+    x, y = m.edge_midpoint(ev)
     assert np.array_equal(x, i * m.dx)
     assert np.array_equal(y, (j + 0.5) * m.dy)
     # a plain int gives the same point as its entry in an array
     e = m.n_edges - 1
-    assert m.edge_midpoint(e) == (x[-1], y[-1])
+    assert m.edge_midpoint(e) == (x[-1, -1], y[-1, -1])
 
 
 def test_gamma_and_sizes():
@@ -110,8 +120,8 @@ def test_linear_field_on_axis_edge(rule):
     # F = (y, 0): zero on every horizontal edge lying on y=0
     m = build_mesh(4, 4, 1.0, 1.0)
     dof = edge_field(m, lambda x, y: (y, 0 * x), rule)
-    for i in range(m.nx):
-        assert dof[m.hedge_index(i, 0)] == 0.0
+    bottom = m.face_edges(dof)[0]
+    assert (bottom[0] == 0.0).all()  # face row 0's bottoms, on y = 0
 
 
 def test_edge_gauss4_matches_analytic_integral():
@@ -210,14 +220,9 @@ def test_edge_lines_are_views_in_grid_order(nx, ny):
     vh, vv = m.edge_lines(v)
     assert vh.shape == (ny + 1, nx) and vv.shape == (ny, nx + 1)
     assert np.shares_memory(vh, v) and np.shares_memory(vv, v)
-    j, i = np.indices(vh.shape)
-    assert np.array_equal(vh, m.hedge_index(i, j))
-    j, i = np.indices(vv.shape)
-    assert np.array_equal(vv, m.vedge_index(i, j))
-
-
-def test_face_edge_table_is_built_on_first_use():
-    m = build_mesh(3, 4, 1.0, 1.0)
-    assert "face_edge_table" not in m.__dict__
-    table = m.face_edge_table
-    assert m.face_edge_table is table
+    # in the oracle's numbering: the horizontal lines are the faces'
+    # bottoms and the last row's tops, the vertical ones their lefts and
+    # the last column's rights
+    bottom, right, top, left = face_edge_table(m).T.reshape(4, ny, nx)
+    assert np.array_equal(vh, np.vstack([bottom, top[-1:]]))
+    assert np.array_equal(vv, np.hstack([left, right[:, -1:]]))

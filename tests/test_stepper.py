@@ -856,13 +856,3 @@ def test_save_snapshot_writes_without_an_edge_sized_copy(tmp_path):
     for name, v in (("E", state.E), ("J", state.J())):
         assert (tmp_path / f"snap.{name}.bin").read_bytes() \
             == v.astype("<f8").tobytes()
-
-
-def test_run_builds_no_face_edge_table():
-    # the step's curl reads edge lines: only norms and oracles need it
-    mesh = build_mesh(8, 6, 1.0, 1.0)
-    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    config = make_config(mesh, T=0.25)
-    run(config, *_exact_initial(config, sol),
-        lambda n, t, state: None)
-    assert "face_edge_table" not in mesh.__dict__
