@@ -15,11 +15,10 @@ from .plasma import (ExpOperators, Medium, RegimeError, coupling_matrix,
 from .stepper import (SimConfig, SimState, StepOperators,
                       UnstableSimulationError, initialize, load_snapshot,
                       nu_max, run, save_snapshot, step, step_operators)
-from .dispersion import (WaveVec, anisotropy_sweep, bloch_reduce,
-                         continuous_roots, oscillatory_root,
-                         relative_dispersion_error, s_matrix, spatial_symbol,
-                         spatial_symbol_bloch, symbol_error_slope,
-                         temporal_symbol)
+from .dispersion import (WaveVec, anisotropy_sweep, continuous_roots,
+                         oscillatory_root, relative_dispersion_error,
+                         spatial_symbol, spatial_symbol_bloch,
+                         symbol_error_slope, temporal_symbol)
 from .analysis import (DegenerateFitError, ExactSolution, FitResult,
                        convergence_study, dispersion_error_metric, exact_E,
                        fit_damped_cosine, l2_relative_error,

@@ -93,8 +93,10 @@ def mode_dofs(config: SimConfig, sol: ExactSolution) -> tuple:
 
     The mode's tangential E must vanish on the PEC walls x = Lx and
     y = Ly, which takes a whole number of half-waves across the domain:
-    ValueError otherwise."""
+    ValueError otherwise, and when config.medium is not sol.medium."""
     mesh, p = config.mesh, config.params
+    if config.medium != sol.medium:
+        raise ValueError(f"{config.medium} is not the mode's {sol.medium}")
     for k, L in (("kx", "Lx"), ("ky", "Ly")):
         waves = getattr(sol, k) * getattr(mesh, L) / math.pi
         if abs(waves - round(waves)) > 1e-9:
@@ -254,7 +256,8 @@ def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
 
     Returns, scheme by scheme, one row per (field, mesh) with the relative
     L2 error at the final time and the relative dispersion error from the
-    probe fit; rate columns hold log2 ratios between successive meshes.
+    probe fit.  Every err_<m> column has its rate_<m>, log2(prev / err) /
+    log2(h_prev / h) against the previous mesh, NaN on the first.
     The L2 references, like the initial data, are the `mode_dofs` pair:
     E's e(t_f) v and J's j(t_f) j_ratio v; the fits read (a_h, b_h) off
     the probe traces alone.  Each run is a `run_standing_mode` in
@@ -301,25 +304,21 @@ def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
                     f"{exc}") from None
             return dispersion_error_metric(fit, sol.a, sol.b)
 
-        return {"E": (err_E, disp("E", trace_E)),
-                "J": (err_J, disp("J", trace_J))}
+        return {"E": {"l2": err_E, "disp": disp("E", trace_E)},
+                "J": {"l2": err_J, "disp": disp("J", trace_J)}}
 
     rows = []
     for scheme in schemes:
         results = [one(scheme, h, mesh) for h, mesh in zip(h_list, meshes)]
         for field in ("E", "J"):
-            prev = None
-            for h, res in zip(h_list, results):
-                err_l2, err_disp = res[field]
-                rate_l2 = rate_disp = float("nan")
-                if prev is not None:
-                    h_prev, l2_prev, disp_prev = prev
-                    factor = math.log2(h_prev / h)
-                    rate_l2 = math.log2(l2_prev / err_l2) / factor
-                    rate_disp = math.log2(disp_prev / err_disp) / factor
-                rows.append({"log2_h": math.log2(h), "scheme": scheme,
-                             "field": field, "err_l2": err_l2,
-                             "rate_l2": rate_l2, "err_disp": err_disp,
-                             "rate_disp": rate_disp})
-                prev = (h, err_l2, err_disp)
+            for i, (h, res) in enumerate(zip(h_list, results)):
+                row = {"log2_h": math.log2(h), "scheme": scheme,
+                       "field": field}
+                for m, err in res[field].items():
+                    rate = float("nan")
+                    if i:
+                        rate = (math.log2(results[i - 1][field][m] / err)
+                                / math.log2(h_list[i - 1] / h))
+                    row["err_" + m], row["rate_" + m] = err, rate
+                rows.append(row)
     return rows

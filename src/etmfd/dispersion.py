@@ -59,36 +59,21 @@ def spatial_symbol(wv: WaveVec, h: float, gamma: float,
     return term_x + term_xy + term_y
 
 
-def s_matrix(kx: float, ky: float, dx: float, dy: float) -> np.ndarray:
-    """Phase-shift matrix mapping the two reference DoF to a face's four DoF.
-
-    Rows follow the [bottom, right, top, left] edge order: the top edge is
-    the bottom shifted by (0, dy), the left edge is the right shifted by
-    (-dx, 0).
-    """
-    return np.array([
-        [1.0, 0.0],
-        [0.0, 1.0],
-        [np.exp(1j * ky * dy), 0.0],
-        [0.0, np.exp(-1j * kx * dx)],
-    ], dtype=complex)
-
-
-def bloch_reduce(Z_local: np.ndarray, kx: float, ky: float,
-                 dx: float, dy: float) -> np.ndarray:
-    """Reduce a local 4x4 block to its 2x2 action on Bloch-wave amplitudes."""
-    S = s_matrix(kx, ky, dx, dy)
-    return S.conj().T @ Z_local @ S
-
-
 def spatial_symbol_bloch(wv: WaveVec, h: float, gamma: float,
                          params: MfdParams, c0: float) -> complex:
-    """Spatial symbol recomputed from assembled local blocks (oracle path)."""
+    """Spatial symbol recomputed from assembled local blocks (oracle path):
+    -c0^2 trace(W_bar A_bar), each local 4x4 block Z reduced to its 2x2
+    action S^H Z S on Bloch-wave amplitudes.  S maps the two reference
+    DoF to a face's four, rows in [bottom, right, top, left] order: the
+    top edge is the bottom shifted by (0, dy), the left edge is the right
+    shifted by (-dx, 0).
+    """
     dx, dy = h, gamma * h
+    top, left = np.exp(1j * wv.ky * dy), np.exp(-1j * wv.kx * dx)
+    S = np.array([[1.0, 0.0], [0.0, 1.0], [top, 0.0], [0.0, left]], complex)
     c = local_curl(dx, dy)
-    A_loc = np.outer(c, c) * (dx * dy)
-    Wb = bloch_reduce(local_W(params, dx, dy), wv.kx, wv.ky, dx, dy)
-    Ab = bloch_reduce(A_loc, wv.kx, wv.ky, dx, dy)
+    Wb, Ab = (S.conj().T @ Z @ S for Z in (local_W(params, dx, dy),
+                                           np.outer(c, c) * (dx * dy)))
     return -c0 * c0 * np.trace(Wb @ Ab)
 
 
@@ -178,12 +163,12 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
     schemes is an iterable of labels, each resolved to its weights at
     (nu, gamma) by `params_for_scheme` before any row is computed.
     Returns rows (theta, k, ppw, scheme, abs_err, re_err, im_err), ppw
-    outermost and scheme innermost; each (ppw, scheme) pair is one
+    outermost and scheme innermost; each (distinct h, scheme) pair is one
     relative_dispersion_error call over the whole angle grid.
 
     With fixed_cell_area, every ppw uses h = 2*pi/(k*ppw_list[0])/sqrt(gamma),
     which fixes the cell area across aspect ratios; ppw then only labels
-    the rows, and each ppw block repeats the same errors.
+    the rows, and each ppw block repeats the errors computed once.
     """
     if isinstance(schemes, str):  # would iterate as one-letter labels
         raise ValueError(f"schemes must be a list of labels, not {schemes!r}")
@@ -195,18 +180,21 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
     omega = oscillatory_root(k, medium)
     wv = WaveVec(k, np.asarray(theta_grid, dtype=float))
     theta_col = np.repeat(wv.theta, len(schemes)).tolist()
+    cols = {}  # h -> (abs_err, re_err, im_err), shared by its ppw blocks
     rows = []
     for ppw in ppw_list:
         h = (2.0 * np.pi / (k * ppw) if not fixed_cell_area
              else 2.0 * np.pi / (k * ppw_list[0]) / np.sqrt(gamma))
-        dt = nu * h / medium.c0
-        err = np.empty((wv.theta.size, len(schemes)), dtype=complex)
-        for j, p in enumerate(params):
-            err[:, j] = relative_dispersion_error(omega, wv, medium, dt, h,
-                                                  gamma, p)
-        re, im = err.real.ravel(), err.imag.ravel()  # scheme innermost
+        if h not in cols:
+            dt = nu * h / medium.c0
+            err = np.empty((wv.theta.size, len(schemes)), dtype=complex)
+            for j, p in enumerate(params):
+                err[:, j] = relative_dispersion_error(omega, wv, medium, dt,
+                                                      h, gamma, p)
+            re, im = err.real.ravel(), err.imag.ravel()  # scheme innermost
+            cols[h] = np.hypot(re, im).tolist(), re.tolist(), im.tolist()
         rows += zip(theta_col, repeat(k), repeat(ppw), cycle(schemes),
-                    np.hypot(re, im).tolist(), re.tolist(), im.tolist())
+                    *cols[h])
     return rows
 
 

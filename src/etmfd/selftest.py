@@ -8,9 +8,10 @@ local blocks, the optimal local W written in Courant numbers, the
 exact solution of a curl-free mode, the w2 that would zero leapfrog's
 dispersion residual in a conductor, and a Newton polish of the discrete
 dispersion root.
-Each check returns its measured deviation; TOLERANCES holds the bounds,
-which the acceptance suite pins.  `etmfd selftest` runs every check in a
-few seconds, and the acceptance tests call the same functions.
+Each check returns its measured deviation; CHECKS holds its name,
+function, direction and bound in one row, and the acceptance suite pins
+the bounds.  `etmfd selftest` runs every check in a few seconds, and the
+acceptance tests call the same functions.
 """
 
 from __future__ import annotations
@@ -22,31 +23,12 @@ import numpy as np
 from . import dispersion, operators, plasma, stepper
 from .mesh import build_mesh
 
-# check name -> bound; the measure must stay below it, or above it for the
-# names in LOWER_BOUNDS
-TOLERANCES = {
-    "exp-oracles": 1e-12,
-    "one-step-dense": 1e-13,
-    "symbol-reduction": 1e-12,
-    "optimal-W-identity": 1e-14,
-    "leapfrog-lossy": 1e-3,
-    "leapfrog-vacuum": 1e-10,
-    "ode-exactness": 1e-12,
-    "fourth-order-symbol": 3.8,
-}
-LOWER_BOUNDS = ("leapfrog-lossy", "fourth-order-symbol")
-
 MEDIA = (plasma.Medium(eps0=1.0, omega_i=0.0, omega_p=1.0),
          plasma.Medium(eps0=1.0, omega_i=0.5, omega_p=1.0),
          plasma.Medium(eps0=1.0, omega_i=1.0, omega_p=1.0),
          plasma.Medium(eps0=0.5, omega_i=1.0, omega_p=2.0),
          plasma.Medium(eps0=2.0, omega_i=2.0, omega_p=3.0))
 DTS = (0.01, 0.05, 0.1, 0.5, 1.0)
-
-
-def passes(name: str, value: float) -> bool:
-    bound = TOLERANCES[name]
-    return value > bound if name in LOWER_BOUNDS else value < bound
 
 
 # ---- oracles ----------------------------------------------------------------
@@ -313,26 +295,33 @@ def fourth_order_slope():
     return slope
 
 
+# (name, check, direction, bound): the check's measure must stay below
+# ("<") or above (">") the bound
 CHECKS = (
-    ("exp-oracles", exp_oracle_deviation),
-    ("one-step-dense", one_step_dense_deviation),
-    ("symbol-reduction", symbol_reduction_deviation),
-    ("optimal-W-identity", optimal_W_deviation),
-    ("leapfrog-lossy", leapfrog_lossy_spread),
-    ("leapfrog-vacuum", leapfrog_vacuum_deviation),
-    ("ode-exactness", ode_exactness_deviation),
-    ("fourth-order-symbol", fourth_order_slope),
+    ("exp-oracles", exp_oracle_deviation, "<", 1e-12),
+    ("one-step-dense", one_step_dense_deviation, "<", 1e-13),
+    ("symbol-reduction", symbol_reduction_deviation, "<", 1e-12),
+    ("optimal-W-identity", optimal_W_deviation, "<", 1e-14),
+    ("leapfrog-lossy", leapfrog_lossy_spread, ">", 1e-3),
+    ("leapfrog-vacuum", leapfrog_vacuum_deviation, "<", 1e-10),
+    ("ode-exactness", ode_exactness_deviation, "<", 1e-12),
+    ("fourth-order-symbol", fourth_order_slope, ">", 3.8),
 )
+
+
+def passes(name: str, value: float) -> bool:
+    [(direction, bound)] = [(d, b) for n, _, d, b in CHECKS if n == name]
+    return value > bound if direction == ">" else value < bound
 
 
 def run_all(report=print):
     """Run every check; returns True only if all pass."""
     all_ok = True
-    for name, fn in CHECKS:
-        bound = f"{'>' if name in LOWER_BOUNDS else '<'} {TOLERANCES[name]:g}"
+    for name, fn, direction, bound in CHECKS:
         try:
             value = fn()
-            ok, detail = passes(name, value), f"{value:.3e} (need {bound})"
+            ok = passes(name, value)
+            detail = f"{value:.3e} (need {direction} {bound:g})"
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed pass line each.
 
-Criteria (tolerances pinned here; etmfd.selftest keeps a copy that a
-test holds equal to ORACLE_TOLERANCES):
+Criteria (tolerances pinned here; etmfd.selftest.CHECKS keeps a copy
+that a test holds equal to ORACLE_TOLERANCES):
   1. L2 convergence rates on the standing-mode experiment, both fields:
      optimal member in [3.8, 4.2], Yee member in [1.9, 2.1]; optimal
      E error at h = 2^-4 within 5x of 4.8495e-05.  Under 2 minutes.
@@ -151,6 +151,8 @@ def test_criterion_6_exact_ode_integration(dt):
 
 
 def test_selftest_tolerances_are_the_pinned_ones():
-    assert selftest.TOLERANCES == ORACLE_TOLERANCES
-    assert set(selftest.LOWER_BOUNDS) == {"leapfrog-lossy",
-                                          "fourth-order-symbol"}
+    assert len(selftest.CHECKS) == len(ORACLE_TOLERANCES)
+    assert {n: b for n, _, _, b in selftest.CHECKS} == ORACLE_TOLERANCES
+    assert {n for n, _, d, _ in selftest.CHECKS if d == ">"} == {
+        "leapfrog-lossy", "fourth-order-symbol"}
+    assert {d for _, _, d, _ in selftest.CHECKS} == {"<", ">"}

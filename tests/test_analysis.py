@@ -47,6 +47,16 @@ def test_mode_dofs_refuses_a_mode_not_vanishing_on_the_walls(kx_pi, ky_pi,
     mode_dofs(config_on(build_mesh(8, 4, 2.0, 2.0)), sol)
 
 
+def test_mode_dofs_refuses_another_medium():
+    # v and j_ratio are the exact E and J of the mode in sol.medium only
+    mesh = build_mesh(4, 4, 1.0, 1.0)
+    sol = make_exact_solution(np.pi, np.pi, Medium(omega_i=0.5))
+    with pytest.raises(ValueError, match="is not the mode.s Medium"):
+        mode_dofs(config_on(mesh), sol)
+    mode_dofs(SimConfig(mesh=mesh, medium=sol.medium, scheme="etmfd",
+                        nu=0.4, T=1.0), sol)
+
+
 def test_make_exact_solution_validates_wavenumbers():
     # whether a wave number fits is the domain's question: ky = pi/2 is
     # the half-wave of Ly = 2 and no wave of Ly = 1
@@ -602,6 +612,25 @@ def test_convergence_study_rows():
     assert math.isnan(first_e["rate_l2"])
     second_e = [r for r in rows if r["field"] == "E"][1]
     assert second_e["err_l2"] < first_e["err_l2"]
+
+
+def test_convergence_study_rates_are_the_log2_rule():
+    # every rate_<m> is log2(prev / err) / log2(h_prev / h) of its err_<m>
+    # column, bit for bit, and NaN on the first mesh
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    meshes = [build_mesh(n, n, 1.0, 1.0) for n in (4, 8, 12)]
+    rows = convergence_study(meshes, ["etmfd", "et-yee"], sol, 0.5, 1.0)
+    assert len(rows) == 2 * 2 * 3
+    h = [mesh.dx for mesh in meshes]
+    for i in range(0, len(rows), 3):
+        block = rows[i:i + 3]
+        assert [r["log2_h"] for r in block] == [math.log2(x) for x in h]
+        for m in ("l2", "disp"):
+            assert math.isnan(block[0]["rate_" + m])
+            for j in (1, 2):
+                assert block[j]["rate_" + m] == (
+                    math.log2(block[j - 1]["err_" + m] / block[j]["err_" + m])
+                    / math.log2(h[j - 1] / h[j]))
 
 
 def test_convergence_study_names_the_failed_fit(monkeypatch):

@@ -7,7 +7,7 @@ from etmfd import cli, dispersion
 from etmfd.dispersion import (WaveVec, anisotropy_sweep,
                               continuous_cubic_coeffs, continuous_roots,
                               oscillatory_root, relative_dispersion_error,
-                              s_matrix, spatial_symbol, spatial_symbol_bloch,
+                              spatial_symbol, spatial_symbol_bloch,
                               temporal_symbol)
 from etmfd.mesh import build_mesh
 from etmfd.operators import (MfdParams, local_W, local_curl, optimal_params,
@@ -111,7 +111,11 @@ def test_lemma1_assembled_operator_action(rng):
         kx, ky = rng.uniform(-np.pi / mesh.dx, np.pi / mesh.dx, 2)
         U1, U2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         U = bloch_edge_field(mesh, kx, ky, U1, U2)
-        S = s_matrix(kx, ky, mesh.dx, mesh.dy)
+        # the phase matrix: face DoF [bottom, right, top, left] from the
+        # reference pair, top = bottom shifted by (0, dy), left = right
+        # shifted by (-dx, 0)
+        S = np.array([[1, 0], [0, 1], [np.exp(1j * ky * mesh.dy), 0],
+                      [0, np.exp(-1j * kx * mesh.dx)]])
         for op, Zl in ((W_op, Wl), (A_op, Al)):
             V = op @ U
             V12 = S.conj().T @ Zl @ S @ np.array([U1, U2])
@@ -476,6 +480,25 @@ def test_sweep_one_error_call_per_ppw_and_scheme(monkeypatch):
     assert len(calls) == 3 * 2
     assert all(np.array_equal(wv.theta, theta) for wv in calls)
     assert len(rows) == 33 * 3 * 2
+
+
+def test_fixed_area_sweep_one_error_call_per_scheme(monkeypatch):
+    # with fixed_cell_area every ppw shares one h: its errors are
+    # computed once and repeated in each ppw block
+    calls = []
+    real = dispersion.relative_dispersion_error
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "relative_dispersion_error", counted)
+    theta = np.linspace(0, 2 * np.pi, 33, endpoint=False)
+    rows = anisotropy_sweep(theta, 4.0, [12, 24, 48], 0.5, 2.0, MEDIUM,
+                            SCHEMES, fixed_cell_area=True)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert len(rows) == 33 * 3 * 2
+    assert [r[2] for r in rows[::33 * 2]] == [12, 24, 48]
 
 
 # ---- leapfrog appendix demonstration ----------------------------------------------
