@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -140,24 +141,32 @@ def _cell(v) -> str:
 
 
 def _column_cells(col):
-    """The cells of one column, as `_cell` formats them.  A column of
-    exact floats reprs each distinct bit pattern once: bits, not values,
-    keep 0.0 apart from -0.0."""
-    if not all(type(v) is float for v in col):
-        return map(_cell, col)
-    bits, inverse = np.unique(np.array(col).view(np.int64),
-                              return_inverse=True)
-    text = [repr(v) for v in bits.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[inverse]  # references, not copies
+    """The cells of one column, as `_cell` formats them, each distinct
+    value formatted once.  A column of exact floats is keyed on bits, not
+    values, which keep 0.0 apart from -0.0; a column of exact ints, or of
+    exact strs, on its values (a bool is its own type, so True never
+    meets 1); any other column is formatted cell by cell."""
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        bits, inverse = np.unique(np.fromiter(col, float).view(np.int64),
+                                  return_inverse=True)
+        text = [repr(v) for v in bits.view(np.float64).tolist()]
+        return np.array(text, dtype=object)[inverse]  # references, not copies
+    if kinds == {int} or kinds == {str}:
+        text = {v: str(v) for v in set(col)}
+        return map(text.__getitem__, col)
+    return map(_cell, col)
 
 
 def write_csv(path: str, header, rows) -> None:
     cols = list(zip(*rows, strict=True))  # ragged rows: ValueError
+    lines = map(",".join, zip(*map(_column_cells, cols)))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(cells) + "\n"
-                      for cells in zip(*map(_column_cells, cols)))
+        # about 1024 lines a write: the file's text is never held whole
+        while chunk := list(itertools.islice(lines, 1024)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 # ---- commands ---------------------------------------------------------------

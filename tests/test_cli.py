@@ -128,6 +128,16 @@ def test_write_csv_is_the_per_cell_join(tmp_path):
         "numpy-floats": [(np.float64(0.1), 0.1), (0.1, np.float32(0.1)),
                          (-0.0, np.float64(-0.0)), (np.float32(-0.0), 0.0)],
         "empty": [],
+        # a column of exact ints, or of exact strs, keyed on its values
+        "ints": [(3,), (-7,), (2**64 + 1,), (3,), (-7,), (0,), (2**64 + 1,)],
+        "strs": [("etmfd",), ("",), ("et-yee",), ("",), ("etmfd",)],
+        # neither: formatted cell by cell
+        "bools": [(True,), (False,), (True,), (True,)],
+        "numpy-int-and-int": [(np.int64(7),), (7,), (-2,), (np.int64(-2),)],
+        # more rows than one write takes, one column of empty lines
+        "blank-lines": [("",)] * 2049,
+        "long": [(pool[i], ("etmfd", "et-yee", "")[i % 3], 12 * (i % 4))
+                 for i in draw[:, 0].tolist() * 13],
     }
     for name, rows in cases.items():
         path = tmp_path / f"{name}.csv"
