@@ -210,17 +210,16 @@ def pick_probe_edge(mesh, mode: np.ndarray) -> int:
     return int(cand[np.argmax(score)])
 
 
-def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
-                      T: float, probes=None, observe=None) -> tuple:
-    """Run the standing mode `sol` in `sol.medium` on `mesh` with the
-    weights of `scheme`, from `mode_dofs`'s v times each exact time factor;
+def run_standing_mode(config: SimConfig, sol: ExactSolution, probes=None,
+                      observe=None) -> tuple:
+    """Run the standing mode `sol` as `config` sets it, from `mode_dofs`'s
+    v times each exact time factor (so config.medium must be sol.medium);
     probes=None takes the `pick_probe_edge` probe, and `observe` is
     `run`'s, called after each step's probe samples are taken.
 
-    Returns (config, state, traces, v, j_ratio): the final state, and
-    for each probe edge its E and J traces over steps 0 .. n_steps."""
-    config = SimConfig(mesh=mesh, medium=sol.medium, scheme=scheme, nu=nu,
-                       T=T)
+    Returns (state, traces, v, j_ratio): the final state, and for each
+    probe edge its E and J traces over steps 0 .. n_steps."""
+    mesh = config.mesh
     v, j_ratio = mode_dofs(config, sol)
     if probes is None:
         probes = (pick_probe_edge(mesh, v),)
@@ -246,7 +245,7 @@ def run_standing_mode(mesh, scheme: str, sol: ExactSolution, nu: float,
     state = run(config, *(np.multiply(v, f) for f in (
         e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
         j_time_factor(sol, 0.0) * j_ratio)), record)
-    return config, state, traces, v, j_ratio
+    return state, traces, v, j_ratio
 
 
 def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
@@ -260,10 +259,10 @@ def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
     log2(h_prev / h) against the previous mesh, NaN on the first.
     The L2 references, like the initial data, are the `mode_dofs` pair:
     E's e(t_f) v and J's j(t_f) j_ratio v; the fits read (a_h, b_h) off
-    the probe traces alone.  Each run is a `run_standing_mode` in
-    `sol.medium`, and every (scheme, mesh) run is checked before the first
-    one starts.  A DegenerateFitError from a probe fit is raised again
-    naming the field, the scheme and h.
+    the probe traces alone.  Every (scheme, mesh) run is checked, as the
+    `SimConfig` in `sol.medium` that `run_standing_mode` then runs, before
+    the first one starts.  A DegenerateFitError from a probe fit is raised
+    again naming the field, the scheme and h.
     """
     if isinstance(schemes, str):  # would iterate as one-letter labels
         raise ValueError(f"schemes must be a list of labels, not {schemes!r}")
@@ -273,22 +272,26 @@ def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
     if not meshes or not schemes or len(set(h_list)) < len(h_list):
         raise ValueError(f"meshes and schemes must be non-empty, no h "
                          f"repeated: h = {h_list}, schemes = {schemes}")
+    runs = []  # per label, in the order given: its configs, mesh by mesh
     for scheme in schemes:
+        runs.append([])
         for h, mesh in zip(h_list, meshes):
             if mesh.boundary_edge_mask.all():  # only the 1x1 PEC mesh
                 raise ValueError(f"h={h:g}: {mesh} has no interior edge "
                                  "to probe")
             # the label, nu and T are checked here
-            samples = 1 + SimConfig(mesh=mesh, medium=sol.medium,
-                                    scheme=scheme, nu=nu, T=T).n_steps
+            config = SimConfig(mesh=mesh, medium=sol.medium, scheme=scheme,
+                               nu=nu, T=T)
+            samples = 1 + config.n_steps
             if samples < MIN_FIT_SAMPLES:
                 raise ValueError(f"T={T:g} leaves {samples} probe samples "
                                  f"at h={h:g}, fewer than the "
                                  f"{MIN_FIT_SAMPLES} a fit needs")
+            runs[-1].append(config)
 
-    def one(scheme, h, mesh):
-        config, state, traces, v, j_ratio = run_standing_mode(
-            mesh, scheme, sol, nu, T)
+    def one(config):
+        mesh, scheme, h = config.mesh, config.scheme, config.mesh.dx
+        state, traces, v, j_ratio = run_standing_mode(config, sol)
         tf, [(trace_E, trace_J)] = state.n * config.dt, traces.values()
         M = local_M(config.params, mesh.dx, mesh.dy)
         e_f, j_f = e_time_factor(sol, tf), j_time_factor(sol, tf) * j_ratio
@@ -308,8 +311,8 @@ def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
                 "J": {"l2": err_J, "disp": disp("J", trace_J)}}
 
     rows = []
-    for scheme in schemes:
-        results = [one(scheme, h, mesh) for h, mesh in zip(h_list, meshes)]
+    for scheme, configs in zip(schemes, runs):
+        results = [one(config) for config in configs]
         for field in ("E", "J"):
             for i, (h, res) in enumerate(zip(h_list, results)):
                 row = {"log2_h": math.log2(h), "scheme": scheme,

@@ -9,8 +9,9 @@ Subcommands
     roots       print the continuous dispersion roots for a wave number
     selftest    run the built-in oracle checks
 
-Configuration is a single JSON document (--config); unknown keys are
-rejected.  Physical constants default to eps0 = c0 = omega_i = omega_p = 1.
+Every run parameter comes from a single JSON document (--config), a key
+left out taking its DEFAULTS value; unknown keys are rejected.  Physical
+constants default to eps0 = c0 = omega_i = omega_p = 1.
 Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 """
 
@@ -30,7 +31,7 @@ from . import analysis, dispersion, selftest
 from .mesh import build_mesh
 from .operators import local_W, optimal_params
 from .plasma import Medium, RegimeError
-from .stepper import UnstableSimulationError, nu_max, save_snapshot
+from .stepper import SimConfig, UnstableSimulationError, nu_max, save_snapshot
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -173,8 +174,7 @@ def write_csv(path: str, header, rows) -> None:
 
 def cmd_params(args) -> int:
     cfg = load_config(args.config, "params")
-    nu = args.nu if args.nu is not None else cfg["nu"]
-    gamma = args.gamma if args.gamma is not None else cfg["gamma"]
+    nu, gamma = cfg["nu"], cfg["gamma"]
     p = optimal_params(nu, gamma)
     print(f"nu = {_fmt6(nu)}, gamma = {_fmt6(gamma)}")
     print(f"w1 = {_fmt6(p.w1)}")
@@ -274,9 +274,10 @@ def cmd_simulate(args) -> int:
                           t, state)
             saved.append(n)
 
-    config, state, traces, _, _ = analysis.run_standing_mode(
-        mesh, cfg["scheme"], sol, cfg["nu"], cfg["T"],
-        None if probes == "auto" else probes, save)
+    config = SimConfig(mesh=mesh, medium=medium, scheme=cfg["scheme"],
+                       nu=cfg["nu"], T=cfg["T"])
+    state, traces, _, _ = analysis.run_standing_mode(
+        config, sol, None if probes == "auto" else probes, save)
 
     os.makedirs(outdir, exist_ok=True)
     times = config.dt * np.arange(state.n + 1)
@@ -297,7 +298,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_roots(args) -> int:
     cfg = load_config(args.config, "roots")
-    k = args.k if args.k is not None else cfg["k"]
+    k = cfg["k"]
     medium = medium_from_config(cfg)
     roots = dispersion.continuous_roots(k, medium)
     print(f"k = {_fmt6(k)}")
@@ -332,17 +333,11 @@ def make_parser() -> argparse.ArgumentParser:
                         "are set apart, by OPENBLAS_NUM_THREADS")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="optimal MFD weights for (nu, gamma)")
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-
+    sub.add_parser("params", help="optimal MFD weights for (nu, gamma)")
     sub.add_parser("converge", help="mesh-refinement study")
     sub.add_parser("anisotropy", help="dispersion-error angle sweep")
     sub.add_parser("simulate", help="run one simulation")
-
-    p = sub.add_parser("roots", help="continuous dispersion roots")
-    p.add_argument("--k", type=float, default=None)
-
+    sub.add_parser("roots", help="continuous dispersion roots")
     sub.add_parser("selftest", help="run built-in oracle checks")
     return parser
 

@@ -198,7 +198,7 @@ def one_step_dense_deviation():
     for mesh in (build_mesh(3, 3, 1.0, 1.0), build_mesh(3, 4, 1.0, 2.0)):
         config = stepper.SimConfig(mesh=mesh, medium=medium, scheme="etmfd",
                                    nu=0.5, T=1.0)
-        ops = plasma.exp_operators(medium, config.dt)
+        ops = config.expops
         fields = rng.standard_normal((4, mesh.n_edges))
         st = increment_state(fields, ops)
         stepper.step(st, stepper.step_operators(config, st.E))

@@ -59,7 +59,7 @@ class SimConfig:
             raise ValueError(f"final time must be finite and > 0, got {self.T}")
         self.params  # an unknown label is refused here, before any step
 
-    @property
+    @functools.cached_property
     def params(self) -> MfdParams:
         return params_for_scheme(self.scheme, self.nu, self.mesh.gamma)
 

@@ -47,12 +47,16 @@ def test_mode_dofs_refuses_a_mode_not_vanishing_on_the_walls(kx_pi, ky_pi,
     mode_dofs(config_on(build_mesh(8, 4, 2.0, 2.0)), sol)
 
 
-def test_mode_dofs_refuses_another_medium():
+def test_mode_dofs_refuses_another_medium(monkeypatch):
     # v and j_ratio are the exact E and J of the mode in sol.medium only
     mesh = build_mesh(4, 4, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, Medium(omega_i=0.5))
     with pytest.raises(ValueError, match="is not the mode.s Medium"):
         mode_dofs(config_on(mesh), sol)
+    # and so a run of the mode: refused before any step
+    monkeypatch.setattr(analysis, "run", lambda *a: pytest.fail("it ran"))
+    with pytest.raises(ValueError, match="is not the mode.s Medium"):
+        run_standing_mode(config_on(mesh), sol)
     mode_dofs(SimConfig(mesh=mesh, medium=sol.medium, scheme="etmfd",
                         nu=0.4, T=1.0), sol)
 
@@ -365,8 +369,10 @@ def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
     # one step: the run starts from the profile times the exact time
     # factors, J's with j_ratio folded in, bit for bit
     seen = []
-    config, st, _, v1, j_ratio1 = run_standing_mode(
-        mesh, "etmfd", sol, 0.4, 0.01,
+    config = SimConfig(mesh=mesh, medium=MEDIUM, scheme="etmfd", nu=0.4,
+                       T=0.01)
+    st, _, v1, j_ratio1 = run_standing_mode(
+        config, sol,
         observe=lambda n, t, state: seen.append((state.E.copy(), state.J())))
     inner = ~mesh.boundary_edge_mask
     assert st.n == 1
@@ -470,8 +476,9 @@ def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
 
     tracemalloc.start()
     try:
-        _, state, traces, _, _ = run_standing_mode(
-            mesh, "etmfd", sol, 0.5, T, (probe,), save)
+        state, traces, _, _ = run_standing_mode(
+            SimConfig(mesh=mesh, medium=MEDIUM, scheme="etmfd", nu=0.5, T=T),
+            sol, (probe,), save)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -504,7 +511,7 @@ def test_run_standing_mode_refuses_a_bad_probe_before_any_step(
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     monkeypatch.setattr(analysis, "run", lambda *a: pytest.fail("it ran"))
     with pytest.raises(ValueError, match=message):
-        run_standing_mode(mesh, "etmfd", sol, 0.5, 1.0, probes)
+        run_standing_mode(config_on(mesh), sol, probes)
 
 
 def _count_interpolations(monkeypatch):
@@ -552,6 +559,29 @@ def test_convergence_study_validation():
     with pytest.raises(ValueError, match="no h repeated"):
         convergence_study([build_mesh(8, 8, 1.0, 1.0)] * 2, ["etmfd"], sol,
                           0.5, 1.0)
+
+
+def test_convergence_study_runs_the_configs_it_checked(monkeypatch):
+    # one SimConfig per (scheme, mesh), built by the check and then run
+    built, ran, real = [], [], analysis.run
+
+    def build(**fields):
+        built.append(SimConfig(**fields))
+        return built[-1]
+
+    def recorded(config, *args):
+        ran.append(config)
+        return real(config, *args)
+
+    monkeypatch.setattr(analysis, "SimConfig", build)
+    monkeypatch.setattr(analysis, "run", recorded)
+    sol = make_exact_solution(np.pi, np.pi, MEDIUM)
+    meshes = [build_mesh(n, n, 1.0, 1.0) for n in (4, 8)]
+    convergence_study(meshes, ["et-yee", "etmfd"], sol, 0.5, 1.0)
+    assert [(c.scheme, c.mesh) for c in built] == [
+        (scheme, mesh) for scheme in ("et-yee", "etmfd") for mesh in meshes]
+    assert len(ran) == len(built)
+    assert all(r is b for r, b in zip(ran, built))
 
 
 def test_convergence_study_checks_every_run_before_the_first(monkeypatch):
@@ -616,21 +646,28 @@ def test_convergence_study_rows():
 
 def test_convergence_study_rates_are_the_log2_rule():
     # every rate_<m> is log2(prev / err) / log2(h_prev / h) of its err_<m>
-    # column, bit for bit, and NaN on the first mesh
+    # column, bit for bit, and NaN on the first mesh; the blocks come label
+    # by label in the order given, a repeated label's twice
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     meshes = [build_mesh(n, n, 1.0, 1.0) for n in (4, 8, 12)]
-    rows = convergence_study(meshes, ["etmfd", "et-yee"], sol, 0.5, 1.0)
-    assert len(rows) == 2 * 2 * 3
     h = [mesh.dx for mesh in meshes]
-    for i in range(0, len(rows), 3):
-        block = rows[i:i + 3]
-        assert [r["log2_h"] for r in block] == [math.log2(x) for x in h]
-        for m in ("l2", "disp"):
-            assert math.isnan(block[0]["rate_" + m])
-            for j in (1, 2):
-                assert block[j]["rate_" + m] == (
-                    math.log2(block[j - 1]["err_" + m] / block[j]["err_" + m])
-                    / math.log2(h[j - 1] / h[j]))
+    for schemes in (["etmfd", "et-yee"], ["et-yee", "etmfd"],
+                    ["etmfd", "etmfd"]):
+        rows = convergence_study(meshes, schemes, sol, 0.5, 1.0)
+        assert [r["scheme"] for r in rows] == [
+            scheme for scheme in schemes for _ in range(2 * 3)]
+        for i in range(0, len(rows), 3):
+            block = rows[i:i + 3]
+            assert [r["log2_h"] for r in block] == [math.log2(x) for x in h]
+            for m in ("l2", "disp"):
+                assert math.isnan(block[0]["rate_" + m])
+                for j in (1, 2):
+                    assert block[j]["rate_" + m] == (
+                        math.log2(block[j - 1]["err_" + m]
+                                  / block[j]["err_" + m])
+                        / math.log2(h[j - 1] / h[j]))
+    # the repeated label's two blocks agree bit for bit (repr: NaN == NaN)
+    assert repr(rows[:6]) == repr(rows[6:])
 
 
 def test_convergence_study_names_the_failed_fit(monkeypatch):

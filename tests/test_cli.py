@@ -29,26 +29,45 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
-def test_params_command(capsys):
-    assert main(["params", "--nu", "0.5", "--gamma", "1"]) == EXIT_OK
+def test_params_command(tmp_path, capsys):
+    cfg = write_config(tmp_path, "p.json", {"nu": 0.5, "gamma": 1})
+    assert main(["--config", cfg, "params"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "w2 = -0.0208333" in out
     assert "0.5625" in out
+    # these are the defaults: no config prints the same bytes
+    assert main(["params"]) == EXIT_OK
+    assert capsys.readouterr().out == out
 
 
-def test_params_zero_courant(capsys):
-    assert main(["params", "--nu", "0", "--gamma", "1"]) == EXIT_OK
+def test_params_zero_courant(tmp_path, capsys):
+    cfg = write_config(tmp_path, "p.json", {"nu": 0, "gamma": 1})
+    assert main(["--config", cfg, "params"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "w1 = 0.333333" in out and "w2 = 0" in out
     assert "nu_max = 0.707107" in out
     assert "-0" not in out.split()  # the zero entries of W print as 0
 
 
-def test_roots_command(capsys):
-    assert main(["roots", "--k", "4.442882938158366"]) == EXIT_OK
+def test_roots_command(tmp_path, capsys):
+    cfg = write_config(tmp_path, "r.json", {"k": 4.442882938158366})
+    assert main(["--config", cfg, "roots"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "decay a = -0.0230958" in out
     assert "frequency b = 4.54913" in out
+
+
+@pytest.mark.parametrize("argv", [["params", "--nu", "0.5"],
+                                  ["params", "--gamma", "1"],
+                                  ["roots", "--k", "4"]],
+                         ids=["params-nu", "params-gamma", "roots-k"])
+def test_params_and_roots_take_no_options(argv, capsys):
+    # nu, gamma and k come from the config alone
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["--threads", "1", argv[0]]) == EXIT_OK
 
 
 def test_converge_command(tmp_path, capsys):
@@ -407,7 +426,7 @@ def test_simulate_and_converge_run_the_mode_to_the_same_bits(tmp_path,
 
     def recorded(*args, **kwargs):
         out = real(*args, **kwargs)
-        traces.append(out[2])
+        traces.append(out[1])
         return out
 
     monkeypatch.setattr(analysis, "run_standing_mode", recorded)
@@ -420,6 +439,23 @@ def test_simulate_and_converge_run_the_mode_to_the_same_bits(tmp_path,
     assert sim.keys() == conv.keys()
     for e in sim:
         assert np.array_equal(sim[e], conv[e])  # the E and J traces
+
+
+@pytest.mark.parametrize("command, payload, runs", [
+    ("simulate", {"nx": 8, "ny": 8, "T": 0.5}, 1),
+    ("converge", {"log2_h": [-3, -4], "T": 0.5}, 4)],
+    ids=["simulate", "converge"])
+def test_each_run_resolves_its_scheme_label_once(command, payload, runs,
+                                                 tmp_path, monkeypatch):
+    # one params_for_scheme call per run, however often its weights are read
+    calls = []
+    real = stepper.params_for_scheme
+    monkeypatch.setattr(stepper, "params_for_scheme",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 command]) == EXIT_OK
+    assert len(calls) == runs
 
 
 def test_simulate_instability_exit_code(tmp_path, monkeypatch):
@@ -701,9 +737,13 @@ def test_json_booleans_are_refused_before_output(command, entries, key,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--nu", "--gamma"])
-def test_params_refuses_nan(flag, capsys):
-    assert main(["params", flag, "nan"]) == EXIT_VALIDATION
+@pytest.mark.parametrize("command, key", [("params", "nu"),
+                                          ("params", "gamma"),
+                                          ("roots", "k")],
+                         ids=["nu", "gamma", "roots-k"])
+def test_params_refuses_nan(command, key, tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {key: float("nan")})
+    assert main(["--config", cfg, command]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
     assert captured.out == ""  # no NaN weights printed

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from etmfd import cli, operators, stepper
-from etmfd.analysis import (e_time_factor, exact_E, j_time_factor,
-                            make_exact_solution, mode_dofs,
-                            run_standing_mode)
+from etmfd.analysis import (convergence_study, e_time_factor, exact_E,
+                            j_time_factor, make_exact_solution, mode_dofs)
 from etmfd.mesh import RectMesh, build_mesh, interpolate_edge_field
 from etmfd.operators import params_for_scheme, row_blocks, yee_params
 from etmfd.plasma import Medium, coupling_matrix, exp_operators
@@ -47,7 +46,7 @@ def test_config_refuses_an_unknown_scheme_before_any_step(scheme,
         make_config(mesh, scheme=scheme)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     with pytest.raises(ValueError, match="unknown scheme"):
-        run_standing_mode(mesh, scheme, sol, 0.5, 1.0)
+        convergence_study([mesh], [scheme], sol, 0.5, 1.0)
     assert steps == []
 
 
