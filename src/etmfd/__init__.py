@@ -10,15 +10,14 @@ from .mesh import RectMesh, build_mesh, interpolate_edge_field
 from .operators import (MfdParams, SingularLocalWError,
                         assemble_step_operators, local_M, local_W, local_curl,
                         optimal_params, params_for_scheme, yee_params)
-from .plasma import (ExpOperators, Medium, RegimeError, coupling_matrix,
-                     exp_operators)
+from .plasma import ExpOperators, Medium, RegimeError, exp_operators
 from .stepper import (SimConfig, SimState, StepOperators,
                       UnstableSimulationError, initialize, load_snapshot,
                       nu_max, run, save_snapshot, step, step_operators)
 from .dispersion import (WaveVec, anisotropy_sweep, continuous_roots,
                          oscillatory_root, relative_dispersion_error,
                          spatial_symbol, spatial_symbol_bloch,
-                         symbol_error_slope, temporal_symbol)
+                         temporal_symbol)
 from .analysis import (DegenerateFitError, ExactSolution, FitResult,
                        convergence_study, dispersion_error_metric, exact_E,
                        fit_damped_cosine, l2_relative_error,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,11 +82,26 @@ def j_time_factor(sol: ExactSolution, t):
         sol.b * sol.b + aw ** 2)
 
 
-def mode_dofs(config: SimConfig, sol: ExactSolution) -> tuple:
-    """(v, j_ratio): the exact E and J's edge DoFs at t are e(t) v and
-    j(t) j_ratio v.  v, the eigenvector of the step's W A, is the midpoint
-    samples with the horizontal edges scaled by rho = alpha_h / alpha_v:
-    with sx = sin^2(kx dx / 2) and sy = sin^2(ky dy / 2),
+class ModeDofs(NamedTuple):
+    """`mode_dofs`'s mode on `config`: the exact E and J edge DoFs at step
+    n are E(n) = e(n dt) v and J(n) = j(n dt) j_ratio v, new arrays."""
+    config: SimConfig
+    sol: ExactSolution
+    v: np.ndarray
+    j_ratio: float
+
+    def E(self, n: int) -> np.ndarray:
+        return self.v * e_time_factor(self.sol, n * self.config.dt)
+
+    def J(self, n: int) -> np.ndarray:
+        return self.v * (j_time_factor(self.sol, n * self.config.dt)
+                         * self.j_ratio)
+
+
+def mode_dofs(config: SimConfig, sol: ExactSolution) -> ModeDofs:
+    """The `ModeDofs` of `sol` on `config`: v, the step's W A eigenvector,
+    is the midpoint samples, the horizontal edges scaled by rho = alpha_h
+    / alpha_v; with sx = sin^2(kx dx / 2) and sy = sin^2(ky dy / 2),
     alpha_h = sinc(ky dy / 2) (1 + (4 w1 - 1) sy + 4 gamma w2 sx) and
     alpha_v = sinc(kx dx / 2) (1 + (4 w3 - 1) sx + 4 w2 sy / gamma),
     so rho is 1.0 where kx dx = ky dy on square cells.  j_ratio = 1 - x,
@@ -112,7 +128,7 @@ def mode_dofs(config: SimConfig, sol: ExactSolution) -> tuple:
     mesh.edge_lines(v)[0][...] *= (
         np.sinc(uy / math.pi) * (1 + (4 * p.w1 - 1) * sy + g * c * sx)
         / (np.sinc(ux / math.pi) * (1 + (4 * p.w3 - 1) * sx + c * sy / g)))
-    return v, 1.0 + config.dt ** 2 * S_h / 12.0
+    return ModeDofs(config, sol, v, 1.0 + config.dt ** 2 * S_h / 12.0)
 
 
 def exact_E(sol: ExactSolution, x, y, t):
@@ -196,7 +212,7 @@ def dispersion_error_metric(fit: FitResult, a_true: float,
 
 def pick_probe_edge(mesh, mode: np.ndarray) -> int:
     """Interior edge with the largest |mode|, ties toward the center;
-    mode is the profile of `mode_dofs`."""
+    mode is `mode_dofs`'s v."""
     if mesh.boundary_edge_mask.all():
         raise ValueError(f"{mesh} has no interior edge to probe: every "
                          "edge of a 1x1 PEC mesh is a wall edge")
@@ -210,19 +226,16 @@ def pick_probe_edge(mesh, mode: np.ndarray) -> int:
     return int(cand[np.argmax(score)])
 
 
-def run_standing_mode(config: SimConfig, sol: ExactSolution, probes=None,
-                      observe=None) -> tuple:
-    """Run the standing mode `sol` as `config` sets it, from `mode_dofs`'s
-    v times each exact time factor (so config.medium must be sol.medium);
+def run_standing_mode(mode: ModeDofs, probes=None, observe=None) -> tuple:
+    """Run `mode.config` from the mode's exact E(0), E(1) and J(0);
     probes=None takes the `pick_probe_edge` probe, and `observe` is
     `run`'s, called after each step's probe samples are taken.
 
-    Returns (state, traces, v, j_ratio): the final state, and for each
-    probe edge its E and J traces over steps 0 .. n_steps."""
-    mesh = config.mesh
-    v, j_ratio = mode_dofs(config, sol)
+    Returns (state, traces): the final state, and for each probe edge its
+    E and J traces over steps 0 .. n_steps."""
+    config, mesh = mode.config, mode.config.mesh
     if probes is None:
-        probes = (pick_probe_edge(mesh, v),)
+        probes = (pick_probe_edge(mesh, mode.v),)
     traces = {}  # one trace pair and one CSV per edge
     for e in probes:
         if not isinstance(e, (int, np.integer)):
@@ -242,10 +255,8 @@ def run_standing_mode(config: SimConfig, sol: ExactSolution, probes=None,
         if observe is not None:
             observe(n, t, state)
 
-    state = run(config, *(np.multiply(v, f) for f in (
-        e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
-        j_time_factor(sol, 0.0) * j_ratio)), record)
-    return state, traces, v, j_ratio
+    state = run(config, mode.E(0), mode.E(1), mode.J(0), record)
+    return state, traces
 
 
 def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
@@ -257,12 +268,12 @@ def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
     L2 error at the final time and the relative dispersion error from the
     probe fit.  Every err_<m> column has its rate_<m>, log2(prev / err) /
     log2(h_prev / h) against the previous mesh, NaN on the first.
-    The L2 references, like the initial data, are the `mode_dofs` pair:
-    E's e(t_f) v and J's j(t_f) j_ratio v; the fits read (a_h, b_h) off
-    the probe traces alone.  Every (scheme, mesh) run is checked, as the
-    `SimConfig` in `sol.medium` that `run_standing_mode` then runs, before
-    the first one starts.  A DegenerateFitError from a probe fit is raised
-    again naming the field, the scheme and h.
+    The L2 references, like the initial data, come from the run's
+    `mode_dofs`: E(n) and J(n) at the final step n; the fits read (a_h,
+    b_h) off the probe traces alone.  Every (scheme, mesh) run is checked,
+    as the `SimConfig` in `sol.medium` that `run_standing_mode` then runs,
+    before the first one starts.  A DegenerateFitError from a probe fit is
+    raised again naming the field, the scheme and h.
     """
     if isinstance(schemes, str):  # would iterate as one-letter labels
         raise ValueError(f"schemes must be a list of labels, not {schemes!r}")
@@ -291,12 +302,12 @@ def convergence_study(meshes, schemes, sol: ExactSolution, nu: float,
 
     def one(config):
         mesh, scheme, h = config.mesh, config.scheme, config.mesh.dx
-        state, traces, v, j_ratio = run_standing_mode(config, sol)
-        tf, [(trace_E, trace_J)] = state.n * config.dt, traces.values()
+        mode = mode_dofs(config, sol)
+        state, traces = run_standing_mode(mode)
+        [(trace_E, trace_J)] = traces.values()
         M = local_M(config.params, mesh.dx, mesh.dy)
-        e_f, j_f = e_time_factor(sol, tf), j_time_factor(sol, tf) * j_ratio
-        err_E = l2_relative_error(state.E, e_f * v, mesh, M)
-        err_J = l2_relative_error(state.J(), j_f * v, mesh, M)
+        err_E = l2_relative_error(state.E, mode.E(state.n), mesh, M)
+        err_J = l2_relative_error(state.J(), mode.J(state.n), mesh, M)
 
         def disp(field, trace):
             try:

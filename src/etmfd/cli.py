@@ -276,8 +276,9 @@ def cmd_simulate(args) -> int:
 
     config = SimConfig(mesh=mesh, medium=medium, scheme=cfg["scheme"],
                        nu=cfg["nu"], T=cfg["T"])
-    state, traces, _, _ = analysis.run_standing_mode(
-        config, sol, None if probes == "auto" else probes, save)
+    state, traces = analysis.run_standing_mode(
+        analysis.mode_dofs(config, sol), None if probes == "auto" else probes,
+        save)
 
     os.makedirs(outdir, exist_ok=True)
     times = config.dt * np.arange(state.n + 1)

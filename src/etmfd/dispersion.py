@@ -197,17 +197,3 @@ def anisotropy_sweep(theta_grid, k: float, ppw_list, nu: float, gamma: float,
                     *cols[h])
     return rows
 
-
-def symbol_error_slope(k: float, nu: float, medium: Medium, scheme: str,
-                       ppw_list=(12, 24, 48), theta: float = 0.0,
-                       gamma: float = 1.0):
-    """Least-squares slope of log|E| vs log h along the continuous root,
-    for the weights of `scheme` at (nu, gamma), the same on every level.
-    Returns (slope, errors) with one |E| per entry of ppw_list.
-    """
-    params = params_for_scheme(scheme, nu, gamma)
-    omega, wv = oscillatory_root(k, medium), WaveVec(k, theta)
-    hs = [2.0 * np.pi / (k * ppw) for ppw in ppw_list]
-    errs = np.array([abs(relative_dispersion_error(
-        omega, wv, medium, nu * h / medium.c0, h, gamma, params)) for h in hs])
-    return np.polyfit(np.log(hs), np.log(errs), 1)[0], errs

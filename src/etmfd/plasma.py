@@ -76,13 +76,6 @@ class ExpOperators:
                          [self.beta3, self.beta4]])
 
 
-def coupling_matrix(medium: Medium) -> np.ndarray:
-    """The ODE coupling matrix X = [[0, -1/eps0], [eps0*omega_p^2, -omega_i]]."""
-    a, b = medium.alpha, medium.beta
-    return np.array([[0.0, -1.0 / medium.eps0],
-                     [medium.eps0 * (a * a + b * b), 2.0 * a]])
-
-
 def exp_operators(medium: Medium, dt: float) -> ExpOperators:
     """Closed-form exp(X*dt) and its integral for an underdamped medium."""
     if not 0 < dt < math.inf:  # NaN fails both comparisons

@@ -31,9 +31,9 @@ import pytest
 
 from etmfd import selftest
 from etmfd.analysis import convergence_study, make_exact_solution
-from etmfd.dispersion import symbol_error_slope
 from etmfd.mesh import build_mesh
 from etmfd.plasma import Medium
+from etmfd.selftest import symbol_error_slope
 
 MEDIUM = Medium(eps0=1.0, c0=1.0, omega_i=1.0, omega_p=1.0)
 

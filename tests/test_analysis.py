@@ -47,16 +47,13 @@ def test_mode_dofs_refuses_a_mode_not_vanishing_on_the_walls(kx_pi, ky_pi,
     mode_dofs(config_on(build_mesh(8, 4, 2.0, 2.0)), sol)
 
 
-def test_mode_dofs_refuses_another_medium(monkeypatch):
-    # v and j_ratio are the exact E and J of the mode in sol.medium only
+def test_mode_dofs_refuses_another_medium():
+    # E(n) and J(n) are the exact E and J of the mode in sol.medium only;
+    # a run takes only the object, so none starts in another medium
     mesh = build_mesh(4, 4, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, Medium(omega_i=0.5))
     with pytest.raises(ValueError, match="is not the mode.s Medium"):
         mode_dofs(config_on(mesh), sol)
-    # and so a run of the mode: refused before any step
-    monkeypatch.setattr(analysis, "run", lambda *a: pytest.fail("it ran"))
-    with pytest.raises(ValueError, match="is not the mode.s Medium"):
-        run_standing_mode(config_on(mesh), sol)
     mode_dofs(SimConfig(mesh=mesh, medium=sol.medium, scheme="etmfd",
                         nu=0.4, T=1.0), sol)
 
@@ -348,38 +345,42 @@ def test_mode_dofs_hold_the_E_and_J_rules(kx_pi, ky_pi):
     mesh = build_mesh(16, 32, 1.0, 2.0)
     sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
     config = config_on(mesh)
-    v, j_ratio = mode_dofs(config, sol)
-    # E: the exact field sampled at edge midpoints, to the last bit on
-    # the vertical edges; the horizontal ones take one ratio rho, 1.0
-    # where kx dx = ky dy (these cells are square)
-    t = 0.3
+    mode = mode_dofs(config, sol)
+    # E(n): the exact field at t = n dt sampled at edge midpoints, to the
+    # last bit on the vertical edges; the horizontal ones take one ratio
+    # rho, 1.0 where kx dx = ky dy (these cells are square)
+    n, t = 12, 12 * config.dt
     want = edge_field(mesh, lambda x, y: exact_E(sol, x, y, t), "midpoint")
-    (gh, gv), (wh, wv) = map(mesh.edge_lines, (e_time_factor(sol, t) * v,
-                                               want))
+    (gh, gv), (wh, wv) = map(mesh.edge_lines, (mode.E(n), want))
     assert np.array_equal(gv, wv)
     big = np.abs(wh) > 1e-6 * np.abs(wh).max()
     rho = gh[big] / wh[big]
     assert np.ptp(rho) <= 1e-14
     assert (rho[0] == 1.0) == (kx_pi == ky_pi)
-    # J: E's profile times 1 - x, x = -dt^2 S_h / 12
+    # J(n): the exact J at t sampled as E is, times 1 - x with
+    # x = -dt^2 S_h / 12
     S_h = spatial_symbol(WaveVec(sol.k, math.atan2(sol.ky, sol.kx)),
                          mesh.dx, mesh.gamma, config.params, MEDIUM.c0)
-    assert j_ratio == pytest.approx(1.0 + config.dt ** 2 * S_h / 12.0,
-                                    rel=1e-15)
-    # one step: the run starts from the profile times the exact time
-    # factors, J's with j_ratio folded in, bit for bit
+    assert mode.j_ratio == pytest.approx(1.0 + config.dt ** 2 * S_h / 12.0,
+                                         rel=1e-15)
+    want = edge_field(mesh, lambda x, y: tuple(
+        j_time_factor(sol, t) * f(x, y) for f in spatial_mode(sol)),
+        "midpoint")
+    (gh, gv), (wh, wv) = map(mesh.edge_lines, (mode.J(n), want))
+    assert np.allclose(gv, mode.j_ratio * wv, rtol=1e-15, atol=0.0)
+    assert np.allclose(gh[big], rho * mode.j_ratio * wh[big], rtol=1e-14,
+                       atol=0.0)
+    # one step: the run starts from E(0), E(1) and J(0), bit for bit
     seen = []
-    config = SimConfig(mesh=mesh, medium=MEDIUM, scheme="etmfd", nu=0.4,
-                       T=0.01)
-    st, _, v1, j_ratio1 = run_standing_mode(
-        config, sol,
+    mode = mode_dofs(SimConfig(mesh=mesh, medium=MEDIUM, scheme="etmfd",
+                               nu=0.4, T=0.01), sol)
+    st, _ = run_standing_mode(
+        mode,
         observe=lambda n, t, state: seen.append((state.E.copy(), state.J())))
     inner = ~mesh.boundary_edge_mask
     assert st.n == 1
-    assert np.array_equal(v1, v) and j_ratio1 == j_ratio
-    for got, want in ((seen[0][0], e_time_factor(sol, 0.0) * v),
-                      (seen[1][0], e_time_factor(sol, config.dt) * v),
-                      (seen[0][1], (j_time_factor(sol, 0.0) * j_ratio) * v)):
+    for got, want in ((seen[0][0], mode.E(0)), (seen[1][0], mode.E(1)),
+                      (seen[0][1], mode.J(0))):
         assert np.array_equal(got[inner], want[inner])
 
 
@@ -390,7 +391,7 @@ def test_mode_dofs_at_the_tuned_point_are_the_midpoint_samples(n, scheme):
     # midpoint samples times the time factors, bit for bit
     mesh = build_mesh(n, n, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
-    v, _ = mode_dofs(config_on(mesh, scheme), sol)
+    v = mode_dofs(config_on(mesh, scheme), sol).v
     assert np.array_equal(v, interpolate_edge_field(mesh, *spatial_mode(sol)))
 
 
@@ -406,7 +407,7 @@ def test_mode_dofs_profile_is_an_eigenvector_of_the_step(nx, ny, Ly, scheme,
     mesh = build_mesh(nx, ny, 1.0, Ly)
     sol = make_exact_solution(kx_pi * np.pi, ky_pi * np.pi, MEDIUM)
     config = config_on(mesh, scheme)
-    v, _ = mode_dofs(config, sol)
+    v = mode_dofs(config, sol).v
     K = assemble_step_operators(mesh, config.params, 1.0, v.copy())
     z = np.empty_like(v)
     for rows, zb in K():
@@ -476,9 +477,9 @@ def test_run_standing_mode_keeps_no_edge_sized_copy(tmp_path):
 
     tracemalloc.start()
     try:
-        state, traces, _, _ = run_standing_mode(
+        state, traces = run_standing_mode(mode_dofs(
             SimConfig(mesh=mesh, medium=MEDIUM, scheme="etmfd", nu=0.5, T=T),
-            sol, (probe,), save)
+            sol), (probe,), save)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,7 +512,7 @@ def test_run_standing_mode_refuses_a_bad_probe_before_any_step(
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     monkeypatch.setattr(analysis, "run", lambda *a: pytest.fail("it ran"))
     with pytest.raises(ValueError, match=message):
-        run_standing_mode(config_on(mesh), sol, probes)
+        run_standing_mode(mode_dofs(config_on(mesh), sol), probes)
 
 
 def _count_interpolations(monkeypatch):
@@ -642,6 +643,23 @@ def test_convergence_study_rows():
     assert math.isnan(first_e["rate_l2"])
     second_e = [r for r in rows if r["field"] == "E"][1]
     assert second_e["err_l2"] < first_e["err_l2"]
+
+
+def test_convergence_study_measures_l2_against_the_mode_at_the_final_step():
+    # err_l2 is the M-norm error of a run of `mode_dofs`'s object against
+    # its own E(n) and J(n) at the final step n, bit for bit
+    sol = make_exact_solution(np.pi, 2 * np.pi, Medium(omega_i=0.3,
+                                                       omega_p=2.0))
+    mesh = build_mesh(8, 16, 1.0, 2.0)
+    rows = convergence_study([mesh], ["et-yee"], sol, 0.5, 1.0)
+    mode = mode_dofs(SimConfig(mesh=mesh, medium=sol.medium, scheme="et-yee",
+                               nu=0.5, T=1.0), sol)
+    state, _ = run_standing_mode(mode)
+    M = local_M(mode.config.params, mesh.dx, mesh.dy)
+    assert [r["err_l2"] for r in rows] == [
+        l2_relative_error(state.E, mode.E(state.n), mesh, M),
+        l2_relative_error(state.J(), mode.J(state.n), mesh, M)]
+    assert [r["field"] for r in rows] == ["E", "J"]
 
 
 def test_convergence_study_rates_are_the_log2_rule():

@@ -309,7 +309,7 @@ def test_simulate_runs_a_mode_vanishing_on_non_unit_walls(entries, tmp_path):
     sol = make_exact_solution(entries.get("kx_pi", 1) * np.pi,
                               entries.get("ky_pi", 1) * np.pi, Medium())
     v = mode_dofs(stepper.SimConfig(mesh=mesh, medium=Medium(),
-                                    scheme="etmfd", nu=0.5, T=0.5), sol)[0]
+                                    scheme="etmfd", nu=0.5, T=0.5), sol).v
     assert np.abs(v[mesh.boundary_edge_mask]).max() < 1e-13 * np.abs(v).max()
 
 

@@ -12,10 +12,10 @@ from etmfd.dispersion import (WaveVec, anisotropy_sweep,
 from etmfd.mesh import build_mesh
 from etmfd.operators import (MfdParams, local_W, local_curl, optimal_params,
                              params_for_scheme, yee_params)
-from etmfd.plasma import Medium, coupling_matrix
-from etmfd.selftest import (discrete_root_polish, face_edge_table,
-                            leapfrog_zeroing_w2, quad_integral_exp,
-                            series_exp_oracle)
+from etmfd.plasma import Medium
+from etmfd.selftest import (coupling_matrix, discrete_root_polish,
+                            face_edge_table, leapfrog_zeroing_w2,
+                            quad_integral_exp, series_exp_oracle)
 
 from conftest import (assemble_W, assemble_curl_curl, bloch_edge_field,
                       conductive_leapfrog_residual)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from etmfd.plasma import Medium, RegimeError, coupling_matrix, exp_operators
-from etmfd.selftest import DTS, MEDIA, series_exp_oracle
+from etmfd.plasma import Medium, RegimeError, exp_operators
+from etmfd.selftest import DTS, MEDIA, coupling_matrix, series_exp_oracle
 
 NONFINITE = (float("nan"), float("inf"), -float("inf"))
 

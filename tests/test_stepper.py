@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from etmfd import cli, operators, stepper
-from etmfd.analysis import (convergence_study, e_time_factor, exact_E,
-                            j_time_factor, make_exact_solution, mode_dofs)
+from etmfd.analysis import (convergence_study, exact_E, make_exact_solution,
+                            mode_dofs)
 from etmfd.mesh import RectMesh, build_mesh, interpolate_edge_field
 from etmfd.operators import params_for_scheme, row_blocks, yee_params
-from etmfd.plasma import Medium, coupling_matrix, exp_operators
+from etmfd.plasma import Medium, exp_operators
 from etmfd.selftest import dense_step, increment_state, series_exp_oracle
 from etmfd.stepper import (SimConfig, SimState, UnstableSimulationError,
                            _j_coefficients, initialize, load_snapshot,
@@ -94,7 +94,7 @@ def test_initialize_standing_setup():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh)
-    v, _ = mode_dofs(config, sol)
+    v = mode_dofs(config, sol).v
     seen = []
     st, _ = initialize(config, v.copy(), v, np.zeros_like(v),
                        observe=lambda n, t, s: seen.append((n, t, s.E.copy(),
@@ -154,7 +154,8 @@ def test_run_refuses_non_finite_initial_data_before_step_0(bad, monkeypatch):
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh)
-    args = _exact_initial(config, sol)
+    mode = mode_dofs(config, sol)
+    args = [mode.E(0), mode.E(1), mode.J(0)]
     k = INITIAL.index(bad)
     args[k][np.flatnonzero(~mesh.boundary_edge_mask)[9]] = (
         np.nan, np.inf, -np.inf)[k]
@@ -194,8 +195,8 @@ def test_run_steps_in_the_callers_arrays():
     # E, and E0 and J0 hold W and V
     mesh = build_mesh(8, 8, 1.0, 1.0)
     config = make_config(mesh, T=0.5)
-    E0, E1, J0 = _exact_initial(config,
-                                make_exact_solution(np.pi, np.pi, MEDIUM))
+    mode = mode_dofs(config, make_exact_solution(np.pi, np.pi, MEDIUM))
+    E0, E1, J0 = mode.E(0), mode.E(1), mode.J(0)
     final = run(config, E0, E1, J0)
     assert final.n == config.n_steps
     assert final.E is E1 and final.W is E0 and final.V is J0
@@ -221,7 +222,8 @@ def test_snapshots_at_every_multiple_of_the_stride(n_steps, stride, want,
     assert [meta["time"] for meta, _, _ in snaps] == [n * dt for n in want]
     if stride == 1:  # step 1 holds the initial E^1 and the bootstrapped J^1
         config = make_config(mesh, T=1.0)
-        st, _ = initialize(config, *_exact_initial(config, sol))
+        mode = mode_dofs(config, sol)
+        st, _ = initialize(config, mode.E(0), mode.E(1), mode.J(0))
         assert np.array_equal(snaps[1][1], st.E)
         assert np.array_equal(snaps[1][2], st.J())
 
@@ -243,7 +245,8 @@ def test_observe_sees_every_step_once_in_order(n_steps):
     config = make_config(mesh, T=(n_steps - 0.5) * dt)
     # the reference: initialize and step by hand, copying every step
     ref = []
-    st, _ = initialize(config, *_exact_initial(config, sol),
+    mode = mode_dofs(config, sol)
+    st, _ = initialize(config, mode.E(0), mode.E(1), mode.J(0),
                        observe=_kept(ref))
     ops = step_operators(config, st.E)
     ref.append((1, config.dt, st.E.copy(), st.J()))
@@ -252,14 +255,14 @@ def test_observe_sees_every_step_once_in_order(n_steps):
         ref.append((st.n, st.n * config.dt, st.E.copy(), st.J()))
     ref = [(E, J) for _, _, E, J in ref]
     seen = []
-    final = run(config, *_exact_initial(config, sol), _kept(seen))
+    final = run(config, mode.E(0), mode.E(1), mode.J(0), _kept(seen))
     assert [n for n, _, _, _ in seen] == list(range(n_steps + 1))
     assert [t for _, t, _, _ in seen] == [n * config.dt
                                           for n in range(n_steps + 1)]
     for (_, _, E, J), (E_ref, J_ref) in zip(seen, ref):
         assert np.array_equal(E, E_ref) and np.array_equal(J, J_ref)
     # observing changes nothing: the same final state bit for bit
-    plain = run(config, *_exact_initial(config, sol))
+    plain = run(config, mode.E(0), mode.E(1), mode.J(0))
     assert final.n == plain.n == n_steps
     for field in STATE_FIELDS:
         assert np.array_equal(getattr(final, field), getattr(plain, field))
@@ -293,21 +296,13 @@ def test_step_uniform_mode_matches_scalar_recurrence(rng):
     assert np.abs(new.J() - j_next * g).max() < 1e-14 * scale
 
 
-def _exact_initial(config, sol):
-    """[E0, E1, J0], the exact E at t = 0 and dt and J at t = 0: new
-    arrays on each call, since a run steps in them."""
-    v, j_ratio = mode_dofs(config, sol)
-    return [np.multiply(v, f) for f in (
-        e_time_factor(sol, 0.0), e_time_factor(sol, config.dt),
-        j_time_factor(sol, 0.0) * j_ratio)]
-
-
 def test_run_shorter_than_one_step():
     mesh = build_mesh(4, 4, 1.0, 1.0)
     config = make_config(mesh, T=1e-4)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     seen = []
-    state = run(config, *_exact_initial(config, sol), _kept(seen))
+    mode = mode_dofs(config, sol)
+    state = run(config, mode.E(0), mode.E(1), mode.J(0), _kept(seen))
     assert state.n == 1
     assert [(n, t) for n, t, _, _ in seen] == [(0, 0.0), (1, config.dt)]
 
@@ -318,11 +313,12 @@ def test_run_probe_traces_start_with_initial_data():
     probe = int(np.flatnonzero(~mesh.boundary_edge_mask)[7])
     config = make_config(mesh, T=0.5)
     seen = []
-    run(config, *_exact_initial(config, sol),
+    mode = mode_dofs(config, sol)
+    run(config, mode.E(0), mode.E(1), mode.J(0),
         lambda n, t, state: seen.append((t, state.E[probe],
                                          state.J(probe))))
     first = []
-    st1, _ = initialize(config, *_exact_initial(config, sol),
+    st1, _ = initialize(config, mode.E(0), mode.E(1), mode.J(0),
                         observe=_kept(first))
     assert seen[0][1:] == (first[0][2][probe], first[0][3][probe])
     assert seen[1][1:] == (st1.E[probe], st1.J(probe))
@@ -336,7 +332,8 @@ def test_pec_boundary_invariance_long_run():
     nu = 0.5
     T = 10_000 * nu * mesh.dx / MEDIUM.c0  # 10^4 steps
     config = make_config(mesh, nu=nu, T=T)
-    state = run(config, *_exact_initial(config, sol))
+    mode = mode_dofs(config, sol)
+    state = run(config, mode.E(0), mode.E(1), mode.J(0))
     assert state.n == 10_000
     b = mesh.boundary_edge_mask
     assert np.abs(state.E[b]).max() == 0.0
@@ -350,8 +347,9 @@ def test_instability_detected(monkeypatch):
     # a Courant number past the limit, which SimConfig would refuse
     monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     config = make_config(mesh, nu=0.75, T=100.0)
+    mode = mode_dofs(config, sol)
     with pytest.raises(UnstableSimulationError):
-        run(config, *_exact_initial(config, sol))
+        run(config, mode.E(0), mode.E(1), mode.J(0))
 
 
 @pytest.mark.parametrize("n", [64, 256])  # one block of rows, and five
@@ -383,14 +381,15 @@ def test_run_keeps_no_view_of_a_reused_buffer():
     config = make_config(mesh, T=11.5 * dt)
     ops = exp_operators(MEDIUM, config.dt)
     first = []
-    st, _ = initialize(config, *_exact_initial(config, sol), _kept(first))
+    mode = mode_dofs(config, sol)
+    st, _ = initialize(config, mode.E(0), mode.E(1), mode.J(0), _kept(first))
     ref = [first[0][2:], (st.E, st.J())]
     for n in range(2, 13):
         (E, J), (E_prev, J_prev) = ref[-1], ref[-2]
         ref.append(dense_step((E, E_prev, J, J_prev), config, ops))
 
     seen = []
-    final = run(config, *_exact_initial(config, sol), _kept(seen))
+    final = run(config, mode.E(0), mode.E(1), mode.J(0), _kept(seen))
     assert config.n_steps == final.n == 12
     assert [n for n, _, _, _ in seen] == list(range(13))
     for (_, _, E, J), (E_ref, J_ref) in zip(seen, ref):
@@ -411,11 +410,12 @@ def test_a_bound_past_the_limit_alone_does_not_stop_the_run(bound,
     mesh = build_mesh(8, 8, 1.0, 1.0)
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     config = make_config(mesh, T=0.5)
-    plain = run(config, *_exact_initial(config, sol))
+    mode = mode_dofs(config, sol)
+    plain = run(config, mode.E(0), mode.E(1), mode.J(0))
     real = stepper.step
     monkeypatch.setattr(stepper, "step", lambda state, ops:
                         real(state, ops) * 0.0 + bound)
-    final = run(config, *_exact_initial(config, sol))
+    final = run(config, mode.E(0), mode.E(1), mode.J(0))
     assert final.n == plain.n == config.n_steps
     for field in STATE_FIELDS:
         assert np.array_equal(getattr(final, field), getattr(plain, field))
@@ -438,8 +438,9 @@ def test_nan_in_J_alone_stops_the_run_at_its_step(monkeypatch):
         return real(state, ops)
 
     monkeypatch.setattr(stepper, "step", poisoned)
+    mode = mode_dofs(config, sol)
     with pytest.raises(UnstableSimulationError, match="at step 5 "):
-        run(config, *_exact_initial(config, sol))
+        run(config, mode.E(0), mode.E(1), mode.J(0))
     [state] = last
     assert state.n == 5 and np.isfinite(state.E).all()
     assert np.isnan(state.V[edge])
@@ -532,8 +533,9 @@ def test_nan_in_the_last_block_stops_the_run_at_its_step(field, monkeypatch):
         return real(state, ops)
 
     monkeypatch.setattr(stepper, "step", poisoned)
+    mode = mode_dofs(config, sol)
     with pytest.raises(UnstableSimulationError, match="at step 5 "):
-        run(config, *_exact_initial(config, sol))
+        run(config, mode.E(0), mode.E(1), mode.J(0))
     # horizontal lines 4 + 5 of 8 edges, vertical lines 4 + 4 of 9
     assert blocks == [32, 40, 36, 36]
 
@@ -603,9 +605,10 @@ def test_a_config_computes_its_exponentials_once(monkeypatch):
     real, dts = stepper.exp_operators, []
     monkeypatch.setattr(stepper, "exp_operators", lambda medium, dt:
                         dts.append(dt) or real(medium, dt))
-    first = run(config, *_exact_initial(config, sol))
+    mode = mode_dofs(config, sol)
+    first = run(config, mode.E(0), mode.E(1), mode.J(0))
     assert dts == [config.dt]
-    again = run(config, *_exact_initial(config, sol))
+    again = run(config, mode.E(0), mode.E(1), mode.J(0))
     assert dts == [config.dt]
     for field in STATE_FIELDS:
         assert np.array_equal(getattr(first, field), getattr(again, field))
@@ -625,7 +628,8 @@ def test_blowup_caught_at_first_step_past_the_bound(scheme, nu, n_fail,
     sol = make_exact_solution(np.pi, np.pi, MEDIUM)
     monkeypatch.setattr(stepper, "nu_max", lambda gamma: math.inf)
     config = make_config(mesh, nu=nu, T=8.0, scheme=scheme)
-    st1, _ = initialize(config, *_exact_initial(config, sol))
+    mode = mode_dofs(config, sol)
+    st1, _ = initialize(config, mode.E(0), mode.E(1), mode.J(0))
     bound = 1e12 * (1.0 + _peak(st1))
     real = stepper.step
     seen = []
@@ -638,12 +642,12 @@ def test_blowup_caught_at_first_step_past_the_bound(scheme, nu, n_fail,
 
     monkeypatch.setattr(stepper, "step", checked)
     if n_fail is None:
-        final = run(config, *_exact_initial(config, sol))
+        final = run(config, mode.E(0), mode.E(1), mode.J(0))
         assert final.n == config.n_steps == 366
         assert max(seen) <= bound
     else:
         with pytest.raises(UnstableSimulationError, match=f"at step {n_fail} "):
-            run(config, *_exact_initial(config, sol))
+            run(config, mode.E(0), mode.E(1), mode.J(0))
         assert len(seen) == n_fail - 1  # steps 2 .. n_fail
         assert max(seen[:-1]) <= bound < seen[-1]
 
@@ -664,7 +668,8 @@ def test_rounding_drift_against_a_longdouble_oracle(scheme):
                        T=4.0)
     sol = make_exact_solution(np.pi, np.pi, medium)
     first = []
-    state = run(config, *_exact_initial(config, sol),
+    mode = mode_dofs(config, sol)
+    state = run(config, mode.E(0), mode.E(1), mode.J(0),
                 lambda n, t, s: first.append(
                     (s.E.astype(ld), s.J().astype(ld))) if n < 2 else None)
     assert state.n == 256
@@ -728,8 +733,9 @@ def test_alpha3_guard_fires_before_the_first_step(monkeypatch):
                         dataclasses.replace(real(medium, dt), alpha3=0.0))
     calls, seen = [], []
     monkeypatch.setattr(stepper, "step", lambda *args: calls.append(args))
+    mode = mode_dofs(config, sol)
     with pytest.raises(ZeroDivisionError, match="alpha3 vanished"):
-        run(config, *_exact_initial(config, sol),
+        run(config, mode.E(0), mode.E(1), mode.J(0),
             lambda *args: seen.append(args))
     assert calls == [] and seen == []
 
@@ -784,7 +790,8 @@ def test_snapshot_roundtrip(tmp_path):
             save_snapshot(str(tmp_path / f"snap{n}"), mesh, t, state)
             kept.append((n, t, state.E.copy(), state.J()))
 
-    run(config, *_exact_initial(config, sol), save)
+    mode = mode_dofs(config, sol)
+    run(config, mode.E(0), mode.E(1), mode.J(0), save)
     assert [n for n, _, _, _ in kept] == [0, 2, 4, 6]
     for n, t, E_kept, J_kept in kept:
         meta, E, J = load_snapshot(str(tmp_path / f"snap{n}"))
